@@ -1,21 +1,21 @@
 """Exact evaluation and marginal inference.
 
-Propagation runs bottom-up over the topological order.  Leaves whose
-variable is fixed contribute the probability of the fixed category; leaves
-outside the evidence scope contribute 1, which turns the same pass into
-marginal inference.  A vectorized variant evaluates many total assignments
-at once and backs both the exhaustive MAP solver and normalization checks.
+Every bottom-up pass is one loop, ``_upward``, over the compiled network.
+Leaves whose variable is fixed contribute the probability of the fixed
+category; leaves outside the evidence scope contribute 1, which turns the
+same pass into marginal inference.  A batch form evaluates many total
+assignments at once for exhaustive MAP and normalization checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows
-from .network import LeafNode, Network, ProductNode, Variable
+from .logspace import Probability, logsumexp, logsumexp_rows
+from .network import Network, Variable
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
@@ -39,35 +39,55 @@ def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
             raise ValueError(f"assignment is missing variable {v.index}")
 
 
+def _upward(
+    network: Network,
+    vals: dict,
+    reduce: Callable[[list], object],
+    internal: Iterable[int] | None = None,
+) -> dict:
+    """Complete ``vals``, given leaf log values by compiled position.
+
+    Visits the increasing positions ``internal`` (default: every sum and
+    product).  A product adds its children's values; a sum passes its
+    weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
+    max-product.  Values are floats for one assignment, rows for a batch.
+    """
+    compiled = network._compiled
+    children, log_weights = compiled.children, compiled.log_weights
+    for pos in compiled.internal if internal is None else internal:
+        kids = children[pos]
+        weights = log_weights[pos]
+        if weights is None:
+            acc = vals[kids[0]]
+            for kid in kids[1:]:
+                acc = acc + vals[kid]
+            vals[pos] = acc
+        else:
+            vals[pos] = reduce([w + vals[kid] for w, kid in zip(weights, kids)])
+    return vals
+
+
+def _sum_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
+    """Log value at each position with unobserved leaves marginalized to 1."""
+    compiled = network._compiled
+    variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
+    vals = {
+        pos: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[pos] + cat]
+        for pos, var in enumerate(variable)
+        if var >= 0
+    }
+    return _upward(network, vals, logsumexp)
+
+
 def node_log_values(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
     """Log value of every node with leaves restricted by ``evidence``."""
-    nodes = network.nodes
-    vals: dict[int, float] = {}
-    for nid in network.topological_order():
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            cat = evidence.get(node.variable)
-            if cat is None:
-                vals[nid] = 0.0
-            else:
-                p = node.distribution[cat]
-                vals[nid] = math.log(p) if p > 0 else LOG_ZERO
-        elif isinstance(node, ProductNode):
-            total = 0.0
-            for child in node.children:
-                total += vals[child]
-            vals[nid] = total
-        else:
-            lw = network.log_weights(nid)
-            vals[nid] = logsumexp(
-                [lw[j] + vals[child] for j, child in enumerate(node.children)]
-            )
-    return vals
+    order = network._compiled.order
+    return {order[pos]: value for pos, value in _sum_pass(network, evidence).items()}
 
 
 def log_evaluate(network: Network, assignment: Mapping[int, int]) -> float:
     check_assignment(network, assignment)
-    return node_log_values(network, assignment)[network.root]
+    return _sum_pass(network, assignment)[network._compiled.root]
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
@@ -78,7 +98,7 @@ def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
 def log_marginal(network: Network, evidence: Mapping[int, int] | None = None) -> float:
     evidence = evidence or {}
     check_evidence(network, evidence)
-    return node_log_values(network, evidence)[network.root]
+    return _sum_pass(network, evidence)[network._compiled.root]
 
 
 def evaluate_marginal(
@@ -93,30 +113,25 @@ def batch_log_values(
 ) -> np.ndarray:
     """Log value of ``node_id`` for each row of a ``(k, n_vars)`` category matrix.
 
-    Only columns for variables in the node's scope are read.
+    Only columns for variables in the node's scope are read, and only the
+    node's sub-DAG is evaluated.
     """
     categories = np.asarray(categories)
     if categories.ndim != 2 or categories.shape[1] != len(network.variables):
         raise ValueError("categories must have one column per network variable")
-    nodes = network.nodes
-    needed = network.reachable_from(node_id)
-    vals: dict[int, np.ndarray] = {}
-    for nid in network.topological_order():
-        if nid not in needed:
-            continue
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            vals[nid] = network.leaf_log_distribution(nid)[categories[:, node.variable]]
-        elif isinstance(node, ProductNode):
-            acc = vals[node.children[0]]
-            for child in node.children[1:]:
-                acc = acc + vals[child]
-            vals[nid] = acc
-        else:
-            stacked = np.stack([vals[c] for c in node.children])
-            stacked = stacked + network.log_weights_array(nid)[:, None]
-            vals[nid] = logsumexp_rows(stacked)
-    return vals[node_id]
+    compiled = network._compiled
+    variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
+    columns = np.ascontiguousarray(categories.T)
+    position, children = compiled.position, compiled.children
+    sub_dag = sorted(map(position.__getitem__, network.reachable_from(node_id)))
+    vals = {
+        pos: log_table[offset[pos] : offset[pos + 1]][columns[variable[pos]]]
+        for pos in sub_dag
+        if not children[pos]
+    }
+    internal = [pos for pos in sub_dag if children[pos]]
+    vals = _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)
+    return vals[position[node_id]]
 
 
 def free_variables(
@@ -131,10 +146,7 @@ def count_free_configurations(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> int:
     """Number of total assignments consistent with the evidence."""
-    count = 1
-    for v in free_variables(network, evidence):
-        count *= v.cardinality
-    return count
+    return math.prod(v.cardinality for v in free_variables(network, evidence))
 
 
 def decode_configuration(
@@ -146,15 +158,11 @@ def decode_configuration(
     free variable most significant, so index 0 is the lexicographically
     smallest assignment consistent with the evidence.
     """
-    evidence = dict(evidence or {})
-    free = free_variables(network, evidence)
-    config = dict(evidence)
-    remainder = index
-    for position, var in enumerate(free):
-        stride = 1
-        for later in free[position + 1 :]:
-            stride *= later.cardinality
-        config[var.index] = (remainder // stride) % var.cardinality
+    config = dict(evidence or {})
+    stride = count_free_configurations(network, config)
+    for var in free_variables(network, config):
+        stride //= var.cardinality
+        config[var.index] = (index // stride) % var.cardinality
     return config
 
 
@@ -167,14 +175,7 @@ def iter_assignment_chunks(
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
     free = free_variables(network, evidence)
-    cards = [v.cardinality for v in free]
-    strides = []
-    stride = 1
-    for card in reversed(cards):
-        strides.append(stride)
-        stride *= card
-    strides.reverse()
-    total = stride
+    total = count_free_configurations(network, evidence)
     n_vars = len(network.variables)
     for start in range(0, total, chunk_size):
         stop = min(start + chunk_size, total)
@@ -182,8 +183,10 @@ def iter_assignment_chunks(
         cats = np.zeros((stop - start, n_vars), dtype=np.intp)
         for var, cat in evidence.items():
             cats[:, var] = cat
-        for position, var in enumerate(free):
-            cats[:, var.index] = (idx // strides[position]) % cards[position]
+        stride = total
+        for var in free:
+            stride //= var.cardinality
+            cats[:, var.index] = (idx // stride) % var.cardinality
         yield start, cats
 
 
@@ -199,11 +202,7 @@ def enumerate_log_values(
 
 def log_partition(network: Network, chunk_size: int = 1 << 14) -> float:
     """Log of the total mass summed over every total assignment."""
-    chunk_totals: list[float] = []
-    for _, values in enumerate_log_values(network, None, chunk_size):
-        m = float(values.max())
-        if m == LOG_ZERO:
-            chunk_totals.append(LOG_ZERO)
-        else:
-            chunk_totals.append(m + math.log(float(np.exp(values - m).sum())))
-    return logsumexp(chunk_totals)
+    return logsumexp(
+        float(logsumexp_rows(values[:, None])[0])
+        for _, values in enumerate_log_values(network, None, chunk_size)
+    )

@@ -9,9 +9,11 @@ rather than raised, so that files under inspection can still be loaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence, Union
+from functools import cached_property
+from typing import ClassVar, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -129,6 +131,28 @@ def _toposort(nodes: Mapping[int, Node]) -> tuple[list[int] | None, int | None]:
     return order, None
 
 
+class _Compiled(NamedTuple):
+    """An acyclic network indexed by topological position, children first.
+
+    Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Position
+    ``i``'s entries, a leaf's categories or a sum's weights, are
+    ``log_table[offset[i]:offset[i + 1]]``.
+    """
+
+    order: tuple[int, ...]  # node id at each position
+    position: dict[int, int]  # position of each node id
+    root: int  # position of the root
+    internal: list[int]  # positions of sums and products, increasing
+    children: list[tuple[int, ...]]  # child positions; empty for leaves
+    scopes: list[frozenset[int]]  # variables below each position
+    log_weights: list[tuple[float, ...] | None]  # per sum; None elsewhere
+    variable: list[int]  # per leaf; -1 elsewhere
+    best: list[int]  # per leaf: most probable category, lowest on ties
+    offset: list[int]
+    log_table: np.ndarray
+    log_list: list[float]  # ``log_table`` as Python floats, for scalar passes
+
+
 class Network:
     """Immutable rooted DAG of sum, product, and leaf nodes.
 
@@ -143,9 +167,10 @@ class Network:
         The variables of the network; indices must be exactly ``0..n-1``.
 
     Construction renormalizes sum weights that are within ``1e-6`` of a
-    proper convex combination and precomputes traversal order, scopes, and
-    log-domain tables.  Cyclic graphs are constructible (so ``validate`` can
-    report them) but refuse traversal-based queries.
+    proper convex combination and precomputes the traversal order; scopes
+    and log-domain tables are compiled on first use.  Cyclic graphs are
+    constructible (so ``validate`` can report them) but refuse
+    traversal-based queries.
     """
 
     def __init__(
@@ -199,31 +224,6 @@ class Network:
         self._order = tuple(order) if order is not None else None
         self._cycle_node = cycle_node
 
-        self._scopes: dict[int, frozenset[int]] | None = None
-        if self._order is not None:
-            scopes: dict[int, frozenset[int]] = {}
-            for nid in self._order:
-                node = store[nid]
-                if isinstance(node, LeafNode):
-                    scopes[nid] = frozenset((node.variable,))
-                else:
-                    scopes[nid] = frozenset().union(*(scopes[c] for c in node.children))
-            self._scopes = scopes
-
-        self._log_weights: dict[int, tuple[float, ...]] = {}
-        self._log_weights_arr: dict[int, np.ndarray] = {}
-        self._leaf_log: dict[int, np.ndarray] = {}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for nid, node in store.items():
-                if isinstance(node, SumNode):
-                    lw = tuple(
-                        math.log(w) if w > 0 else LOG_ZERO for w in node.weights
-                    )
-                    self._log_weights[nid] = lw
-                    self._log_weights_arr[nid] = np.array(lw)
-                elif isinstance(node, LeafNode):
-                    self._leaf_log[nid] = np.log(np.asarray(node.distribution))
-
     @property
     def nodes(self) -> dict[int, Node]:
         return self._nodes
@@ -257,25 +257,52 @@ class Network:
         """Variable indices reachable below ``node_id``."""
         if node_id not in self._nodes:
             raise KeyError(f"unknown node id {node_id}")
-        if self._scopes is None:
-            raise ValueError(f"network contains a cycle through node {self._cycle_node}")
-        return self._scopes[node_id]
+        compiled = self._compiled
+        return compiled.scopes[compiled.position[node_id]]
 
-    def log_weights(self, node_id: int) -> tuple[float, ...]:
-        return self._log_weights[node_id]
-
-    def log_weights_array(self, node_id: int) -> np.ndarray:
-        return self._log_weights_arr[node_id]
-
-    def leaf_log_distribution(self, node_id: int) -> np.ndarray:
-        return self._leaf_log[node_id]
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        order = self.topological_order()
+        position = {nid: pos for pos, nid in enumerate(order)}
+        children: list[tuple[int, ...]] = [()] * len(order)
+        scopes: list[frozenset[int]] = []
+        singletons = [frozenset((v.index,)) for v in self._variables]
+        log_weights: list[tuple[float, ...] | None] = [None] * len(order)
+        variable = [-1] * len(order)
+        best = [-1] * len(order)
+        params: list[tuple[float, ...]] = []
+        internal: list[int] = []
+        for pos, nid in enumerate(order):
+            node = self._nodes[nid]
+            if isinstance(node, LeafNode):
+                scopes.append(singletons[node.variable])
+                variable[pos] = node.variable
+                best[pos] = node.distribution.index(max(node.distribution))
+                params.append(node.distribution)
+                continue
+            internal.append(pos)
+            children[pos] = kids = tuple(map(position.__getitem__, node.children))
+            scopes.append(frozenset().union(*map(scopes.__getitem__, kids)))
+            params.append(node.weights if isinstance(node, SumNode) else ())
+        offset = [0, *itertools.accumulate(map(len, params))]
+        flat = np.fromiter(itertools.chain.from_iterable(params), float, offset[-1])
+        log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
+        log_list = log_table.tolist()
+        for pos in internal:
+            if offset[pos] < offset[pos + 1]:  # sums have weights, products none
+                log_weights[pos] = tuple(log_list[offset[pos] : offset[pos + 1]])
+        return _Compiled(
+            order, position, position[self._root], internal, children,
+            scopes, log_weights, variable, best, offset, log_table, log_list,
+        )
 
     def reachable_from(self, node_id: int) -> set[int]:
         """Node ids reachable from ``node_id`` (cycle safe)."""
+        nodes = self._nodes
         seen = {node_id}
         stack = [node_id]
         while stack:
-            for child in self._nodes[stack.pop()].children:
+            for child in nodes[stack.pop()].children:
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
@@ -393,18 +420,15 @@ def network_stats(network: Network) -> NetworkStats:
             products += 1
         else:
             leaves += 1
-    heights: dict[int, int] = {}
-    for nid in network.topological_order():
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            heights[nid] = 0
-        else:
-            heights[nid] = 1 + max(heights[c] for c in node.children)
+    compiled = network._compiled
+    heights: list[int] = []
+    for kids in compiled.children:
+        heights.append(1 + max(map(heights.__getitem__, kids)) if kids else 0)
     return NetworkStats(
         node_count=len(nodes),
         sum_count=sums,
         product_count=products,
         leaf_count=leaves,
-        height=heights[network.root],
+        height=heights[compiled.root],
         sum_out_degrees=tuple(degrees),
     )

@@ -11,21 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .inference import (
+    _upward,
     batch_log_values,
     check_evidence,
     count_free_configurations,
     decode_configuration,
+    enumerate_log_values,
     evaluate,
-    iter_assignment_chunks,
-    log_marginal,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import LeafNode, Network, ProductNode, SumNode
+from .network import Network, SumNode
 
 #: Exhaustive search refuses configuration spaces larger than this.
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -47,8 +48,8 @@ class MapResult:
     """A configuration, its exact value, and the solver that found it.
 
     ``value`` is always the network evaluated at ``configuration``;
-    ``pd_value`` is the max-product upward bound and is set only by that
-    solver.
+    ``pd_value`` is the max-product upward value, a lower bound on that
+    solver's ``value``, and is set only by that solver.
     """
 
     configuration: dict[int, int]
@@ -61,71 +62,51 @@ def _smallest_consistent(network: Network, evidence: Mapping[int, int]) -> dict[
     return {v.index: evidence.get(v.index, 0) for v in network.variables}
 
 
-def _leaf_argmax(node: LeafNode, evidence: Mapping[int, int]) -> int:
-    cat = evidence.get(node.variable)
-    if cat is not None:
-        return cat
-    best = 0
-    for j, p in enumerate(node.distribution):
-        if p > node.distribution[best]:
-            best = j
-    return best
+def _max_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
+    """Max-product's upward pass: each sum keeps its best weighted child value.
+
+    Free leaves take their most probable category.  The root value is
+    ``LOG_ZERO`` exactly when the evidence has zero mass.
+    """
+    compiled = network._compiled
+    variable, best = compiled.variable, compiled.best
+    offset, log_list = compiled.offset, compiled.log_list
+    vals = {
+        pos: log_list[offset[pos] + evidence.get(var, best[pos])]
+        for pos, var in enumerate(variable)
+        if var >= 0
+    }
+    return _upward(network, vals, max)
 
 
 def _max_product_walk(
-    network: Network, evidence: Mapping[int, int]
-) -> tuple[dict[int, int], float]:
-    """Upward max pass and downward argmax walk; returns (config, bound log).
+    network: Network, evidence: Mapping[int, int], upward: dict[int, float]
+) -> dict[int, int]:
+    """Downward argmax walk over the values of ``_max_pass``.
 
-    The upward pass replaces each sum with the max of its weighted child
-    values; the downward pass walks the chosen children and reads one
-    category per leaf.  Runs in time linear in the network size.
+    Each visited sum follows its first child reaching the max; each visited
+    leaf fixes its variable unless the evidence or an earlier leaf did.
     """
-    nodes = network.nodes
-    upward: dict[int, float] = {}
-    chosen_child: dict[int, int] = {}
-    leaf_pick: dict[int, int] = {}
-    for nid in network.topological_order():
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            cat = _leaf_argmax(node, evidence)
-            leaf_pick[nid] = cat
-            p = node.distribution[cat]
-            upward[nid] = math.log(p) if p > 0 else LOG_ZERO
-        elif isinstance(node, ProductNode):
-            total = 0.0
-            for child in node.children:
-                total += upward[child]
-            upward[nid] = total
-        else:
-            lw = network.log_weights(nid)
-            best = LOG_ZERO
-            best_child = node.children[0]
-            for j, child in enumerate(node.children):
-                v = lw[j] + upward[child]
-                if j == 0 or v > best:
-                    best = v
-                    best_child = child
-            upward[nid] = best
-            chosen_child[nid] = best_child
-
+    compiled = network._compiled
+    children, log_weights = compiled.children, compiled.log_weights
     config = dict(evidence)
-    stack = [network.root]
+    stack = [compiled.root]
     seen: set[int] = set()
     while stack:
-        nid = stack.pop()
-        if nid in seen:
+        pos = stack.pop()
+        if pos in seen:
             continue
-        seen.add(nid)
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            config.setdefault(node.variable, leaf_pick[nid])
-        elif isinstance(node, SumNode):
-            stack.append(chosen_child[nid])
+        seen.add(pos)
+        kids = children[pos]
+        weights = log_weights[pos]
+        if not kids:
+            config.setdefault(compiled.variable[pos], compiled.best[pos])
+        elif weights is None:
+            stack.extend(kids)
         else:
-            stack.extend(node.children)
-
-    return config, upward[network.root]
+            terms = [w + upward[kid] for w, kid in zip(weights, kids)]
+            stack.append(kids[terms.index(max(terms))])
+    return config
 
 
 def max_product(
@@ -133,25 +114,20 @@ def max_product(
 ) -> MapResult:
     """Upward max-propagation followed by downward argmax selection.
 
-    ``pd_value`` carries the upward bound, which the value of the selected
-    configuration can only undershoot.  Runs in time linear in the network
-    size.
+    ``pd_value`` carries the upward value, the best single induced tree's
+    weight.  It is a lower bound on the value of the selected configuration;
+    times the product of sum out-degrees it bounds the optimum from above.
+    Runs in time linear in the network size.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    if log_marginal(network, evidence) == LOG_ZERO:
+    upward = _max_pass(network, evidence)
+    bound = Probability(upward[network._compiled.root])
+    if bound.is_zero:
         config = _smallest_consistent(network, evidence)
-        return MapResult(
-            config, evaluate(network, config), Solver.MAX_PRODUCT, Probability(LOG_ZERO)
-        )
-
-    config, bound = _max_product_walk(network, evidence)
-    return MapResult(
-        config,
-        evaluate(network, config),
-        Solver.MAX_PRODUCT,
-        Probability(bound),
-    )
+        return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
+    config = _max_product_walk(network, evidence, upward)
+    return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
 
 
 def argmax_product(
@@ -170,43 +146,42 @@ def argmax_product(
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    if log_marginal(network, evidence) == LOG_ZERO:
+    compiled = network._compiled
+    upward = _max_pass(network, evidence)
+    if upward[compiled.root] == LOG_ZERO:
         config = _smallest_consistent(network, evidence)
-        return MapResult(config, evaluate(network, config), Solver.ARGMAX_PRODUCT)
+        return MapResult(config, Probability(LOG_ZERO), Solver.ARGMAX_PRODUCT)
 
-    nodes = network.nodes
     n_vars = len(network.variables)
     candidates: dict[int, dict[int, int]] = {}
-    for nid in network.topological_order():
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            candidates[nid] = {node.variable: _leaf_argmax(node, evidence)}
-        elif isinstance(node, ProductNode):
+    for pos, kids in enumerate(compiled.children):
+        if not kids:
+            var = compiled.variable[pos]
+            candidates[pos] = {var: evidence.get(var, compiled.best[pos])}
+        elif compiled.log_weights[pos] is None or len(kids) == 1:
             merged: dict[int, int] = {}
-            for child in node.children:
-                merged.update(candidates[child])
-            candidates[nid] = merged
+            for kid in kids:
+                merged.update(candidates[kid])
+            candidates[pos] = merged
         else:
-            if len(node.children) == 1:
-                candidates[nid] = candidates[node.children[0]]
-                continue
-            rows = [candidates[child] for child in node.children]
+            rows = [candidates[kid] for kid in kids]
             cats = np.zeros((len(rows), n_vars), dtype=np.intp)
             for k, candidate in enumerate(rows):
                 for var, cat in candidate.items():
                     cats[k, var] = cat
-            values = batch_log_values(network, nid, cats)
-            candidates[nid] = rows[int(np.argmax(values))]
+            values = batch_log_values(network, compiled.order[pos], cats)
+            candidates[pos] = rows[int(np.argmax(values))]
 
-    config = dict(candidates[network.root])
+    config = dict(candidates[compiled.root])
     value = evaluate(network, config)
     # With nested sums the greedy candidate can score below max-product's
     # configuration, whose value feeds cross terms the candidate pass never
     # sees; keeping the better of the two restores the dominance guarantee.
-    fallback, _ = _max_product_walk(network, evidence)
-    fallback_value = evaluate(network, fallback)
-    if fallback_value.log > value.log:
-        config, value = fallback, fallback_value
+    fallback = _max_product_walk(network, evidence, upward)
+    if fallback != config:
+        fallback_value = evaluate(network, fallback)
+        if fallback_value.log > value.log:
+            config, value = fallback, fallback_value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
@@ -223,15 +198,11 @@ def exact_map(
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {max_configurations}"
         )
-    best_index: int | None = None
-    best_value = LOG_ZERO
-    for start, cats in iter_assignment_chunks(network, evidence):
-        values = batch_log_values(network, network.root, cats)
+    best_index, best_value = 0, LOG_ZERO
+    for start, values in enumerate_log_values(network, evidence):
         j = int(np.argmax(values))
-        v = float(values[j])
-        if best_index is None or v > best_value:
-            best_index = start + j
-            best_value = v
+        if values[j] > best_value:
+            best_index, best_value = start + j, float(values[j])
     config = decode_configuration(network, evidence, best_index)
     return MapResult(config, evaluate(network, config), Solver.EXACT)
 
@@ -255,19 +226,23 @@ def solve(
 def decision_map(
     network: Network,
     evidence: Mapping[int, int] | None,
-    gamma: float,
+    gamma: float | Fraction,
     solver: Solver = Solver.EXACT,
     max_configurations: int = DEFAULT_ENUMERATION_CAP,
 ) -> bool:
     """Whether the solver's MAP value reaches the threshold ``gamma``.
 
-    The comparison allows a relative slack of ``1e-9`` so thresholds that
-    are met exactly are not rejected for rounding reasons.
+    The comparison runs in log space, so thresholds below the smallest
+    float, given as a ``Fraction``, are decided correctly.  It allows a
+    relative slack of ``1e-9`` so thresholds that are met exactly are not
+    rejected for rounding reasons.
     """
-    if not 0.0 <= gamma <= 1.0:
+    if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    gamma = Fraction(gamma)
+    log_gamma = math.log(gamma.numerator) - math.log(gamma.denominator) if gamma else LOG_ZERO
     result = solve(network, evidence, solver, max_configurations)
-    return result.value.linear >= gamma * (1.0 - 1e-9)
+    return result.value.log >= log_gamma + math.log1p(-1e-9)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,24 @@ def mixture_nodes() -> dict[int, Node]:
     }
 
 
+def shared_leaf_dag(tree: Network) -> Network:
+    """``tree`` mixed at a new sum root with a product of one leaf per variable.
+
+    Each leaf in that product is the tree's lowest-id leaf over its variable
+    and gets a second parent, so the result is a DAG.
+    """
+    first: dict[int, int] = {}
+    for nid in sorted(tree.nodes):
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            first.setdefault(node.variable, nid)
+    top = max(tree.nodes)
+    nodes = dict(tree.nodes)
+    nodes[top + 1] = ProductNode(tuple(first[v.index] for v in tree.variables))
+    nodes[top + 2] = SumNode((tree.root, top + 1), (0.7, 0.3))
+    return Network(nodes, top + 2, tree.variables)
+
+
 @pytest.fixture
 def mixture_net() -> Network:
     """Golden 8-node network: S(1,0) = 0.4, S(X1=0) = 0.7, Σ_x S(x) = 1."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from spnmap import (
     LeafNode,
     Network,
     ProductNode,
+    SumNode,
     batch_log_values,
     count_free_configurations,
     decode_configuration,
@@ -28,6 +30,7 @@ from spnmap.inference import (
     log_evaluate,
     node_log_values,
 )
+from conftest import shared_leaf_dag
 from oracles import all_assignments, brute_marginal, brute_value
 
 
@@ -137,6 +140,21 @@ class TestBatchEvaluation:
         out = batch_log_values(mixture_net, 4, cats)
         assert out[0] == pytest.approx(math.log(0.6))
         assert out[1] == pytest.approx(math.log(0.4))
+        # An inner sum of a DAG: its sub-DAG holds leaves that have a second
+        # parent outside it, and columns outside its scope are out of range.
+        dag = shared_leaf_dag(random_spn(4, max_height=3, seed=4))
+        node_id = 7
+        shared = dag.nodes[dag.nodes[dag.root].children[1]].children
+        scope = sorted(dag.scope(node_id))
+        assert isinstance(dag.nodes[node_id], SumNode) and len(scope) < 4
+        assert set(shared) & dag.reachable_from(node_id)
+        rows = list(itertools.product(range(2), repeat=len(scope)))
+        cats = np.full((len(rows), 4), 99)
+        cats[:, scope] = rows
+        out = batch_log_values(dag, node_id, cats)
+        for row, value in zip(rows, out):
+            expected = node_log_values(dag, dict(zip(scope, row)))[node_id]
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestEnumeration:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from spnmap import (
     solve,
 )
 from spnmap.experiments import derive_seed, gap_fragment
+from conftest import shared_leaf_dag
 from oracles import brute_map, brute_mis_size
 
 LOG_SLACK = 1e-12
@@ -37,7 +39,7 @@ def log_leq(a: float, b: float, slack: float = LOG_SLACK) -> bool:
 
 
 def solver_cases(count: int, evidence_seed: int = 0):
-    """Seeded networks paired with (possibly empty) random evidence."""
+    """Seeded trees and their shared-leaf DAGs, with (possibly empty) random evidence."""
     import random
 
     for seed in range(count):
@@ -50,6 +52,7 @@ def solver_cases(count: int, evidence_seed: int = 0):
             if rng.random() < 0.4
         }
         yield net, evidence
+        yield shared_leaf_dag(net), evidence
 
 
 class TestGoldenMixture:
@@ -202,16 +205,31 @@ class TestZeroProbabilityEvidence:
         }
         return Network.from_nodes(nodes, 0)
 
+    def build_zero_weight_branch(self) -> Network:
+        # Under x0 = 1 the weighted child has zero mass and the other child
+        # has weight zero.
+        nodes = {
+            0: SumNode((1, 2), (1.0, 0.0)),
+            1: ProductNode((3, 4)),
+            2: ProductNode((5, 6)),
+            3: LeafNode(0, (1.0, 0.0)),
+            4: LeafNode(1, (0.3, 0.7)),
+            5: LeafNode(0, (0.0, 1.0)),
+            6: LeafNode(1, (0.5, 0.5)),
+        }
+        return Network.from_nodes(nodes, 0)
+
     def test_short_circuit_returns_smallest_consistent(self):
-        net = self.build()
-        for solver in (max_product, argmax_product, exact_map):
-            result = solver(net, {0: 1})
-            assert result.configuration == {0: 1, 1: 0}
-            assert result.value.is_zero
+        for net in (self.build(), self.build_zero_weight_branch()):
+            for solver in (max_product, argmax_product, exact_map):
+                result = solver(net, {0: 1})
+                assert result.configuration == {0: 1, 1: 0}
+                assert result.value.is_zero
 
     def test_max_product_reports_zero_bound(self):
-        result = max_product(self.build(), {0: 1})
-        assert result.pd_value is not None and result.pd_value.is_zero
+        for net in (self.build(), self.build_zero_weight_branch()):
+            result = max_product(net, {0: 1})
+            assert result.pd_value is not None and result.pd_value.is_zero
 
 
 class TestDispatchAndDecision:
@@ -232,6 +250,17 @@ class TestDispatchAndDecision:
         assert not decision_map(net, None, 0.5, Solver.MAX_PRODUCT)
         assert decision_map(net, None, 0.5, Solver.ARGMAX_PRODUCT)
         assert decision_map(net, None, 0.5, Solver.EXACT)
+
+    def test_decision_compares_in_log_space(self):
+        # The MAP value 2**-1100 underflows a float; Fraction thresholds keep
+        # the comparison exact.
+        nodes: dict = {0: ProductNode(tuple(range(1, 1101)))}
+        for k in range(1100):
+            nodes[k + 1] = LeafNode(k, (0.5, 0.5))
+        net = Network.from_nodes(nodes, 0)
+        for solver in (Solver.MAX_PRODUCT, Solver.ARGMAX_PRODUCT):
+            assert not decision_map(net, None, Fraction(1, 2**1099), solver)
+            assert decision_map(net, None, Fraction(1, 2**1100), solver)
 
     def test_decision_rejects_bad_gamma(self, mixture_net):
         with pytest.raises(ValueError, match="gamma"):
