@@ -24,7 +24,7 @@ import math
 import warnings
 from typing import Iterator
 
-from .network import LeafNode, Network, Node, ProductNode, SumNode
+from .network import LeafNode, Network, Node, ProductNode, SumNode, Variable
 from .reductions import CnfFormula, Graph
 
 
@@ -64,8 +64,9 @@ def parse_spn(text: str) -> Network:
     """Parse a network document; structural semantics are left to ``validate``."""
     header_line = None
     declared_count = None
-    kinds: dict[int, tuple[str, int]] = {}
-    leaf_specs: dict[int, tuple[int, tuple[float, ...]]] = {}
+    # Each node's kind, "sum" or "prod", or its parsed leaf, and its line.
+    declared: dict[int, tuple[str | LeafNode, int]] = {}
+    cards: dict[int, tuple[int, int]] = {}  # each variable's cardinality and first line
     edges: list[tuple[int, int, float | None, int]] = []
     root_id: int | None = None
     root_line: int | None = None
@@ -75,7 +76,7 @@ def parse_spn(text: str) -> Network:
         if directive == "spn":
             if header_line is not None:
                 raise ParseError(lineno, "duplicate spn header")
-            if kinds or edges or root_id is not None:
+            if declared or edges or root_id is not None:
                 raise ParseError(lineno, "spn header must be the first directive")
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected: spn <node-count>")
@@ -87,13 +88,13 @@ def parse_spn(text: str) -> Network:
             if len(tokens) < 3:
                 raise ParseError(lineno, "expected: node <id> <kind> ...")
             nid = _parse_int(tokens[1], lineno, "node id")
-            if nid in kinds:
+            if nid in declared:
                 raise ParseError(lineno, f"duplicate node id {nid}")
             kind = tokens[2]
             if kind in ("sum", "prod"):
                 if len(tokens) != 3:
                     raise ParseError(lineno, f"unexpected tokens after {kind} node")
-                kinds[nid] = (kind, lineno)
+                declared[nid] = (kind, lineno)
             elif kind == "leaf":
                 if len(tokens) < 6:
                     raise ParseError(
@@ -105,8 +106,14 @@ def parse_spn(text: str) -> Network:
                 probs = tuple(
                     _parse_float(tok, lineno, "probability") for tok in tokens[4:]
                 )
-                kinds[nid] = (kind, lineno)
-                leaf_specs[nid] = (var, probs)
+                card, first_line = cards.setdefault(var, (len(probs), lineno))
+                if card != len(probs):
+                    raise ParseError(
+                        lineno,
+                        f"leaf disagrees on the cardinality of variable {var} "
+                        f"(line {first_line} says {card})",
+                    )
+                declared[nid] = (LeafNode(var, probs), lineno)
             else:
                 raise ParseError(lineno, f"unknown node kind {kind!r}")
         elif directive == "edge":
@@ -132,64 +139,50 @@ def parse_spn(text: str) -> Network:
 
     if header_line is None:
         raise ParseError(1, "missing spn header")
-    if declared_count != len(kinds):
+    if declared_count != len(declared):
         raise ParseError(
             header_line,
-            f"header declares {declared_count} nodes, found {len(kinds)}",
+            f"header declares {declared_count} nodes, found {len(declared)}",
         )
 
-    children: dict[int, list[int]] = {nid: [] for nid in kinds}
-    weights: dict[int, list[float]] = {nid: [] for nid in kinds}
+    children: dict[int, list[int]] = {}
+    weights: dict[int, list[float]] = {}
     for parent, child, weight, lineno in edges:
-        if parent not in kinds:
+        if parent not in declared:
             raise ParseError(lineno, f"edge from undeclared node {parent}")
-        if child not in kinds:
+        if child not in declared:
             raise ParseError(lineno, f"edge to undeclared node {child}")
-        kind, _ = kinds[parent]
-        if kind == "leaf":
+        kind, _ = declared[parent]
+        if isinstance(kind, LeafNode):
             raise ParseError(lineno, "leaf nodes cannot have children")
         if kind == "sum":
             if weight is None:
                 raise ParseError(lineno, "edges under a sum node require a weight")
-            weights[parent].append(weight)
+            weights.setdefault(parent, []).append(weight)
         elif weight is not None:
             raise ParseError(lineno, "edges under a product node must not carry a weight")
-        children[parent].append(child)
+        children.setdefault(parent, []).append(child)
 
     nodes: dict[int, Node] = {}
-    for nid, (kind, lineno) in kinds.items():
-        if kind == "leaf":
-            var, probs = leaf_specs[nid]
-            nodes[nid] = LeafNode(var, probs)
+    for nid, (kind, lineno) in declared.items():
+        if isinstance(kind, LeafNode):
+            nodes[nid] = kind
+        elif nid not in children:
+            name = "sum" if kind == "sum" else "product"
+            raise ParseError(lineno, f"{name} node {nid} has no children")
         elif kind == "sum":
-            if not children[nid]:
-                raise ParseError(lineno, f"sum node {nid} has no children")
             nodes[nid] = SumNode(tuple(children[nid]), tuple(weights[nid]))
         else:
-            if not children[nid]:
-                raise ParseError(lineno, f"product node {nid} has no children")
             nodes[nid] = ProductNode(tuple(children[nid]))
 
     if root_id is None:
         root_id = 0
     if root_id not in nodes:
         raise ParseError(root_line or header_line, f"root {root_id} is not a declared node")
-
-    cards: dict[int, tuple[int, int]] = {}
-    for nid, (var, probs) in leaf_specs.items():
-        _, lineno = kinds[nid]
-        previous = cards.get(var)
-        if previous is not None and previous[0] != len(probs):
-            raise ParseError(
-                lineno,
-                f"leaf disagrees on the cardinality of variable {var} "
-                f"(line {previous[1]} says {previous[0]})",
-            )
-        cards.setdefault(var, (len(probs), lineno))
     if not cards or sorted(cards) != list(range(len(cards))):
         raise ParseError(header_line, "leaf variables must cover 0..n-1 with no gaps")
 
-    return Network.from_nodes(nodes, root_id)
+    return Network(nodes, root_id, [Variable(var, cards[var][0]) for var in sorted(cards)])
 
 
 def serialize_spn(network: Network) -> str:

@@ -204,9 +204,7 @@ class Network:
                         f"leaf {nid} has {len(node.distribution)} probabilities for "
                         f"variable {node.variable} of cardinality {card[node.variable]}"
                     )
-
-        for nid, node in store.items():
-            if isinstance(node, SumNode):
+            elif isinstance(node, SumNode):
                 total = math.fsum(node.weights)
                 if (
                     all(w >= 0 for w in node.weights)
@@ -310,15 +308,15 @@ class Network:
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":
-        """Build a network inferring variables from the leaf distributions."""
+        """Build a network inferring variables from the leaf distributions.
+
+        Each variable's cardinality is that of its first leaf; the
+        constructor rejects a leaf that disagrees.
+        """
         cards: dict[int, int] = {}
-        for nid, node in nodes.items():
+        for node in nodes.values():
             if isinstance(node, LeafNode):
-                k = len(node.distribution)
-                if cards.setdefault(node.variable, k) != k:
-                    raise ValueError(
-                        f"leaf {nid} disagrees on the cardinality of variable {node.variable}"
-                    )
+                cards.setdefault(node.variable, len(node.distribution))
         if not cards or sorted(cards) != list(range(len(cards))):
             raise ValueError("leaf variables must cover indices 0..n-1 with no gaps")
         variables = [Variable(i, cards[i]) for i in range(len(cards))]

@@ -81,6 +81,27 @@ class ReductionResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _pinned_mixture(
+    n: int, pins: list[dict[int, int]], weights: list[float]
+) -> Network:
+    """Root sum 0 mixing one product of ``n`` binary leaves per pin set.
+
+    Each product takes the next free id and its leaves the ``n`` after it.
+    Leaf ``j`` is certainly ``pins[k][j]`` where product ``k`` pins ``j``
+    and uniform elsewhere.
+    """
+    pinned = ((1.0, 0.0), (0.0, 1.0))
+    nodes: dict[int, Node] = {}
+    product_ids = range(1, len(pins) * (n + 1), n + 1)
+    for product_id, pin in zip(product_ids, pins):
+        leaf_ids = range(product_id + 1, product_id + 1 + n)
+        for j, leaf_id in enumerate(leaf_ids):
+            nodes[leaf_id] = LeafNode(j, pinned[pin[j]] if j in pin else (0.5, 0.5))
+        nodes[product_id] = ProductNode(tuple(leaf_ids))
+    nodes[0] = SumNode(tuple(product_ids), tuple(weights))
+    return Network(nodes, 0, [Variable(j, 2) for j in range(n)])
+
+
 def mis_to_spn(graph: Graph) -> ReductionResult:
     """Height-2 network whose MAP value is ``max independent set size / c``.
 
@@ -92,42 +113,25 @@ def mis_to_spn(graph: Graph) -> ReductionResult:
     n = graph.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    neighborhoods = [graph.neighbors(i) for i in range(n)]
-    numerators = [2 ** (n - len(neighborhoods[i]) - 1) for i in range(n)]
+    pins = [{i: 1} for i in range(n)]
+    for u, v in graph.edges:
+        pins[u][v] = 0
+        pins[v][u] = 0
+    numerators = [2 ** (n - len(pin)) for pin in pins]
     c = sum(numerators)
-
-    nodes: dict[int, Node] = {}
-    next_id = 1
-    product_ids = []
-    for i in range(n):
-        product_id = next_id
-        next_id += 1
-        leaf_ids = []
-        for j in range(n):
-            if j == i:
-                dist = (0.0, 1.0)
-            elif j in neighborhoods[i]:
-                dist = (1.0, 0.0)
-            else:
-                dist = (0.5, 0.5)
-            nodes[next_id] = LeafNode(j, dist)
-            leaf_ids.append(next_id)
-            next_id += 1
-        nodes[product_id] = ProductNode(tuple(leaf_ids))
-        product_ids.append(product_id)
-    weights = tuple(numerator / c for numerator in numerators)
-    nodes[0] = SumNode(tuple(product_ids), weights)
-
-    variables = [Variable(j, 2) for j in range(n)]
-    network = Network(nodes, 0, variables)
+    network = _pinned_mixture(n, pins, [numerator / c for numerator in numerators])
     return ReductionResult(network, Fraction(c), {"kind": "mis", "q": 1, "n": n})
 
 
-def mis_decision_threshold(result: ReductionResult, v: int) -> float:
-    """Threshold whose reachability decides whether an independent set of size ``v`` exists."""
+def mis_decision_threshold(result: ReductionResult, v: int) -> Fraction:
+    """Threshold whose reachability decides whether an independent set of size ``v`` exists.
+
+    It is the exact ``Fraction`` ``v / c``: as a float it underflows to 0.0
+    for large normalizers ``c``.  ``decision_map`` compares it in log space.
+    """
     if v < 0:
         raise ValueError(f"set size must be nonnegative, got {v}")
-    return float(Fraction(v) / result.normalizer)
+    return Fraction(v) / result.normalizer
 
 
 def cnf_to_spn(formula: CnfFormula) -> ReductionResult:
@@ -143,38 +147,13 @@ def cnf_to_spn(formula: CnfFormula) -> ReductionResult:
     m = len(formula.clauses)
     if m < 1:
         raise ValueError("formula needs at least one clause")
-
-    nodes: dict[int, Node] = {}
-    next_id = 1
-    product_ids = []
+    pins = []
     for clause in formula.clauses:
-        clause_vars = sorted(abs(lit) - 1 for lit in clause)
-        wants_one = {abs(lit) - 1: lit > 0 for lit in clause}
+        literals = sorted(clause, key=abs)
         for bits in itertools.product((0, 1), repeat=3):
-            satisfied = any(
-                bool(bits[k]) == wants_one[clause_vars[k]] for k in range(3)
-            )
-            if not satisfied:
-                continue
-            fixed = dict(zip(clause_vars, bits))
-            product_id = next_id
-            next_id += 1
-            leaf_ids = []
-            for j in range(n):
-                if j in fixed:
-                    dist = (0.0, 1.0) if fixed[j] else (1.0, 0.0)
-                else:
-                    dist = (0.5, 0.5)
-                nodes[next_id] = LeafNode(j, dist)
-                leaf_ids.append(next_id)
-                next_id += 1
-            nodes[product_id] = ProductNode(tuple(leaf_ids))
-            product_ids.append(product_id)
-    weight = 1.0 / (7 * m)
-    nodes[0] = SumNode(tuple(product_ids), tuple([weight] * len(product_ids)))
-
-    variables = [Variable(j, 2) for j in range(n)]
-    network = Network(nodes, 0, variables)
+            if any(bit == (lit > 0) for lit, bit in zip(literals, bits)):
+                pins.append({abs(lit) - 1: bit for lit, bit in zip(literals, bits)})
+    network = _pinned_mixture(n, pins, [1.0 / (7 * m)] * len(pins))
     threshold = Fraction(8, 7 * 2**n)
     return ReductionResult(
         network, threshold, {"kind": "cnf", "q": 1, "m": m, "n": n}

@@ -211,7 +211,6 @@ def solve(
     network: Network,
     evidence: Mapping[int, int] | None,
     solver: Solver,
-    max_configurations: int = DEFAULT_ENUMERATION_CAP,
 ) -> MapResult:
     """Dispatch to the named solver."""
     if solver is Solver.MAX_PRODUCT:
@@ -219,7 +218,7 @@ def solve(
     if solver is Solver.ARGMAX_PRODUCT:
         return argmax_product(network, evidence)
     if solver is Solver.EXACT:
-        return exact_map(network, evidence, max_configurations)
+        return exact_map(network, evidence)
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -228,7 +227,6 @@ def decision_map(
     evidence: Mapping[int, int] | None,
     gamma: float | Fraction,
     solver: Solver = Solver.EXACT,
-    max_configurations: int = DEFAULT_ENUMERATION_CAP,
 ) -> bool:
     """Whether the solver's MAP value reaches the threshold ``gamma``.
 
@@ -241,7 +239,7 @@ def decision_map(
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     gamma = Fraction(gamma)
     log_gamma = math.log(gamma.numerator) - math.log(gamma.denominator) if gamma else LOG_ZERO
-    result = solve(network, evidence, solver, max_configurations)
+    result = solve(network, evidence, solver)
     return result.value.log >= log_gamma + math.log1p(-1e-9)
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spnmap import (
     LeafNode,
@@ -296,3 +299,102 @@ class TestEvidenceFormat:
         for text in ["0", "a=1", "0=b", "-1=0", "0=-1", "0=1,0=0"]:
             with pytest.raises(ParseError):
                 parse_evidence(text)
+
+
+# Tokens that fuzzed documents are made of.  As a replacement, the empty
+# token drops one and the last splices in three numbers.
+EDIT_TOKENS = [
+    *map(str, range(-1, 10)), "0.5", "0.25", "-0.0", "1e-300", "inf", "nan", "1e999",
+    "sum", "prod", "leaf", "x", "0=1", "1=0,2=1", ",", "", "0.2 0.3 0.5",
+]
+TOKENS = st.sampled_from(EDIT_TOKENS)
+# Each format's directives, each with a plausible token count; the first is the header.
+FORMATS = st.sampled_from(
+    [
+        [("spn", 1, 1), ("node", 2, 5), ("edge", 2, 3), ("root", 1, 1)],
+        [("graph", 1, 1), ("edge", 2, 2)],
+        [("p cnf", 2, 2), ("1", 1, 4), ("-2", 1, 4), ("c", 0, 2)],
+    ]
+)
+
+
+@st.composite
+def token_document(draw) -> str:
+    """One format's header, then lines of that format's directives and random tokens.
+
+    Keeping to one format gets the parsers past their first checks.
+    """
+    directives = draw(FORMATS)
+    body = draw(st.lists(st.sampled_from(directives), max_size=12))
+    lines = []
+    for head, low, high in [directives[0], *body]:
+        lines.append(" ".join([head, *draw(st.lists(TOKENS, min_size=low, max_size=high))]))
+    return "\n".join(lines)
+
+
+def edit(lines: list[str], k: int, action: str, i: int = 0, token: str = "") -> list[str]:
+    """``lines`` with line ``k`` deleted, duplicated, or with its token ``i`` replaced.
+
+    ``i`` wraps around the line's tokens.
+    """
+    if action == "delete":
+        return lines[:k] + lines[k + 1 :]
+    if action == "duplicate":
+        return lines[: k + 1] + lines[k:]
+    tokens = lines[k].split() or [""]
+    tokens[i % len(tokens)] = token
+    return lines[:k] + [" ".join(tokens)] + lines[k + 1 :]
+
+
+def single_edits(doc: str):
+    """Every document one edit of ``doc`` away, with replacements from ``EDIT_TOKENS``."""
+    lines = doc.splitlines()
+    for k, line in enumerate(lines):
+        yield edit(lines, k, "delete")
+        yield edit(lines, k, "duplicate")
+        for i in range(len(line.split())):
+            for token in EDIT_TOKENS:
+                yield edit(lines, k, "replace", i, token)
+
+
+@st.composite
+def mutated_mixture(draw) -> str:
+    """``MIXTURE_DOC`` after one to three random edits."""
+    lines = MIXTURE_DOC.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        lines = edit(lines, k, action, draw(st.integers(0, 5)), draw(TOKENS))
+    return "\n".join(lines) + "\n"
+
+
+def parses_or_raises_parse_error(text: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate graph edges
+        for parse in (parse_spn, parse_graph, parse_dimacs_cnf, parse_evidence):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
+
+class TestParserFuzzing:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.one_of(st.text(), token_document(), mutated_mixture()))
+    def test_parsers_fail_only_with_parse_error(self, text):
+        parses_or_raises_parse_error(text)
+
+    # Exhaustive where random draws are sparse: most single edits that break
+    # one consistency check are each one draw in thousands.
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            MIXTURE_DOC,
+            "graph 4\nedge 1 2\nedge 2 3\nedge 1 3\n",
+            "p cnf 4 2\n-1 2 -3 0\n-1 3 4 0\n",
+        ],
+        ids=["spn", "graph", "cnf"],
+    )
+    def test_every_single_edit(self, doc):
+        for lines in single_edits(doc):
+            parses_or_raises_parse_error("\n".join(lines) + "\n")

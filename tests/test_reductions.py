@@ -12,6 +12,7 @@ from spnmap import (
     Graph,
     LeafNode,
     ProductNode,
+    ReductionResult,
     SumNode,
     amplification_q,
     amplify,
@@ -36,6 +37,23 @@ def random_formula(n: int, m: int, seed: int) -> CnfFormula:
         variables = rng.sample(range(1, n + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
     return CnfFormula(n, tuple(clauses))
+
+
+PIN = {"0": (1.0, 0.0), "1": (0.0, 1.0), "-": (0.5, 0.5)}
+
+
+def assert_pinned_layout(net, layout) -> None:
+    """Root sum 0 mixes ``layout``'s products in order; leaf k of each is over variable k.
+
+    ``layout`` maps each product id to its leaf ids and a string with one
+    character per leaf: pinned to ``0``, pinned to ``1``, or uniform ``-``.
+    """
+    assert net.root == 0
+    assert net.nodes[0].children == tuple(layout)
+    for product_id, (leaf_ids, pins) in layout.items():
+        assert net.nodes[product_id] == ProductNode(leaf_ids)
+        for var, (leaf_id, pin) in enumerate(zip(leaf_ids, pins, strict=True)):
+            assert net.nodes[leaf_id] == LeafNode(var, PIN[pin])
 
 
 class TestGraph:
@@ -89,6 +107,15 @@ class TestIndependentSetReduction:
         root = net.nodes[net.root]
         assert isinstance(root, SumNode)
         assert root.weights == (1 / 6, 2 / 6, 1 / 6, 2 / 6)
+        assert_pinned_layout(
+            net,
+            {
+                1: ((2, 3, 4, 5), "1000"),
+                6: ((7, 8, 9, 10), "010-"),
+                11: ((12, 13, 14, 15), "0010"),
+                16: ((17, 18, 19, 20), "0-01"),
+            },
+        )
         stats = network_stats(net)
         assert stats.height == 2
         assert stats.sum_count == 1 and stats.product_count == 4
@@ -163,6 +190,8 @@ class TestIndependentSetReduction:
         best = exact_map(result.network).value.linear
         assert best >= mis_decision_threshold(result, 2) * (1 - 1e-9)
         assert best < mis_decision_threshold(result, 3)
+        huge = ReductionResult(result.network, Fraction(2**1100))
+        assert mis_decision_threshold(huge, 1) == Fraction(1, 2**1100)
 
 
 class TestCnfReduction:
@@ -175,6 +204,27 @@ class TestCnfReduction:
         assert isinstance(root, SumNode)
         assert len(root.children) == 14
         assert all(w == pytest.approx(1 / 14) for w in root.weights)
+        # One product per satisfying assignment of each clause's variables,
+        # in counting order: clause 1 pins x1..x3, clause 2 pins x1, x3, x4.
+        assert_pinned_layout(
+            net,
+            {
+                1: ((2, 3, 4, 5), "000-"),
+                6: ((7, 8, 9, 10), "001-"),
+                11: ((12, 13, 14, 15), "010-"),
+                16: ((17, 18, 19, 20), "011-"),
+                21: ((22, 23, 24, 25), "100-"),
+                26: ((27, 28, 29, 30), "110-"),
+                31: ((32, 33, 34, 35), "111-"),
+                36: ((37, 38, 39, 40), "0-00"),
+                41: ((42, 43, 44, 45), "0-01"),
+                46: ((47, 48, 49, 50), "0-10"),
+                51: ((52, 53, 54, 55), "0-11"),
+                56: ((57, 58, 59, 60), "1-01"),
+                61: ((62, 63, 64, 65), "1-10"),
+                66: ((67, 68, 69, 70), "1-11"),
+            },
+        )
         assert network_stats(net).height == 2
         assert validate(net) == []
         assert result.metadata == {"kind": "cnf", "q": 1, "m": 2, "n": 4}
