@@ -141,36 +141,31 @@ def run_mis_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def _random_partition(
-    rng: random.Random, scope: tuple[int, ...], max_parts: int
-) -> list[tuple[int, ...]]:
+#: Most children of a node that ``random_spn`` draws.
+_MAX_FANOUT = 3
+
+
+def _random_partition(rng: random.Random, scope: tuple[int, ...]) -> list[tuple[int, ...]]:
     items = list(scope)
     rng.shuffle(items)
-    k = rng.randint(2, min(max_parts, len(items)))
+    k = rng.randint(2, min(_MAX_FANOUT, len(items)))
     cuts = sorted(rng.sample(range(1, len(items)), k - 1))
     bounds = [0, *cuts, len(items)]
     return [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def random_spn(
-    variable_count: int,
-    max_height: int,
-    max_fanout: int = 3,
-    seed: int = 0,
-) -> Network:
+def random_spn(variable_count: int, max_height: int, seed: int = 0) -> Network:
     """Generate a valid network over binary variables, deterministic in the seed.
 
-    Sum nodes mix children over the same scope; product nodes split the
-    scope into random disjoint parts.  When the height budget runs out on a
-    multi-variable scope, a product splits it into single-variable leaves,
-    which may exceed ``max_fanout``.
+    Sum nodes mix two or three children over the same scope; product nodes
+    split the scope into two or three random disjoint parts.  When the
+    height budget runs out on a multi-variable scope, a product splits it
+    into single-variable leaves, which may be more than three.
     """
     if variable_count < 1:
         raise ValueError("need at least one variable")
     if max_height < 0:
         raise ValueError("max height must be nonnegative")
-    if max_fanout < 2:
-        raise ValueError("max fanout must be at least 2")
     if variable_count > 1 and max_height < 1:
         raise ValueError(
             f"{variable_count} variables cannot fit under a height-0 network"
@@ -197,16 +192,16 @@ def random_spn(
         if len(scope) == 1:
             if height < 1 or rng.random() < 0.5:
                 return make_leaf(scope[0])
-            fanout = rng.randint(2, max_fanout)
+            fanout = rng.randint(2, _MAX_FANOUT)
             children = tuple(generate(scope, height - 1) for _ in range(fanout))
             return add(SumNode(children, mixture_weights(fanout)))
         if height == 1:
             parts = [(v,) for v in scope]
             return add(ProductNode(tuple(generate(p, 0) for p in parts)))
         if rng.random() < 0.5:
-            parts = _random_partition(rng, scope, max_fanout)
+            parts = _random_partition(rng, scope)
             return add(ProductNode(tuple(generate(p, height - 1) for p in parts)))
-        fanout = rng.randint(2, max_fanout)
+        fanout = rng.randint(2, _MAX_FANOUT)
         children = tuple(generate(scope, height - 1) for _ in range(fanout))
         return add(SumNode(children, mixture_weights(fanout)))
 

@@ -17,6 +17,9 @@ import numpy as np
 from .logspace import Probability, logsumexp, logsumexp_rows
 from .network import Network, Variable
 
+#: Rows per batch when enumerating assignments.
+_CHUNK_SIZE = 1 << 14
+
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
     """Raise ``ValueError`` unless every pair names a variable and category."""
@@ -108,6 +111,42 @@ def evaluate_marginal(
     return Probability(log_marginal(network, evidence))
 
 
+def _below(network: Network, start: int, choice: Mapping[int, int]) -> dict[int, None]:
+    """Positions reachable from ``start``, each once, in depth-first order.
+
+    A sum in ``choice`` follows only its child of that index.
+    """
+    children = network._compiled.children
+    seen: dict[int, None] = {}
+    stack = [start]
+    while stack:
+        pos = stack.pop()
+        if pos not in seen:
+            seen[pos] = None
+            kids = children[pos]
+            stack.extend((kids[choice[pos]],) if pos in choice else kids)
+    return seen
+
+
+def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:
+    """Log value of position ``pos`` for each row of a batch.
+
+    ``columns[var]`` holds one category per row for each variable in the
+    position's scope.  Only the position's sub-DAG is evaluated.
+    """
+    compiled = network._compiled
+    variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
+    children = compiled.children
+    sub_dag = _below(network, pos, {})
+    vals = {
+        p: log_table[offset[p] : offset[p + 1]][columns[variable[p]]]
+        for p in sub_dag
+        if not children[p]
+    }
+    internal = sorted(p for p in sub_dag if children[p])
+    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[pos]
+
+
 def batch_log_values(
     network: Network, node_id: int, categories: np.ndarray
 ) -> np.ndarray:
@@ -119,19 +158,8 @@ def batch_log_values(
     categories = np.asarray(categories)
     if categories.ndim != 2 or categories.shape[1] != len(network.variables):
         raise ValueError("categories must have one column per network variable")
-    compiled = network._compiled
-    variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
     columns = np.ascontiguousarray(categories.T)
-    position, children = compiled.position, compiled.children
-    sub_dag = sorted(map(position.__getitem__, network.reachable_from(node_id)))
-    vals = {
-        pos: log_table[offset[pos] : offset[pos + 1]][columns[variable[pos]]]
-        for pos in sub_dag
-        if not children[pos]
-    }
-    internal = [pos for pos in sub_dag if children[pos]]
-    vals = _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)
-    return vals[position[node_id]]
+    return _batch_upward(network, network._compiled.position[node_id], columns)
 
 
 def free_variables(
@@ -167,9 +195,7 @@ def decode_configuration(
 
 
 def iter_assignment_chunks(
-    network: Network,
-    evidence: Mapping[int, int] | None = None,
-    chunk_size: int = 1 << 14,
+    network: Network, evidence: Mapping[int, int] | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start_index, categories)`` chunks covering every consistent assignment."""
     evidence = dict(evidence or {})
@@ -177,8 +203,8 @@ def iter_assignment_chunks(
     free = free_variables(network, evidence)
     total = count_free_configurations(network, evidence)
     n_vars = len(network.variables)
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
+    for start in range(0, total, _CHUNK_SIZE):
+        stop = min(start + _CHUNK_SIZE, total)
         idx = np.arange(start, stop, dtype=np.int64)
         cats = np.zeros((stop - start, n_vars), dtype=np.intp)
         for var, cat in evidence.items():
@@ -191,18 +217,16 @@ def iter_assignment_chunks(
 
 
 def enumerate_log_values(
-    network: Network,
-    evidence: Mapping[int, int] | None = None,
-    chunk_size: int = 1 << 14,
+    network: Network, evidence: Mapping[int, int] | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence."""
-    for start, cats in iter_assignment_chunks(network, evidence, chunk_size):
+    for start, cats in iter_assignment_chunks(network, evidence):
         yield start, batch_log_values(network, network.root, cats)
 
 
-def log_partition(network: Network, chunk_size: int = 1 << 14) -> float:
+def log_partition(network: Network) -> float:
     """Log of the total mass summed over every total assignment."""
     return logsumexp(
         float(logsumexp_rows(values[:, None])[0])
-        for _, values in enumerate_log_values(network, None, chunk_size)
+        for _, values in enumerate_log_values(network)
     )

@@ -211,7 +211,15 @@ class Network:
                     and total != 1.0
                     and abs(total - 1.0) <= WEIGHT_TOLERANCE
                 ):
-                    store[nid] = SumNode(node.children, tuple(w / total for w in node.weights))
+                    weights = [w / total for w in node.weights]
+                    # Step the largest weight by ulps until the total is exactly 1,
+                    # so a network built from these weights (as by a serialize-parse
+                    # round trip) keeps them.  A step moves the total by at most
+                    # 2**-53, less than the span that rounds to 1, so it stops.
+                    j = weights.index(max(weights))
+                    while (total := math.fsum(weights)) != 1.0:
+                        weights[j] = math.nextafter(weights[j], 2.0 if total < 1.0 else 0.0)
+                    store[nid] = SumNode(node.children, tuple(weights))
 
         self._nodes = store
         self._root = int(root)

@@ -3,7 +3,10 @@
 All three return a total configuration together with its exact probability,
 so results are directly comparable.  Ties are broken deterministically:
 sum nodes prefer the lowest child index, leaves the lowest category index,
-and the exhaustive solver the lexicographically smallest assignment.
+and the exhaustive solver the first assignment in lexicographic order whose
+computed log value is largest.  Assignments that tie exactly can differ in
+the last bits of their computed values, so that is not always the smallest
+exact maximizer.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from .inference import (
+    _batch_upward,
+    _below,
     _upward,
-    batch_log_values,
     check_evidence,
     count_free_configurations,
     decode_configuration,
@@ -62,11 +66,12 @@ def _smallest_consistent(network: Network, evidence: Mapping[int, int]) -> dict[
     return {v.index: evidence.get(v.index, 0) for v in network.variables}
 
 
-def _max_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
+def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict]:
     """Max-product's upward pass: each sum keeps its best weighted child value.
 
     Free leaves take their most probable category.  The root value is
-    ``LOG_ZERO`` exactly when the evidence has zero mass.
+    ``LOG_ZERO`` exactly when the evidence has zero mass.  Also returns each
+    sum's choice, by position: the index of its first child reaching the max.
     """
     compiled = network._compiled
     variable, best = compiled.variable, compiled.best
@@ -76,36 +81,32 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]
         for pos, var in enumerate(variable)
         if var >= 0
     }
-    return _upward(network, vals, max)
+    picks: list[int] = []
+
+    def first_max(terms: list[float]) -> float:
+        picks.append(terms.index(top := max(terms)))
+        return top
+
+    # ``_upward`` reduces the sums in increasing position order.
+    vals = _upward(network, vals, first_max)
+    sums = [pos for pos in compiled.internal if compiled.log_weights[pos] is not None]
+    return vals, dict(zip(sums, picks))
 
 
-def _max_product_walk(
-    network: Network, evidence: Mapping[int, int], upward: dict[int, float]
+def _walk(
+    network: Network, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
 ) -> dict[int, int]:
-    """Downward argmax walk over the values of ``_max_pass``.
+    """Configuration of the tree that ``choice`` induces below position ``start``.
 
-    Each visited sum follows its first child reaching the max; each visited
-    leaf fixes its variable unless the evidence or an earlier leaf did.
+    Each leaf on the tree fixes its variable to the evidence or to its most
+    probable category, unless a leaf visited earlier fixed it.
     """
     compiled = network._compiled
-    children, log_weights = compiled.children, compiled.log_weights
-    config = dict(evidence)
-    stack = [compiled.root]
-    seen: set[int] = set()
-    while stack:
-        pos = stack.pop()
-        if pos in seen:
-            continue
-        seen.add(pos)
-        kids = children[pos]
-        weights = log_weights[pos]
-        if not kids:
-            config.setdefault(compiled.variable[pos], compiled.best[pos])
-        elif weights is None:
-            stack.extend(kids)
-        else:
-            terms = [w + upward[kid] for w, kid in zip(weights, kids)]
-            stack.append(kids[terms.index(max(terms))])
+    variable, best = compiled.variable, compiled.best
+    config: dict[int, int] = {}
+    for pos in _below(network, start, choice):
+        if (var := variable[pos]) >= 0:
+            config.setdefault(var, evidence.get(var, best[pos]))
     return config
 
 
@@ -121,63 +122,54 @@ def max_product(
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    upward = _max_pass(network, evidence)
-    bound = Probability(upward[network._compiled.root])
+    upward, choice = _max_pass(network, evidence)
+    root = network._compiled.root
+    bound = Probability(upward[root])
     if bound.is_zero:
         config = _smallest_consistent(network, evidence)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = _max_product_walk(network, evidence, upward)
+    config = {**evidence, **_walk(network, evidence, root, choice)}
     return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
 
 
 def argmax_product(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> MapResult:
-    """Bottom-up candidate propagation with re-evaluation at sum nodes.
+    """Max-product with each sum's child chosen by re-evaluation.
 
-    Each node carries one candidate configuration over its scope.  A sum
-    node evaluates itself at each child's candidate and keeps the best;
-    a product node concatenates candidates of its disjoint children.
-    Candidates are memoized per node, so shared nodes contribute one
-    consistent choice everywhere.  The final candidate is compared against
-    the max-product configuration and the better of the two is returned
-    (ties keep the candidate), so the result is never worse than
-    max-product's.  Worst case quadratic in network size.
+    Children first, each sum with several children evaluates itself at the
+    configuration that each child's chosen tree induces, and chooses the first
+    best child.  Choices are per sum, so a shared node contributes one
+    consistent choice.  The configuration chosen from the root is compared
+    against max-product's and the better is returned (ties keep the former),
+    so the result is never worse.  Worst case quadratic in network size.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
     compiled = network._compiled
-    upward = _max_pass(network, evidence)
+    upward, max_choice = _max_pass(network, evidence)
     if upward[compiled.root] == LOG_ZERO:
         config = _smallest_consistent(network, evidence)
         return MapResult(config, Probability(LOG_ZERO), Solver.ARGMAX_PRODUCT)
 
-    n_vars = len(network.variables)
-    candidates: dict[int, dict[int, int]] = {}
-    for pos, kids in enumerate(compiled.children):
-        if not kids:
-            var = compiled.variable[pos]
-            candidates[pos] = {var: evidence.get(var, compiled.best[pos])}
-        elif compiled.log_weights[pos] is None or len(kids) == 1:
-            merged: dict[int, int] = {}
-            for kid in kids:
-                merged.update(candidates[kid])
-            candidates[pos] = merged
-        else:
-            rows = [candidates[kid] for kid in kids]
-            cats = np.zeros((len(rows), n_vars), dtype=np.intp)
-            for k, candidate in enumerate(rows):
-                for var, cat in candidate.items():
-                    cats[k, var] = cat
-            values = batch_log_values(network, compiled.order[pos], cats)
-            candidates[pos] = rows[int(np.argmax(values))]
+    choice = dict(max_choice)
+    for pos in max_choice:  # increasing positions, so children come first
+        kids = compiled.children[pos]
+        if len(kids) < 2:
+            continue
+        candidates = [_walk(network, evidence, kid, choice) for kid in kids]
+        # Candidates of an incomplete sum (an invalid network) can miss scope
+        # variables; those read category 0.
+        scope = list(compiled.scopes[pos])
+        rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
+        choice[pos] = int(np.argmax(_batch_upward(network, pos, dict(zip(scope, rows)))))
 
-    config = dict(candidates[compiled.root])
+    config = _walk(network, evidence, compiled.root, choice)
     value = evaluate(network, config)
     # With nested sums the greedy candidate can score below max-product's
     # configuration, whose value feeds cross terms the candidate pass never
     # sees; keeping the better of the two restores the dominance guarantee.
-    fallback = _max_product_walk(network, evidence, upward)
+    fallback = {**evidence, **_walk(network, evidence, compiled.root, max_choice)}
     if fallback != config:
         fallback_value = evaluate(network, fallback)
         if fallback_value.log > value.log:
@@ -185,18 +177,14 @@ def argmax_product(
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
-def exact_map(
-    network: Network,
-    evidence: Mapping[int, int] | None = None,
-    max_configurations: int = DEFAULT_ENUMERATION_CAP,
-) -> MapResult:
+def exact_map(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
     """Exhaustive search over every assignment consistent with the evidence."""
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
     total = count_free_configurations(network, evidence)
-    if total > max_configurations:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"{total} configurations exceed the enumeration cap {max_configurations}"
+            f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     best_index, best_value = 0, LOG_ZERO
     for start, values in enumerate_log_values(network, evidence):

@@ -47,6 +47,32 @@ def shared_leaf_dag(tree: Network) -> Network:
     return Network(nodes, top + 2, tree.variables)
 
 
+def shared_sum_dag(tree: Network) -> Network:
+    """``tree`` mixed at a new sum root with two products that share one sum.
+
+    The shared sum mixes three new leaves over variable 0; max-product picks
+    its first child (x0 = 1) and re-evaluation its second (x0 = 0).  Each
+    product adds, for every other variable, the tree's lowest-id or
+    highest-id leaf over it.
+    """
+    leaves: dict[int, list[int]] = {}
+    for nid in sorted(tree.nodes):
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            leaves.setdefault(node.variable, []).append(nid)
+    rest = [v.index for v in tree.variables if v.index != 0]
+    top = max(tree.nodes)
+    nodes = dict(tree.nodes)
+    nodes[top + 1] = LeafNode(0, (0.1, 0.9))
+    nodes[top + 2] = LeafNode(0, (0.9, 0.1))
+    nodes[top + 3] = LeafNode(0, (0.8, 0.2))
+    nodes[top + 4] = SumNode((top + 1, top + 2, top + 3), (0.4, 0.3, 0.3))
+    nodes[top + 5] = ProductNode((top + 4, *(leaves[v][0] for v in rest)))
+    nodes[top + 6] = ProductNode((top + 4, *(leaves[v][-1] for v in rest)))
+    nodes[top + 7] = SumNode((tree.root, top + 5, top + 6), (0.5, 0.3, 0.2))
+    return Network(nodes, top + 7, tree.variables)
+
+
 @pytest.fixture
 def mixture_net() -> Network:
     """Golden 8-node network: S(1,0) = 0.4, S(X1=0) = 0.7, Σ_x S(x) = 1."""

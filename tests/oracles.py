@@ -14,8 +14,13 @@ from typing import Iterator, Mapping
 from spnmap import CnfFormula, Graph, LeafNode, Network, ProductNode
 
 
-def brute_value(network: Network, assignment: Mapping[int, int]) -> float:
-    """Linear-domain recursive evaluation at a total assignment."""
+def brute_value(
+    network: Network, assignment: Mapping[int, int], node_id: int | None = None
+) -> float:
+    """Linear-domain recursive evaluation of a node (default: the root).
+
+    ``assignment`` must cover the node's scope.
+    """
     memo: dict[int, float] = {}
 
     def value(nid: int) -> float:
@@ -35,7 +40,7 @@ def brute_value(network: Network, assignment: Mapping[int, int]) -> float:
         memo[nid] = result
         return result
 
-    return value(network.root)
+    return value(network.root if node_id is None else node_id)
 
 
 def all_assignments(
@@ -72,6 +77,36 @@ def brute_map(
             best_value = v
     assert best_assignment is not None
     return best_assignment, best_value
+
+
+def argmax_candidate(
+    network: Network, evidence: Mapping[int, int] | None = None
+) -> dict[int, int]:
+    """Argmax-product's configuration by plain recursion, before its fallback.
+
+    Each node gets one candidate over its scope: a leaf the evidence or its
+    most probable category (lowest on ties), a product the union of its
+    children's candidates, and a sum the candidate of its first child that
+    gives the sum its largest value.  Valid networks only.
+    """
+    evidence = dict(evidence or {})
+    memo: dict[int, dict[int, int]] = {}
+
+    def candidate(nid: int) -> dict[int, int]:
+        if nid not in memo:
+            node = network.nodes[nid]
+            if isinstance(node, LeafNode):
+                best = node.distribution.index(max(node.distribution))
+                memo[nid] = {node.variable: evidence.get(node.variable, best)}
+            elif isinstance(node, ProductNode):
+                memo[nid] = {k: v for child in node.children for k, v in candidate(child).items()}
+            else:
+                options = [candidate(child) for child in node.children]
+                values = [brute_value(network, option, nid) for option in options]
+                memo[nid] = options[values.index(max(values))]
+        return memo[nid]
+
+    return candidate(network.root)
 
 
 def brute_mis_size(graph: Graph) -> int:

@@ -186,8 +186,6 @@ class TestRandomNetworkGenerator:
             random_spn(3, max_height=-1)
         with pytest.raises(ValueError):
             random_spn(3, max_height=0)
-        with pytest.raises(ValueError):
-            random_spn(3, max_height=2, max_fanout=1)
 
     def test_single_variable_zero_height_is_one_leaf(self):
         net = random_spn(1, max_height=0, seed=5)

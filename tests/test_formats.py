@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spnmap import (
+    CnfFormula,
+    Graph,
     LeafNode,
     ParseError,
     ProductNode,
@@ -183,7 +185,33 @@ class TestNetworkParseErrors:
         expect_parse_error(doc, 1, "cover 0..n-1")
 
 
+@st.composite
+def drawn_network(draw):
+    """A ``random_spn`` network, or the MIS or CNF reduction of a drawn instance."""
+    kind = draw(st.sampled_from(["random", "mis", "cnf"]))
+    n = draw(st.integers(1 if kind != "cnf" else 3, 7))
+    if kind == "random":
+        height = draw(st.integers(1 if n > 1 else 0, 5))
+        return random_spn(n, max_height=height, seed=draw(st.integers(0, 2**32)))
+    if kind == "mis":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return mis_to_spn(Graph.from_edges(n, [p for p in pairs if draw(st.booleans())])).network
+    clauses = []
+    for _ in range(draw(st.integers(1, 5))):
+        variables = draw(st.permutations(range(1, n + 1)))[:3]
+        clauses.append(tuple(v if draw(st.booleans()) else -v for v in variables))
+    return cnf_to_spn(CnfFormula(n, tuple(clauses))).network
+
+
 class TestNetworkRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(drawn_network())
+    def test_round_trip_is_the_identity(self, net):
+        again = parse_spn(serialize_spn(net))
+        assert again.nodes == net.nodes
+        assert again.root == net.root
+        assert again.variables == net.variables
+
     def every_network(self):
         yield parse_spn(MIXTURE_DOC)
         yield mis_to_spn(parse_graph("graph 4\nedge 1 2\nedge 2 3\nedge 3 4\n")).network

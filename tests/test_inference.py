@@ -174,10 +174,11 @@ class TestEnumeration:
         assert decode_configuration(mixture_net, {0: 1}, 0) == {0: 1, 1: 0}
         assert decode_configuration(mixture_net, {0: 1}, 1) == {0: 1, 1: 1}
 
-    def test_chunks_enumerate_every_assignment_in_order(self):
+    def test_chunks_enumerate_every_assignment_in_order(self, monkeypatch):
+        monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", 3)
         net = random_spn(4, max_height=3, seed=11)
         rows = []
-        for start, cats in iter_assignment_chunks(net, {1: 1}, chunk_size=3):
+        for start, cats in iter_assignment_chunks(net, {1: 1}):
             assert start == len(rows)
             rows.extend(cats.tolist())
         expected = [
@@ -200,8 +201,9 @@ class TestNormalization:
         for net in small_networks(20):
             assert log_partition(net) == pytest.approx(0.0, abs=1e-9)
 
-    def test_small_chunks_do_not_change_the_total(self, mixture_net):
-        assert log_partition(mixture_net, chunk_size=1) == pytest.approx(0.0, abs=1e-12)
+    def test_small_chunks_do_not_change_the_total(self, mixture_net, monkeypatch):
+        monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", 1)
+        assert log_partition(mixture_net) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLogDomainRobustness:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from spnmap import (
@@ -106,6 +108,15 @@ class TestRenormalization:
         total = sum(net.nodes[0].weights)
         assert total == pytest.approx(1.0, abs=1e-15)
         assert validate(net) == []
+
+    def test_renormalized_weights_total_exactly_one(self):
+        # Divided by their total, these weights sum to 1 + 2**-52, so a plain
+        # division left weights that the next construction changed again.
+        net = self.build((0.002, 0.9980005))
+        weights = net.nodes[0].weights
+        assert math.fsum(weights) == 1.0
+        rebuilt = Network(net.nodes, net.root, net.variables)
+        assert rebuilt.nodes[0].weights == weights
 
     def test_exact_weights_stay_untouched(self):
         net = self.build((0.25, 0.75))

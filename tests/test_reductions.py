@@ -332,7 +332,7 @@ class TestAmplification:
         base_best = exact_map(base.network)
         for q in (2, 3):
             amped = amplify(base, q)
-            best = exact_map(amped.network, max_configurations=1 << 12)
+            best = exact_map(amped.network)
             assert best.value.log == pytest.approx(q * base_best.value.log, rel=1e-9)
 
     def test_amplified_gap_fragment_value(self):

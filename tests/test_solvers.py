@@ -25,8 +25,8 @@ from spnmap import (
     solve,
 )
 from spnmap.experiments import derive_seed, gap_fragment
-from conftest import shared_leaf_dag
-from oracles import brute_map, brute_mis_size
+from conftest import shared_leaf_dag, shared_sum_dag
+from oracles import argmax_candidate, brute_map, brute_mis_size, brute_value
 
 LOG_SLACK = 1e-12
 
@@ -39,7 +39,10 @@ def log_leq(a: float, b: float, slack: float = LOG_SLACK) -> bool:
 
 
 def solver_cases(count: int, evidence_seed: int = 0):
-    """Seeded trees and their shared-leaf DAGs, with (possibly empty) random evidence."""
+    """Seeded trees and their shared-leaf and shared-sum DAGs, with random evidence.
+
+    The evidence may be empty.
+    """
     import random
 
     for seed in range(count):
@@ -53,6 +56,7 @@ def solver_cases(count: int, evidence_seed: int = 0):
         }
         yield net, evidence
         yield shared_leaf_dag(net), evidence
+        yield shared_sum_dag(net), evidence
 
 
 class TestGoldenMixture:
@@ -119,6 +123,13 @@ class TestOrderingInvariants:
             assert log_leq(mp.value.log, am.value.log)
             assert log_leq(am.value.log, ex.value.log)
 
+    def test_argmax_product_reaches_its_reference_candidate(self):
+        # Each sum must choose after the sums below it: on some of these
+        # cases, choosing parents first scores below this recursion.
+        for net, evidence in solver_cases(150):
+            reference = brute_value(net, argmax_candidate(net, evidence))
+            assert reference <= argmax_product(net, evidence).value.linear * (1 + 1e-9)
+
     def test_degree_product_bounds_the_gap(self):
         for net, evidence in solver_cases(150):
             mp = max_product(net, evidence)
@@ -183,16 +194,18 @@ class TestExactAgainstOracle:
         assert max_product(net).configuration == {0: 1}
         assert argmax_product(net).configuration == {0: 1}
 
-    def test_enumeration_cap(self, mixture_net):
+    def test_enumeration_cap(self, mixture_net, monkeypatch):
         nodes: dict = {0: ProductNode(tuple(range(1, 26)))}
         for k in range(25):
             nodes[k + 1] = LeafNode(k, (0.5, 0.5))
         net = Network.from_nodes(nodes, 0)
         with pytest.raises(ValueError, match="enumeration cap"):
             exact_map(net)  # 2**25 free configurations exceed the default cap
+        monkeypatch.setattr("spnmap.solvers.DEFAULT_ENUMERATION_CAP", 3)
         with pytest.raises(ValueError, match="enumeration cap"):
-            exact_map(mixture_net, None, max_configurations=3)
-        result = exact_map(mixture_net, None, max_configurations=4)
+            exact_map(mixture_net)
+        monkeypatch.setattr("spnmap.solvers.DEFAULT_ENUMERATION_CAP", 4)
+        result = exact_map(mixture_net)
         assert result.value.linear == pytest.approx(0.4)
 
 
@@ -230,6 +243,21 @@ class TestZeroProbabilityEvidence:
         for net in (self.build(), self.build_zero_weight_branch()):
             result = max_product(net, {0: 1})
             assert result.pd_value is not None and result.pd_value.is_zero
+
+
+class TestInvalidNetworks:
+    def test_incomplete_sum_is_refused(self):
+        # The root mixes a leaf of x0 with a leaf of x1, so either child
+        # yields a configuration that misses a variable.
+        nodes = {
+            0: SumNode((1, 2), (0.5, 0.5)),
+            1: LeafNode(0, (0.3, 0.7)),
+            2: LeafNode(1, (0.6, 0.4)),
+        }
+        net = Network.from_nodes(nodes, 0)
+        for solver in (max_product, argmax_product):
+            with pytest.raises(ValueError, match="missing variable"):
+                solver(net)
 
 
 class TestDispatchAndDecision:
