@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -128,17 +129,20 @@ def _cmd_reduce_mis(args: argparse.Namespace) -> int:
 
 def _cmd_reduce_cnf(args: argparse.Namespace) -> int:
     formula = parse_dimacs_cnf(_read(args.file))
-    result = cnf_to_spn(formula)
+    result = base = cnf_to_spn(formula)
     if args.epsilon is not None:
-        base = result.network
-        single_copy_size = len(base.nodes) + base.arc_count
+        single_copy_size = len(base.network.nodes) + base.network.arc_count
         q = amplification_q(len(formula.clauses), single_copy_size, args.epsilon)
-        result = amplify(result, q)
+        result = amplify(base, q)
     meta = result.metadata
+    # The whole threshold, one copy's to the power q, can have more digits than
+    # str() converts.
+    threshold = result.normalizer
+    log_threshold = math.log(threshold.numerator) - math.log(threshold.denominator)
     text = (
         f"# satisfiability network for {meta['m']} clauses over {meta['n']} variables\n"
         f"# copies {meta['q']}\n"
-        f"# threshold {result.normalizer} ({_fmt(float(result.normalizer))})\n"
+        f"# threshold {base.normalizer} per copy, total log {_fmt(log_threshold)}\n"
     ) + serialize_spn(result.network)
     _write_output(text, args.output)
     return 0

@@ -15,10 +15,13 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .logspace import Probability, logsumexp, logsumexp_rows
-from .network import Network, Variable
+from .network import Network, Variable, _below
 
 #: Rows per batch when enumerating assignments.
 _CHUNK_SIZE = 1 << 14
+
+#: Enumeration refuses configuration spaces larger than this.
+DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
@@ -82,12 +85,6 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]
     return _upward(network, vals, logsumexp)
 
 
-def node_log_values(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
-    """Log value of every node with leaves restricted by ``evidence``."""
-    order = network._compiled.order
-    return {order[pos]: value for pos, value in _sum_pass(network, evidence).items()}
-
-
 def log_evaluate(network: Network, assignment: Mapping[int, int]) -> float:
     check_assignment(network, assignment)
     return _sum_pass(network, assignment)[network._compiled.root]
@@ -111,23 +108,6 @@ def evaluate_marginal(
     return Probability(log_marginal(network, evidence))
 
 
-def _below(network: Network, start: int, choice: Mapping[int, int]) -> dict[int, None]:
-    """Positions reachable from ``start``, each once, in depth-first order.
-
-    A sum in ``choice`` follows only its child of that index.
-    """
-    children = network._compiled.children
-    seen: dict[int, None] = {}
-    stack = [start]
-    while stack:
-        pos = stack.pop()
-        if pos not in seen:
-            seen[pos] = None
-            kids = children[pos]
-            stack.extend((kids[choice[pos]],) if pos in choice else kids)
-    return seen
-
-
 def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:
     """Log value of position ``pos`` for each row of a batch.
 
@@ -137,7 +117,7 @@ def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:
     compiled = network._compiled
     variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
     children = compiled.children
-    sub_dag = _below(network, pos, {})
+    sub_dag = _below(children, pos, {})
     vals = {
         p: log_table[offset[p] : offset[p + 1]][columns[variable[p]]]
         for p in sub_dag
@@ -194,38 +174,39 @@ def decode_configuration(
     return config
 
 
-def iter_assignment_chunks(
+def enumerate_log_values(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start_index, categories)`` chunks covering every consistent assignment."""
+    """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence.
+
+    Chunks follow ``decode_configuration``'s order; each builds one column of
+    categories per variable.  Refuses more than ``DEFAULT_ENUMERATION_CAP``
+    assignments.
+    """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
     free = free_variables(network, evidence)
     total = count_free_configurations(network, evidence)
-    n_vars = len(network.variables)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(
+            f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    root = network._compiled.root
     for start in range(0, total, _CHUNK_SIZE):
-        stop = min(start + _CHUNK_SIZE, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cats = np.zeros((stop - start, n_vars), dtype=np.intp)
-        for var, cat in evidence.items():
-            cats[:, var] = cat
+        idx = np.arange(start, min(start + _CHUNK_SIZE, total), dtype=np.int64)
+        columns = {var: np.full(len(idx), cat, dtype=np.intp) for var, cat in evidence.items()}
         stride = total
         for var in free:
             stride //= var.cardinality
-            cats[:, var.index] = (idx // stride) % var.cardinality
-        yield start, cats
-
-
-def enumerate_log_values(
-    network: Network, evidence: Mapping[int, int] | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence."""
-    for start, cats in iter_assignment_chunks(network, evidence):
-        yield start, batch_log_values(network, network.root, cats)
+            columns[var.index] = (idx // stride) % var.cardinality
+        yield start, _batch_upward(network, root, columns)
 
 
 def log_partition(network: Network) -> float:
-    """Log of the total mass summed over every total assignment."""
+    """Log of the total mass summed over every total assignment.
+
+    Refuses more assignments than ``DEFAULT_ENUMERATION_CAP``.
+    """
     return logsumexp(
         float(logsumexp_rows(values[:, None])[0])
         for _, values in enumerate_log_values(network)

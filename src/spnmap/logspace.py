@@ -17,13 +17,6 @@ import numpy as np
 LOG_ZERO = float("-inf")
 
 
-def log_from_linear(p: float) -> float:
-    """Natural log of ``p`` with ``-inf`` for an exact zero."""
-    if p < 0:
-        raise ValueError(f"probability must be nonnegative, got {p}")
-    return math.log(p) if p > 0 else LOG_ZERO
-
-
 def logsumexp(values: Iterable[float]) -> float:
     """Stable log(sum(exp(v))) over scalars; all ``-inf`` yields ``-inf``."""
     vals = list(values)
@@ -49,10 +42,6 @@ class Probability:
     """A probability held in log space with a linear accessor."""
 
     log: float
-
-    @classmethod
-    def from_linear(cls, p: float) -> "Probability":
-        return cls(log_from_linear(p))
 
     @property
     def linear(self) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -106,37 +105,14 @@ class Violation:
     message: str
 
 
-def _toposort(nodes: Mapping[int, Node]) -> tuple[list[int] | None, int | None]:
-    """Children-before-parents order, or ``(None, node_on_cycle)``."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = dict.fromkeys(nodes, WHITE)
-    order: list[int] = []
-    for start in sorted(nodes):
-        if state[start] != WHITE:
-            continue
-        state[start] = GRAY
-        stack = [(start, iter(nodes[start].children))]
-        while stack:
-            nid, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                state[nid] = BLACK
-                order.append(nid)
-                stack.pop()
-            elif state[child] == GRAY:
-                return None, child
-            elif state[child] == WHITE:
-                state[child] = GRAY
-                stack.append((child, iter(nodes[child].children)))
-    return order, None
-
-
 class _Compiled(NamedTuple):
-    """An acyclic network indexed by topological position, children first.
+    """A network indexed by position, children first.
 
     Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Position
     ``i``'s entries, a leaf's categories or a sum's weights, are
-    ``log_table[offset[i]:offset[i + 1]]``.
+    ``log_table[offset[i]:offset[i + 1]]``.  A cyclic network is numbered
+    too, skipping edges back to a node on the walk's path; its scopes are
+    partial, and only ``validate`` and ``is_acyclic`` read its record.
     """
 
     order: tuple[int, ...]  # node id at each position
@@ -151,6 +127,8 @@ class _Compiled(NamedTuple):
     offset: list[int]
     log_table: np.ndarray
     log_list: list[float]  # ``log_table`` as Python floats, for scalar passes
+    cycle: int | None  # id of the first node found on a cycle
+    invalid: int | None  # id of the first node with a negative or non-finite parameter
 
 
 class Network:
@@ -167,10 +145,9 @@ class Network:
         The variables of the network; indices must be exactly ``0..n-1``.
 
     Construction renormalizes sum weights that are within ``1e-6`` of a
-    proper convex combination and precomputes the traversal order; scopes
-    and log-domain tables are compiled on first use.  Cyclic graphs are
-    constructible (so ``validate`` can report them) but refuse
-    traversal-based queries.
+    proper convex combination.  The nodes are numbered and tabulated on
+    first use.  Cyclic graphs are constructible (so ``validate`` can report
+    them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -225,10 +202,7 @@ class Network:
         self._root = int(root)
         self._variables = ordered_vars
         self._cardinalities = card
-
-        order, cycle_node = _toposort(store)
-        self._order = tuple(order) if order is not None else None
-        self._cycle_node = cycle_node
+        self._record: _Compiled | None = None
 
     @property
     def nodes(self) -> dict[int, Node]:
@@ -247,7 +221,7 @@ class Network:
 
     @property
     def is_acyclic(self) -> bool:
-        return self._order is not None
+        return self._numbering().cycle is None
 
     @property
     def arc_count(self) -> int:
@@ -255,9 +229,7 @@ class Network:
 
     def topological_order(self) -> tuple[int, ...]:
         """All node ids, children before parents."""
-        if self._order is None:
-            raise ValueError(f"network contains a cycle through node {self._cycle_node}")
-        return self._order
+        return self._compiled.order
 
     def scope(self, node_id: int) -> frozenset[int]:
         """Variable indices reachable below ``node_id``."""
@@ -266,12 +238,38 @@ class Network:
         compiled = self._compiled
         return compiled.scopes[compiled.position[node_id]]
 
-    @cached_property
-    def _compiled(self) -> _Compiled:
-        order = self.topological_order()
-        position = {nid: pos for pos, nid in enumerate(order)}
+    def _numbering(self) -> _Compiled:
+        """Number the nodes children-first in one depth-first walk and tabulate them.
+
+        The walk starts from each id not yet numbered, in increasing order.
+        It skips each edge back to a node on its path and records the first
+        such node as ``cycle``.  The record is built on first use and kept.
+        """
+        if self._record is not None:
+            return self._record
+        nodes = self._nodes
+        position: dict = {}
+        on_path: set[int] = set()
+        cycle = None
+        stack = [(None, iter(sorted(nodes)))]  # a bottom frame whose children are all ids
+        while stack:
+            nid, kids = stack[-1]
+            child = next(kids, None)
+            if child is None:
+                stack.pop()
+                on_path.discard(nid)
+                position[nid] = len(position)
+            elif child in on_path:
+                if cycle is None:
+                    cycle = child
+            elif child not in position:
+                on_path.add(child)
+                stack.append((child, iter(nodes[child].children)))
+        del position[None]  # the bottom frame finishes last
+
+        order = tuple(position)  # numbering order: dicts keep insertion order
         children: list[tuple[int, ...]] = [()] * len(order)
-        scopes: list[frozenset[int]] = []
+        scopes: list[frozenset[int]] = [frozenset()] * len(order)
         singletons = [frozenset((v.index,)) for v in self._variables]
         log_weights: list[tuple[float, ...] | None] = [None] * len(order)
         variable = [-1] * len(order)
@@ -279,40 +277,41 @@ class Network:
         params: list[tuple[float, ...]] = []
         internal: list[int] = []
         for pos, nid in enumerate(order):
-            node = self._nodes[nid]
+            node = nodes[nid]
             if isinstance(node, LeafNode):
-                scopes.append(singletons[node.variable])
+                scopes[pos] = singletons[node.variable]
                 variable[pos] = node.variable
                 best[pos] = node.distribution.index(max(node.distribution))
                 params.append(node.distribution)
                 continue
             internal.append(pos)
             children[pos] = kids = tuple(map(position.__getitem__, node.children))
-            scopes.append(frozenset().union(*map(scopes.__getitem__, kids)))
+            scopes[pos] = frozenset().union(*map(scopes.__getitem__, kids))
             params.append(node.weights if isinstance(node, SumNode) else ())
         offset = [0, *itertools.accumulate(map(len, params))]
         flat = np.fromiter(itertools.chain.from_iterable(params), float, offset[-1])
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         log_list = log_table.tolist()
+        bad = np.flatnonzero((flat < 0) | ~np.isfinite(flat))
+        invalid = order[np.searchsorted(offset, bad[0], "right") - 1] if len(bad) else None
         for pos in internal:
             if offset[pos] < offset[pos + 1]:  # sums have weights, products none
                 log_weights[pos] = tuple(log_list[offset[pos] : offset[pos + 1]])
-        return _Compiled(
-            order, position, position[self._root], internal, children,
-            scopes, log_weights, variable, best, offset, log_table, log_list,
+        self._record = _Compiled(
+            order, position, position[self._root], internal, children, scopes,
+            log_weights, variable, best, offset, log_table, log_list, cycle, invalid,
         )
+        return self._record
 
-    def reachable_from(self, node_id: int) -> set[int]:
-        """Node ids reachable from ``node_id`` (cycle safe)."""
-        nodes = self._nodes
-        seen = {node_id}
-        stack = [node_id]
-        while stack:
-            for child in nodes[stack.pop()].children:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+    @property
+    def _compiled(self) -> _Compiled:
+        """The numbering that every pass reads; refuses cycles and invalid parameters."""
+        record = self._numbering()
+        if record.cycle is not None:
+            raise ValueError(f"network contains a cycle through node {record.cycle}")
+        if record.invalid is not None:
+            raise ValueError(f"node {record.invalid} has a negative or non-finite parameter")
+        return record
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":
@@ -329,6 +328,25 @@ class Network:
             raise ValueError("leaf variables must cover indices 0..n-1 with no gaps")
         variables = [Variable(i, cards[i]) for i in range(len(cards))]
         return cls(nodes, root, variables)
+
+
+def _below(
+    children: Sequence[tuple[int, ...]], start: int, choice: Mapping[int, int]
+) -> dict[int, None]:
+    """Positions reachable from ``start``, each once, in depth-first order.
+
+    ``children`` holds each position's child positions.  A sum in ``choice``
+    follows only its child of that index.
+    """
+    seen: dict[int, None] = {}
+    stack = [start]
+    while stack:
+        pos = stack.pop()
+        if pos not in seen:
+            seen[pos] = None
+            kids = children[pos]
+            stack.extend((kids[choice[pos]],) if pos in choice else kids)
+    return seen
 
 
 def validate(network: Network) -> list[Violation]:
@@ -349,7 +367,7 @@ def validate(network: Network) -> list[Violation]:
                 violations.append(Violation(nid, "distribution", "negative probability"))
             else:
                 total = math.fsum(node.distribution)
-                if abs(total - 1.0) > LEAF_TOLERANCE:
+                if not abs(total - 1.0) <= LEAF_TOLERANCE:  # NaN fails this test
                     violations.append(
                         Violation(nid, "distribution", f"probabilities sum to {total!r}")
                     )
@@ -358,34 +376,34 @@ def validate(network: Network) -> list[Violation]:
                 violations.append(Violation(nid, "normalization", "negative weight"))
             else:
                 total = math.fsum(node.weights)
-                if abs(total - 1.0) > WEIGHT_TOLERANCE:
+                if not abs(total - 1.0) <= WEIGHT_TOLERANCE:  # NaN fails this test
                     violations.append(
                         Violation(nid, "normalization", f"weights sum to {total!r}")
                     )
 
-    reachable = network.reachable_from(network.root)
+    record = network._numbering()
+    position, children, scopes = record.position, record.children, record.scopes
+    reachable = _below(children, record.root, {})
     for nid in sorted(nodes):
-        if nid not in reachable:
+        if position[nid] not in reachable:
             violations.append(Violation(nid, "unreachable", "not reachable from the root"))
 
-    if not network.is_acyclic:
-        violations.append(
-            Violation(network._cycle_node, "cycle", "node lies on a directed cycle")
-        )
+    if record.cycle is not None:
+        violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
         return violations
 
     for nid in sorted(nodes):
         node = nodes[nid]
+        kids = children[position[nid]]
         if isinstance(node, SumNode):
-            scopes = {network.scope(c) for c in node.children}
-            if len(scopes) > 1:
+            if len({scopes[kid] for kid in kids}) > 1:
                 violations.append(
                     Violation(nid, "completeness", "children have differing scopes")
                 )
         elif isinstance(node, ProductNode):
             seen: set[int] = set()
-            for child in node.children:
-                child_scope = network.scope(child)
+            for kid in kids:
+                child_scope = scopes[kid]
                 if seen & child_scope:
                     violations.append(
                         Violation(nid, "decomposability", "children share scope variables")
@@ -393,7 +411,7 @@ def validate(network: Network) -> list[Violation]:
                     break
                 seen |= child_scope
     all_vars = frozenset(v.index for v in network.variables)
-    if network.scope(network.root) != all_vars:
+    if scopes[record.root] != all_vars:
         violations.append(
             Violation(network.root, "scope", "root scope does not cover all variables")
         )

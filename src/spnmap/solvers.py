@@ -21,19 +21,14 @@ import numpy as np
 
 from .inference import (
     _batch_upward,
-    _below,
     _upward,
     check_evidence,
-    count_free_configurations,
     decode_configuration,
     enumerate_log_values,
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, SumNode
-
-#: Exhaustive search refuses configuration spaces larger than this.
-DEFAULT_ENUMERATION_CAP = 1 << 24
+from .network import Network, SumNode, _below
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -104,7 +99,7 @@ def _walk(
     compiled = network._compiled
     variable, best = compiled.variable, compiled.best
     config: dict[int, int] = {}
-    for pos in _below(network, start, choice):
+    for pos in _below(compiled.children, start, choice):
         if (var := variable[pos]) >= 0:
             config.setdefault(var, evidence.get(var, best[pos]))
     return config
@@ -179,13 +174,6 @@ def argmax_product(
 
 def exact_map(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
     """Exhaustive search over every assignment consistent with the evidence."""
-    evidence = dict(evidence or {})
-    check_evidence(network, evidence)
-    total = count_free_configurations(network, evidence)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
     best_index, best_value = 0, LOG_ZERO
     for start, values in enumerate_log_values(network, evidence):
         j = int(np.argmax(values))

@@ -43,6 +43,14 @@ def brute_value(
     return value(network.root if node_id is None else node_id)
 
 
+def below(network: Network, node_id: int) -> set[int]:
+    """Ids of ``node_id`` and every node under it, by plain recursion."""
+    ids = {node_id}
+    for child in network.nodes[node_id].children:
+        ids |= below(network, child)
+    return ids
+
+
 def all_assignments(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> Iterator[dict[int, int]]:

@@ -160,6 +160,21 @@ class TestReduce:
         assert "# copies 2" in text
         assert len(net.nodes) == 2 * 71 + 1
 
+    def test_cnf_at_the_papers_epsilon(self, cnf_file, tmp_path):
+        # The threshold (1/14)**3870 has more digits than str() converts.
+        target = tmp_path / "amp.spn"
+        code = main(
+            ["reduce", "cnf", cnf_file, "--epsilon", "0.6", "--output", str(target)]
+        )
+        assert code == 0
+        with target.open(encoding="utf-8") as fh:
+            header = [next(fh) for _ in range(4)]
+        assert header[1] == "# copies 3870\n"
+        threshold = header[2].split()
+        assert threshold[:-1] == ["#", "threshold", "1/14", "per", "copy,", "total", "log"]
+        assert float(threshold[-1]) == pytest.approx(-3870 * math.log(14), rel=1e-12)
+        assert header[3] == f"spn {3870 * 71 + 1}\n"
+
     def test_graph_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
         path.write_text("graph 2\nedge 1 9\n", encoding="utf-8")

@@ -24,14 +24,9 @@ from spnmap import (
     random_spn,
 )
 from spnmap.experiments import gap_network
-from spnmap.inference import (
-    free_variables,
-    iter_assignment_chunks,
-    log_evaluate,
-    node_log_values,
-)
+from spnmap.inference import free_variables, log_evaluate
 from conftest import shared_leaf_dag
-from oracles import all_assignments, brute_marginal, brute_value
+from oracles import all_assignments, below, brute_marginal, brute_value
 
 
 def small_networks(count: int, max_vars: int = 6):
@@ -57,8 +52,12 @@ class TestGoldenMixture:
         assert evaluate_marginal(mixture_net, {}).linear == pytest.approx(1.0, abs=1e-12)
 
     def test_node_values_cover_every_node(self, mixture_net):
-        vals = node_log_values(mixture_net, {0: 1, 1: 0})
-        assert set(vals) == set(mixture_net.nodes)
+        assignment = {0: 1, 1: 0}
+        cats = np.array([[assignment[0], assignment[1]]])
+        vals = {nid: batch_log_values(mixture_net, nid, cats)[0] for nid in mixture_net.nodes}
+        for nid, value in vals.items():
+            expected = math.log(brute_value(mixture_net, assignment, nid))
+            assert value == pytest.approx(expected, rel=1e-12)
         assert vals[4] == pytest.approx(math.log(0.4))
         assert vals[3] == pytest.approx(math.log(0.9 * 0.8))
 
@@ -147,13 +146,13 @@ class TestBatchEvaluation:
         shared = dag.nodes[dag.nodes[dag.root].children[1]].children
         scope = sorted(dag.scope(node_id))
         assert isinstance(dag.nodes[node_id], SumNode) and len(scope) < 4
-        assert set(shared) & dag.reachable_from(node_id)
+        assert set(shared) & below(dag, node_id)
         rows = list(itertools.product(range(2), repeat=len(scope)))
         cats = np.full((len(rows), 4), 99)
         cats[:, scope] = rows
         out = batch_log_values(dag, node_id, cats)
         for row, value in zip(rows, out):
-            expected = node_log_values(dag, dict(zip(scope, row)))[node_id]
+            expected = math.log(brute_value(dag, dict(zip(scope, row)), node_id))
             assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -177,14 +176,13 @@ class TestEnumeration:
     def test_chunks_enumerate_every_assignment_in_order(self, monkeypatch):
         monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", 3)
         net = random_spn(4, max_height=3, seed=11)
-        rows = []
-        for start, cats in iter_assignment_chunks(net, {1: 1}):
-            assert start == len(rows)
-            rows.extend(cats.tolist())
-        expected = [
-            [a[v.index] for v in net.variables] for a in all_assignments(net, {1: 1})
-        ]
-        assert rows == expected
+        values = []
+        for start, chunk in enumerate_log_values(net, {1: 1}):
+            assert start == len(values) and len(chunk) <= 3
+            values.extend(chunk.tolist())
+        expected = [log_evaluate(net, a) for a in all_assignments(net, {1: 1})]
+        assert len(set(expected)) == len(expected) == 8
+        assert values == pytest.approx(expected, rel=1e-12)
 
     def test_enumerate_log_values_matches_decode(self, mixture_net):
         for start, values in enumerate_log_values(mixture_net):
@@ -214,6 +212,13 @@ class TestLogDomainRobustness:
         assert value.log == pytest.approx(copies * math.log(5 / 16), rel=1e-12)
         assert value.linear == 0.0  # linear doubles cannot hold exp(-814)
         assert not value.is_zero
+
+    def test_leaf_logs_follow_one_rule(self):
+        net = Network.from_nodes({0: LeafNode(0, (1.0, 0.0))}, 0)
+        assert evaluate(net, {0: 0}).log == 0.0
+        assert evaluate(net, {0: 1}).log == LOG_ZERO
+        net = Network.from_nodes({0: LeafNode(0, (0.5, 0.5))}, 0)
+        assert evaluate(net, {0: 0}).log == pytest.approx(math.log(0.5))
 
     def test_exact_zero_propagates_as_sentinel(self):
         nodes = {

@@ -10,22 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spnmap import LOG_ZERO, Probability
-from spnmap.logspace import log_from_linear, logsumexp, logsumexp_rows
+from spnmap.logspace import logsumexp, logsumexp_rows
 
 
 def test_log_zero_is_minus_infinity():
     assert LOG_ZERO == float("-inf")
-
-
-def test_log_from_linear_golden():
-    assert log_from_linear(1.0) == 0.0
-    assert log_from_linear(0.0) == LOG_ZERO
-    assert log_from_linear(0.5) == pytest.approx(math.log(0.5))
-
-
-def test_log_from_linear_rejects_negative():
-    with pytest.raises(ValueError):
-        log_from_linear(-1e-12)
 
 
 def test_logsumexp_matches_direct_sum():
@@ -70,17 +59,17 @@ def test_logsumexp_rows_all_zero_column_is_quiet():
 
 
 def test_probability_round_trip():
-    p = Probability.from_linear(0.3)
+    p = Probability(math.log(0.3))
     assert p.linear == pytest.approx(0.3, rel=1e-15)
     assert not p.is_zero
 
 
 def test_probability_zero_sentinel():
-    zero = Probability.from_linear(0.0)
+    zero = Probability(LOG_ZERO)
     assert zero.is_zero
     assert zero.linear == 0.0
 
 
 def test_probability_orders_by_log():
-    assert Probability.from_linear(0.1) < Probability.from_linear(0.2)
-    assert Probability(LOG_ZERO) < Probability.from_linear(1e-300)
+    assert Probability(math.log(0.1)) < Probability(math.log(0.2))
+    assert Probability(LOG_ZERO) < Probability(math.log(1e-300))

@@ -12,6 +12,7 @@ from spnmap import (
     ProductNode,
     SumNode,
     Variable,
+    Violation,
     network_stats,
     validate,
 )
@@ -166,8 +167,10 @@ class TestTraversal:
         assert mixture_net.arc_count == 3 + 3 * 2
 
     def test_reachable_from(self, mixture_net):
-        assert mixture_net.reachable_from(3) == {3, 5, 7}
-        assert mixture_net.reachable_from(0) == set(range(8))
+        assert validate(mixture_net) == []
+        report = validate(Network.from_nodes(mixture_nodes(), 3))
+        unreachable = [n for n in range(8) if n not in {3, 5, 7}]
+        assert [(v.node_id, v.kind) for v in report] == [(n, "unreachable") for n in unreachable]
 
 
 class TestValidate:
@@ -183,6 +186,21 @@ class TestValidate:
     def test_leaf_negative_probability(self):
         assert [v.kind for v in validate(leaf_only((-0.1, 1.1)))] == ["distribution"]
 
+    def test_nan_parameters_are_reported(self):
+        report = validate(leaf_only((math.nan, 1.0)))
+        assert [(v.node_id, v.kind, v.message) for v in report] == [
+            (0, "distribution", "probabilities sum to nan")
+        ]
+        nodes = {
+            0: SumNode((1, 2), (math.nan, 1.0)),
+            1: LeafNode(0, (0.5, 0.5)),
+            2: LeafNode(0, (0.9, 0.1)),
+        }
+        report = validate(Network(nodes, 0, [Variable(0, 2)]))
+        assert [(v.node_id, v.kind, v.message) for v in report] == [
+            (0, "normalization", "weights sum to nan")
+        ]
+
     def test_unreachable_node(self):
         nodes = dict(mixture_nodes())
         nodes[8] = LeafNode(0, (0.5, 0.5))
@@ -197,6 +215,22 @@ class TestValidate:
         }
         report = validate(Network(nodes, 0, [Variable(0, 2)]))
         assert [v.kind for v in report] == ["unreachable", "cycle"]
+
+    def test_cycle_below_the_root_beside_an_unreachable_node(self):
+        # The walk meets the cycle 1 -> 2 -> 1 from node 1, before the root,
+        # so the root reaches node 1 only through the edge back to it.
+        nodes = {
+            0: LeafNode(0, (0.5, 0.5)),
+            1: ProductNode((2,)),
+            2: ProductNode((1, 3)),
+            3: LeafNode(0, (0.5, 0.5)),
+            4: ProductNode((2,)),
+        }
+        report = validate(Network(nodes, 4, [Variable(0, 2)]))
+        assert report == [
+            Violation(0, "unreachable", "not reachable from the root"),
+            Violation(1, "cycle", "node lies on a directed cycle"),
+        ]
 
     def test_incomplete_sum(self):
         nodes = {

@@ -17,12 +17,15 @@ from spnmap import (
     argmax_product,
     decision_map,
     evaluate,
+    evaluate_marginal,
     exact_map,
+    log_partition,
     max_product,
     mis_to_spn,
     random_graph,
     random_spn,
     solve,
+    validate,
 )
 from spnmap.experiments import derive_seed, gap_fragment
 from conftest import shared_leaf_dag, shared_sum_dag
@@ -201,10 +204,12 @@ class TestExactAgainstOracle:
         net = Network.from_nodes(nodes, 0)
         with pytest.raises(ValueError, match="enumeration cap"):
             exact_map(net)  # 2**25 free configurations exceed the default cap
-        monkeypatch.setattr("spnmap.solvers.DEFAULT_ENUMERATION_CAP", 3)
+        with pytest.raises(ValueError, match="33554432 configurations exceed the enumeration cap"):
+            log_partition(net)
+        monkeypatch.setattr("spnmap.inference.DEFAULT_ENUMERATION_CAP", 3)
         with pytest.raises(ValueError, match="enumeration cap"):
             exact_map(mixture_net)
-        monkeypatch.setattr("spnmap.solvers.DEFAULT_ENUMERATION_CAP", 4)
+        monkeypatch.setattr("spnmap.inference.DEFAULT_ENUMERATION_CAP", 4)
         result = exact_map(mixture_net)
         assert result.value.linear == pytest.approx(0.4)
 
@@ -258,6 +263,39 @@ class TestInvalidNetworks:
         for solver in (max_product, argmax_product):
             with pytest.raises(ValueError, match="missing variable"):
                 solver(net)
+
+    def test_invalid_parameters_are_refused(self):
+        cases = [
+            ((-1e-12, 1.0 + 1e-12), (0.5, 0.5)),
+            ((-0.5, 1.5), (0.5, 0.5)),
+            ((math.nan, 1.0), (0.5, 0.5)),
+            ((math.inf, 0.0), (0.5, 0.5)),
+            ((0.5, 0.5), (-0.1, 1.1)),
+            ((0.5, 0.5), (math.nan, 1.0)),
+        ]
+        for leaf, weights in cases:
+            nodes = {
+                0: SumNode((1, 2), weights),
+                1: ProductNode((3, 4)),
+                2: ProductNode((5, 4)),
+                3: LeafNode(0, leaf),
+                4: LeafNode(1, (0.3, 0.7)),
+                5: LeafNode(0, (0.4, 0.6)),
+            }
+            net = Network.from_nodes(nodes, 0)
+            message = f"node {3 if leaf != (0.5, 0.5) else 0} has a negative or non-finite"
+            calls = [
+                lambda: evaluate(net, {0: 0, 1: 0}),
+                lambda: evaluate_marginal(net, {1: 1}),
+                lambda: max_product(net),
+                lambda: argmax_product(net),
+                lambda: exact_map(net),
+                lambda: log_partition(net),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
+            assert validate(net)  # reported, not raised
 
 
 class TestDispatchAndDecision:
