@@ -27,6 +27,9 @@ from .network import Network, network_stats, validate
 from .reductions import amplification_q, amplify, cnf_to_spn, mis_to_spn
 from .solvers import Solver, solve
 
+#: ``reduce cnf --epsilon`` refuses to build an amplified network larger than this.
+MAX_AMPLIFIED_NODES = 1 << 21
+
 _ALGOS = {
     "maxprod": Solver.MAX_PRODUCT,
     "amap": Solver.ARGMAX_PRODUCT,
@@ -133,6 +136,9 @@ def _cmd_reduce_cnf(args: argparse.Namespace) -> int:
     if args.epsilon is not None:
         single_copy_size = len(base.network.nodes) + base.network.arc_count
         q = amplification_q(len(formula.clauses), single_copy_size, args.epsilon)
+        node_count = 1 + q * len(base.network.nodes)
+        if node_count > MAX_AMPLIFIED_NODES:
+            raise ValueError(f"{q} copies make {node_count} nodes, over {MAX_AMPLIFIED_NODES}")
         result = amplify(base, q)
     meta = result.metadata
     # The whole threshold, one copy's to the power q, can have more digits than

@@ -89,14 +89,17 @@ def _ratio_from_logs(argmax_log: float, maxprod_log: float) -> float:
         return 1.0
     if maxprod_log == LOG_ZERO:
         return math.inf
-    return math.exp(argmax_log - maxprod_log)
+    try:
+        return math.exp(argmax_log - maxprod_log)
+    except OverflowError:  # the ratio exceeds the largest float
+        return math.inf
 
 
 def ratio(network: Network, evidence: Mapping[int, int] | None = None) -> float:
     """Value of the argmax-product configuration over the max-product one.
 
-    Both zero gives 1; a zero denominator with a nonzero numerator gives
-    ``inf``.
+    Both zero gives 1.  A zero denominator with a nonzero numerator gives
+    ``inf``, and so does a ratio beyond the largest float.
     """
     a = argmax_product(network, evidence).value.log
     m = max_product(network, evidence).value.log

@@ -76,8 +76,6 @@ def parse_spn(text: str) -> Network:
         if directive == "spn":
             if header_line is not None:
                 raise ParseError(lineno, "duplicate spn header")
-            if declared or edges or root_id is not None:
-                raise ParseError(lineno, "spn header must be the first directive")
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected: spn <node-count>")
             declared_count = _parse_int(tokens[1], lineno, "node count")
@@ -187,9 +185,10 @@ def parse_spn(text: str) -> Network:
 
 def serialize_spn(network: Network) -> str:
     """Render a network document that parses back to an equivalent network."""
-    lines = [f"spn {len(network.nodes)}"]
-    for nid in sorted(network.nodes):
-        node = network.nodes[nid]
+    nodes = network.nodes
+    lines = [f"spn {len(nodes)}"]
+    for nid in sorted(nodes):
+        node = nodes[nid]
         if isinstance(node, LeafNode):
             probs = " ".join(format(p, ".17g") for p in node.distribution)
             lines.append(f"node {nid} leaf {node.variable} {probs}")
@@ -197,8 +196,8 @@ def serialize_spn(network: Network) -> str:
             lines.append(f"node {nid} sum")
         else:
             lines.append(f"node {nid} prod")
-    for nid in sorted(network.nodes):
-        node = network.nodes[nid]
+    for nid in sorted(nodes):
+        node = nodes[nid]
         if isinstance(node, SumNode):
             for child, weight in zip(node.children, node.weights):
                 lines.append(f"edge {nid} {child} {format(weight, '.17g')}")

@@ -85,27 +85,19 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]
     return _upward(network, vals, logsumexp)
 
 
-def log_evaluate(network: Network, assignment: Mapping[int, int]) -> float:
-    check_assignment(network, assignment)
-    return _sum_pass(network, assignment)[network._compiled.root]
-
-
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
     """Probability of a total assignment."""
-    return Probability(log_evaluate(network, assignment))
-
-
-def log_marginal(network: Network, evidence: Mapping[int, int] | None = None) -> float:
-    evidence = evidence or {}
-    check_evidence(network, evidence)
-    return _sum_pass(network, evidence)[network._compiled.root]
+    check_assignment(network, assignment)
+    return Probability(_sum_pass(network, assignment)[network._compiled.root])
 
 
 def evaluate_marginal(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> Probability:
     """Probability of partial evidence; empty evidence gives 1."""
-    return Probability(log_marginal(network, evidence))
+    evidence = evidence or {}
+    check_evidence(network, evidence)
+    return Probability(_sum_pass(network, evidence)[network._compiled.root])
 
 
 def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:

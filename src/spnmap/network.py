@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Sequence, Union
 
@@ -205,8 +206,9 @@ class Network:
         self._record: _Compiled | None = None
 
     @property
-    def nodes(self) -> dict[int, Node]:
-        return self._nodes
+    def nodes(self) -> Mapping[int, Node]:
+        """Read-only view of the nodes by id; bind it once in a loop over nodes."""
+        return types.MappingProxyType(self._nodes)
 
     @property
     def root(self) -> int:

@@ -174,7 +174,10 @@ def amplification_q(m: int, s_prime: int, epsilon: float) -> int:
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     base = math.log(2.0) * m * (s_prime + 2) ** epsilon
-    return 1 + math.floor(base ** (1.0 / (1.0 - epsilon)))
+    try:
+        return 1 + math.floor(base ** (1.0 / (1.0 - epsilon)))
+    except OverflowError:
+        raise ValueError(f"epsilon {epsilon} needs more copies than a float can count")
 
 
 def amplify(result: ReductionResult, q: int) -> ReductionResult:
@@ -188,7 +191,8 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     if q == 1:
         return result
     base = result.network
-    base_ids = sorted(base.nodes)
+    base_nodes = base.nodes
+    base_ids = sorted(base_nodes)
     dense = {nid: k for k, nid in enumerate(base_ids)}
     size = len(base_ids)
     n = len(base.variables)
@@ -198,7 +202,7 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     for t in range(q):
         offset = 1 + t * size
         for nid in base_ids:
-            node = base.nodes[nid]
+            node = base_nodes[nid]
             if isinstance(node, LeafNode):
                 replacement: Node = LeafNode(t * n + node.variable, node.distribution)
             elif isinstance(node, SumNode):

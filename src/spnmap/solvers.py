@@ -57,10 +57,6 @@ class MapResult:
     pd_value: Probability | None = None
 
 
-def _smallest_consistent(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
-    return {v.index: evidence.get(v.index, 0) for v in network.variables}
-
-
 def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict]:
     """Max-product's upward pass: each sum keeps its best weighted child value.
 
@@ -76,16 +72,14 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict
         for pos, var in enumerate(variable)
         if var >= 0
     }
-    picks: list[int] = []
-
-    def first_max(terms: list[float]) -> float:
-        picks.append(terms.index(top := max(terms)))
-        return top
-
-    # ``_upward`` reduces the sums in increasing position order.
-    vals = _upward(network, vals, first_max)
-    sums = [pos for pos in compiled.internal if compiled.log_weights[pos] is not None]
-    return vals, dict(zip(sums, picks))
+    vals = _upward(network, vals, max)
+    children = compiled.children
+    choice = {
+        pos: [w + vals[kid] for w, kid in zip(weights, children[pos])].index(vals[pos])
+        for pos, weights in enumerate(compiled.log_weights)
+        if weights is not None
+    }
+    return vals, choice
 
 
 def _walk(
@@ -121,7 +115,7 @@ def max_product(
     root = network._compiled.root
     bound = Probability(upward[root])
     if bound.is_zero:
-        config = _smallest_consistent(network, evidence)
+        config = decode_configuration(network, evidence, 0)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
     config = {**evidence, **_walk(network, evidence, root, choice)}
     return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
@@ -130,27 +124,24 @@ def max_product(
 def argmax_product(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> MapResult:
-    """Max-product with each sum's child chosen by re-evaluation.
+    """Max-product's result, improved by choosing each sum's child by re-evaluation.
 
     Children first, each sum with several children evaluates itself at the
     configuration that each child's chosen tree induces, and chooses the first
     best child.  Choices are per sum, so a shared node contributes one
-    consistent choice.  The configuration chosen from the root is compared
-    against max-product's and the better is returned (ties keep the former),
-    so the result is never worse.  Worst case quadratic in network size.
+    consistent choice.  The configuration chosen from the root replaces
+    max-product's unless it scores strictly lower, so the result is never
+    worse.  Worst case quadratic in network size.
     """
+    base = max_product(network, evidence)
+    if base.pd_value.is_zero:
+        return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
-    check_evidence(network, evidence)
     compiled = network._compiled
-    upward, max_choice = _max_pass(network, evidence)
-    if upward[compiled.root] == LOG_ZERO:
-        config = _smallest_consistent(network, evidence)
-        return MapResult(config, Probability(LOG_ZERO), Solver.ARGMAX_PRODUCT)
-
-    choice = dict(max_choice)
-    for pos in max_choice:  # increasing positions, so children come first
+    choice: dict[int, int] = {}
+    for pos in compiled.internal:  # increasing positions, so children come first
         kids = compiled.children[pos]
-        if len(kids) < 2:
+        if compiled.log_weights[pos] is None or len(kids) < 2:
             continue
         candidates = [_walk(network, evidence, kid, choice) for kid in kids]
         # Candidates of an incomplete sum (an invalid network) can miss scope
@@ -160,15 +151,11 @@ def argmax_product(
         choice[pos] = int(np.argmax(_batch_upward(network, pos, dict(zip(scope, rows)))))
 
     config = _walk(network, evidence, compiled.root, choice)
-    value = evaluate(network, config)
-    # With nested sums the greedy candidate can score below max-product's
-    # configuration, whose value feeds cross terms the candidate pass never
-    # sees; keeping the better of the two restores the dominance guarantee.
-    fallback = {**evidence, **_walk(network, evidence, compiled.root, max_choice)}
-    if fallback != config:
-        fallback_value = evaluate(network, fallback)
-        if fallback_value.log > value.log:
-            config, value = fallback, fallback_value
+    value = base.value if config == base.configuration else evaluate(network, config)
+    # With nested sums the candidate can score below max-product's configuration,
+    # whose value feeds cross terms that the candidate pass never sees.
+    if base.value.log > value.log:
+        config, value = base.configuration, base.value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
@@ -237,13 +224,14 @@ def approx_factor_bound(network: Network) -> DegreeBound:
     least one sum node; ``nodes + arcs`` is a lower bound on any reasonable
     encoding size.
     """
+    nodes = network.nodes
     degrees = [
         len(node.children)
-        for node in network.nodes.values()
+        for node in nodes.values()
         if isinstance(node, SumNode)
     ]
     log2_product = sum(math.log2(d) for d in degrees)
-    size = len(network.nodes) + network.arc_count
+    size = len(nodes) + network.arc_count
     bound = DEGREE_BOUND_EXPONENT * size
     satisfied = log2_product < bound
     if degrees and not satisfied:

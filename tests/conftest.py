@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spnmap import (
@@ -71,6 +73,16 @@ def shared_sum_dag(tree: Network) -> Network:
     nodes[top + 6] = ProductNode((top + 4, *(leaves[v][-1] for v in rest)))
     nodes[top + 7] = SumNode((tree.root, top + 5, top + 6), (0.5, 0.3, 0.2))
     return Network(nodes, top + 7, tree.variables)
+
+
+def single_child_sum(dag: Network) -> Network:
+    """``dag`` with a one-child sum of weight 1 above the root's first child."""
+    top = max(dag.nodes)
+    root = dag.nodes[dag.root]
+    nodes = dict(dag.nodes)
+    nodes[top + 1] = SumNode(root.children[:1], (1.0,))
+    nodes[dag.root] = replace(root, children=(top + 1, *root.children[1:]))
+    return Network(nodes, dag.root, dag.variables)
 
 
 @pytest.fixture

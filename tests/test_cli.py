@@ -175,6 +175,19 @@ class TestReduce:
         assert float(threshold[-1]) == pytest.approx(-3870 * math.log(14), rel=1e-12)
         assert header[3] == f"spn {3870 * 71 + 1}\n"
 
+    def test_cnf_epsilon_near_one_exits_1(self, cnf_file, capsys):
+        assert main(["reduce", "cnf", cnf_file, "--epsilon", "0.999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon 0.999 ")
+
+    def test_cnf_refuses_networks_over_the_node_limit(self, cnf_file, capsys, monkeypatch):
+        monkeypatch.setattr(spnmap.cli, "MAX_AMPLIFIED_NODES", 1000)
+        assert main(["reduce", "cnf", cnf_file, "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 275 copies make 19526 nodes, over 1000\n"
+
     def test_graph_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
         path.write_text("graph 2\nedge 1 9\n", encoding="utf-8")
@@ -235,6 +248,11 @@ class TestExperiment:
     def test_malformed_list_exits_2(self, capsys):
         code = main(["experiment", "mis", "--vertices", "5;6", "--edge-pct", "20"])
         assert code == 2
+
+    def test_malformed_edge_percentages_exit_2(self, capsys):
+        code = main(["experiment", "mis", "--vertices", "5", "--edge-pct", "20,x"])
+        assert code == 2
+        assert "expected comma-separated numbers, got '20,x'" in capsys.readouterr().err
 
 
 class TestStats:

@@ -84,6 +84,10 @@ class TestRatio:
     def test_log_domain_division(self):
         assert _ratio_from_logs(math.log(0.4), math.log(0.3)) == pytest.approx(4 / 3)
 
+    def test_ratio_beyond_float_range_is_infinite(self):
+        assert _ratio_from_logs(800.0, 0.0) == math.inf
+        assert ratio(gap_network(1000)) == math.inf
+
 
 class TestExperimentConfig:
     def test_rejects_bad_grid(self):

@@ -110,6 +110,10 @@ class TestNetworkParseErrors:
     def test_header_not_first(self):
         expect_parse_error("# c\nnode 0 sum\nspn 1\n", 2, "missing spn header")
 
+    def test_edge_and_root_before_header(self):
+        expect_parse_error("edge 0 1\nspn 2\n", 1, "missing spn header")
+        expect_parse_error("root 0\nspn 1\nnode 0 leaf 0 0.5 0.5\n", 1, "missing spn header")
+
     def test_duplicate_header(self):
         expect_parse_error("spn 1\nspn 1\n", 2, "duplicate spn header")
 

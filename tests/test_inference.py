@@ -24,7 +24,7 @@ from spnmap import (
     random_spn,
 )
 from spnmap.experiments import gap_network
-from spnmap.inference import free_variables, log_evaluate
+from spnmap.inference import free_variables
 from conftest import shared_leaf_dag
 from oracles import all_assignments, below, brute_marginal, brute_value
 
@@ -113,7 +113,7 @@ class TestBatchEvaluation:
         cats = np.array([[a[0], a[1]] for a in all_assignments(mixture_net)])
         batched = batch_log_values(mixture_net, mixture_net.root, cats)
         for row, assignment in zip(batched, all_assignments(mixture_net)):
-            assert row == pytest.approx(log_evaluate(mixture_net, assignment), rel=1e-12)
+            assert row == pytest.approx(evaluate(mixture_net, assignment).log, rel=1e-12)
 
     def test_batch_matches_scalar_on_random_networks(self):
         for net in small_networks(20):
@@ -123,7 +123,7 @@ class TestBatchEvaluation:
             )
             batched = batch_log_values(net, net.root, cats)
             for row, assignment in zip(batched, assignments):
-                expected = log_evaluate(net, assignment)
+                expected = evaluate(net, assignment).log
                 if expected == LOG_ZERO:
                     assert row == LOG_ZERO
                 else:
@@ -180,7 +180,7 @@ class TestEnumeration:
         for start, chunk in enumerate_log_values(net, {1: 1}):
             assert start == len(values) and len(chunk) <= 3
             values.extend(chunk.tolist())
-        expected = [log_evaluate(net, a) for a in all_assignments(net, {1: 1})]
+        expected = [evaluate(net, a).log for a in all_assignments(net, {1: 1})]
         assert len(set(expected)) == len(expected) == 8
         assert values == pytest.approx(expected, rel=1e-12)
 
@@ -188,7 +188,7 @@ class TestEnumeration:
         for start, values in enumerate_log_values(mixture_net):
             for offset, value in enumerate(values):
                 assignment = decode_configuration(mixture_net, None, start + offset)
-                assert value == pytest.approx(log_evaluate(mixture_net, assignment))
+                assert value == pytest.approx(evaluate(mixture_net, assignment).log)
 
 
 class TestNormalization:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
@@ -13,6 +14,8 @@ from spnmap import (
     SumNode,
     Variable,
     Violation,
+    evaluate,
+    max_product,
     network_stats,
     validate,
 )
@@ -75,6 +78,26 @@ class TestConstruction:
     def test_rejects_leaf_cardinality_mismatch(self):
         with pytest.raises(ValueError, match="cardinality"):
             Network({0: LeafNode(0, (0.2, 0.3, 0.5))}, 0, [Variable(0, 2)])
+
+    def test_rejects_empty_variable_list(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            Network({0: LeafNode(0, (0.5, 0.5))}, 0, [])
+
+    def test_nodes_are_a_read_only_view(self, mixture_net):
+        max_product(mixture_net)
+        with pytest.raises(TypeError):
+            mixture_net.nodes[1] = LeafNode(0, (0.1, 0.9))
+        with pytest.raises(TypeError):
+            del mixture_net.nodes[0]
+        assert mixture_net.nodes == mixture_nodes()
+        assert evaluate(mixture_net, {0: 0, 1: 0}).linear == pytest.approx(0.3, abs=1e-12)
+
+    def test_solved_network_pickles(self, mixture_net):
+        expected = max_product(mixture_net)
+        again = pickle.loads(pickle.dumps(mixture_net))
+        assert again.nodes == mixture_net.nodes and again.root == mixture_net.root
+        assert again.variables == mixture_net.variables
+        assert max_product(again) == expected
 
     def test_from_nodes_infers_variables(self, mixture_net):
         assert [v.index for v in mixture_net.variables] == [0, 1]

@@ -295,6 +295,10 @@ class TestAmplification:
         with pytest.raises(ValueError):
             amplification_q(1, 10, -0.1)
 
+    def test_copy_count_past_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="more copies than a float can count"):
+            amplification_q(2, 71, 0.999)
+
     def test_single_copy_is_identity(self, two_clause_formula):
         result = cnf_to_spn(two_clause_formula)
         assert amplify(result, 1) is result

@@ -28,7 +28,7 @@ from spnmap import (
     validate,
 )
 from spnmap.experiments import derive_seed, gap_fragment
-from conftest import shared_leaf_dag, shared_sum_dag
+from conftest import shared_leaf_dag, shared_sum_dag, single_child_sum
 from oracles import argmax_candidate, brute_map, brute_mis_size, brute_value
 
 LOG_SLACK = 1e-12
@@ -44,7 +44,8 @@ def log_leq(a: float, b: float, slack: float = LOG_SLACK) -> bool:
 def solver_cases(count: int, evidence_seed: int = 0):
     """Seeded trees and their shared-leaf and shared-sum DAGs, with random evidence.
 
-    The evidence may be empty.
+    The shared-sum DAG comes twice, once with a one-child sum inserted below
+    its root.  The evidence may be empty.
     """
     import random
 
@@ -60,6 +61,7 @@ def solver_cases(count: int, evidence_seed: int = 0):
         yield net, evidence
         yield shared_leaf_dag(net), evidence
         yield shared_sum_dag(net), evidence
+        yield single_child_sum(shared_sum_dag(net)), evidence
 
 
 class TestGoldenMixture:
@@ -264,6 +266,28 @@ class TestInvalidNetworks:
             with pytest.raises(ValueError, match="missing variable"):
                 solver(net)
 
+    def test_argmax_product_improves_a_zero_valued_max_product_result(self):
+        # Product 1 is not decomposable: the walk reaches leaf 3 before leaf 4
+        # and fixes x0 = 0, where leaf 4 is zero.  The positive bound is not
+        # zero mass, so argmax-product still re-evaluates and picks product 2.
+        nodes = {
+            0: SumNode((1, 2), (0.9, 0.1)),
+            1: ProductNode((4, 3, 5)),
+            2: ProductNode((6, 7)),
+            3: LeafNode(0, (0.9, 0.1)),
+            4: LeafNode(0, (0.0, 1.0)),
+            5: LeafNode(1, (0.5, 0.5)),
+            6: LeafNode(0, (0.0, 1.0)),
+            7: LeafNode(1, (0.5, 0.5)),
+        }
+        net = Network.from_nodes(nodes, 0)
+        mp = max_product(net)
+        assert mp.configuration == {0: 0, 1: 0}
+        assert mp.value.is_zero and not mp.pd_value.is_zero
+        am = argmax_product(net)
+        assert am.configuration == {0: 1, 1: 0}
+        assert am.value.linear == pytest.approx(0.9 * 0.1 * 0.5 + 0.1 * 0.5, rel=1e-12)
+
     def test_invalid_parameters_are_refused(self):
         cases = [
             ((-1e-12, 1.0 + 1e-12), (0.5, 0.5)),
@@ -305,6 +329,10 @@ class TestDispatchAndDecision:
             pytest.approx(0.4)
         )
         assert solve(mixture_net, None, Solver.EXACT).value.linear == pytest.approx(0.4)
+
+    def test_solve_rejects_an_unknown_solver(self, mixture_net):
+        with pytest.raises(ValueError, match="unknown solver 'exact'"):
+            solve(mixture_net, None, "exact")
 
     def test_decision_thresholds(self, mixture_net):
         assert decision_map(mixture_net, None, 0.0)
