@@ -20,11 +20,14 @@ garbage.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .network import LeafNode, Network, Node, ProductNode, SumNode, Variable
+import numpy as np
+
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _csr, _Tables
 from .reductions import CnfFormula, Graph
 
 
@@ -38,9 +41,8 @@ class ParseError(ValueError):
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        if tokens := raw.split("#", 1)[0].split():
+            yield lineno, tokens
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -64,8 +66,12 @@ def parse_spn(text: str) -> Network:
     """Parse a network document; structural semantics are left to ``validate``."""
     header_line = None
     declared_count = None
-    # Each node's kind, "sum" or "prod", or its parsed leaf, and its line.
-    declared: dict[int, tuple[str | LeafNode, int]] = {}
+    entry: dict[int, int] = {}  # each declared id's entry in the tables, in line order
+    ids: list[int] = []
+    kinds: list[int] = []
+    lines: list[int] = []  # each entry's declaration line
+    variables: list[int] = []
+    params: list[Sequence[float]] = []  # a leaf's probabilities; a sum's weights, by edge
     cards: dict[int, tuple[int, int]] = {}  # each variable's cardinality and first line
     edges: list[tuple[int, int, float | None, int]] = []
     root_id: int | None = None
@@ -86,13 +92,15 @@ def parse_spn(text: str) -> Network:
             if len(tokens) < 3:
                 raise ParseError(lineno, "expected: node <id> <kind> ...")
             nid = _parse_int(tokens[1], lineno, "node id")
-            if nid in declared:
+            if nid in entry:
                 raise ParseError(lineno, f"duplicate node id {nid}")
             kind = tokens[2]
             if kind in ("sum", "prod"):
                 if len(tokens) != 3:
                     raise ParseError(lineno, f"unexpected tokens after {kind} node")
-                declared[nid] = (kind, lineno)
+                kinds.append(_SUM if kind == "sum" else _PRODUCT)
+                variables.append(-1)
+                params.append(())
             elif kind == "leaf":
                 if len(tokens) < 6:
                     raise ParseError(
@@ -101,9 +109,8 @@ def parse_spn(text: str) -> Network:
                 var = _parse_int(tokens[3], lineno, "variable index")
                 if var < 0:
                     raise ParseError(lineno, f"variable index must be nonnegative, got {var}")
-                probs = tuple(
-                    _parse_float(tok, lineno, "probability") for tok in tokens[4:]
-                )
+                # A tuple, which the garbage collector stops tracking.
+                probs = tuple([_parse_float(tok, lineno, "probability") for tok in tokens[4:]])
                 card, first_line = cards.setdefault(var, (len(probs), lineno))
                 if card != len(probs):
                     raise ParseError(
@@ -111,9 +118,14 @@ def parse_spn(text: str) -> Network:
                         f"leaf disagrees on the cardinality of variable {var} "
                         f"(line {first_line} says {card})",
                     )
-                declared[nid] = (LeafNode(var, probs), lineno)
+                kinds.append(_LEAF)
+                variables.append(var)
+                params.append(probs)
             else:
                 raise ParseError(lineno, f"unknown node kind {kind!r}")
+            entry[nid] = len(ids)
+            ids.append(nid)
+            lines.append(lineno)
         elif directive == "edge":
             if header_line is None:
                 raise ParseError(lineno, "missing spn header")
@@ -137,75 +149,82 @@ def parse_spn(text: str) -> Network:
 
     if header_line is None:
         raise ParseError(1, "missing spn header")
-    if declared_count != len(declared):
+    if declared_count != len(ids):
         raise ParseError(
             header_line,
-            f"header declares {declared_count} nodes, found {len(declared)}",
+            f"header declares {declared_count} nodes, found {len(ids)}",
         )
 
-    children: dict[int, list[int]] = {}
-    weights: dict[int, list[float]] = {}
+    parents: list[int] = []  # each edge's parent and child entries, and its weight
+    children: list[int] = []
+    weights: list[float | None] = []
     for parent, child, weight, lineno in edges:
-        if parent not in declared:
+        if (p := entry.get(parent)) is None:
             raise ParseError(lineno, f"edge from undeclared node {parent}")
-        if child not in declared:
+        if (c := entry.get(child)) is None:
             raise ParseError(lineno, f"edge to undeclared node {child}")
-        kind, _ = declared[parent]
-        if isinstance(kind, LeafNode):
+        if kinds[p] == _LEAF:
             raise ParseError(lineno, "leaf nodes cannot have children")
-        if kind == "sum":
+        if kinds[p] == _SUM:
             if weight is None:
                 raise ParseError(lineno, "edges under a sum node require a weight")
-            weights.setdefault(parent, []).append(weight)
         elif weight is not None:
             raise ParseError(lineno, "edges under a product node must not carry a weight")
-        children.setdefault(parent, []).append(child)
+        parents.append(p)
+        children.append(c)
+        weights.append(weight)
+    # Stable, so each parent's edges keep their line order.
+    by_parent = sorted(range(len(parents)), key=parents.__getitem__)
+    child_offset = [0] * (len(ids) + 1)
+    for p in parents:
+        child_offset[p + 1] += 1
 
-    nodes: dict[int, Node] = {}
-    for nid, (kind, lineno) in declared.items():
-        if isinstance(kind, LeafNode):
-            nodes[nid] = kind
-        elif nid not in children:
-            name = "sum" if kind == "sum" else "product"
-            raise ParseError(lineno, f"{name} node {nid} has no children")
-        elif kind == "sum":
-            nodes[nid] = SumNode(tuple(children[nid]), tuple(weights[nid]))
-        else:
-            nodes[nid] = ProductNode(tuple(children[nid]))
+    for e, kind in enumerate(kinds):
+        if kind != _LEAF and not child_offset[e + 1]:
+            name = "sum" if kind == _SUM else "product"
+            raise ParseError(lines[e], f"{name} node {ids[e]} has no children")
 
     if root_id is None:
         root_id = 0
-    if root_id not in nodes:
+    if root_id not in entry:
         raise ParseError(root_line or header_line, f"root {root_id} is not a declared node")
     if not cards or sorted(cards) != list(range(len(cards))):
         raise ParseError(header_line, "leaf variables must cover 0..n-1 with no gaps")
 
-    return Network(nodes, root_id, [Variable(var, cards[var][0]) for var in sorted(cards)])
+    child_offset = list(itertools.accumulate(child_offset))
+    weights = list(map(weights.__getitem__, by_parent))
+    for e in itertools.compress(range(len(ids)), map(_SUM.__eq__, kinds)):
+        params[e] = weights[child_offset[e] : child_offset[e + 1]]
+    child_index = list(map(children.__getitem__, by_parent))
+    tables = _Tables(ids, kinds, child_offset, child_index, variables, *_csr(params))
+    return Network._from_tables(
+        tables, root_id, [Variable(var, cards[var][0]) for var in sorted(cards)]
+    )
 
 
 def serialize_spn(network: Network) -> str:
     """Render a network document that parses back to an equivalent network."""
-    nodes = network.nodes
-    lines = [f"spn {len(nodes)}"]
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            probs = " ".join(format(p, ".17g") for p in node.distribution)
-            lines.append(f"node {nid} leaf {node.variable} {probs}")
-        elif isinstance(node, SumNode):
+    ids, kind, child_offset, child_index, variable, param_offset, params = network._tables
+    # Format each distinct parameter, told apart by its bits, once.
+    bits, which = np.unique(np.array(params, dtype=float).view(np.int64), return_inverse=True)
+    texts = [format(p, ".17g") for p in bits.view(float).tolist()]
+    formatted = list(map(texts.__getitem__, which.tolist()))
+    kids = list(map(ids.__getitem__, child_index))
+    lines = [f"spn {len(ids)}"]
+    edges: list[str] = []
+    for e in network._by_id:
+        nid, row = ids[e], formatted[param_offset[e] : param_offset[e + 1]]
+        if kind[e] == _LEAF:
+            lines.append(f"node {nid} leaf {variable[e]} {' '.join(row)}")
+            continue
+        children = kids[child_offset[e] : child_offset[e + 1]]
+        if kind[e] == _SUM:
             lines.append(f"node {nid} sum")
+            edges += [f"edge {nid} {child} {w}" for child, w in zip(children, row)]
         else:
             lines.append(f"node {nid} prod")
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, SumNode):
-            for child, weight in zip(node.children, node.weights):
-                lines.append(f"edge {nid} {child} {format(weight, '.17g')}")
-        elif isinstance(node, ProductNode):
-            for child in node.children:
-                lines.append(f"edge {nid} {child}")
-    lines.append(f"root {network.root}")
-    return "\n".join(lines) + "\n"
+            edges += [f"edge {nid} {child}" for child in children]
+    return "\n".join([*lines, *edges, f"root {network.root}"]) + "\n"
 
 
 def parse_graph(text: str) -> Graph:

@@ -122,16 +122,23 @@ def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:
 def batch_log_values(
     network: Network, node_id: int, categories: np.ndarray
 ) -> np.ndarray:
-    """Log value of ``node_id`` for each row of a ``(k, n_vars)`` category matrix.
+    """Log value of ``node_id`` for each row of a ``(k, n_vars)`` integer category matrix.
 
-    Only columns for variables in the node's scope are read, and only the
-    node's sub-DAG is evaluated.
+    Only columns for variables in the node's scope are read, and must hold
+    categories of their variable; only the node's sub-DAG is evaluated.
     """
     categories = np.asarray(categories)
     if categories.ndim != 2 or categories.shape[1] != len(network.variables):
         raise ValueError("categories must have one column per network variable")
+    if not np.issubdtype(categories.dtype, np.integer):
+        raise ValueError(f"categories must be integers, got {categories.dtype}")
     columns = np.ascontiguousarray(categories.T)
-    return _batch_upward(network, network._compiled.position[node_id], columns)
+    pos = network._compiled.position[node_id]
+    if len(categories):  # the extremes of each scope column must be categories
+        for var in sorted(network._compiled.scopes[pos]):
+            for cat in (columns[var].min(), columns[var].max()):
+                check_evidence(network, {var: int(cat)})
+    return _batch_upward(network, pos, columns)
 
 
 def free_variables(
@@ -156,10 +163,13 @@ def decode_configuration(
 
     Free variables are enumerated in ascending index order with the first
     free variable most significant, so index 0 is the lexicographically
-    smallest assignment consistent with the evidence.
+    smallest assignment consistent with the evidence.  Raises ``ValueError``
+    for an index outside ``0..count_free_configurations - 1``.
     """
     config = dict(evidence or {})
     stride = count_free_configurations(network, config)
+    if not 0 <= index < stride:
+        raise ValueError(f"index {index} is outside the {stride} configurations")
     for var in free_variables(network, config):
         stride //= var.cardinality
         config[var.index] = (index // stride) % var.cardinality

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import types
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, NamedTuple, Sequence, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -106,6 +106,33 @@ class Violation:
     message: str
 
 
+#: Kinds of node in ``_Tables.kind``.
+_LEAF, _SUM, _PRODUCT = 0, 1, 2
+
+
+class _Tables(NamedTuple):
+    """A network's nodes as flat tables, one entry per node in storage order.
+
+    Entry ``i``'s children are the entries
+    ``child_index[child_offset[i]:child_offset[i + 1]]`` in their stored
+    order, and its parameters, a leaf's probabilities or a sum's weights,
+    are ``params[param_offset[i]:param_offset[i + 1]]``.
+    """
+
+    ids: list[int]  # node id of each entry
+    kind: list[int]  # _LEAF, _SUM or _PRODUCT
+    child_offset: list[int]
+    child_index: list[int]
+    variable: list[int]  # per leaf; -1 elsewhere
+    param_offset: list[int]
+    params: list[float]
+
+
+def _csr(rows: Sequence[Sequence]) -> tuple[list[int], list]:
+    """Offsets and concatenated values of ``rows``, as ``_Tables`` stores them."""
+    return [0, *itertools.accumulate(map(len, rows))], [*itertools.chain.from_iterable(rows)]
+
+
 class _Compiled(NamedTuple):
     """A network indexed by position, children first.
 
@@ -132,6 +159,32 @@ class _Compiled(NamedTuple):
     invalid: int | None  # id of the first node with a negative or non-finite parameter
 
 
+class _NodeView(Mapping):
+    """Read-only view of a network's nodes by id; each lookup builds its node."""
+
+    __slots__ = ("_tables", "_entry")
+
+    def __init__(self, tables: _Tables, entry: dict[int, int]) -> None:
+        self._tables, self._entry = tables, entry
+
+    def __getitem__(self, node_id: int) -> Node:
+        t, e = self._tables, self._entry[node_id]
+        params = t.params[t.param_offset[e] : t.param_offset[e + 1]]
+        if t.kind[e] == _LEAF:
+            return LeafNode(t.variable[e], params)
+        kids = map(t.ids.__getitem__, t.child_index[t.child_offset[e] : t.child_offset[e + 1]])
+        return SumNode(tuple(kids), params) if t.kind[e] == _SUM else ProductNode(tuple(kids))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tables.ids)
+
+    def __len__(self) -> int:
+        return len(self._tables.ids)
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._entry
+
+
 class Network:
     """Immutable rooted DAG of sum, product, and leaf nodes.
 
@@ -145,8 +198,9 @@ class Network:
     variables:
         The variables of the network; indices must be exactly ``0..n-1``.
 
-    Construction renormalizes sum weights that are within ``1e-6`` of a
-    proper convex combination.  The nodes are numbered and tabulated on
+    The nodes are stored as flat tables (``_Tables``), in the mapping's
+    order.  Construction renormalizes sum weights that are within ``1e-6``
+    of a proper convex combination.  The nodes are numbered and tabulated on
     first use.  Cyclic graphs are constructible (so ``validate`` can report
     them) but refuse traversal-based queries.
     """
@@ -170,6 +224,7 @@ class Network:
             raise ValueError("network needs at least one variable")
         card = {v.index: v.cardinality for v in ordered_vars}
 
+        rows = []  # each node's kind, variable, children and parameters
         for nid, node in store.items():
             for child in node.children:
                 if child not in store:
@@ -182,33 +237,59 @@ class Network:
                         f"leaf {nid} has {len(node.distribution)} probabilities for "
                         f"variable {node.variable} of cardinality {card[node.variable]}"
                     )
+                rows.append((_LEAF, node.variable, (), node.distribution))
             elif isinstance(node, SumNode):
-                total = math.fsum(node.weights)
-                if (
-                    all(w >= 0 for w in node.weights)
-                    and total != 1.0
-                    and abs(total - 1.0) <= WEIGHT_TOLERANCE
-                ):
-                    weights = [w / total for w in node.weights]
-                    # Step the largest weight by ulps until the total is exactly 1,
-                    # so a network built from these weights (as by a serialize-parse
-                    # round trip) keeps them.  A step moves the total by at most
-                    # 2**-53, less than the span that rounds to 1, so it stops.
-                    j = weights.index(max(weights))
-                    while (total := math.fsum(weights)) != 1.0:
-                        weights[j] = math.nextafter(weights[j], 2.0 if total < 1.0 else 0.0)
-                    store[nid] = SumNode(node.children, tuple(weights))
+                rows.append((_SUM, -1, node.children, node.weights))
+            else:
+                rows.append((_PRODUCT, -1, node.children, ()))
+        kind, variable, children, params = map(list, zip(*rows))
+        tables = _Tables(list(store), kind, *_csr(children), variable, *_csr(params))
+        self._adopt(tables, int(root), ordered_vars)
+        # The children were stored as ids; ``_adopt`` gave each id its entry.
+        tables.child_index[:] = map(self._entry.__getitem__, tables.child_index)
 
-        self._nodes = store
-        self._root = int(root)
-        self._variables = ordered_vars
-        self._cardinalities = card
+    @classmethod
+    def _from_tables(cls, tables: _Tables, root: int, variables: list[Variable]) -> Network:
+        """A network that takes over ``tables`` unchecked; ``variables`` are in index order."""
+        network = cls.__new__(cls)
+        network._adopt(tables, root, tuple(variables))
+        return network
+
+    def _adopt(self, tables: _Tables, root: int, variables: tuple[Variable, ...]) -> None:
+        """Keep ``tables`` as the nodes, renormalizing sum weights in place."""
+        offset, params = tables.param_offset, tables.params
+        for e in itertools.compress(range(len(tables.kind)), map(_SUM.__eq__, tables.kind)):
+            weights = params[offset[e] : offset[e + 1]]
+            total = math.fsum(weights)
+            near_one = total != 1.0 and abs(total - 1.0) <= WEIGHT_TOLERANCE
+            if near_one and all(w >= 0 for w in weights):
+                weights = [w / total for w in weights]
+                # Step the largest weight by ulps until the total is exactly 1,
+                # so a network built from these weights (as by a serialize-parse
+                # round trip) keeps them.  A step moves the total by at most
+                # 2**-53, less than the span that rounds to 1, so it stops.
+                j = weights.index(max(weights))
+                while (total := math.fsum(weights)) != 1.0:
+                    weights[j] = math.nextafter(weights[j], 2.0 if total < 1.0 else 0.0)
+                params[offset[e] : offset[e + 1]] = weights
+        self._tables = tables
+        ids, entries = tables.ids, range(len(tables.ids))
+        self._entry = dict(zip(ids, entries))  # entry of each id
+        # The entries in increasing id order; ids are distinct.
+        self._by_id = entries if ids == sorted(ids) else sorted(entries, key=ids.__getitem__)
+        self._root = root
+        self._variables = variables
+        self._cardinalities = {v.index: v.cardinality for v in variables}
         self._record: _Compiled | None = None
 
     @property
     def nodes(self) -> Mapping[int, Node]:
-        """Read-only view of the nodes by id; bind it once in a loop over nodes."""
-        return types.MappingProxyType(self._nodes)
+        """Read-only view of the nodes by id.
+
+        Each lookup builds its node from the tables, so bind a node once
+        rather than looking it up again in a loop.
+        """
+        return _NodeView(self._tables, self._entry)
 
     @property
     def root(self) -> int:
@@ -227,7 +308,7 @@ class Network:
 
     @property
     def arc_count(self) -> int:
-        return sum(len(node.children) for node in self._nodes.values())
+        return len(self._tables.child_index)
 
     def topological_order(self) -> tuple[int, ...]:
         """All node ids, children before parents."""
@@ -235,7 +316,7 @@ class Network:
 
     def scope(self, node_id: int) -> frozenset[int]:
         """Variable indices reachable below ``node_id``."""
-        if node_id not in self._nodes:
+        if node_id not in self._entry:
             raise KeyError(f"unknown node id {node_id}")
         compiled = self._compiled
         return compiled.scopes[compiled.position[node_id]]
@@ -249,58 +330,75 @@ class Network:
         """
         if self._record is not None:
             return self._record
-        nodes = self._nodes
-        position: dict = {}
-        on_path: set[int] = set()
+        ids, _, child_offset, child_index, table_variable, param_offset, params = self._tables
+        n = len(ids)
+        # Per entry: -1 before the walk reaches it, -2 on its path, 0 once
+        # numbered.  Entry ``n`` is a bottom frame whose children are all entries.
+        state = [-1] * (n + 1)
+        order: list[int] = []  # entries in numbering order
         cycle = None
-        stack = [(None, iter(sorted(nodes)))]  # a bottom frame whose children are all ids
+        stack = [(n, iter(self._by_id))]
         while stack:
-            nid, kids = stack[-1]
-            child = next(kids, None)
-            if child is None:
+            e, kids = stack[-1]
+            for child in kids:
+                if (seen := state[child]) == -1:
+                    if table_variable[child] >= 0:  # a leaf is numbered at once
+                        state[child] = 0
+                        order.append(child)
+                        continue
+                    state[child] = -2
+                    below = child_index[child_offset[child] : child_offset[child + 1]]
+                    stack.append((child, iter(below)))
+                    break
+                if seen == -2 and cycle is None:
+                    cycle = ids[child]
+            else:
                 stack.pop()
-                on_path.discard(nid)
-                position[nid] = len(position)
-            elif child in on_path:
-                if cycle is None:
-                    cycle = child
-            elif child not in position:
-                on_path.add(child)
-                stack.append((child, iter(nodes[child].children)))
-        del position[None]  # the bottom frame finishes last
+                state[e] = 0
+                order.append(e)
+        order.pop()  # the bottom frame finishes last
 
-        order = tuple(position)  # numbering order: dicts keep insertion order
-        children: list[tuple[int, ...]] = [()] * len(order)
-        scopes: list[frozenset[int]] = [frozenset()] * len(order)
+        position_of = state  # reused: the position of each entry
+        position: dict[int, int] = {}  # and of each id, in numbering order
+        for pos, e in enumerate(order):
+            position_of[e] = position[ids[e]] = pos
+        kid_position = list(map(position_of.__getitem__, child_index))
+        variable = list(map(table_variable.__getitem__, order))
+        empty: frozenset[int] = frozenset()
         singletons = [frozenset((v.index,)) for v in self._variables]
-        log_weights: list[tuple[float, ...] | None] = [None] * len(order)
-        variable = [-1] * len(order)
-        best = [-1] * len(order)
-        params: list[tuple[float, ...]] = []
-        internal: list[int] = []
-        for pos, nid in enumerate(order):
-            node = nodes[nid]
-            if isinstance(node, LeafNode):
-                scopes[pos] = singletons[node.variable]
-                variable[pos] = node.variable
-                best[pos] = node.distribution.index(max(node.distribution))
-                params.append(node.distribution)
-                continue
-            internal.append(pos)
-            children[pos] = kids = tuple(map(position.__getitem__, node.children))
-            scopes[pos] = frozenset().union(*map(scopes.__getitem__, kids))
-            params.append(node.weights if isinstance(node, SumNode) else ())
-        offset = [0, *itertools.accumulate(map(len, params))]
-        flat = np.fromiter(itertools.chain.from_iterable(params), float, offset[-1])
+        scopes = [singletons[var] if var >= 0 else empty for var in variable]
+        children: list[tuple[int, ...]] = [()] * n
+        internal = [pos for pos, var in enumerate(variable) if var < 0]
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct scope
+        for pos in internal:
+            e = order[pos]
+            children[pos] = kids = tuple(kid_position[child_offset[e] : child_offset[e + 1]])
+            scope = empty.union(*map(scopes.__getitem__, kids))
+            scopes[pos] = shared.setdefault(scope, scope)
+        # The parameters in position order, and each leaf's first most probable category.
+        table_offset, rows = np.array(param_offset), np.array(order)
+        lengths = table_offset[rows + 1] - table_offset[rows]
+        offset = [0, *itertools.accumulate(lengths.tolist())]
+        starts = np.array(offset[:-1])
+        within = np.arange(offset[-1]) - np.repeat(starts, lengths)
+        flat = np.array(params, dtype=float)[np.repeat(table_offset[rows], lengths) + within]
+        nonempty = np.flatnonzero(lengths)
+        peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
+        best_array = np.full(n, -1)
+        first = np.where(flat == peak, within, offset[-1])  # a row's index of its peak
+        best_array[nonempty] = np.minimum.reduceat(first, starts[nonempty])
+        best = np.where(np.array(variable) >= 0, best_array, -1).tolist()
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         log_list = log_table.tolist()
+        order_ids = tuple(position)
         bad = np.flatnonzero((flat < 0) | ~np.isfinite(flat))
-        invalid = order[np.searchsorted(offset, bad[0], "right") - 1] if len(bad) else None
+        invalid = order_ids[np.searchsorted(offset, bad[0], "right") - 1] if len(bad) else None
+        log_weights: list[tuple[float, ...] | None] = [None] * n
         for pos in internal:
             if offset[pos] < offset[pos + 1]:  # sums have weights, products none
                 log_weights[pos] = tuple(log_list[offset[pos] : offset[pos + 1]])
         self._record = _Compiled(
-            order, position, position[self._root], internal, children, scopes,
+            order_ids, position, position[self._root], internal, children, scopes,
             log_weights, variable, best, offset, log_table, log_list, cycle, invalid,
         )
         return self._record
@@ -360,55 +458,52 @@ def validate(network: Network) -> list[Violation]:
     decomposability of product nodes, and root scope coverage.
     """
     violations: list[Violation] = []
-    nodes = network.nodes
-
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            if any(p < 0 for p in node.distribution):
-                violations.append(Violation(nid, "distribution", "negative probability"))
-            else:
-                total = math.fsum(node.distribution)
-                if not abs(total - 1.0) <= LEAF_TOLERANCE:  # NaN fails this test
-                    violations.append(
-                        Violation(nid, "distribution", f"probabilities sum to {total!r}")
-                    )
-        elif isinstance(node, SumNode):
-            if any(w < 0 for w in node.weights):
-                violations.append(Violation(nid, "normalization", "negative weight"))
-            else:
-                total = math.fsum(node.weights)
-                if not abs(total - 1.0) <= WEIGHT_TOLERANCE:  # NaN fails this test
-                    violations.append(
-                        Violation(nid, "normalization", f"weights sum to {total!r}")
-                    )
+    ids, kind, _, _, _, param_offset, params = network._tables
+    by_id = network._by_id
+    # Per kind: the check, one parameter, several, and the tolerance on their total.
+    rules = {
+        _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
+        _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
+    }
+    owner = np.repeat(np.arange(len(ids)), np.diff(param_offset))
+    negative = set(owner[np.array(params) < 0].tolist())
+    for e in by_id:
+        if kind[e] == _PRODUCT:
+            continue
+        check, one, several, tolerance = rules[kind[e]]
+        if e in negative:
+            violations.append(Violation(ids[e], check, f"negative {one}"))
+            continue
+        total = math.fsum(params[param_offset[e] : param_offset[e + 1]])
+        if not abs(total - 1.0) <= tolerance:  # NaN fails this test
+            violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
     record = network._numbering()
     position, children, scopes = record.position, record.children, record.scopes
     reachable = _below(children, record.root, {})
-    for nid in sorted(nodes):
-        if position[nid] not in reachable:
-            violations.append(Violation(nid, "unreachable", "not reachable from the root"))
+    if len(reachable) < len(ids):
+        for nid in map(ids.__getitem__, by_id):
+            if position[nid] not in reachable:
+                violations.append(Violation(nid, "unreachable", "not reachable from the root"))
 
     if record.cycle is not None:
         violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
         return violations
 
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        kids = children[position[nid]]
-        if isinstance(node, SumNode):
+    for e in by_id:
+        if kind[e] == _SUM:
+            kids = children[position[ids[e]]]
             if len({scopes[kid] for kid in kids}) > 1:
                 violations.append(
-                    Violation(nid, "completeness", "children have differing scopes")
+                    Violation(ids[e], "completeness", "children have differing scopes")
                 )
-        elif isinstance(node, ProductNode):
+        elif kind[e] == _PRODUCT:
             seen: set[int] = set()
-            for kid in kids:
+            for kid in children[position[ids[e]]]:
                 child_scope = scopes[kid]
                 if seen & child_scope:
                     violations.append(
-                        Violation(nid, "decomposability", "children share scope variables")
+                        Violation(ids[e], "decomposability", "children share scope variables")
                     )
                     break
                 seen |= child_scope
@@ -434,27 +529,17 @@ class NetworkStats:
 
 def network_stats(network: Network) -> NetworkStats:
     """Counts, height (arcs from root to deepest leaf), and sum out-degrees."""
-    nodes = network.nodes
-    sums = products = leaves = 0
-    degrees: list[int] = []
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, SumNode):
-            sums += 1
-            degrees.append(len(node.children))
-        elif isinstance(node, ProductNode):
-            products += 1
-        else:
-            leaves += 1
+    _, kind, offset, *_ = network._tables
+    degrees = [offset[e + 1] - offset[e] for e in network._by_id if kind[e] == _SUM]
     compiled = network._compiled
     heights: list[int] = []
     for kids in compiled.children:
         heights.append(1 + max(map(heights.__getitem__, kids)) if kids else 0)
     return NetworkStats(
-        node_count=len(nodes),
-        sum_count=sums,
-        product_count=products,
-        leaf_count=leaves,
+        node_count=len(kind),
+        sum_count=len(degrees),
+        product_count=kind.count(_PRODUCT),
+        leaf_count=kind.count(_LEAF),
         height=heights[compiled.root],
         sum_out_degrees=tuple(degrees),
     )

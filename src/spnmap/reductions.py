@@ -14,9 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .network import LeafNode, Network, Node, ProductNode, SumNode, Variable
+import numpy as np
+
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _csr, _Tables
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,17 @@ def _pinned_mixture(
     and uniform elsewhere.
     """
     pinned = ((1.0, 0.0), (0.0, 1.0))
-    nodes: dict[int, Node] = {}
     product_ids = range(1, len(pins) * (n + 1), n + 1)
+    # Each node's entry in the tables is its id.
+    kind = [_SUM, *[_PRODUCT, *[_LEAF] * n] * len(pins)]
+    variable = [-1, *[-1, *range(n)] * len(pins)]
+    children: list[Sequence[int]] = [product_ids]
+    params: list[Sequence[float]] = [weights]
     for product_id, pin in zip(product_ids, pins):
-        leaf_ids = range(product_id + 1, product_id + 1 + n)
-        for j, leaf_id in enumerate(leaf_ids):
-            nodes[leaf_id] = LeafNode(j, pinned[pin[j]] if j in pin else (0.5, 0.5))
-        nodes[product_id] = ProductNode(tuple(leaf_ids))
-    nodes[0] = SumNode(tuple(product_ids), tuple(weights))
-    return Network(nodes, 0, [Variable(j, 2) for j in range(n)])
+        children += [range(product_id + 1, product_id + 1 + n), *[()] * n]
+        params += [(), *(pinned[pin[j]] if j in pin else (0.5, 0.5) for j in range(n))]
+    tables = _Tables(list(range(len(kind))), kind, *_csr(children), variable, *_csr(params))
+    return Network._from_tables(tables, 0, [Variable(j, 2) for j in range(n)])
 
 
 def mis_to_spn(graph: Graph) -> ReductionResult:
@@ -191,38 +195,36 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     if q == 1:
         return result
     base = result.network
-    base_nodes = base.nodes
-    base_ids = sorted(base_nodes)
-    dense = {nid: k for k, nid in enumerate(base_ids)}
-    size = len(base_ids)
-    n = len(base.variables)
-
-    nodes: dict[int, Node] = {}
-    copy_roots = []
-    for t in range(q):
-        offset = 1 + t * size
-        for nid in base_ids:
-            node = base_nodes[nid]
-            if isinstance(node, LeafNode):
-                replacement: Node = LeafNode(t * n + node.variable, node.distribution)
-            elif isinstance(node, SumNode):
-                replacement = SumNode(
-                    tuple(offset + dense[c] for c in node.children), node.weights
-                )
-            else:
-                replacement = ProductNode(
-                    tuple(offset + dense[c] for c in node.children)
-                )
-            nodes[offset + dense[nid]] = replacement
-        copy_roots.append(offset + dense[base.root])
-    nodes[0] = ProductNode(tuple(copy_roots))
-
+    ids, kind, kid_offset, kid_index, variable, param_offset, params = base._tables
+    size, n = len(ids), len(base.variables)
+    by_id = base._by_id
+    rank = {e: r for r, e in enumerate(by_id)}
+    # One copy's rows in id order, with children as ranks.
+    kids = [[rank[k] for k in kid_index[kid_offset[e] : kid_offset[e + 1]]] for e in by_id]
+    rows = [params[param_offset[e] : param_offset[e + 1]] for e in by_id]
+    kid_counts, param_counts = list(map(len, kids)), list(map(len, rows))
+    base_variable = np.array([variable[e] for e in by_id])
+    # Entry 0 is the root product over the copies.  Copy t's entries follow
+    # in id order from 1 + t * size, and each entry's id is its index.
+    copy = np.arange(q)[:, None]
+    amplified = _Tables(
+        list(range(1 + q * size)),
+        [_PRODUCT, *[kind[e] for e in by_id] * q],
+        list(itertools.accumulate([0, q, *kid_counts * q])),
+        [
+            *range(1 + rank[base._entry[base.root]], 1 + q * size, size),
+            *(1 + copy * size + np.array(_csr(kids)[1], dtype=np.intp)).ravel().tolist(),
+        ],
+        [-1, *np.where(base_variable >= 0, base_variable + copy * n, -1).ravel().tolist()],
+        list(itertools.accumulate([0, 0, *param_counts * q])),
+        list(itertools.chain.from_iterable(rows)) * q,
+    )
     variables = [
         Variable(t * n + v.index, v.cardinality)
         for t in range(q)
         for v in base.variables
     ]
-    network = Network(nodes, 0, variables)
+    network = Network._from_tables(amplified, 0, variables)
     metadata = dict(result.metadata)
     metadata["q"] = metadata.get("q", 1) * q
     return ReductionResult(network, result.normalizer**q, metadata)

@@ -28,7 +28,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, SumNode, _below
+from .network import _SUM, Network, _below
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -224,14 +224,14 @@ def approx_factor_bound(network: Network) -> DegreeBound:
     least one sum node; ``nodes + arcs`` is a lower bound on any reasonable
     encoding size.
     """
-    nodes = network.nodes
+    _, kinds, child_offset, *_ = network._tables
     degrees = [
-        len(node.children)
-        for node in nodes.values()
-        if isinstance(node, SumNode)
+        child_offset[e + 1] - child_offset[e]
+        for e, kind in enumerate(kinds)
+        if kind == _SUM
     ]
     log2_product = sum(math.log2(d) for d in degrees)
-    size = len(nodes) + network.arc_count
+    size = len(kinds) + network.arc_count
     bound = DEGREE_BOUND_EXPONENT * size
     satisfied = log2_product < bound
     if degrees and not satisfied:

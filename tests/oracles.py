@@ -11,7 +11,7 @@ import itertools
 import math
 from typing import Iterator, Mapping
 
-from spnmap import CnfFormula, Graph, LeafNode, Network, ProductNode
+from spnmap import CnfFormula, Graph, LeafNode, Network, Node, ProductNode, SumNode
 
 
 def brute_value(
@@ -115,6 +115,31 @@ def argmax_candidate(
         return memo[nid]
 
     return candidate(network.root)
+
+
+def amplified_nodes(network: Network, q: int) -> dict[int, Node]:
+    """The nodes of ``q`` disjoint copies of ``network`` under product root 0, node by node.
+
+    Copy ``t`` gives the node of rank ``r`` among the network's ids the id
+    ``1 + t * size + r`` and renames variable ``k`` to ``t * n + k``.
+    """
+    base_ids = sorted(network.nodes)
+    rank = {nid: r for r, nid in enumerate(base_ids)}
+    size, n = len(base_ids), len(network.variables)
+    nodes: dict[int, Node] = {}
+    for t in range(q):
+        first = 1 + t * size
+        for nid in base_ids:
+            node = network.nodes[nid]
+            if isinstance(node, LeafNode):
+                copy: Node = LeafNode(t * n + node.variable, node.distribution)
+            elif isinstance(node, SumNode):
+                copy = SumNode(tuple(first + rank[c] for c in node.children), node.weights)
+            else:
+                copy = ProductNode(tuple(first + rank[c] for c in node.children))
+            nodes[first + rank[nid]] = copy
+    nodes[0] = ProductNode(tuple(1 + t * size + rank[network.root] for t in range(q)))
+    return nodes
 
 
 def brute_mis_size(graph: Graph) -> int:

@@ -14,6 +14,7 @@ from spnmap import (
     Network,
     ProductNode,
     SumNode,
+    Variable,
     batch_log_values,
     count_free_configurations,
     decode_configuration,
@@ -27,6 +28,12 @@ from spnmap.experiments import gap_network
 from spnmap.inference import free_variables
 from conftest import shared_leaf_dag
 from oracles import all_assignments, below, brute_marginal, brute_value
+
+
+def one_variable_mixture() -> Network:
+    """A sum over two leaves of variable 0."""
+    nodes = {0: SumNode((1, 2), (0.5, 0.5)), 1: LeafNode(0, (0.2, 0.8)), 2: LeafNode(0, (0.6, 0.4))}
+    return Network(nodes, 0, [Variable(0, 2)])
 
 
 def small_networks(count: int, max_vars: int = 6):
@@ -133,6 +140,14 @@ class TestBatchEvaluation:
         with pytest.raises(ValueError, match="column"):
             batch_log_values(mixture_net, 0, np.zeros((4, 3), dtype=np.intp))
 
+    def test_batch_rejects_categories_outside_the_variable(self):
+        net = one_variable_mixture()
+        for category in (-1, 2):
+            with pytest.raises(ValueError, match=f"category {category} to variable 0 of"):
+                batch_log_values(net, 0, np.array([[0], [category]]))
+        with pytest.raises(ValueError, match="integers"):
+            batch_log_values(net, 0, np.array([[0.0], [1.0]]))
+
     def test_batch_reads_only_scope_columns(self, mixture_net):
         # Node 4 ranges over variable 0 only; garbage in column 1 is ignored.
         cats = np.array([[0, 99], [1, 99]])
@@ -172,6 +187,13 @@ class TestEnumeration:
     def test_decode_respects_evidence(self, mixture_net):
         assert decode_configuration(mixture_net, {0: 1}, 0) == {0: 1, 1: 0}
         assert decode_configuration(mixture_net, {0: 1}, 1) == {0: 1, 1: 1}
+
+    def test_decode_rejects_indices_outside_the_enumeration(self, mixture_net):
+        for index in (5, -1):
+            with pytest.raises(ValueError, match="outside the 2 configurations"):
+                decode_configuration(one_variable_mixture(), {}, index)
+        with pytest.raises(ValueError, match="outside the 2 configurations"):
+            decode_configuration(mixture_net, {0: 1}, 2)
 
     def test_chunks_enumerate_every_assignment_in_order(self, monkeypatch):
         monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", 3)

@@ -17,6 +17,8 @@ from spnmap import (
     evaluate,
     max_product,
     network_stats,
+    parse_spn,
+    serialize_spn,
     validate,
 )
 from conftest import mixture_nodes
@@ -191,9 +193,11 @@ class TestTraversal:
 
     def test_reachable_from(self, mixture_net):
         assert validate(mixture_net) == []
-        report = validate(Network.from_nodes(mixture_nodes(), 3))
+        net = Network.from_nodes(mixture_nodes(), 3)
+        report = validate(net)
         unreachable = [n for n in range(8) if n not in {3, 5, 7}]
         assert [(v.node_id, v.kind) for v in report] == [(n, "unreachable") for n in unreachable]
+        assert validate(parse_spn(serialize_spn(net))) == report
 
 
 class TestValidate:
@@ -227,8 +231,10 @@ class TestValidate:
     def test_unreachable_node(self):
         nodes = dict(mixture_nodes())
         nodes[8] = LeafNode(0, (0.5, 0.5))
-        report = validate(Network.from_nodes(nodes, 0))
+        net = Network.from_nodes(nodes, 0)
+        report = validate(net)
         assert [(v.node_id, v.kind) for v in report] == [(8, "unreachable")]
+        assert validate(parse_spn(serialize_spn(net))) == report
 
     def test_cycle_is_reported_and_cuts_scope_checks(self):
         nodes = {
@@ -236,8 +242,10 @@ class TestValidate:
             1: ProductNode((0,)),
             2: LeafNode(0, (0.5, 0.5)),
         }
-        report = validate(Network(nodes, 0, [Variable(0, 2)]))
+        net = Network(nodes, 0, [Variable(0, 2)])
+        report = validate(net)
         assert [v.kind for v in report] == ["unreachable", "cycle"]
+        assert validate(parse_spn(serialize_spn(net))) == report
 
     def test_cycle_below_the_root_beside_an_unreachable_node(self):
         # The walk meets the cycle 1 -> 2 -> 1 from node 1, before the root,
@@ -249,11 +257,18 @@ class TestValidate:
             3: LeafNode(0, (0.5, 0.5)),
             4: ProductNode((2,)),
         }
-        report = validate(Network(nodes, 4, [Variable(0, 2)]))
+        net = Network(nodes, 4, [Variable(0, 2)])
+        report = validate(net)
         assert report == [
             Violation(0, "unreachable", "not reachable from the root"),
             Violation(1, "cycle", "node lies on a directed cycle"),
         ]
+        text = serialize_spn(net)
+        assert validate(parse_spn(text)) == report
+        # The same document with its nodes declared in decreasing id order.
+        lines = text.splitlines()  # the header, five node lines, edges, root
+        decreasing = [lines[0], *reversed(lines[1:6]), *lines[6:]]
+        assert validate(parse_spn("\n".join(decreasing))) == report
 
     def test_incomplete_sum(self):
         nodes = {

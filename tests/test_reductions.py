@@ -11,9 +11,11 @@ from spnmap import (
     CnfFormula,
     Graph,
     LeafNode,
+    Network,
     ProductNode,
     ReductionResult,
     SumNode,
+    Variable,
     amplification_q,
     amplify,
     cnf_to_spn,
@@ -22,10 +24,13 @@ from spnmap import (
     mis_decision_threshold,
     mis_to_spn,
     network_stats,
+    parse_spn,
     random_graph,
+    serialize_spn,
     validate,
 )
-from oracles import all_assignments, brute_mis_size, brute_sat
+from spnmap.experiments import gap_fragment
+from oracles import all_assignments, amplified_nodes, brute_mis_size, brute_sat
 
 
 def random_formula(n: int, m: int, seed: int) -> CnfFormula:
@@ -340,8 +345,6 @@ class TestAmplification:
             assert best.value.log == pytest.approx(q * base_best.value.log, rel=1e-9)
 
     def test_amplified_gap_fragment_value(self):
-        from spnmap.experiments import gap_fragment
-
         amped = amplify(gap_fragment(), 3)
         best = exact_map(amped.network)
         assert best.value.linear == pytest.approx((11 / 16) ** 3, rel=1e-12)
@@ -355,3 +358,25 @@ class TestAmplification:
         for t in range(2):
             for k in range(n):
                 assert doubled_config[t * n + k] == base_config[k]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("base", ["mis", "cnf", "gap", "sparse_ids", "sparse_ids_root_last"])
+    def test_tiling_matches_a_copy_by_copy_build(self, base, q, diamond_graph, two_clause_formula):
+        sparse = {  # ids 3 and 7 only, declared out of id order or with the root last
+            "sparse_ids": "spn 2\nnode 7 prod\nnode 3 leaf 0 0.5 0.5\nedge 7 3\nroot 7\n",
+            "sparse_ids_root_last": "spn 2\nnode 3 leaf 0 0.5 0.5\nnode 7 prod\nedge 7 3\nroot 7\n",
+        }
+        result = {
+            "mis": lambda: mis_to_spn(diamond_graph),
+            "cnf": lambda: cnf_to_spn(two_clause_formula),
+            "gap": gap_fragment,
+        }.get(base, lambda: ReductionResult(parse_spn(sparse[base]), Fraction(1)))()
+        amplified = amplify(result, q).network
+        base_vars = result.network.variables
+        variables = [Variable(t * len(base_vars) + v.index, v.cardinality) for t in range(q) for v in base_vars]
+        expected = Network(amplified_nodes(result.network, q), 0, variables)
+        assert amplified.nodes == expected.nodes
+        assert amplified.root == expected.root == 0
+        assert amplified.variables == expected.variables
+        assert serialize_spn(amplified) == serialize_spn(expected)
+        assert amplified.topological_order() == expected.topological_order()
