@@ -51,35 +51,35 @@ def _upward(
     reduce: Callable[[list], object],
     internal: Iterable[int] | None = None,
 ) -> dict:
-    """Complete ``vals``, given leaf log values by compiled position.
+    """Complete ``vals``, given leaf log values by table entry.
 
-    Visits the increasing positions ``internal`` (default: every sum and
+    Visits the entries ``internal``, children first (default: every sum and
     product).  A product adds its children's values; a sum passes its
     weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
     max-product.  Values are floats for one assignment, rows for a batch.
     """
     compiled = network._compiled
     children, log_weights = compiled.children, compiled.log_weights
-    for pos in compiled.internal if internal is None else internal:
-        kids = children[pos]
-        weights = log_weights[pos]
+    for e in compiled.internal if internal is None else internal:
+        kids = children[e]
+        weights = log_weights[e]
         if weights is None:
             acc = vals[kids[0]]
             for kid in kids[1:]:
                 acc = acc + vals[kid]
-            vals[pos] = acc
+            vals[e] = acc
         else:
-            vals[pos] = reduce([w + vals[kid] for w, kid in zip(weights, kids)])
+            vals[e] = reduce([w + vals[kid] for w, kid in zip(weights, kids)])
     return vals
 
 
 def _sum_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
-    """Log value at each position with unobserved leaves marginalized to 1."""
+    """Log value at each entry with unobserved leaves marginalized to 1."""
     compiled = network._compiled
     variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
     vals = {
-        pos: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[pos] + cat]
-        for pos, var in enumerate(variable)
+        e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
+        for e, var in enumerate(variable)
         if var >= 0
     }
     return _upward(network, vals, logsumexp)
@@ -100,23 +100,23 @@ def evaluate_marginal(
     return Probability(_sum_pass(network, evidence)[network._compiled.root])
 
 
-def _batch_upward(network: Network, pos: int, columns) -> np.ndarray:
-    """Log value of position ``pos`` for each row of a batch.
+def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
+    """Log value of table entry ``entry`` for each row of a batch.
 
     ``columns[var]`` holds one category per row for each variable in the
-    position's scope.  Only the position's sub-DAG is evaluated.
+    entry's scope.  Only the entry's sub-DAG is evaluated.
     """
     compiled = network._compiled
     variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
     children = compiled.children
-    sub_dag = _below(children, pos, {})
+    sub_dag = _below(children, entry, {})
     vals = {
-        p: log_table[offset[p] : offset[p + 1]][columns[variable[p]]]
-        for p in sub_dag
-        if not children[p]
+        e: log_table[offset[e] : offset[e + 1]][columns[variable[e]]]
+        for e in sub_dag
+        if not children[e]
     }
-    internal = sorted(p for p in sub_dag if children[p])
-    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[pos]
+    internal = sorted((e for e in sub_dag if children[e]), key=compiled.rank.__getitem__)
+    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
 
 
 def batch_log_values(
@@ -133,12 +133,12 @@ def batch_log_values(
     if not np.issubdtype(categories.dtype, np.integer):
         raise ValueError(f"categories must be integers, got {categories.dtype}")
     columns = np.ascontiguousarray(categories.T)
-    pos = network._compiled.position[node_id]
+    scope = network.scope(node_id)
     if len(categories):  # the extremes of each scope column must be categories
-        for var in sorted(network._compiled.scopes[pos]):
+        for var in sorted(scope):
             for cat in (columns[var].min(), columns[var].max()):
                 check_evidence(network, {var: int(cat)})
-    return _batch_upward(network, pos, columns)
+    return _batch_upward(network, network._entry[node_id], columns)
 
 
 def free_variables(

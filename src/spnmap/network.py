@@ -134,25 +134,25 @@ def _csr(rows: Sequence[Sequence]) -> tuple[list[int], list]:
 
 
 class _Compiled(NamedTuple):
-    """A network indexed by position, children first.
+    """A network's passes, indexed by table entry and visited children first.
 
-    Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Position
-    ``i``'s entries, a leaf's categories or a sum's weights, are
-    ``log_table[offset[i]:offset[i + 1]]``.  A cyclic network is numbered
+    Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Entry
+    ``e``'s parameters, a leaf's categories or a sum's weights, are
+    ``log_table[offset[e]:offset[e + 1]]``.  A cyclic network is numbered
     too, skipping edges back to a node on the walk's path; its scopes are
     partial, and only ``validate`` and ``is_acyclic`` read its record.
     """
 
-    order: tuple[int, ...]  # node id at each position
-    position: dict[int, int]  # position of each node id
-    root: int  # position of the root
-    internal: list[int]  # positions of sums and products, increasing
-    children: list[tuple[int, ...]]  # child positions; empty for leaves
-    scopes: list[frozenset[int]]  # variables below each position
+    order: list[int]  # every entry, children first
+    rank: list[int]  # index of each entry in ``order``
+    root: int  # entry of the root
+    internal: list[int]  # entries of sums and products, children first
+    children: list[tuple[int, ...]]  # child entries; empty for leaves
+    scopes: list[frozenset[int]]  # variables below each entry
     log_weights: list[tuple[float, ...] | None]  # per sum; None elsewhere
-    variable: list[int]  # per leaf; -1 elsewhere
+    variable: list[int]  # the tables' list: per leaf; -1 elsewhere
     best: list[int]  # per leaf: most probable category, lowest on ties
-    offset: list[int]
+    offset: list[int]  # the tables' parameter offsets
     log_table: np.ndarray
     log_list: list[float]  # ``log_table`` as Python floats, for scalar passes
     cycle: int | None  # id of the first node found on a cycle
@@ -312,17 +312,16 @@ class Network:
 
     def topological_order(self) -> tuple[int, ...]:
         """All node ids, children before parents."""
-        return self._compiled.order
+        return tuple(map(self._tables.ids.__getitem__, self._compiled.order))
 
     def scope(self, node_id: int) -> frozenset[int]:
         """Variable indices reachable below ``node_id``."""
         if node_id not in self._entry:
             raise KeyError(f"unknown node id {node_id}")
-        compiled = self._compiled
-        return compiled.scopes[compiled.position[node_id]]
+        return self._compiled.scopes[self._entry[node_id]]
 
     def _numbering(self) -> _Compiled:
-        """Number the nodes children-first in one depth-first walk and tabulate them.
+        """Order the entries children first in one depth-first walk and tabulate them.
 
         The walk starts from each id not yet numbered, in increasing order.
         It skips each edge back to a node on its path and records the first
@@ -330,23 +329,23 @@ class Network:
         """
         if self._record is not None:
             return self._record
-        ids, _, child_offset, child_index, table_variable, param_offset, params = self._tables
+        ids, _, child_offset, child_index, variable, param_offset, params = self._tables
         n = len(ids)
-        # Per entry: -1 before the walk reaches it, -2 on its path, 0 once
-        # numbered.  Entry ``n`` is a bottom frame whose children are all entries.
-        state = [-1] * (n + 1)
+        # Per entry: -1 before the walk reaches it, -2 on its path, then its
+        # index in ``order``.  Entry ``n`` is a bottom frame whose children are all entries.
+        rank = [-1] * (n + 1)
         order: list[int] = []  # entries in numbering order
         cycle = None
         stack = [(n, iter(self._by_id))]
         while stack:
             e, kids = stack[-1]
             for child in kids:
-                if (seen := state[child]) == -1:
-                    if table_variable[child] >= 0:  # a leaf is numbered at once
-                        state[child] = 0
+                if (seen := rank[child]) == -1:
+                    if variable[child] >= 0:  # a leaf is numbered at once
+                        rank[child] = len(order)
                         order.append(child)
                         continue
-                    state[child] = -2
+                    rank[child] = -2
                     below = child_index[child_offset[child] : child_offset[child + 1]]
                     stack.append((child, iter(below)))
                     break
@@ -354,52 +353,44 @@ class Network:
                     cycle = ids[child]
             else:
                 stack.pop()
-                state[e] = 0
+                rank[e] = len(order)
                 order.append(e)
         order.pop()  # the bottom frame finishes last
+        rank.pop()
 
-        position_of = state  # reused: the position of each entry
-        position: dict[int, int] = {}  # and of each id, in numbering order
-        for pos, e in enumerate(order):
-            position_of[e] = position[ids[e]] = pos
-        kid_position = list(map(position_of.__getitem__, child_index))
-        variable = list(map(table_variable.__getitem__, order))
-        empty: frozenset[int] = frozenset()
-        singletons = [frozenset((v.index,)) for v in self._variables]
-        scopes = [singletons[var] if var >= 0 else empty for var in variable]
-        children: list[tuple[int, ...]] = [()] * n
-        internal = [pos for pos, var in enumerate(variable) if var < 0]
-        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct scope
-        for pos in internal:
-            e = order[pos]
-            children[pos] = kids = tuple(kid_position[child_offset[e] : child_offset[e + 1]])
-            scope = empty.union(*map(scopes.__getitem__, kids))
-            scopes[pos] = shared.setdefault(scope, scope)
-        # The parameters in position order, and each leaf's first most probable category.
-        table_offset, rows = np.array(param_offset), np.array(order)
-        lengths = table_offset[rows + 1] - table_offset[rows]
-        offset = [0, *itertools.accumulate(lengths.tolist())]
-        starts = np.array(offset[:-1])
-        within = np.arange(offset[-1]) - np.repeat(starts, lengths)
-        flat = np.array(params, dtype=float)[np.repeat(table_offset[rows], lengths) + within]
+        # Each leaf's first most probable category, and the parameters' logs.
+        flat, table_offset = np.array(params, dtype=float), np.array(param_offset)
+        lengths = np.diff(table_offset)
+        starts = table_offset[:-1]
+        within = np.arange(len(flat)) - np.repeat(starts, lengths)
         nonempty = np.flatnonzero(lengths)
         peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
         best_array = np.full(n, -1)
-        first = np.where(flat == peak, within, offset[-1])  # a row's index of its peak
+        first = np.where(flat == peak, within, len(flat))  # a row's index of its peak
         best_array[nonempty] = np.minimum.reduceat(first, starts[nonempty])
         best = np.where(np.array(variable) >= 0, best_array, -1).tolist()
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         log_list = log_table.tolist()
-        order_ids = tuple(position)
         bad = np.flatnonzero((flat < 0) | ~np.isfinite(flat))
-        invalid = order_ids[np.searchsorted(offset, bad[0], "right") - 1] if len(bad) else None
+        owners = (np.searchsorted(table_offset, bad, "right") - 1).tolist()
+        invalid = ids[min(owners, key=rank.__getitem__)] if owners else None
+
+        empty: frozenset[int] = frozenset()
+        singletons = [frozenset((v.index,)) for v in self._variables]
+        scopes = [singletons[var] if var >= 0 else empty for var in variable]
+        children: list[tuple[int, ...]] = [()] * n
         log_weights: list[tuple[float, ...] | None] = [None] * n
-        for pos in internal:
-            if offset[pos] < offset[pos + 1]:  # sums have weights, products none
-                log_weights[pos] = tuple(log_list[offset[pos] : offset[pos + 1]])
+        internal = [e for e in order if variable[e] < 0]
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct scope
+        for e in internal:
+            children[e] = kids = tuple(child_index[child_offset[e] : child_offset[e + 1]])
+            scope = empty.union(*map(scopes.__getitem__, kids))
+            scopes[e] = shared.setdefault(scope, scope)
+            if param_offset[e] < param_offset[e + 1]:  # sums have weights, products none
+                log_weights[e] = tuple(log_list[param_offset[e] : param_offset[e + 1]])
         self._record = _Compiled(
-            order_ids, position, position[self._root], internal, children, scopes,
-            log_weights, variable, best, offset, log_table, log_list, cycle, invalid,
+            order, rank, self._entry[self._root], internal, children, scopes, log_weights,
+            variable, best, param_offset, log_table, log_list, cycle, invalid,
         )
         return self._record
 
@@ -433,19 +424,19 @@ class Network:
 def _below(
     children: Sequence[tuple[int, ...]], start: int, choice: Mapping[int, int]
 ) -> dict[int, None]:
-    """Positions reachable from ``start``, each once, in depth-first order.
+    """Entries reachable from ``start``, each once, in depth-first order.
 
-    ``children`` holds each position's child positions.  A sum in ``choice``
+    ``children`` holds each entry's child entries.  A sum in ``choice``
     follows only its child of that index.
     """
     seen: dict[int, None] = {}
     stack = [start]
     while stack:
-        pos = stack.pop()
-        if pos not in seen:
-            seen[pos] = None
-            kids = children[pos]
-            stack.extend((kids[choice[pos]],) if pos in choice else kids)
+        e = stack.pop()
+        if e not in seen:
+            seen[e] = None
+            kids = children[e]
+            stack.extend((kids[choice[e]],) if e in choice else kids)
     return seen
 
 
@@ -479,12 +470,12 @@ def validate(network: Network) -> list[Violation]:
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
     record = network._numbering()
-    position, children, scopes = record.position, record.children, record.scopes
+    children, scopes = record.children, record.scopes
     reachable = _below(children, record.root, {})
     if len(reachable) < len(ids):
-        for nid in map(ids.__getitem__, by_id):
-            if position[nid] not in reachable:
-                violations.append(Violation(nid, "unreachable", "not reachable from the root"))
+        for e in by_id:
+            if e not in reachable:
+                violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
 
     if record.cycle is not None:
         violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
@@ -492,14 +483,13 @@ def validate(network: Network) -> list[Violation]:
 
     for e in by_id:
         if kind[e] == _SUM:
-            kids = children[position[ids[e]]]
-            if len({scopes[kid] for kid in kids}) > 1:
+            if len({scopes[kid] for kid in children[e]}) > 1:
                 violations.append(
                     Violation(ids[e], "completeness", "children have differing scopes")
                 )
         elif kind[e] == _PRODUCT:
             seen: set[int] = set()
-            for kid in children[position[ids[e]]]:
+            for kid in children[e]:
                 child_scope = scopes[kid]
                 if seen & child_scope:
                     violations.append(
@@ -532,9 +522,9 @@ def network_stats(network: Network) -> NetworkStats:
     _, kind, offset, *_ = network._tables
     degrees = [offset[e + 1] - offset[e] for e in network._by_id if kind[e] == _SUM]
     compiled = network._compiled
-    heights: list[int] = []
-    for kids in compiled.children:
-        heights.append(1 + max(map(heights.__getitem__, kids)) if kids else 0)
+    heights = [0] * len(kind)
+    for e in compiled.internal:
+        heights[e] = 1 + max(map(heights.__getitem__, compiled.children[e]))
     return NetworkStats(
         node_count=len(kind),
         sum_count=len(degrees),

@@ -62,21 +62,21 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict
 
     Free leaves take their most probable category.  The root value is
     ``LOG_ZERO`` exactly when the evidence has zero mass.  Also returns each
-    sum's choice, by position: the index of its first child reaching the max.
+    sum's choice, by table entry: the index of its first child reaching the max.
     """
     compiled = network._compiled
     variable, best = compiled.variable, compiled.best
     offset, log_list = compiled.offset, compiled.log_list
     vals = {
-        pos: log_list[offset[pos] + evidence.get(var, best[pos])]
-        for pos, var in enumerate(variable)
+        e: log_list[offset[e] + evidence.get(var, best[e])]
+        for e, var in enumerate(variable)
         if var >= 0
     }
     vals = _upward(network, vals, max)
     children = compiled.children
     choice = {
-        pos: [w + vals[kid] for w, kid in zip(weights, children[pos])].index(vals[pos])
-        for pos, weights in enumerate(compiled.log_weights)
+        e: [w + vals[kid] for w, kid in zip(weights, children[e])].index(vals[e])
+        for e, weights in enumerate(compiled.log_weights)
         if weights is not None
     }
     return vals, choice
@@ -85,7 +85,7 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict
 def _walk(
     network: Network, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
 ) -> dict[int, int]:
-    """Configuration of the tree that ``choice`` induces below position ``start``.
+    """Configuration of the tree that ``choice`` induces below table entry ``start``.
 
     Each leaf on the tree fixes its variable to the evidence or to its most
     probable category, unless a leaf visited earlier fixed it.
@@ -93,9 +93,9 @@ def _walk(
     compiled = network._compiled
     variable, best = compiled.variable, compiled.best
     config: dict[int, int] = {}
-    for pos in _below(compiled.children, start, choice):
-        if (var := variable[pos]) >= 0:
-            config.setdefault(var, evidence.get(var, best[pos]))
+    for e in _below(compiled.children, start, choice):
+        if (var := variable[e]) >= 0:
+            config.setdefault(var, evidence.get(var, best[e]))
     return config
 
 
@@ -139,16 +139,16 @@ def argmax_product(
     evidence = dict(evidence or {})
     compiled = network._compiled
     choice: dict[int, int] = {}
-    for pos in compiled.internal:  # increasing positions, so children come first
-        kids = compiled.children[pos]
-        if compiled.log_weights[pos] is None or len(kids) < 2:
+    for e in compiled.internal:  # children first, so their choices are made
+        kids = compiled.children[e]
+        if compiled.log_weights[e] is None or len(kids) < 2:
             continue
         candidates = [_walk(network, evidence, kid, choice) for kid in kids]
         # Candidates of an incomplete sum (an invalid network) can miss scope
         # variables; those read category 0.
-        scope = list(compiled.scopes[pos])
+        scope = list(compiled.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        choice[pos] = int(np.argmax(_batch_upward(network, pos, dict(zip(scope, rows)))))
+        choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
 
     config = _walk(network, evidence, compiled.root, choice)
     value = base.value if config == base.configuration else evaluate(network, config)

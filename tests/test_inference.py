@@ -139,6 +139,8 @@ class TestBatchEvaluation:
     def test_batch_rejects_wrong_width(self, mixture_net):
         with pytest.raises(ValueError, match="column"):
             batch_log_values(mixture_net, 0, np.zeros((4, 3), dtype=np.intp))
+        with pytest.raises(KeyError, match="unknown node id 99"):  # as ``scope`` says it
+            batch_log_values(mixture_net, 99, np.zeros((4, 2), dtype=np.intp))
 
     def test_batch_rejects_categories_outside_the_variable(self):
         net = one_variable_mixture()

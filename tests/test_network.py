@@ -167,6 +167,18 @@ class TestTraversal:
         for nid, node in mixture_net.nodes.items():
             for child in node.children:
                 assert position[child] < position[nid]
+        # The walk starts from the ids in increasing order, whatever order the
+        # nodes are stored in, and a pass leaves the stored order alone.
+        lines = serialize_spn(mixture_net).splitlines()
+        reversed_net = parse_spn("\n".join([lines[0], *reversed(lines[1:9]), *lines[9:]]))
+        for net, stored in (
+            (mixture_net, [0, 1, 2, 3, 4, 5, 6, 7]),
+            (reversed_net, [7, 6, 5, 4, 3, 2, 1, 0]),
+        ):
+            assert net.topological_order() == (4, 6, 1, 7, 2, 5, 3, 0)
+            assert list(net.nodes) == stored
+            max_product(net)
+            assert list(net.nodes) == stored
 
     def test_cycle_refuses_traversal(self):
         nodes = {

@@ -296,6 +296,7 @@ class TestInvalidNetworks:
             ((math.inf, 0.0), (0.5, 0.5)),
             ((0.5, 0.5), (-0.1, 1.1)),
             ((0.5, 0.5), (math.nan, 1.0)),
+            ((-0.5, 1.5), (-0.1, 1.1)),  # both bad: the leaf, first children first, is named
         ]
         for leaf, weights in cases:
             nodes = {
