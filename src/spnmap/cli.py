@@ -37,10 +37,6 @@ _ALGOS = {
 }
 
 
-class _InvalidNetwork(ValueError):
-    pass
-
-
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -55,7 +51,7 @@ def _load_valid_network(path: str) -> Network:
     if violations:
         for v in violations:
             print(f"violation {v.kind} node {v.node_id}: {v.message}", file=sys.stderr)
-        raise _InvalidNetwork(f"{path} failed validation with {len(violations)} violations")
+        raise ValueError(f"{path} failed validation with {len(violations)} violations")
     return network
 
 
@@ -262,10 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .logspace import Probability, logsumexp, logsumexp_rows
-from .network import Network, Variable, _below
+from .network import Network, Variable, _below, _Compiled
 
 #: Rows per batch when enumerating assignments.
 _CHUNK_SIZE = 1 << 14
@@ -46,7 +46,7 @@ def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
 
 
 def _upward(
-    network: Network,
+    compiled: _Compiled,
     vals: dict,
     reduce: Callable[[list], object],
     internal: Iterable[int] | None = None,
@@ -58,37 +58,36 @@ def _upward(
     weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
     max-product.  Values are floats for one assignment, rows for a batch.
     """
-    compiled = network._compiled
-    children, log_weights = compiled.children, compiled.log_weights
+    children, offset, log_list = compiled.children, compiled.offset, compiled.log_list
     for e in compiled.internal if internal is None else internal:
         kids = children[e]
-        weights = log_weights[e]
-        if weights is None:
+        start, stop = offset[e], offset[e + 1]
+        if start == stop:  # a product has no weights
             acc = vals[kids[0]]
             for kid in kids[1:]:
                 acc = acc + vals[kid]
             vals[e] = acc
         else:
-            vals[e] = reduce([w + vals[kid] for w, kid in zip(weights, kids)])
+            vals[e] = reduce([w + vals[kid] for w, kid in zip(log_list[start:stop], kids)])
     return vals
 
 
-def _sum_pass(network: Network, evidence: Mapping[int, int]) -> dict[int, float]:
+def _sum_pass(compiled: _Compiled, evidence: Mapping[int, int]) -> dict[int, float]:
     """Log value at each entry with unobserved leaves marginalized to 1."""
-    compiled = network._compiled
     variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    return _upward(network, vals, logsumexp)
+    return _upward(compiled, vals, logsumexp)
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
     """Probability of a total assignment."""
     check_assignment(network, assignment)
-    return Probability(_sum_pass(network, assignment)[network._compiled.root])
+    compiled = network._compiled
+    return Probability(_sum_pass(compiled, assignment)[compiled.root])
 
 
 def evaluate_marginal(
@@ -97,16 +96,16 @@ def evaluate_marginal(
     """Probability of partial evidence; empty evidence gives 1."""
     evidence = evidence or {}
     check_evidence(network, evidence)
-    return Probability(_sum_pass(network, evidence)[network._compiled.root])
+    compiled = network._compiled
+    return Probability(_sum_pass(compiled, evidence)[compiled.root])
 
 
-def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
+def _batch_upward(compiled: _Compiled, entry: int, columns) -> np.ndarray:
     """Log value of table entry ``entry`` for each row of a batch.
 
     ``columns[var]`` holds one category per row for each variable in the
     entry's scope.  Only the entry's sub-DAG is evaluated.
     """
-    compiled = network._compiled
     variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
     children = compiled.children
     sub_dag = _below(children, entry, {})
@@ -116,7 +115,7 @@ def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
         if not children[e]
     }
     internal = sorted((e for e in sub_dag if children[e]), key=compiled.rank.__getitem__)
-    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
+    return _upward(compiled, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
 
 
 def batch_log_values(
@@ -138,7 +137,7 @@ def batch_log_values(
         for var in sorted(scope):
             for cat in (columns[var].min(), columns[var].max()):
                 check_evidence(network, {var: int(cat)})
-    return _batch_upward(network, network._entry[node_id], columns)
+    return _batch_upward(network._compiled, network._entry[node_id], columns)
 
 
 def free_variables(
@@ -193,7 +192,7 @@ def enumerate_log_values(
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    root = network._compiled.root
+    compiled = network._compiled
     for start in range(0, total, _CHUNK_SIZE):
         idx = np.arange(start, min(start + _CHUNK_SIZE, total), dtype=np.int64)
         columns = {var: np.full(len(idx), cat, dtype=np.intp) for var, cat in evidence.items()}
@@ -201,7 +200,7 @@ def enumerate_log_values(
         for var in free:
             stride //= var.cardinality
             columns[var.index] = (idx // stride) % var.cardinality
-        yield start, _batch_upward(network, root, columns)
+        yield start, _batch_upward(compiled, compiled.root, columns)
 
 
 def log_partition(network: Network) -> float:

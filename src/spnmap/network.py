@@ -9,6 +9,7 @@ rather than raised, so that files under inspection can still be loaded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
@@ -138,9 +139,10 @@ class _Compiled(NamedTuple):
 
     Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Entry
     ``e``'s parameters, a leaf's categories or a sum's weights, are
-    ``log_table[offset[e]:offset[e + 1]]``.  A cyclic network is numbered
-    too, skipping edges back to a node on the walk's path; its scopes are
-    partial, and only ``validate`` and ``is_acyclic`` read its record.
+    ``log_table[offset[e]:offset[e + 1]]``; a product has none.  A cyclic
+    network is numbered too, skipping edges back to a node on the walk's
+    path; its scopes are partial, and only ``validate`` and ``is_acyclic``
+    read its record.
     """
 
     order: list[int]  # every entry, children first
@@ -149,7 +151,6 @@ class _Compiled(NamedTuple):
     internal: list[int]  # entries of sums and products, children first
     children: list[tuple[int, ...]]  # child entries; empty for leaves
     scopes: list[frozenset[int]]  # variables below each entry
-    log_weights: list[tuple[float, ...] | None]  # per sum; None elsewhere
     variable: list[int]  # the tables' list: per leaf; -1 elsewhere
     best: list[int]  # per leaf: most probable category, lowest on ties
     offset: list[int]  # the tables' parameter offsets
@@ -157,6 +158,7 @@ class _Compiled(NamedTuple):
     log_list: list[float]  # ``log_table`` as Python floats, for scalar passes
     cycle: int | None  # id of the first node found on a cycle
     invalid: int | None  # id of the first node with a negative or non-finite parameter
+    negative: frozenset[int]  # entries with a negative parameter
 
 
 class _NodeView(Mapping):
@@ -280,7 +282,6 @@ class Network:
         self._root = root
         self._variables = variables
         self._cardinalities = {v.index: v.cardinality for v in variables}
-        self._record: _Compiled | None = None
 
     @property
     def nodes(self) -> Mapping[int, Node]:
@@ -304,7 +305,7 @@ class Network:
 
     @property
     def is_acyclic(self) -> bool:
-        return self._numbering().cycle is None
+        return self._numbering.cycle is None
 
     @property
     def arc_count(self) -> int:
@@ -320,21 +321,26 @@ class Network:
             raise KeyError(f"unknown node id {node_id}")
         return self._compiled.scopes[self._entry[node_id]]
 
+    @functools.cached_property
     def _numbering(self) -> _Compiled:
-        """Order the entries children first in one depth-first walk and tabulate them.
+        """Order and tabulate the entries in one depth-first walk, children first.
 
         The walk starts from each id not yet numbered, in increasing order.
         It skips each edge back to a node on its path and records the first
         such node as ``cycle``.  The record is built on first use and kept.
         """
-        if self._record is not None:
-            return self._record
         ids, _, child_offset, child_index, variable, param_offset, params = self._tables
         n = len(ids)
+        empty: frozenset[int] = frozenset()
+        singletons = [frozenset((v.index,)) for v in self._variables]
+        scopes = [singletons[var] if var >= 0 else empty for var in variable]
+        children: list[tuple[int, ...]] = [()] * n
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct scope
         # Per entry: -1 before the walk reaches it, -2 on its path, then its
         # index in ``order``.  Entry ``n`` is a bottom frame whose children are all entries.
         rank = [-1] * (n + 1)
         order: list[int] = []  # entries in numbering order
+        internal: list[int] = []  # the sums and products among them
         cycle = None
         stack = [(n, iter(self._by_id))]
         while stack:
@@ -346,7 +352,9 @@ class Network:
                         order.append(child)
                         continue
                     rank[child] = -2
-                    below = child_index[child_offset[child] : child_offset[child + 1]]
+                    children[child] = below = tuple(
+                        child_index[child_offset[child] : child_offset[child + 1]]
+                    )
                     stack.append((child, iter(below)))
                     break
                 if seen == -2 and cycle is None:
@@ -355,6 +363,11 @@ class Network:
                 stack.pop()
                 rank[e] = len(order)
                 order.append(e)
+                if stack:  # every frame but the bottom one is an entry
+                    # A child still on the walk's path (a cycle) adds no variables yet.
+                    scope = empty.union(*map(scopes.__getitem__, children[e]))
+                    scopes[e] = shared.setdefault(scope, scope)
+                    internal.append(e)
         order.pop()  # the bottom frame finishes last
         rank.pop()
 
@@ -362,7 +375,8 @@ class Network:
         flat, table_offset = np.array(params, dtype=float), np.array(param_offset)
         lengths = np.diff(table_offset)
         starts = table_offset[:-1]
-        within = np.arange(len(flat)) - np.repeat(starts, lengths)
+        owner = np.repeat(np.arange(n), lengths)  # entry of each parameter
+        within = np.arange(len(flat)) - starts[owner]
         nonempty = np.flatnonzero(lengths)
         peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
         best_array = np.full(n, -1)
@@ -371,33 +385,22 @@ class Network:
         best = np.where(np.array(variable) >= 0, best_array, -1).tolist()
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         log_list = log_table.tolist()
-        bad = np.flatnonzero((flat < 0) | ~np.isfinite(flat))
-        owners = (np.searchsorted(table_offset, bad, "right") - 1).tolist()
+        below_zero = flat < 0
+        owners = owner[below_zero | ~np.isfinite(flat)].tolist()
         invalid = ids[min(owners, key=rank.__getitem__)] if owners else None
-
-        empty: frozenset[int] = frozenset()
-        singletons = [frozenset((v.index,)) for v in self._variables]
-        scopes = [singletons[var] if var >= 0 else empty for var in variable]
-        children: list[tuple[int, ...]] = [()] * n
-        log_weights: list[tuple[float, ...] | None] = [None] * n
-        internal = [e for e in order if variable[e] < 0]
-        shared: dict[frozenset[int], frozenset[int]] = {}  # one object per distinct scope
-        for e in internal:
-            children[e] = kids = tuple(child_index[child_offset[e] : child_offset[e + 1]])
-            scope = empty.union(*map(scopes.__getitem__, kids))
-            scopes[e] = shared.setdefault(scope, scope)
-            if param_offset[e] < param_offset[e + 1]:  # sums have weights, products none
-                log_weights[e] = tuple(log_list[param_offset[e] : param_offset[e + 1]])
-        self._record = _Compiled(
-            order, rank, self._entry[self._root], internal, children, scopes, log_weights,
-            variable, best, param_offset, log_table, log_list, cycle, invalid,
+        negative = frozenset(owner[below_zero].tolist())
+        return _Compiled(
+            order, rank, self._entry[self._root], internal, children, scopes, variable,
+            best, param_offset, log_table, log_list, cycle, invalid, negative,
         )
-        return self._record
 
-    @property
+    @functools.cached_property
     def _compiled(self) -> _Compiled:
-        """The numbering that every pass reads; refuses cycles and invalid parameters."""
-        record = self._numbering()
+        """The numbering that every pass reads; refuses cycles and invalid parameters.
+
+        A refusal is raised again on each access, since only a record is kept.
+        """
+        record = self._numbering
         if record.cycle is not None:
             raise ValueError(f"network contains a cycle through node {record.cycle}")
         if record.invalid is not None:
@@ -456,20 +459,18 @@ def validate(network: Network) -> list[Violation]:
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
         _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
     }
-    owner = np.repeat(np.arange(len(ids)), np.diff(param_offset))
-    negative = set(owner[np.array(params) < 0].tolist())
+    record = network._numbering
     for e in by_id:
         if kind[e] == _PRODUCT:
             continue
         check, one, several, tolerance = rules[kind[e]]
-        if e in negative:
+        if e in record.negative:
             violations.append(Violation(ids[e], check, f"negative {one}"))
             continue
         total = math.fsum(params[param_offset[e] : param_offset[e + 1]])
         if not abs(total - 1.0) <= tolerance:  # NaN fails this test
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
-    record = network._numbering()
     children, scopes = record.children, record.scopes
     reachable = _below(children, record.root, {})
     if len(reachable) < len(ids):

@@ -28,7 +28,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import _SUM, Network, _below
+from .network import Network, _below, _Compiled, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -57,14 +57,13 @@ class MapResult:
     pd_value: Probability | None = None
 
 
-def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict]:
+def _max_pass(compiled: _Compiled, evidence: Mapping[int, int]) -> tuple[dict, dict]:
     """Max-product's upward pass: each sum keeps its best weighted child value.
 
     Free leaves take their most probable category.  The root value is
     ``LOG_ZERO`` exactly when the evidence has zero mass.  Also returns each
     sum's choice, by table entry: the index of its first child reaching the max.
     """
-    compiled = network._compiled
     variable, best = compiled.variable, compiled.best
     offset, log_list = compiled.offset, compiled.log_list
     vals = {
@@ -72,25 +71,25 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[dict, dict
         for e, var in enumerate(variable)
         if var >= 0
     }
-    vals = _upward(network, vals, max)
+    vals = _upward(compiled, vals, max)
     children = compiled.children
-    choice = {
-        e: [w + vals[kid] for w, kid in zip(weights, children[e])].index(vals[e])
-        for e, weights in enumerate(compiled.log_weights)
-        if weights is not None
-    }
+    choice: dict[int, int] = {}
+    for e in compiled.internal:
+        start, stop = offset[e], offset[e + 1]
+        if start < stop:  # sums have weights, products none
+            terms = [w + vals[kid] for w, kid in zip(log_list[start:stop], children[e])]
+            choice[e] = terms.index(vals[e])
     return vals, choice
 
 
 def _walk(
-    network: Network, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
+    compiled: _Compiled, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
 ) -> dict[int, int]:
     """Configuration of the tree that ``choice`` induces below table entry ``start``.
 
     Each leaf on the tree fixes its variable to the evidence or to its most
     probable category, unless a leaf visited earlier fixed it.
     """
-    compiled = network._compiled
     variable, best = compiled.variable, compiled.best
     config: dict[int, int] = {}
     for e in _below(compiled.children, start, choice):
@@ -111,13 +110,14 @@ def max_product(
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    upward, choice = _max_pass(network, evidence)
-    root = network._compiled.root
+    compiled = network._compiled
+    upward, choice = _max_pass(compiled, evidence)
+    root = compiled.root
     bound = Probability(upward[root])
     if bound.is_zero:
         config = decode_configuration(network, evidence, 0)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(network, evidence, root, choice)}
+    config = {**evidence, **_walk(compiled, evidence, root, choice)}
     return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
 
 
@@ -138,19 +138,21 @@ def argmax_product(
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
     compiled = network._compiled
+    offset = compiled.offset
     choice: dict[int, int] = {}
     for e in compiled.internal:  # children first, so their choices are made
-        kids = compiled.children[e]
-        if compiled.log_weights[e] is None or len(kids) < 2:
+        # A sum has one weight per child and a product none, so this skips
+        # every node with no choice to make.
+        if offset[e + 1] - offset[e] < 2:
             continue
-        candidates = [_walk(network, evidence, kid, choice) for kid in kids]
+        candidates = [_walk(compiled, evidence, kid, choice) for kid in compiled.children[e]]
         # Candidates of an incomplete sum (an invalid network) can miss scope
         # variables; those read category 0.
         scope = list(compiled.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
+        choice[e] = int(np.argmax(_batch_upward(compiled, e, dict(zip(scope, rows)))))
 
-    config = _walk(network, evidence, compiled.root, choice)
+    config = _walk(compiled, evidence, compiled.root, choice)
     value = base.value if config == base.configuration else evaluate(network, config)
     # With nested sums the candidate can score below max-product's configuration,
     # whose value feeds cross terms that the candidate pass never sees.
@@ -224,17 +226,12 @@ def approx_factor_bound(network: Network) -> DegreeBound:
     least one sum node; ``nodes + arcs`` is a lower bound on any reasonable
     encoding size.
     """
-    _, kinds, child_offset, *_ = network._tables
-    degrees = [
-        child_offset[e + 1] - child_offset[e]
-        for e, kind in enumerate(kinds)
-        if kind == _SUM
-    ]
-    log2_product = sum(math.log2(d) for d in degrees)
-    size = len(kinds) + network.arc_count
+    stats = network_stats(network)
+    log2_product = sum(math.log2(d) for d in stats.sum_out_degrees)
+    size = stats.node_count + network.arc_count
     bound = DEGREE_BOUND_EXPONENT * size
     satisfied = log2_product < bound
-    if degrees and not satisfied:
+    if stats.sum_count and not satisfied:
         raise RuntimeError(
             f"degree product 2**{log2_product} violates the size bound {bound}"
         )

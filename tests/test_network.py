@@ -14,6 +14,7 @@ from spnmap import (
     SumNode,
     Variable,
     Violation,
+    approx_factor_bound,
     evaluate,
     max_product,
     network_stats,
@@ -190,8 +191,13 @@ class TestTraversal:
         assert not net.is_acyclic
         with pytest.raises(ValueError, match="cycle"):
             net.topological_order()
+        for _ in range(2):  # a refusal is not cached away
+            with pytest.raises(ValueError, match="cycle"):
+                net.scope(0)
         with pytest.raises(ValueError, match="cycle"):
-            net.scope(0)
+            network_stats(net)
+        with pytest.raises(ValueError, match="cycle"):
+            approx_factor_bound(net)
 
     def test_scope_of_mixture(self, mixture_net):
         assert mixture_net.scope(0) == frozenset({0, 1})
@@ -224,6 +230,21 @@ class TestValidate:
 
     def test_leaf_negative_probability(self):
         assert [v.kind for v in validate(leaf_only((-0.1, 1.1)))] == ["distribution"]
+        leaves = {1: LeafNode(0, (0.5, 0.5)), 2: LeafNode(0, (0.9, 0.1))}
+        cases = [
+            (leaf_only((-0.1, 1.1)), (0, "distribution", "negative probability")),
+            (leaf_only((-math.inf, 1.0)), (0, "distribution", "negative probability")),
+            (
+                Network({0: SumNode((1, 2), (-0.5, 1.5)), **leaves}, 0, [Variable(0, 2)]),
+                (0, "normalization", "negative weight"),
+            ),
+            (
+                Network({0: SumNode((1, 2), (math.inf, 0.5)), **leaves}, 0, [Variable(0, 2)]),
+                (0, "normalization", "weights sum to inf"),
+            ),
+        ]
+        for net, expected in cases:
+            assert [(v.node_id, v.kind, v.message) for v in validate(net)] == [expected]
 
     def test_nan_parameters_are_reported(self):
         report = validate(leaf_only((math.nan, 1.0)))

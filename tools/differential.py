@@ -1,0 +1,228 @@
+"""Compare what two checkouts of spnmap compute on one fixed corpus.
+
+Usage::
+
+    python tools/differential.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout runs this script again in its own subprocess, with
+``PYTHONPATH=<checkout>/src``, and prints one line per output: solver
+configurations with their values' logs in hex (so bit for bit), marginals,
+``log_partition``, ordered ``validate`` reports, topological orders, scopes,
+``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, and the
+type and message of every exception raised.  Long outputs are replaced by
+their sha256.  The script prints each tree's output count and digest, and
+exits 1 after showing the first differing output when the trees disagree.
+
+The corpus:
+
+- criterion 07's ratio-study grid at base seed 0 (both approximate solvers,
+  and ``exact_map`` for n <= 10)
+- ``random_spn(1 + s % 8, 1 + s % 5, seed=s)`` for s < 300, with and without
+  evidence ``{0: s % 2}``
+- ``gap_network(1..10)``
+- the unsatisfiable 3-variable formula amplified 400 times and the
+  satisfiable 4-variable one amplified 300 times, each serialized and parsed
+- small random node dicts, many of them cyclic or with invalid parameters
+"""
+
+from __future__ import annotations
+
+import collections
+import hashlib
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+#: Outputs longer than this are printed as their sha256.
+_LONGEST = 2000
+
+#: ``exact_map`` and ``log_partition`` run only up to this many configurations.
+_ENUMERATED = 1 << 12
+
+_RANDOM_DICTS = 400
+
+
+def _render(value) -> str:
+    """A stable text form; float logs in hex, so equal text means equal bits."""
+    from spnmap import MapResult, Probability, Violation
+
+    if isinstance(value, MapResult):
+        pd = None if value.pd_value is None else value.pd_value.log.hex()
+        config = sorted(value.configuration.items())
+        return f"{value.solver.value} {config} {value.value.log.hex()} {pd}"
+    if isinstance(value, Probability):
+        return value.log.hex()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list) and value and isinstance(value[0], Violation):
+        return repr([(v.node_id, v.kind, v.message) for v in value])
+    return repr(value)
+
+
+def _emit(label: str, kind: str, call, *args) -> None:
+    try:
+        text = _render(call(*args))
+    except Exception as exc:  # every failure is an output to compare
+        text = f"raises {type(exc).__name__}: {exc}"
+    if len(text) > _LONGEST:
+        text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    print(f"{label}\t{kind}\t{text}")
+
+
+def _structure(label: str, net) -> None:
+    import spnmap
+
+    _emit(label, "nodes", lambda: [(i, net.nodes[i]) for i in net.nodes])
+    _emit(label, "validate", spnmap.validate, net)
+    _emit(label, "acyclic", lambda: net.is_acyclic)
+    _emit(label, "order", net.topological_order)
+    _emit(label, "scopes", lambda: [sorted(net.scope(i)) for i in net.nodes])
+    _emit(label, "stats", spnmap.network_stats, net)
+    _emit(label, "degree bound", spnmap.approx_factor_bound, net)
+    _emit(label, "serialized", spnmap.serialize_spn, net)
+
+
+def _solve(label: str, net, evidence: dict, exact: bool) -> None:
+    import spnmap
+
+    _emit(label, "max_product", spnmap.max_product, net, evidence)
+    _emit(label, "argmax_product", spnmap.argmax_product, net, evidence)
+    _emit(label, "marginal", spnmap.evaluate_marginal, net, evidence)
+    if exact:
+        _emit(label, "exact_map", spnmap.exact_map, net, evidence)
+
+
+def _small(net) -> bool:
+    import spnmap
+
+    return spnmap.count_free_configurations(net) <= _ENUMERATED
+
+
+def _random_nodes(rng: random.Random) -> tuple[dict, int]:
+    """Up to 8 nodes with random children, parameters and ids in random order."""
+    from spnmap import LeafNode, ProductNode, SumNode
+
+    ids = rng.sample(range(12), rng.randint(1, 8))
+    odd = (-0.1, -math.inf, math.inf, math.nan, 0.0)
+    nodes = {}
+    for nid in ids:
+        roll = rng.random()
+        if roll < 0.45:
+            p = rng.choice((0.5, 0.25, 0.9, 1.0, rng.random()))
+            dist = [1.0 - p, p]
+            if rng.random() < 0.15:
+                dist[rng.randrange(2)] = rng.choice(odd)
+            nodes[nid] = LeafNode(rng.randrange(3), dist)
+            continue
+        kids = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
+        if roll < 0.75:
+            weights = [1.0 / len(kids)] * len(kids)
+            if rng.random() < 0.2:
+                weights[rng.randrange(len(kids))] = rng.choice((*odd, 0.7))
+            nodes[nid] = SumNode(kids, weights)
+        else:
+            nodes[nid] = ProductNode(kids)
+    return nodes, rng.choice(ids)
+
+
+def _corpus() -> None:
+    import spnmap
+    from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
+
+    for n, pct in itertools.product((5, 10, 20), (10.0, 20.0, 40.0, 60.0)):
+        for rep in range(100):
+            seed = spnmap.derive_seed(0, n, pct, rep)
+            net = spnmap.mis_to_spn(spnmap.random_graph(n, pct, seed)).network
+            label = f"mis {n} {pct} {rep}"
+            _structure(label, net)
+            _solve(label, net, {}, n <= 10)
+
+    for s in range(300):
+        label = f"random_spn {s}"
+        net = spnmap.random_spn(1 + s % 8, 1 + s % 5, seed=s)
+        _structure(label, net)
+        for evidence in ({}, {0: s % 2}):
+            _solve(f"{label} {evidence}", net, evidence, _small(net))
+        _emit(label, "log_partition", spnmap.log_partition, net)
+
+    for copies in range(1, 11):
+        net = spnmap.gap_network(copies)
+        _structure(f"gap {copies}", net)
+        _solve(f"gap {copies}", net, {}, _small(net))
+
+    unsat = CnfFormula(
+        3,
+        tuple(
+            tuple(s * v for s, v in zip(signs, (1, 2, 3)))
+            for signs in itertools.product((1, -1), repeat=3)
+        ),
+    )
+    sat = CnfFormula(4, ((-1, 2, -3), (-1, 3, 4)))
+    for name, formula, q in (("unsat", unsat, 400), ("sat", sat, 300)):
+        built = amplify(cnf_to_spn(formula), q).network
+        parsed = spnmap.parse_spn(spnmap.serialize_spn(built))
+        for label, net in ((f"{name}{q} built", built), (f"{name}{q} parsed", parsed)):
+            _structure(label, net)
+            _solve(label, net, {}, False)
+
+    rng = random.Random(0)
+    for k in range(_RANDOM_DICTS):
+        nodes, root = _random_nodes(rng)
+        label = f"dict {k}"
+        try:
+            net = spnmap.Network.from_nodes(nodes, root)
+        except Exception as exc:
+            print(f"{label}\tbuild\traises {type(exc).__name__}: {exc}")
+            continue
+        _structure(label, net)
+        _solve(label, net, {}, _small(net))
+        _emit(label, "log_partition", spnmap.log_partition, net)
+
+
+def _run(tree: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+    return subprocess.Popen(
+        [sys.executable, __file__, "--emit"], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--emit"]:
+        import spnmap
+
+        print(f"# spnmap from {Path(spnmap.__file__).parent}", file=sys.stderr)
+        _corpus()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    children = [_run(tree) for tree in argv]
+    outputs = []
+    for tree, child in zip(argv, children):
+        out, _ = child.communicate()
+        if child.returncode:
+            print(f"{tree}: the corpus run exited with {child.returncode}", file=sys.stderr)
+            return 2
+        lines = out.splitlines()
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        print(f"{tree}: {len(lines)} outputs, sha256 {digest}")
+        outputs.append(lines)
+    old, new = outputs
+    if old == new:
+        print("identical")
+        return 0
+    if len(old) != len(new):
+        print(f"the trees give {len(old)} and {len(new)} outputs")
+        return 1
+    differing = [(a, b) for a, b in zip(old, new) if a != b]
+    kinds = collections.Counter(a.split("\t")[1] for a, _ in differing)
+    print(f"{len(differing)} outputs differ, by kind: {dict(sorted(kinds.items()))}")
+    print(f"first:\n  old: {differing[0][0]}\n  new: {differing[0][1]}")
+    return 1
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
