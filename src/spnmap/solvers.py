@@ -215,24 +215,22 @@ class DegreeBound:
     log2_degree_product: float
     size_lower_bound: int
     exponent_bound: float
-    satisfied: bool
 
 
 def approx_factor_bound(network: Network) -> DegreeBound:
     """Bound the worst-case max-product approximation factor by network size.
 
     The product of sum out-degrees satisfies
-    ``log2(prod d_i) < 0.5284 * (nodes + arcs)`` whenever the network has at
-    least one sum node; ``nodes + arcs`` is a lower bound on any reasonable
-    encoding size.
+    ``log2(prod d_i) < 0.5284 * (nodes + arcs)``, where ``nodes + arcs`` is a
+    lower bound on any reasonable encoding size; a network that breaks it
+    raises ``RuntimeError``.
     """
     stats = network_stats(network)
     log2_product = sum(math.log2(d) for d in stats.sum_out_degrees)
     size = stats.node_count + network.arc_count
     bound = DEGREE_BOUND_EXPONENT * size
-    satisfied = log2_product < bound
-    if stats.sum_count and not satisfied:
+    if log2_product >= bound:
         raise RuntimeError(
             f"degree product 2**{log2_product} violates the size bound {bound}"
         )
-    return DegreeBound(log2_product, size, bound, satisfied)
+    return DegreeBound(log2_product, size, bound)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 
 import pytest
@@ -16,6 +18,7 @@ from spnmap import (
     ParseError,
     ProductNode,
     SumNode,
+    amplify,
     cnf_to_spn,
     evaluate,
     mis_to_spn,
@@ -187,6 +190,131 @@ class TestNetworkParseErrors:
     def test_variable_gap(self):
         doc = "spn 1\nnode 0 leaf 1 0.5 0.5\n"
         expect_parse_error(doc, 1, "cover 0..n-1")
+
+
+#: Where ``str.splitlines`` breaks a line ("\r\n" is one break), and the other
+#: characters where ``str.split`` breaks a token.
+LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+SPACES = [
+    " ", "\t", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)), "\u202f", "\u205f",
+    "\u3000",
+]
+
+
+@functools.cache
+def sat300_document() -> str:
+    """The satisfiable two-clause formula amplified 300 times, serialized: 42603
+    lines and 908887 characters, so the parser reads it in several blocks."""
+    formula = CnfFormula(4, ((-1, 2, -3), (-1, 3, 4)))
+    return serialize_spn(amplify(cnf_to_spn(formula), 300).network)
+
+
+class TestLinesAndTokens:
+    """``parse_spn`` splits lines as ``str.splitlines``, tokens as ``str.split``,
+    and drops everything from ``#`` to the end of its line."""
+
+    def test_the_character_lists_are_complete(self):
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        breaks = set(LINE_BREAKS) - {"\r\n"}
+        assert {c for c in chars if len(f"a{c}b".splitlines()) == 2} == breaks
+        assert {c for c in chars if c.isspace()} == set(SPACES) | breaks
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=map(repr, LINE_BREAKS))
+    def test_every_line_break_ends_a_line(self, brk):
+        lines = MIXTURE_DOC.splitlines()
+        assert parse_spn(brk.join(lines)).nodes == parse_spn(MIXTURE_DOC).nodes
+        lines[10] = "edge 0 9 0.2"  # the first edge
+        expect_parse_error(brk.join(lines) + brk, 11, "edge to undeclared node 9")
+        lines[7] = "node 5 leaf 0 0.1 0.9 0.0"
+        expect_parse_error(brk.join(lines), 8, "(line 7 says 2)")
+
+    def test_a_document_with_every_line_break(self):
+        lines = MIXTURE_DOC.splitlines()
+        breaks = LINE_BREAKS * 2
+        doc = "".join(line + brk for line, brk in zip(lines, breaks))
+        assert parse_spn(doc).nodes == parse_spn(MIXTURE_DOC).nodes
+        for k in (1, 10, 19):
+            edited = lines[:k] + ["vertex 1"] + lines[k + 1 :]
+            doc = "".join(line + brk for line, brk in zip(edited, breaks))
+            expect_parse_error(doc, k + 1, "unknown directive 'vertex'")
+        # "\r" then "\n" is one break, but "\n" then "\r" is two.
+        expect_parse_error("spn 1\n\rnode 0 sum\r\nnode 0 prod\n", 4, "duplicate node id 0")
+
+    @pytest.mark.parametrize("space", SPACES, ids=map(repr, SPACES))
+    def test_every_space_separates_tokens(self, space):
+        doc = MIXTURE_DOC.replace(" ", space)
+        assert parse_spn(doc).nodes == parse_spn(MIXTURE_DOC).nodes
+        expect_parse_error(f"spn{space}1\nnode 0 leaf{space}0 0.5\n", 2, "at least two")
+
+    def test_non_ascii_spaces(self):
+        doc = "spn 1\nnode\xa00 leaf 0\u30000.25 0.75\n"
+        assert parse_spn(doc).nodes[0].distribution == (0.25, 0.75)
+        expect_parse_error("spn 1\nnode 0 leaf 0 0.5\xa0x\n", 2, "got 'x'")
+
+    def test_comments_end_at_any_line_break(self):
+        doc = (
+            "spn 2#count\u2028node 0 prod # edge 0 9\r"
+            "node 1 leaf 0 0.5 0.5#node 2 sum\nedge 0 1 #\n# root 5\n"
+        )
+        net = parse_spn(doc)
+        assert net.nodes[0].children == (1,)
+        assert net.root == 0
+        expect_parse_error(doc.replace("edge 0 1 #", "edge 0 1 0.5 #"), 4, "must not carry")
+
+    def test_integer_spellings(self):
+        net = parse_spn("spn 2\nnode 1_0 prod\nnode \u0663 leaf 0 0.5 0.5\nedge 10 3\nroot +10\n")
+        assert set(net.nodes) == {10, 3}
+        assert net.nodes[10].children == (3,)
+        assert net.root == 10
+
+    def test_negative_and_huge_ids_round_trip(self):
+        big = 10**20
+        doc = (
+            f"spn 3\nnode -7 sum\nnode {big} leaf 0 0.5 0.5\nnode {-big} leaf 0 0.1 0.9\n"
+            f"edge -7 {-big} 0.25\nedge -7 {big} 0.75\nroot -7\n"
+        )
+        net = parse_spn(doc)
+        assert net.nodes[-7].children == (-big, big)
+        assert net.root == -7
+        text = serialize_spn(net)
+        assert [line.split()[1] for line in text.splitlines()[1:4]] == [f"{-big}", "-7", f"{big}"]
+        assert parse_spn(text).nodes == net.nodes
+        edited = doc.replace(f"edge -7 {big}", f"edge -7 {big + 1}")
+        expect_parse_error(edited, 6, f"undeclared node {big + 1}")
+        expect_parse_error(doc.replace("leaf 0 0.5", f"leaf {big} 0.5"), 1, "cover 0..n-1")
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, "spn x", "node count must be an integer, got 'x'"),
+            (1, "spn 21300", "header declares 21300 nodes, found 21301"),
+            (3090, "node 3088 leaf 174 0 x", "probability must be a number, got 'x'"),
+            (
+                3090,
+                "node 3088 leaf 174 0 1 0.5",
+                "leaf disagrees on the cardinality of variable 174 (line 3060 says 2)",
+            ),
+            # The last line of the first 2**18-character block, and the first of the second.
+            (
+                11905,
+                "node 11903 leaf 671 0 1 0.5",
+                "leaf disagrees on the cardinality of variable 671 (line 11865 says 2)",
+            ),
+            (11906, "node 11904 prod 0.5", "unexpected tokens after prod node"),
+            (30000, "edge 8516 99999", "edge to undeclared node 99999"),
+            (42603, "root 0 0", "expected: root <id>"),
+            (42603, "root 21301", "root 21301 is not a declared node"),
+        ],
+    )
+    def test_errors_in_a_document_of_many_blocks(self, line, text, message):
+        lines = sat300_document().splitlines()
+        lines[line - 1] = text
+        with pytest.raises(ParseError) as excinfo:
+            parse_spn("\n".join(lines) + "\n")
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
 
 
 @st.composite

@@ -370,18 +370,19 @@ class TestDegreeBound:
         assert bound.log2_degree_product == pytest.approx(math.log2(3))
         assert bound.size_lower_bound == 8 + 9
         assert bound.exponent_bound == pytest.approx(0.5284 * 17)
-        assert bound.satisfied
+        assert bound.log2_degree_product < bound.exponent_bound
 
     def test_sum_free_network(self):
         nodes = {0: ProductNode((1,)), 1: LeafNode(0, (0.5, 0.5))}
         bound = approx_factor_bound(Network.from_nodes(nodes, 0))
         assert bound.log2_degree_product == 0.0
-        assert bound.satisfied
+        assert bound.log2_degree_product < bound.exponent_bound
 
     def test_holds_on_generated_networks(self):
         for seed in range(30):
             net = random_spn(1 + seed % 6, max_height=4, seed=seed)
-            assert approx_factor_bound(net).satisfied
+            bound = approx_factor_bound(net)
+            assert bound.log2_degree_product < bound.exponent_bound
 
 
 class TestIndependentSetInstances:

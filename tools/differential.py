@@ -9,9 +9,10 @@ Each checkout runs this script again in its own subprocess, with
 configurations with their values' logs in hex (so bit for bit), marginals,
 ``log_partition``, ordered ``validate`` reports, topological orders, scopes,
 ``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, and the
-type and message of every exception raised.  Long outputs are replaced by
-their sha256.  The script prints each tree's output count and digest, and
-exits 1 after showing the first differing output when the trees disagree.
+type and message of every exception raised, ``ParseError`` included.  Long
+outputs are replaced by their sha256.  The script prints each tree's output
+count and digest, and exits 1 after showing the first differing output when
+the trees disagree.
 
 The corpus:
 
@@ -23,6 +24,11 @@ The corpus:
 - the unsatisfiable 3-variable formula amplified 400 times and the
   satisfiable 4-variable one amplified 300 times, each serialized and parsed
 - small random node dicts, many of them cyclic or with invalid parameters
+- malformed documents, each parsed and serialized again: every single-line
+  edit (delete, duplicate, replace a token) of criterion 06's document (the
+  satisfiable formula amplified once), and such edits of six lines of the
+  satisfiable x300 document, which the parser reads in several blocks (two
+  of the lines meet at the first block boundary)
 """
 
 from __future__ import annotations
@@ -45,10 +51,18 @@ _ENUMERATED = 1 << 12
 
 _RANDOM_DICTS = 400
 
+#: Tokens that the edited documents put in place of one token; "" drops it.
+_EDIT_TOKENS = (
+    "-1", "0", "1", "2", "7", "1_0", "0.5", "-0.0", "1e-300", "inf", "nan", "1e999",
+    "100000000000000000000", "sum", "prod", "leaf", "node", "edge", "x", "", "0.2 0.3 0.5",
+)
+#: The lines of the x300 document that are edited, and the tokens put in.
+_LARGE_EDITS = ((1, 3090, 11905, 11906, 30000, 42603), ("x", "-1", "0.5", "1e999", "99999", ""))
+
 
 def _render(value) -> str:
     """A stable text form; float logs in hex, so equal text means equal bits."""
-    from spnmap import MapResult, Probability, Violation
+    from spnmap import DegreeBound, MapResult, Probability, Violation
 
     if isinstance(value, MapResult):
         pd = None if value.pd_value is None else value.pd_value.log.hex()
@@ -58,6 +72,9 @@ def _render(value) -> str:
         return value.log.hex()
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, DegreeBound):
+        bound = value.log2_degree_product.hex(), value.exponent_bound.hex()
+        return f"DegreeBound {bound[0]} {value.size_lower_bound} {bound[1]}"
     if isinstance(value, list) and value and isinstance(value[0], Violation):
         return repr([(v.node_id, v.kind, v.message) for v in value])
     return repr(value)
@@ -129,6 +146,21 @@ def _random_nodes(rng: random.Random) -> tuple[dict, int]:
     return nodes, rng.choice(ids)
 
 
+def _edits(lines: list[str], k: int, tokens) -> list[list[str]]:
+    """``lines`` with line ``k`` deleted, duplicated, or with one token replaced."""
+    edited = [lines[:k] + lines[k + 1 :], lines[: k + 1] + lines[k:]]
+    words = lines[k].split()
+    for i, token in itertools.product(range(len(words)), tokens):
+        edited.append(lines[:k] + [" ".join([*words[:i], token, *words[i + 1 :]])] + lines[k + 1 :])
+    return edited
+
+
+def _reparsed(lines: list[str]) -> str:
+    import spnmap
+
+    return spnmap.serialize_spn(spnmap.parse_spn("\n".join(lines) + "\n"))
+
+
 def _corpus() -> None:
     import spnmap
     from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
@@ -168,6 +200,16 @@ def _corpus() -> None:
         for label, net in ((f"{name}{q} built", built), (f"{name}{q} parsed", parsed)):
             _structure(label, net)
             _solve(label, net, {}, False)
+
+    small = spnmap.serialize_spn(amplify(cnf_to_spn(sat), 1).network).splitlines()
+    for k in range(len(small)):
+        for e, lines in enumerate(_edits(small, k, _EDIT_TOKENS)):
+            _emit(f"sat1 line {k + 1} edit {e}", "parse", _reparsed, lines)
+    large = spnmap.serialize_spn(amplify(cnf_to_spn(sat), 300).network).splitlines()
+    rows, tokens = _LARGE_EDITS
+    for k in rows:
+        for e, lines in enumerate(_edits(large, k - 1, tokens)):
+            _emit(f"sat300 line {k} edit {e}", "parse", _reparsed, lines)
 
     rng = random.Random(0)
     for k in range(_RANDOM_DICTS):
