@@ -161,6 +161,18 @@ class _Compiled(NamedTuple):
     negative: frozenset[int]  # entries with a negative parameter
 
 
+class _Arrays(NamedTuple):
+    """Per-entry numpy columns of a compiled network, indexed by table entry."""
+
+    child_offset: np.ndarray  # the tables' child CSR
+    child_index: np.ndarray
+    variable: np.ndarray  # per leaf; -1 elsewhere
+    offset: np.ndarray  # parameter offsets into ``log_table``
+    best: np.ndarray  # per leaf: most probable category
+    height: np.ndarray  # arcs on the longest path down to a leaf
+    shared: bool  # whether some entry is the child of two arcs
+
+
 class _NodeView(Mapping):
     """Read-only view of a network's nodes by id; each lookup builds its node."""
 
@@ -407,6 +419,29 @@ class Network:
             raise ValueError(f"node {record.invalid} has a negative or non-finite parameter")
         return record
 
+    @functools.cached_property
+    def _arrays(self) -> _Arrays:
+        """The compiled record's columns as numpy arrays, with each entry's height.
+
+        Built on first use, by the passes that work a level at a time.
+        """
+        record = self._compiled
+        t = self._tables
+        height = [0] * len(t.ids)
+        children = record.children
+        for e in record.internal:  # children first
+            height[e] = 1 + max(map(height.__getitem__, children[e]))
+        child_index = np.fromiter(t.child_index, dtype=np.intp, count=len(t.child_index))
+        return _Arrays(
+            np.fromiter(t.child_offset, dtype=np.intp, count=len(t.child_offset)),
+            child_index,
+            np.fromiter(record.variable, dtype=np.intp, count=len(height)),
+            np.fromiter(record.offset, dtype=np.intp, count=len(record.offset)),
+            np.fromiter(record.best, dtype=np.intp, count=len(height)),
+            np.fromiter(height, dtype=np.intp, count=len(height)),
+            bool(np.bincount(child_index, minlength=len(height)).max(initial=0) > 1),
+        )
+
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":
         """Build a network inferring variables from the leaf distributions.
@@ -523,14 +558,11 @@ def network_stats(network: Network) -> NetworkStats:
     _, kind, offset, *_ = network._tables
     degrees = [offset[e + 1] - offset[e] for e in network._by_id if kind[e] == _SUM]
     compiled = network._compiled
-    heights = [0] * len(kind)
-    for e in compiled.internal:
-        heights[e] = 1 + max(map(heights.__getitem__, compiled.children[e]))
     return NetworkStats(
         node_count=len(kind),
         sum_count=len(degrees),
         product_count=kind.count(_PRODUCT),
         leaf_count=kind.count(_LEAF),
-        height=heights[compiled.root],
+        height=int(network._arrays.height[compiled.root]),
         sum_out_degrees=tuple(degrees),
     )

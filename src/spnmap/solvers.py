@@ -1,12 +1,16 @@
 """MAP solvers: max-product, argmax-product, and exhaustive search.
 
 All three return a total configuration together with its exact probability,
-so results are directly comparable.  Ties are broken deterministically:
-sum nodes prefer the lowest child index, leaves the lowest category index,
-and the exhaustive solver the first assignment in lexicographic order whose
-computed log value is largest.  Assignments that tie exactly can differ in
-the last bits of their computed values, so that is not always the smallest
-exact maximizer.
+so results are directly comparable.  Argmax-product re-evaluates every sum
+at its children's candidates; on large networks it does so a wave of sums
+at a time in numpy, scoring candidates that agree on a sum's scope once,
+with the same bits as one re-evaluation per sum.
+
+Ties are broken deterministically: sum nodes prefer the lowest child index,
+leaves the lowest category index, and the exhaustive solver the first
+assignment in lexicographic order whose computed log value is largest.
+Assignments that tie exactly can differ in the last bits of their computed
+values, so that is not always the smallest exact maximizer.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, _below, _Compiled, network_stats
+from .network import Network, _Arrays, _below, _Compiled, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -126,18 +130,51 @@ def argmax_product(
 ) -> MapResult:
     """Max-product's result, improved by choosing each sum's child by re-evaluation.
 
-    Children first, each sum with several children evaluates itself at the
-    configuration that each child's chosen tree induces, and chooses the first
-    best child.  Choices are per sum, so a shared node contributes one
-    consistent choice.  The configuration chosen from the root replaces
-    max-product's unless it scores strictly lower, so the result is never
-    worse.  Worst case quadratic in network size.
+    Each sum with several children evaluates its sub-DAG at the configuration
+    that each child's chosen tree induces, and chooses the first best child.
+    Choices are per sum, so a shared node contributes one consistent choice.
+    Networks of ``_LEVELLED_MIN`` entries or more choose in waves: a wave
+    holds the sums of one height and one out-degree, so every sum below it
+    has chosen.  One numpy pass per wave walks its candidates' chosen trees,
+    scores the candidates that agree on a sum's scope once, and evaluates all
+    its sums' sub-DAGs level by level.  Its choices are bit for bit those of
+    the per-sum loop that smaller networks run.  The configuration chosen
+    from the root replaces max-product's unless it scores strictly lower, so
+    the result is never worse.  Worst case quadratic in network size.
     """
     base = max_product(network, evidence)
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
     compiled = network._compiled
+    if len(compiled.variable) < _LEVELLED_MIN:
+        choice = _choose_by_sum(compiled, evidence)
+    else:
+        cards = np.array([v.cardinality for v in network.variables])
+        choice = _choose_by_wave(compiled, network._arrays, evidence, cards)
+    config = _walk(compiled, evidence, compiled.root, choice)
+    value = base.value if config == base.configuration else evaluate(network, config)
+    # With nested sums the candidate can score below max-product's configuration,
+    # whose value feeds cross terms that the candidate pass never sees.
+    if base.value.log > value.log:
+        config, value = base.configuration, base.value
+    return MapResult(config, value, Solver.ARGMAX_PRODUCT)
+
+
+#: Networks with fewer entries choose sum by sum.  A wave costs about a
+#: hundred numpy calls, more than the per-node Python they save on the
+#: ratio study's networks (31 to 421 entries).  Without shared nodes, one
+#: wave's sub-DAGs hold each entry at most once, so the entry count bounds
+#: the work of every wave.
+_LEVELLED_MIN = 1 << 10
+
+#: The levelled pass takes a wave's sums in chunks of about this many
+#: (pair, candidate row) values, and at least one sum.
+_CHUNK_VALUES = 1 << 17
+
+
+def _choose_by_sum(compiled: _Compiled, evidence: Mapping[int, int]) -> dict[int, int]:
+    """Each sum's choice by child index, one ``_batch_upward`` per sum, children first."""
     offset = compiled.offset
     choice: dict[int, int] = {}
     for e in compiled.internal:  # children first, so their choices are made
@@ -151,14 +188,264 @@ def argmax_product(
         scope = list(compiled.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         choice[e] = int(np.argmax(_batch_upward(compiled, e, dict(zip(scope, rows)))))
+    return choice
 
-    config = _walk(compiled, evidence, compiled.root, choice)
-    value = base.value if config == base.configuration else evaluate(network, config)
-    # With nested sums the candidate can score below max-product's configuration,
-    # whose value feeds cross terms that the candidate pass never sees.
-    if base.value.log > value.log:
-        config, value = base.configuration, base.value
-    return MapResult(config, value, Solver.ARGMAX_PRODUCT)
+
+def _choose_by_wave(
+    compiled: _Compiled, arrays: _Arrays, evidence: Mapping[int, int], cards: np.ndarray
+) -> dict[int, int]:
+    """``_choose_by_sum``'s choices, made one wave of sums at a time."""
+    fan = np.diff(arrays.child_offset)
+    # Each entry's chosen tree follows ``count`` children from child index
+    # ``skip``: all of them, or the one its sum chose.
+    follow = np.zeros(len(fan), dtype=np.intp), fan.copy()
+    fixed = np.full(len(cards), -1)
+    fixed[list(evidence)] = list(evidence.values())
+    deciding = np.flatnonzero((arrays.variable < 0) & (np.diff(arrays.offset) >= 2))
+    wave = arrays.height[deciding] * (len(fan) + 1) + fan[deciding]
+    order = np.argsort(wave)
+    deciding, wave = deciding[order], wave[order]
+    choice: dict[int, int] = {}
+    for sums in np.split(deciding, np.flatnonzero(np.diff(wave)) + 1):
+        if sums.size:
+            scores = _score_wave(
+                compiled, arrays, fan, follow, fixed, cards, evidence, choice, sums
+            )
+            picks = scores.argmax(axis=1)  # the first best child
+            follow[0][sums] = picks
+            follow[1][sums] = 1
+            choice.update(zip(sums.tolist(), picks.tolist()))
+    return choice
+
+
+class _Pairs(NamedTuple):
+    """A wave's sub-DAGs as (sum, entry) pairs, each pair once.
+
+    Pair ``p`` is entry ``entry[p]`` below the wave's sum number ``owner[p]``.
+    Its child pairs are ``kid[kid_start[p]:kid_start[p] + fan[entry[p]]]``, in
+    the entry's child order.  Pair ``top[i]`` is sum ``i`` itself.
+    """
+
+    owner: np.ndarray
+    entry: np.ndarray
+    kid: np.ndarray
+    kid_start: np.ndarray
+    top: np.ndarray
+
+
+def _score_wave(
+    compiled: _Compiled,
+    arrays: _Arrays,
+    fan: np.ndarray,
+    follow: tuple[np.ndarray, np.ndarray],
+    fixed: np.ndarray,
+    cards: np.ndarray,
+    evidence: Mapping[int, int],
+    choice: Mapping[int, int],
+    sums: np.ndarray,
+) -> np.ndarray:
+    """Each sum's log value at each child's candidate, one row per sum of the wave."""
+    pairs = _sub_dags(arrays, fan, sums)
+    pair_slot, cat_rows, row = _candidate_rows(
+        compiled, arrays, fan, follow, fixed, cards, evidence, choice, pairs
+    )
+    top_values = _levelled_pass(compiled, arrays, fan, pairs, pair_slot, cat_rows)
+    return np.take_along_axis(top_values, row, axis=1)
+
+
+def _expand(
+    owner: np.ndarray, start: np.ndarray, count: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's ``count`` items of ``index`` from ``start``, in order, and their owners."""
+    first = np.repeat(start - (np.cumsum(count) - count), count)
+    return np.repeat(owner, count), index[first + np.arange(len(first))]
+
+
+def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
+    """The pairs of the sums' sub-DAGs, found level by level down from the sums."""
+    n, w = len(fan), len(sums)
+    owner, entries = np.arange(w), sums
+    owners, levels, kids = [], [], []
+    size = 0
+    while entries.size:
+        if arrays.shared:  # a pair once per level
+            keys, inverse = np.unique(owner * n + entries, return_inverse=True)
+            owner, entries = np.divmod(keys, n)
+            if kids:
+                kids[-1] = size + inverse
+        owners.append(owner)
+        levels.append(entries)
+        size += len(entries)
+        count = fan[entries]
+        kids.append(size + np.arange(int(count.sum())))
+        owner, entries = _expand(owner, arrays.child_offset[entries], count, arrays.child_index)
+    owner, entry, kid = (np.concatenate(x) for x in (owners, levels, kids))
+    kid_start = np.cumsum(fan[entry])
+    kid_start -= fan[entry]
+    top = np.arange(w)
+    if arrays.shared:  # and once in all
+        _, first, inverse = np.unique(owner * n + entry, return_index=True, return_inverse=True)
+        owner, entry, kid_start = owner[first], entry[first], kid_start[first]
+        kid, top = inverse[kid], inverse[:w]
+    return _Pairs(owner, entry, kid, kid_start, top)
+
+
+def _candidate_rows(
+    compiled: _Compiled,
+    arrays: _Arrays,
+    fan: np.ndarray,
+    follow: tuple[np.ndarray, np.ndarray],
+    fixed: np.ndarray,
+    cards: np.ndarray,
+    evidence: Mapping[int, int],
+    choice: Mapping[int, int],
+    pairs: _Pairs,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates' categories, one row per sum and distinct candidate.
+
+    Candidate ``c = i * k + j`` is child ``j`` of the wave's sum ``i``.  A slot
+    is one of a sum's scope variables; slots are sorted by sum, then variable.
+    Returns each pair's slot (-1 for a sum or product), the categories by
+    slot and row (a variable a candidate misses reads 0), and each
+    candidate's row, by sum and child.
+    """
+    variable = arrays.variable
+    owner, entry, kid, kid_start, top = pairs
+    w, k, nv = len(top), int(fan[entry[top[0]]]), len(cards)
+    roots = kid[kid_start[top][:, None] + np.arange(k)].ravel()
+
+    # The leaf pairs of each candidate's chosen tree.
+    skip, count = follow
+    at, by = roots, np.arange(w * k)
+    hit_pair, hit_by, walked = [], [], []
+    while at.size:
+        if arrays.shared:  # a tree that reaches an entry twice is walked in Python
+            keys, counts = np.unique(by * len(entry) + at, return_counts=True)
+            walked.append(keys[counts > 1] // len(entry))
+            by, at = np.divmod(keys, len(entry))
+        e = entry[at]
+        leaf = variable[e] >= 0
+        hit_pair.append(at[leaf])
+        hit_by.append(by[leaf])
+        inner = ~leaf
+        at, e = at[inner], e[inner]
+        by, at = _expand(by[inner], kid_start[at] + skip[e], count[e], kid)
+    hit_pair, hit_by = np.concatenate(hit_pair), np.concatenate(hit_by)
+
+    # Each candidate's category on each slot: the evidence, else its leaf's best.
+    var = variable[entry]
+    leaf_pairs = np.flatnonzero(var >= 0)
+    slot_keys, leaf_slot = np.unique(owner[leaf_pairs] * nv + var[leaf_pairs], return_inverse=True)
+    slot_sum, slot_var = np.divmod(slot_keys, nv)
+    slot_first = np.searchsorted(slot_sum, np.arange(w + 1))
+    pair_slot = np.full(len(entry), -1)
+    pair_slot[leaf_pairs] = leaf_slot
+    hit_ent = entry[hit_pair]
+    cat = fixed[variable[hit_ent]]
+    cat = np.where(cat >= 0, cat, arrays.best[hit_ent])
+    cell = pair_slot[hit_pair] * k + hit_by % k
+    table = np.zeros((len(slot_keys), k), dtype=np.intp)
+    table.flat[cell] = cat
+    clash = np.flatnonzero(np.bincount(cell, minlength=table.size) > 1)
+    walked.append(slot_sum[clash // k] * k + clash % k)
+    for c in sorted(set(np.concatenate(walked).tolist())):  # its first-visited leaf wins
+        i, j = divmod(c, k)
+        config = _walk(compiled, evidence, int(entry[roots[c]]), choice)
+        slots = slice(slot_first[i], slot_first[i + 1])
+        table[slots, j] = [config.get(v, 0) for v in slot_var[slots].tolist()]
+
+    # Candidates equal on the sum's scope share a row: code each in base ``radix``.
+    # A sum whose codes could pass 2**62 scores each candidate on its own row.
+    radix = int(cards[slot_var].max())
+    exact = np.diff(slot_first) * math.log2(radix) < 62
+    digit = np.arange(len(slot_keys)) - slot_first[slot_sum]
+    weight = radix ** np.where(exact[slot_sum], digit, 0)
+    code = np.add.reduceat(table * weight[:, None], slot_first[:-1], axis=0)
+    code[~exact] = np.arange(k)
+    by_code = np.argsort(code, axis=1)
+    ranked = np.take_along_axis(code, by_code, axis=1)
+    rank = np.zeros((w, k), dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+    row = np.empty_like(rank)
+    np.put_along_axis(row, by_code, rank, axis=1)
+    rep = np.repeat(by_code[:, :1], int(rank[:, -1].max()) + 1, axis=1)  # padding repeats row 0
+    np.put_along_axis(rep, rank, by_code, axis=1)
+    return pair_slot, np.take_along_axis(table, rep[slot_sum], axis=1), row
+
+
+def _levelled_pass(
+    compiled: _Compiled,
+    arrays: _Arrays,
+    fan: np.ndarray,
+    pairs: _Pairs,
+    pair_slot: np.ndarray,
+    cat_rows: np.ndarray,
+) -> np.ndarray:
+    """Each sum's log value at each of its candidate rows.
+
+    The pass takes the rows in blocks and, within a block, the sums in chunks
+    of about ``_CHUNK_VALUES`` values.  In each chunk it evaluates the leaf
+    pairs, then the other pairs grouped by height, kind and fan-out; a
+    chunk's last group is its sums.
+    """
+    log_table, offset = compiled.log_table, arrays.offset
+    owner, entry, kid, kid_start, top = pairs
+    w, rows = len(top), cat_rows.shape[1]
+    per_sum = np.bincount(owner, minlength=w)
+    block = min(rows, max(1, _CHUNK_VALUES // int(per_sum.max())))
+    chunk = ((np.cumsum(per_sum) - per_sum) * block // _CHUNK_VALUES)[owner]
+    height = arrays.height[entry]
+    p_fan = fan[entry]
+    fans = np.zeros(int(p_fan.max()) + 1, dtype=np.intp)
+    fans[p_fan] = 1
+    tallest, fan_count = int(height.max()) + 1, int(fans.sum())
+    is_sum = (np.diff(offset)[entry] > 0) & (arrays.variable[entry] < 0)
+    group = ((chunk * tallest + height) * 2 + is_sum) * fan_count + (np.cumsum(fans) - 1)[p_fan]
+    span = (int(chunk.max()) + 1) * tallest * 2 * fan_count
+    perm = np.argsort(group.astype(np.min_scalar_type(span)), kind="stable")  # radix on small keys
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
+    kid = pos[kid]
+    sizes = np.bincount(group, minlength=span)
+    ends = np.cumsum(sizes)[sizes > 0].tolist()
+    sizes = np.bincount(chunk)
+    chunk_ends = np.cumsum(sizes)[sizes > 0].tolist()
+    del chunk, height, is_sum, group, pos
+    top_vals = np.empty((w, rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0 in range(0, rows, block):
+            cats = cat_rows[:, r0 : r0 + block]
+            stops, stop = iter(chunk_ends), 0
+            for g0, g1 in zip([0, *ends], ends):
+                if g0 == stop:
+                    base, stop = g0, next(stops)
+                    vals = np.empty((stop - base, cats.shape[1]))
+                members = perm[g0:g1]
+                ents = entry[members]
+                out = vals[g0 - base : g1 - base]
+                e, t = int(ents[0]), int(p_fan[members[0]])
+                if t == 0:
+                    at = cats[pair_slot[members]]
+                    at += offset[ents][:, None]
+                    np.take(log_table, at, out=out, mode="clip")  # in range; "clip" spares a copy
+                elif offset[e + 1] == offset[e]:  # a product adds its children in order
+                    below = kid[kid_start[members][:, None] + np.arange(t)] - base
+                    out[:] = vals[below[:, 0]]
+                    for j in range(1, t):
+                        out += vals[below[:, j]]
+                else:  # a sum reduces as ``logsumexp_rows`` does
+                    below = vals[kid[kid_start[members][:, None] + np.arange(t)] - base]
+                    terms = log_table[offset[ents][:, None] + np.arange(t)][:, :, None] + below
+                    peak = terms.max(axis=1)
+                    finite = peak > LOG_ZERO
+                    terms -= np.where(finite, peak, 0.0)[:, None, :]
+                    # ``logsumexp_rows`` sums each row's terms as one contiguous
+                    # run, which numpy adds pairwise; so does this.
+                    runs = np.ascontiguousarray(np.exp(terms, out=terms).transpose(0, 2, 1))
+                    out[:] = np.where(finite, peak + np.log(runs.sum(axis=2)), LOG_ZERO)
+                if g1 == stop:
+                    top_vals[owner[members], r0 : r0 + block] = out
+    return top_vals
 
 
 def exact_map(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:

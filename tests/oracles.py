@@ -1,8 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works in linear-domain floats with plain recursion and
-exhaustive enumeration, deliberately sharing no propagation code with the
-package under test.
+Everything here but ``scores_by_sum`` and ``argmax_by_sum`` works in
+linear-domain floats with plain recursion and exhaustive enumeration,
+deliberately sharing no propagation code with the package under test.
+Those two are argmax-product's per-sum loop, built from the package's
+scalar walk and batch pass, which the solver's wave pass must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +14,23 @@ import itertools
 import math
 from typing import Iterator, Mapping
 
-from spnmap import CnfFormula, Graph, LeafNode, Network, Node, ProductNode, SumNode
+import numpy as np
+
+from spnmap import (
+    CnfFormula,
+    Graph,
+    LeafNode,
+    MapResult,
+    Network,
+    Node,
+    ProductNode,
+    Solver,
+    SumNode,
+    evaluate,
+    max_product,
+)
+from spnmap.inference import _batch_upward
+from spnmap.solvers import _walk
 
 
 def brute_value(
@@ -115,6 +134,48 @@ def argmax_candidate(
         return memo[nid]
 
     return candidate(network.root)
+
+
+def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np.ndarray]:
+    """Each sum's log value at each child's candidate, one re-evaluation per sum.
+
+    Children first, each sum with two or more children walks each child's
+    chosen tree (``_walk``), evaluates its own sub-DAG at those candidates
+    (``_batch_upward``, with category 0 for a scope variable a candidate
+    misses) and chooses the first best child.
+    """
+    compiled = network._compiled
+    offset = compiled.offset
+    scores: dict[int, np.ndarray] = {}
+    choice: dict[int, int] = {}
+    for e in compiled.internal:
+        if offset[e + 1] - offset[e] < 2:  # products and one-child sums
+            continue
+        candidates = [_walk(compiled, evidence, kid, choice) for kid in compiled.children[e]]
+        scope = list(compiled.scopes[e])
+        rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
+        scores[e] = _batch_upward(compiled, e, dict(zip(scope, rows)))
+        choice[e] = int(np.argmax(scores[e]))
+    return scores
+
+
+def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
+    """Argmax-product with ``scores_by_sum``'s choices.
+
+    The configuration chosen from the root replaces max-product's unless it
+    scores strictly lower.
+    """
+    base = max_product(network, evidence)
+    if base.pd_value.is_zero:
+        return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
+    evidence = dict(evidence or {})
+    compiled = network._compiled
+    choice = {e: int(np.argmax(v)) for e, v in scores_by_sum(network, evidence).items()}
+    config = _walk(compiled, evidence, compiled.root, choice)
+    value = evaluate(network, config)
+    if base.value.log > value.log:
+        config, value = base.configuration, base.value
+    return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
 def amplified_nodes(network: Network, q: int) -> dict[int, Node]:

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spnmap import (
+    CnfFormula,
     LeafNode,
     Network,
     ProductNode,
+    ReductionResult,
     Solver,
     SumNode,
     approx_factor_bound,
@@ -19,17 +26,28 @@ from spnmap import (
     evaluate,
     evaluate_marginal,
     exact_map,
+    gap_network,
     log_partition,
     max_product,
     mis_to_spn,
+    network_stats,
     random_graph,
     random_spn,
     solve,
     validate,
 )
+from spnmap import solvers
 from spnmap.experiments import derive_seed, gap_fragment
+from spnmap.reductions import amplify, cnf_to_spn
 from conftest import shared_leaf_dag, shared_sum_dag, single_child_sum
-from oracles import argmax_candidate, brute_map, brute_mis_size, brute_value
+from oracles import (
+    argmax_by_sum,
+    argmax_candidate,
+    brute_map,
+    brute_mis_size,
+    brute_value,
+    scores_by_sum,
+)
 
 LOG_SLACK = 1e-12
 
@@ -214,6 +232,154 @@ class TestExactAgainstOracle:
         monkeypatch.setattr("spnmap.inference.DEFAULT_ENUMERATION_CAP", 4)
         result = exact_map(mixture_net)
         assert result.value.linear == pytest.approx(0.4)
+
+
+def random_dags(count: int, seed: int = 0):
+    """Networks over three binary variables from random node dicts with valid parameters.
+
+    Children are drawn with repetition from every node made before, so
+    nodes are shared, products can repeat a child or split no scope, and sums
+    can be incomplete.  Some leaves hold a zero.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        nodes: dict = {}
+        for nid in range(6):
+            p = rng.choice((0.0, 0.25, 0.5, 0.9, 1.0, rng.random()))
+            nodes[nid] = LeafNode(nid % 3, (p, 1.0 - p))
+        for nid in range(6, 6 + rng.randint(2, 9)):
+            kids = tuple(rng.randrange(nid) for _ in range(rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                raw = [rng.random() + 0.05 for _ in kids]
+                nodes[nid] = SumNode(kids, [w / sum(raw) for w in raw])
+            else:
+                nodes[nid] = ProductNode(kids)
+        yield Network.from_nodes(nodes, max(nodes))
+
+
+def outcome(solver, net: Network, evidence: dict) -> tuple:
+    """A solver's configuration and value bits, or its exception's type and message."""
+    try:
+        result = solver(net, evidence)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return sorted(result.configuration.items()), result.value.log.hex()
+
+
+class TestWaveRescoring:
+    """The wave pass against the per-sum loop, bit for bit, on networks of every size."""
+
+    @pytest.fixture(autouse=True)
+    def every_network_by_wave(self, monkeypatch):
+        """Sends every network through the wave pass and records its scores by sum entry."""
+        monkeypatch.setattr(solvers, "_LEVELLED_MIN", 0)
+        self.scores: dict = {}
+        score_wave = solvers._score_wave
+
+        def recorded(*args):
+            scores = score_wave(*args)
+            self.scores.update(zip(args[-1].tolist(), scores))
+            return scores
+
+        monkeypatch.setattr(solvers, "_score_wave", recorded)
+
+    def agree(self, cases) -> int:
+        """Checks each case's result and every candidate's score; returns the case count."""
+        count = 0
+        for net, evidence in cases:
+            self.scores.clear()
+            assert outcome(argmax_product, net, evidence) == outcome(argmax_by_sum, net, evidence)
+            if self.scores:  # the solver got as far as re-evaluating
+                expected = scores_by_sum(net, evidence)
+                assert {e: v.tobytes() for e, v in self.scores.items()} == {
+                    e: v.tobytes() for e, v in expected.items()
+                }
+            count += 1
+        return count
+
+    def test_nested_waves_with_and_without_evidence(self):
+        nets = [random_spn(3 + s % 6, 4 + s % 4, seed=s) for s in range(40)]
+        assert max(network_stats(net).height for net in nets) >= 6
+        self.agree((net, ev) for s, net in enumerate(nets) for ev in ({}, {0: s % 2}))
+
+    def test_gap_and_independent_set_networks(self):
+        self.agree((gap_network(copies), {}) for copies in range(1, 11))
+        graphs = [
+            random_graph(n, pct, derive_seed(0, n, pct))
+            for n in (5, 10, 20)
+            for pct in (10.0, 60.0)
+        ]
+        self.agree((mis_to_spn(g).network, {}) for g in graphs)
+        self.agree([(mis_to_spn(graphs[-1]).network, {0: 1, 3: 0})])
+
+    def test_amplified_formulas(self):
+        unsat = CnfFormula(
+            3,
+            tuple(
+                tuple(sign * v for sign, v in zip(signs, (1, 2, 3)))
+                for signs in itertools.product((1, -1), repeat=3)
+            ),
+        )
+        sat = CnfFormula(4, ((-1, 2, -3), (-1, 3, 4)))
+        nets = [amplify(cnf_to_spn(unsat), 8).network, amplify(cnf_to_spn(sat), 6).network]
+        self.agree((net, {}) for net in nets)
+
+    def test_shared_and_non_decomposable_dags(self):
+        assert self.agree((net, {}) for net in random_dags(300)) == 300
+        self.agree(solver_cases(30))
+        # Copies of a shared DAG under one product make waves of several sums.
+        dags = [
+            amplify(ReductionResult(net, Fraction(1), {}), 3).network
+            for net in random_dags(60, seed=1)
+        ]
+        self.agree((net, {1: 0}) for net in dags)
+
+    def test_nine_terms_are_summed_pairwise(self):
+        # ``logsumexp_rows`` sums the terms of each row as one contiguous run,
+        # which numpy adds pairwise: for sum 1's nine weights that rounds
+        # differently from adding them in order.
+        rng = random.Random(5)
+        raw = [rng.random() for _ in range(9)]
+        nodes = {
+            0: SumNode((1, 2), (0.5, 0.5)),
+            1: SumNode(tuple(range(3, 12)), [w / sum(raw) for w in raw]),
+            2: LeafNode(0, (0.1, 0.9)),
+            **{nid: LeafNode(0, (1.0, 0.0)) for nid in range(3, 12)},
+        }
+        net = Network.from_nodes(nodes, 0)
+        self.agree([(net, {})])
+        logs = np.log(np.array(net.nodes[1].weights))
+        terms = np.exp(logs - logs.max())
+        assert terms.sum() != functools.reduce(operator.add, terms.tolist())
+        assert set(self.scores[net._entry[1]]) == {logs.max() + np.log(terms.sum())}
+
+    @pytest.mark.parametrize("levelled_min", [0, solvers._LEVELLED_MIN])
+    def test_a_tree_whose_leaves_disagree_keeps_its_first_visited_leaf(
+        self, monkeypatch, levelled_min
+    ):
+        monkeypatch.setattr(solvers, "_LEVELLED_MIN", levelled_min)
+        # Product 1 is not decomposable: leaf 3 prefers x0 = 1 and leaf 4,
+        # under product 8, x0 = 0.  The walk down child 1 visits leaf 3
+        # first, so that candidate is {x0: 1, x1: 0} and scores
+        # 0.5 * 0.8 * 0.3 * 0.9 + 0.5 * 0.3 * 0.7 = 0.213; child 2's
+        # {x0: 0, x1: 0} scores 0.063 + 0.245 = 0.308 and wins.  Had leaf 4
+        # won, the two candidates would tie and child 1 would be kept.
+        nodes = {
+            0: SumNode((1, 2), (0.5, 0.5)),
+            1: ProductNode((8, 3)),
+            8: ProductNode((4, 5)),
+            3: LeafNode(0, (0.2, 0.8)),
+            4: LeafNode(0, (0.7, 0.3)),
+            5: LeafNode(1, (0.9, 0.1)),
+            2: ProductNode((6, 7)),
+            6: LeafNode(0, (0.7, 0.3)),
+            7: LeafNode(1, (0.7, 0.3)),
+        }
+        net = Network.from_nodes(nodes, 0)
+        assert max_product(net).configuration == {0: 1, 1: 0}
+        result = argmax_product(net)
+        assert result.configuration == {0: 0, 1: 0}
+        assert result.value.linear == pytest.approx(0.308, rel=1e-12)
 
 
 class TestZeroProbabilityEvidence:

@@ -20,10 +20,15 @@ The corpus:
   and ``exact_map`` for n <= 10)
 - ``random_spn(1 + s % 8, 1 + s % 5, seed=s)`` for s < 300, with and without
   evidence ``{0: s % 2}``
+- ``random_spn(4 + s % 5, 6 + s % 3, seed=1000 + s)`` for s < 60, networks
+  of several waves of sums, with and without evidence ``{0: s % 2}``
 - ``gap_network(1..10)``
 - the unsatisfiable 3-variable formula amplified 400 times and the
   satisfiable 4-variable one amplified 300 times, each serialized and parsed
-- small random node dicts, many of them cyclic or with invalid parameters
+- ``cli_map``'s document: the independent-set network of
+  ``random_graph(80, 10.0, derive_seed(1, "scale"))``
+- small random node dicts, many of them cyclic or with invalid parameters,
+  and the first 100 that build, each amplified to at least 1024 entries
 - malformed documents, each parsed and serialized again: every single-line
   edit (delete, duplicate, replace a token) of criterion 06's document (the
   satisfiable formula amplified once), and such edits of six lines of the
@@ -41,6 +46,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 #: Outputs longer than this are printed as their sha256.
@@ -50,6 +56,9 @@ _LONGEST = 2000
 _ENUMERATED = 1 << 12
 
 _RANDOM_DICTS = 400
+
+#: The random dicts, among the first that build, that are also amplified.
+_AMPLIFIED_DICTS = 100
 
 #: Tokens that the edited documents put in place of one token; "" drops it.
 _EDIT_TOKENS = (
@@ -181,6 +190,13 @@ def _corpus() -> None:
             _solve(f"{label} {evidence}", net, evidence, _small(net))
         _emit(label, "log_partition", spnmap.log_partition, net)
 
+    for s in range(60):
+        label = f"random_spn deep {s}"
+        net = spnmap.random_spn(4 + s % 5, 6 + s % 3, seed=1000 + s)
+        _structure(label, net)
+        for evidence in ({}, {0: s % 2}):
+            _solve(f"{label} {evidence}", net, evidence, _small(net))
+
     for copies in range(1, 11):
         net = spnmap.gap_network(copies)
         _structure(f"gap {copies}", net)
@@ -201,6 +217,11 @@ def _corpus() -> None:
             _structure(label, net)
             _solve(label, net, {}, False)
 
+    graph = spnmap.random_graph(80, 10.0, spnmap.derive_seed(1, "scale"))
+    net = spnmap.mis_to_spn(graph).network
+    _structure("mis80", net)
+    _solve("mis80", net, {}, False)
+
     small = spnmap.serialize_spn(amplify(cnf_to_spn(sat), 1).network).splitlines()
     for k in range(len(small)):
         for e, lines in enumerate(_edits(small, k, _EDIT_TOKENS)):
@@ -212,6 +233,7 @@ def _corpus() -> None:
             _emit(f"sat300 line {k} edit {e}", "parse", _reparsed, lines)
 
     rng = random.Random(0)
+    built = []
     for k in range(_RANDOM_DICTS):
         nodes, root = _random_nodes(rng)
         label = f"dict {k}"
@@ -220,9 +242,17 @@ def _corpus() -> None:
         except Exception as exc:
             print(f"{label}\tbuild\traises {type(exc).__name__}: {exc}")
             continue
+        built.append((label, net))
         _structure(label, net)
         _solve(label, net, {}, _small(net))
         _emit(label, "log_partition", spnmap.log_partition, net)
+
+    # Copies of a dict make waves of many sums over shared nodes.
+    for label, net in built[:_AMPLIFIED_DICTS]:
+        q = 1 + 1024 // len(net.nodes)
+        copies = amplify(spnmap.ReductionResult(net, Fraction(1), {}), q).network
+        _structure(f"{label} x{q}", copies)
+        _solve(f"{label} x{q}", copies, {}, False)
 
 
 def _run(tree: str) -> subprocess.Popen:

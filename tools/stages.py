@@ -1,0 +1,140 @@
+"""Time each stage of spnmap's amplified-CNF pipeline and MIS solve in two checkouts.
+
+Usage::
+
+    python tools/stages.py OLD_CHECKOUT NEW_CHECKOUT [ROUNDS]
+
+Each round runs this script again once per checkout, in its own subprocess
+with ``PYTHONPATH=<checkout>/src``; the checkout that goes first alternates
+from round to round (default 10 rounds).  A run first passes once through
+small instances, so imports and numpy's dispatch are warm, then times each
+stage once on fresh networks and prints the seconds as one JSON line:
+
+- the ``amplified_cnf`` pipeline on the unsatisfiable 3-variable formula
+  with all eight sign patterns amplified 400 times and on the satisfiable
+  ``(-1 2 -3)(-1 3 4)`` amplified 300 times: build (``cnf_to_spn`` and
+  ``amplify``), ``serialize_spn``, ``parse_spn``, ``validate`` (which pays
+  the compile), ``evaluate_marginal``, ``max_product``, ``argmax_product``
+  and ``decision_map`` with max-product, each stage on the last one's output
+- ``spnmap map --algo amap``'s work on the serialized MIS network of
+  ``random_graph(80, 10.0, derive_seed(1, "scale"))``: ``parse_spn``,
+  ``validate`` and ``argmax_product``
+
+The script prints a Markdown table: per stage, each tree's median and
+quartiles in milliseconds, the change of the medians, and the rounds in
+which the new tree was faster.  The runs also check that both trees give the
+same argmax-product results; the script exits 1 when they do not.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+#: Copies of each formula, and the MIS graph's size, in the timed pass and in the warm-up.
+_SIZES = {"timed": (400, 300, 80), "warm": (8, 6, 12)}
+
+
+def _pass(sizes: tuple[int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
+    """Seconds per stage, and each argmax-product result in hex, for one pass."""
+    import spnmap
+    from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
+
+    unsat = CnfFormula(
+        3,
+        tuple(
+            tuple(s * v for s, v in zip(signs, (1, 2, 3)))
+            for signs in itertools.product((1, -1), repeat=3)
+        ),
+    )
+    sat = CnfFormula(4, ((-1, 2, -3), (-1, 3, 4)))
+    seconds: dict[str, float] = {}
+    results: dict[str, str] = {}
+
+    def timed(label: str, call, *args):
+        start = time.perf_counter()
+        out = call(*args)
+        seconds[label] = time.perf_counter() - start
+        return out
+
+    unsat_q, sat_q, mis_n = sizes
+    for name, formula, q in (("unsat", unsat, unsat_q), ("sat", sat, sat_q)):
+        amplified = timed(f"{name} build", lambda f=formula, q=q: amplify(cnf_to_spn(f), q))
+        text = timed(f"{name} serialize_spn", spnmap.serialize_spn, amplified.network)
+        net = timed(f"{name} parse_spn", spnmap.parse_spn, text)
+        timed(f"{name} validate", spnmap.validate, net)
+        timed(f"{name} evaluate_marginal", spnmap.evaluate_marginal, net)
+        timed(f"{name} max_product", spnmap.max_product, net)
+        am = timed(f"{name} argmax_product", spnmap.argmax_product, net)
+        threshold = float(amplified.normalizer)
+        mp = spnmap.Solver.MAX_PRODUCT
+        timed(f"{name} decision_map", spnmap.decision_map, net, None, threshold, mp)
+        seconds[f"{name} pipeline"] = sum(v for k, v in seconds.items() if k.startswith(f"{name} "))
+        results[name] = f"{sorted(am.configuration.items())} {am.value.log.hex()}"
+
+    graph = spnmap.random_graph(mis_n, 10.0, spnmap.derive_seed(1, "scale"))
+    text = spnmap.serialize_spn(spnmap.mis_to_spn(graph).network)
+    net = timed("mis parse_spn", spnmap.parse_spn, text)
+    timed("mis validate", spnmap.validate, net)
+    am = timed("mis argmax_product", spnmap.argmax_product, net)
+    seconds["mis solve"] = sum(v for k, v in seconds.items() if k.startswith("mis "))
+    results["mis"] = f"{sorted(am.configuration.items())} {am.value.log.hex()}"
+    return seconds, results
+
+
+def _run(tree: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+    done = subprocess.run(
+        [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--emit"]:
+        _pass(_SIZES["warm"])
+        seconds, results = _pass(_SIZES["timed"])
+        print(json.dumps({"seconds": seconds, "results": results}))
+        return 0
+    if len(argv) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = argv[:2]
+    rounds = int(argv[2]) if len(argv) == 3 else 10
+    runs: dict[str, list[dict]] = {tree: [] for tree in trees}
+    for r in range(rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            runs[tree].append(_run(tree))
+    old, new = (runs[tree] for tree in trees)
+    print(f"old: {trees[0]}\nnew: {trees[1]}\n{rounds} rounds, alternating\n")
+    print("| stage | old ms, median [quartiles] | new ms, median [quartiles] | change | new wins |")
+    print("|---|---|---|---|---|")
+    for stage in old[0]["seconds"]:
+        a = [run["seconds"][stage] * 1e3 for run in old]
+        b = [run["seconds"][stage] * 1e3 for run in new]
+        (a1, a2, a3), (b1, b2, b3) = _quartiles(a), _quartiles(b)
+        wins = sum(y < x for x, y in zip(a, b))
+        print(
+            f"| {stage} | {a2:.1f} [{a1:.1f}, {a3:.1f}] | {b2:.1f} [{b1:.1f}, {b3:.1f}] "
+            f"| {(b2 - a2) / a2:+.0%} | {wins}/{rounds} |"
+        )
+    differing = {k for k in old[0]["results"] if old[0]["results"][k] != new[0]["results"][k]}
+    if differing:
+        print(f"\nargmax-product results differ on: {', '.join(sorted(differing))}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
