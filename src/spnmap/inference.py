@@ -1,6 +1,8 @@
 """Exact evaluation and marginal inference.
 
-Every bottom-up pass is one loop, ``_upward``, over the compiled network.
+A bottom-up pass over one assignment is one loop, ``_upward``, over the
+compiled network; networks of ``_LEVELLED_MIN`` entries or more take it a
+level at a time in numpy instead (``_levelled_upward``), with the same bits.
 Leaves whose variable is fixed contribute the probability of the fixed
 category; leaves outside the evidence scope contribute 1, which turns the
 same pass into marginal inference.  A batch form evaluates many total
@@ -14,14 +16,22 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .logspace import Probability, logsumexp, logsumexp_rows
-from .network import Network, Variable, _below, _Compiled
+from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows
+from .network import Network, Variable, _below, _Compiled, _Level
 
 #: Rows per batch when enumerating assignments.
 _CHUNK_SIZE = 1 << 14
 
 #: Enumeration refuses configuration spaces larger than this.
 DEFAULT_ENUMERATION_CAP = 1 << 24
+
+#: Networks of this many entries or more take each single-assignment pass a
+#: level at a time, and argmax-product's re-evaluation a wave of sums at a
+#: time.  Levels and waves cost numpy calls that outweigh the per-entry
+#: Python they save on the ratio study's networks (31 to 421 entries).
+#: Without shared nodes, one wave's sub-DAGs hold each entry at most once, so
+#: the entry count bounds the work of every wave.
+_LEVELLED_MIN = 1 << 10
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
@@ -72,22 +82,81 @@ def _upward(
     return vals
 
 
-def _sum_pass(compiled: _Compiled, evidence: Mapping[int, int]) -> dict[int, float]:
-    """Log value at each entry with unobserved leaves marginalized to 1."""
+def _levelled(network: Network) -> bool:
+    """Whether the network's passes work a level at a time."""
+    return len(network._tables.ids) >= _LEVELLED_MIN
+
+
+def _levelled_upward(
+    levels: list[_Level], vals: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``_upward`` over every sum and product, one group of ``levels`` at a time.
+
+    ``vals`` holds each leaf's log value by entry.  A product adds its
+    children's values in order; a sum passes its ``(entries, fan-out)``
+    matrix of weighted child terms to ``reduce``, which reduces each row.
+    With ``_logsumexp_each_row`` or a row ``max``, every value has the bits
+    of the loop's ``logsumexp`` or ``max``.
+    """
+    for level in levels:
+        below = vals[level.kids]
+        if level.weights is None:
+            vals[level.entries] = np.add.accumulate(below, axis=1)[:, -1]
+        else:
+            vals[level.entries] = reduce(level.weights + below)
+    return vals
+
+
+def _logsumexp_each_row(terms: np.ndarray) -> np.ndarray:
+    """``logsumexp`` of each row, bit for bit.
+
+    The exponentials and logs come from ``math``: numpy's vectorized ``exp``
+    can differ from it in the last bit.  Each row's exponentials are added
+    in order, as ``logsumexp`` adds them.
+    """
+    peak = terms.max(axis=1)
+    with np.errstate(invalid="ignore"):  # a row of LOG_ZERO shifts to NaN
+        shifted = terms - peak[:, None]
+    exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=float, count=terms.size)
+    totals = np.add.accumulate(exps.reshape(terms.shape), axis=1)[:, -1]
+    logs = np.fromiter(map(math.log, totals.tolist()), dtype=float, count=len(totals))
+    return np.where(peak > LOG_ZERO, peak + logs, LOG_ZERO)
+
+
+def _leaf_categories(
+    network: Network, evidence: Mapping[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf entries, and each one's category under the evidence (-1 where free)."""
+    variable = network._arrays.variable
+    leaves = np.flatnonzero(variable >= 0)
+    fixed = np.full(len(network.variables), -1)
+    fixed[list(evidence)] = list(evidence.values())
+    return leaves, fixed[variable[leaves]]
+
+
+def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
+    """Log value of the root with unobserved leaves marginalized to 1."""
+    compiled = network._compiled
+    if _levelled(network):
+        leaves, cats = _leaf_categories(network, evidence)
+        fixed = cats >= 0
+        leaves, cats = leaves[fixed], cats[fixed]
+        vals = np.zeros(len(compiled.variable))  # a free leaf is 1
+        vals[leaves] = compiled.log_table[network._arrays.offset[leaves] + cats]
+        return float(_levelled_upward(network._levels, vals, _logsumexp_each_row)[compiled.root])
     variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    return _upward(compiled, vals, logsumexp)
+    return _upward(compiled, vals, logsumexp)[compiled.root]
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
     """Probability of a total assignment."""
     check_assignment(network, assignment)
-    compiled = network._compiled
-    return Probability(_sum_pass(compiled, assignment)[compiled.root])
+    return Probability(_sum_pass(network, assignment))
 
 
 def evaluate_marginal(
@@ -96,8 +165,7 @@ def evaluate_marginal(
     """Probability of partial evidence; empty evidence gives 1."""
     evidence = evidence or {}
     check_evidence(network, evidence)
-    compiled = network._compiled
-    return Probability(_sum_pass(compiled, evidence)[compiled.root])
+    return Probability(_sum_pass(network, evidence))
 
 
 def _batch_upward(compiled: _Compiled, entry: int, columns) -> np.ndarray:

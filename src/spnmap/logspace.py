@@ -8,7 +8,9 @@ linear float.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,12 +20,16 @@ LOG_ZERO = float("-inf")
 
 
 def logsumexp(values: Iterable[float]) -> float:
-    """Stable log(sum(exp(v))) over scalars; all ``-inf`` yields ``-inf``."""
+    """Stable log(sum(exp(v))) over scalars; all ``-inf`` yields ``-inf``.
+
+    The exponentials are added strictly in order, on every Python version:
+    the builtin ``sum`` compensates its rounding from Python 3.12 on.
+    """
     vals = list(values)
     m = max(vals)
     if m == LOG_ZERO:
         return LOG_ZERO
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m + math.log(functools.reduce(operator.add, (math.exp(v - m) for v in vals)))
 
 
 def logsumexp_rows(rows: np.ndarray) -> np.ndarray:

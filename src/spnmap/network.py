@@ -159,6 +159,7 @@ class _Compiled(NamedTuple):
     cycle: int | None  # id of the first node found on a cycle
     invalid: int | None  # id of the first node with a negative or non-finite parameter
     negative: frozenset[int]  # entries with a negative parameter
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # ``variable``, ``offset``, ``best``
 
 
 class _Arrays(NamedTuple):
@@ -171,6 +172,14 @@ class _Arrays(NamedTuple):
     best: np.ndarray  # per leaf: most probable category
     height: np.ndarray  # arcs on the longest path down to a leaf
     shared: bool  # whether some entry is the child of two arcs
+
+
+class _Level(NamedTuple):
+    """Sums or products that share a height and a fan-out, for a pass a level at a time."""
+
+    entries: np.ndarray
+    kids: np.ndarray  # (entries, fan-out): each entry's child entries, in child order
+    weights: np.ndarray | None  # (entries, fan-out): a sum's log-weights; None for products
 
 
 class _NodeView(Mapping):
@@ -384,17 +393,18 @@ class Network:
         rank.pop()
 
         # Each leaf's first most probable category, and the parameters' logs.
-        flat, table_offset = np.array(params, dtype=float), np.array(param_offset)
+        flat, table_offset = np.array(params, dtype=float), np.array(param_offset, dtype=np.intp)
         lengths = np.diff(table_offset)
         starts = table_offset[:-1]
         owner = np.repeat(np.arange(n), lengths)  # entry of each parameter
         within = np.arange(len(flat)) - starts[owner]
         nonempty = np.flatnonzero(lengths)
         peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
-        best_array = np.full(n, -1)
+        best_array = np.full(n, -1, dtype=np.intp)
         first = np.where(flat == peak, within, len(flat))  # a row's index of its peak
         best_array[nonempty] = np.minimum.reduceat(first, starts[nonempty])
-        best = np.where(np.array(variable) >= 0, best_array, -1).tolist()
+        variable_column = np.array(variable, dtype=np.intp)
+        best_column = np.where(variable_column >= 0, best_array, -1)
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         log_list = log_table.tolist()
         below_zero = flat < 0
@@ -403,7 +413,8 @@ class Network:
         negative = frozenset(owner[below_zero].tolist())
         return _Compiled(
             order, rank, self._entry[self._root], internal, children, scopes, variable,
-            best, param_offset, log_table, log_list, cycle, invalid, negative,
+            best_column.tolist(), param_offset, log_table, log_list, cycle, invalid, negative,
+            (variable_column, table_offset, best_column),
         )
 
     @functools.cached_property
@@ -423,24 +434,63 @@ class Network:
     def _arrays(self) -> _Arrays:
         """The compiled record's columns as numpy arrays, with each entry's height.
 
-        Built on first use, by the passes that work a level at a time.
+        Built on first use, by the passes that work a level at a time.  The
+        heights come from one sweep up from the leaves, a level per step:
+        an entry's height is the step at which its last child got one.
         """
-        record = self._compiled
+        columns = self._compiled.columns
         t = self._tables
-        height = [0] * len(t.ids)
-        children = record.children
-        for e in record.internal:  # children first
-            height[e] = 1 + max(map(height.__getitem__, children[e]))
+        n = len(t.ids)
+        child_offset = np.fromiter(t.child_offset, dtype=np.intp, count=n + 1)
         child_index = np.fromiter(t.child_index, dtype=np.intp, count=len(t.child_index))
+        fan = np.diff(child_offset)
+        in_degree = np.bincount(child_index, minlength=n)
+        parent_offset = np.cumsum(in_degree) - in_degree
+        by_child = np.argsort(child_index, kind="stable")  # fast on nearly sorted indices
+        parents = np.repeat(np.arange(n), fan)[by_child]  # one per arc, grouped by child
+        height = np.zeros(n, dtype=np.intp)
+        waiting = fan.copy()  # per entry: its children not yet given a height
+        level, done = 0, np.flatnonzero(fan == 0)
+        while done.size:
+            height[done] = level
+            count = in_degree[done]
+            first = np.repeat(parent_offset[done] - (np.cumsum(count) - count), count)
+            above, arcs = np.unique(parents[first + np.arange(len(first))], return_counts=True)
+            waiting[above] -= arcs
+            done = above[waiting[above] == 0]
+            level += 1
         return _Arrays(
-            np.fromiter(t.child_offset, dtype=np.intp, count=len(t.child_offset)),
+            child_offset,
             child_index,
-            np.fromiter(record.variable, dtype=np.intp, count=len(height)),
-            np.fromiter(record.offset, dtype=np.intp, count=len(record.offset)),
-            np.fromiter(record.best, dtype=np.intp, count=len(height)),
-            np.fromiter(height, dtype=np.intp, count=len(height)),
-            bool(np.bincount(child_index, minlength=len(height)).max(initial=0) > 1),
+            *columns,
+            height,
+            bool(in_degree.max(initial=0) > 1),
         )
+
+    @functools.cached_property
+    def _levels(self) -> list[_Level]:
+        """The sums and products in groups of one height, kind and fan-out, lowest first.
+
+        Every child of a group is a leaf or in an earlier group.  Built on
+        first use, by the single-assignment passes of large networks.
+        """
+        arrays = self._arrays
+        fan = np.diff(arrays.child_offset)
+        inner = np.flatnonzero(arrays.variable < 0)
+        is_sum = arrays.offset[inner + 1] > arrays.offset[inner]
+        key = (arrays.height[inner] * 2 + is_sum) * (int(fan.max()) + 1) + fan[inner]
+        order = np.argsort(key, kind="stable")
+        inner, key = inner[order], key[order]
+        levels = []
+        for entries in np.split(inner, np.flatnonzero(np.diff(key)) + 1):
+            if entries.size:
+                e, columns = entries[0], np.arange(fan[entries[0]])
+                kids = arrays.child_index[arrays.child_offset[entries][:, None] + columns]
+                weights = None
+                if arrays.offset[e + 1] > arrays.offset[e]:
+                    weights = self._compiled.log_table[arrays.offset[entries][:, None] + columns]
+                levels.append(_Level(entries, kids, weights))
+        return levels
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":

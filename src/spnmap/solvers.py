@@ -25,6 +25,9 @@ import numpy as np
 
 from .inference import (
     _batch_upward,
+    _leaf_categories,
+    _levelled,
+    _levelled_upward,
     _upward,
     check_evidence,
     decode_configuration,
@@ -61,13 +64,27 @@ class MapResult:
     pd_value: Probability | None = None
 
 
-def _max_pass(compiled: _Compiled, evidence: Mapping[int, int]) -> tuple[dict, dict]:
+def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dict]:
     """Max-product's upward pass: each sum keeps its best weighted child value.
 
-    Free leaves take their most probable category.  The root value is
-    ``LOG_ZERO`` exactly when the evidence has zero mass.  Also returns each
-    sum's choice, by table entry: the index of its first child reaching the max.
+    Free leaves take their most probable category.  Returns the root value,
+    ``LOG_ZERO`` exactly when the evidence has zero mass, and each sum's
+    choice, by table entry: the index of its first child reaching the max.
     """
+    compiled = network._compiled
+    choice: dict[int, int] = {}
+    if _levelled(network):
+        arrays, levels = network._arrays, network._levels
+        leaves, cats = _leaf_categories(network, evidence)
+        cats = np.where(cats >= 0, cats, arrays.best[leaves])
+        vals = np.zeros(len(compiled.variable))
+        vals[leaves] = compiled.log_table[arrays.offset[leaves] + cats]
+        vals = _levelled_upward(levels, vals, lambda terms: terms.max(axis=1))
+        for level in levels:
+            if level.weights is not None:
+                picks = (level.weights + vals[level.kids]).argmax(axis=1)  # the first best
+                choice.update(zip(level.entries.tolist(), picks.tolist()))
+        return float(vals[compiled.root]), choice
     variable, best = compiled.variable, compiled.best
     offset, log_list = compiled.offset, compiled.log_list
     vals = {
@@ -77,13 +94,12 @@ def _max_pass(compiled: _Compiled, evidence: Mapping[int, int]) -> tuple[dict, d
     }
     vals = _upward(compiled, vals, max)
     children = compiled.children
-    choice: dict[int, int] = {}
     for e in compiled.internal:
         start, stop = offset[e], offset[e + 1]
         if start < stop:  # sums have weights, products none
             terms = [w + vals[kid] for w, kid in zip(log_list[start:stop], children[e])]
             choice[e] = terms.index(vals[e])
-    return vals, choice
+    return vals[compiled.root], choice
 
 
 def _walk(
@@ -110,18 +126,20 @@ def max_product(
     ``pd_value`` carries the upward value, the best single induced tree's
     weight.  It is a lower bound on the value of the selected configuration;
     times the product of sum out-degrees it bounds the optimum from above.
-    Runs in time linear in the network size.
+    Runs in time linear in the network size.  Networks of ``_LEVELLED_MIN``
+    entries or more take the upward pass, and the evaluation at the selected
+    configuration, a level at a time in numpy, with the bits and choices of
+    the per-entry loop that smaller networks run.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
     compiled = network._compiled
-    upward, choice = _max_pass(compiled, evidence)
-    root = compiled.root
-    bound = Probability(upward[root])
+    upward, choice = _max_pass(network, evidence)
+    bound = Probability(upward)
     if bound.is_zero:
         config = decode_configuration(network, evidence, 0)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(compiled, evidence, root, choice)}
+    config = {**evidence, **_walk(compiled, evidence, compiled.root, choice)}
     return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
 
 
@@ -140,14 +158,16 @@ def argmax_product(
     its sums' sub-DAGs level by level.  Its choices are bit for bit those of
     the per-sum loop that smaller networks run.  The configuration chosen
     from the root replaces max-product's unless it scores strictly lower, so
-    the result is never worse.  Worst case quadratic in network size.
+    the result is never worse; it is evaluated as ``max_product`` evaluates,
+    a level at a time on large networks.  Worst case quadratic in network
+    size.
     """
     base = max_product(network, evidence)
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
     compiled = network._compiled
-    if len(compiled.variable) < _LEVELLED_MIN:
+    if not _levelled(network):
         choice = _choose_by_sum(compiled, evidence)
     else:
         cards = np.array([v.cardinality for v in network.variables])
@@ -160,13 +180,6 @@ def argmax_product(
         config, value = base.configuration, base.value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
-
-#: Networks with fewer entries choose sum by sum.  A wave costs about a
-#: hundred numpy calls, more than the per-node Python they save on the
-#: ratio study's networks (31 to 421 entries).  Without shared nodes, one
-#: wave's sub-DAGs hold each entry at most once, so the entry count bounds
-#: the work of every wave.
-_LEVELLED_MIN = 1 << 10
 
 #: The levelled pass takes a wave's sums in chunks of about this many
 #: (pair, candidate row) values, and at least one sum.

@@ -1,11 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here but ``scores_by_sum`` and ``argmax_by_sum`` works in
+Everything here but the ``_by_entry`` and ``_by_sum`` oracles works in
 linear-domain floats with plain recursion and exhaustive enumeration,
 deliberately sharing no propagation code with the package under test.
-Those two are argmax-product's per-sum loop, built from the package's
-scalar walk and batch pass, which the solver's wave pass must match bit
-for bit.
+Those are the per-entry loop (``_upward``) of the sum and max passes, and
+argmax-product's per-sum loop, built from the package's scalar walk and
+batch pass.  The levelled passes and the wave pass of large networks must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from spnmap import (
     MapResult,
     Network,
     Node,
+    Probability,
     ProductNode,
     Solver,
     SumNode,
-    evaluate,
-    max_product,
 )
-from spnmap.inference import _batch_upward
+from spnmap.inference import _batch_upward, _upward, check_assignment, decode_configuration
+from spnmap.logspace import logsumexp
 from spnmap.solvers import _walk
 
 
@@ -136,6 +137,68 @@ def argmax_candidate(
     return candidate(network.root)
 
 
+def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
+    """The root's log value with unobserved leaves at 1, one entry at a time.
+
+    ``_upward`` with the scalar ``logsumexp``, children first.
+    """
+    compiled = network._compiled
+    variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
+    vals = {
+        e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
+        for e, var in enumerate(variable)
+        if var >= 0
+    }
+    return _upward(compiled, vals, logsumexp)[compiled.root]
+
+
+def max_pass_by_entry(
+    network: Network, evidence: Mapping[int, int]
+) -> tuple[float, dict[int, int]]:
+    """Max-product's root value and each sum's choice, one entry at a time.
+
+    Free leaves take their most probable category; ``_upward`` takes each
+    sum's ``max``, and a sum chooses the first child whose term reaches it.
+    """
+    compiled = network._compiled
+    variable, best = compiled.variable, compiled.best
+    offset, log_list = compiled.offset, compiled.log_list
+    vals = {
+        e: log_list[offset[e] + evidence.get(var, best[e])]
+        for e, var in enumerate(variable)
+        if var >= 0
+    }
+    vals = _upward(compiled, vals, max)
+    choice = {}
+    for e in compiled.internal:
+        weights = log_list[offset[e] : offset[e + 1]]
+        if weights:  # a sum
+            terms = [w + vals[kid] for w, kid in zip(weights, compiled.children[e])]
+            choice[e] = terms.index(vals[e])
+    return vals[compiled.root], choice
+
+
+def max_product_by_entry(
+    network: Network, evidence: Mapping[int, int] | None = None
+) -> MapResult:
+    """Max-product with the per-entry passes.
+
+    The configuration is ``max_pass_by_entry``'s tree, valued by
+    ``sum_pass_by_entry``, or the first one when the evidence has no mass.
+    """
+    evidence = dict(evidence or {})
+    compiled = network._compiled
+    upward, choice = max_pass_by_entry(network, evidence)
+    bound = Probability(upward)
+    if bound.is_zero:
+        config = decode_configuration(network, evidence, 0)
+        return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
+    config = {**evidence, **_walk(compiled, evidence, compiled.root, choice)}
+    check_assignment(network, config)
+    value = Probability(sum_pass_by_entry(network, config))
+    return MapResult(config, value, Solver.MAX_PRODUCT, bound)
+
+
 def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np.ndarray]:
     """Each sum's log value at each child's candidate, one re-evaluation per sum.
 
@@ -160,19 +223,20 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
 
 
 def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
-    """Argmax-product with ``scores_by_sum``'s choices.
+    """Argmax-product with ``scores_by_sum``'s choices and the per-entry passes.
 
-    The configuration chosen from the root replaces max-product's unless it
-    scores strictly lower.
+    The configuration chosen from the root replaces ``max_product_by_entry``'s
+    unless it scores strictly lower.
     """
-    base = max_product(network, evidence)
+    base = max_product_by_entry(network, evidence)
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
     compiled = network._compiled
     choice = {e: int(np.argmax(v)) for e, v in scores_by_sum(network, evidence).items()}
     config = _walk(compiled, evidence, compiled.root, choice)
-    value = evaluate(network, config)
+    check_assignment(network, config)
+    value = Probability(sum_pass_by_entry(network, config))
     if base.value.log > value.log:
         config, value = base.configuration, base.value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)

@@ -30,6 +30,14 @@ def test_logsumexp_ignores_zero_terms():
     assert logsumexp([LOG_ZERO, math.log(0.25)]) == pytest.approx(math.log(0.25))
 
 
+def test_logsumexp_adds_in_order():
+    # exp(log(2**-53)) is a little above 2**-53, so each in-order addition
+    # rounds up: 1 + 2**-52, then 1 + 2**-51.  A compensated sum, as the
+    # builtin ``sum`` takes from Python 3.12 on, gives 1 + 2**-52.
+    tiny = math.log(2**-53)
+    assert logsumexp([0.0, tiny, tiny]) == math.log(1.0000000000000004)
+
+
 def test_logsumexp_survives_large_magnitudes():
     # exp(-1000) underflows linear doubles; the shifted form must not.
     out = logsumexp([-1000.0, -1000.0])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from spnmap import (
@@ -16,13 +17,18 @@ from spnmap import (
     Violation,
     approx_factor_bound,
     evaluate,
+    gap_network,
     max_product,
+    mis_to_spn,
     network_stats,
     parse_spn,
+    random_graph,
+    random_spn,
     serialize_spn,
     validate,
 )
-from conftest import mixture_nodes
+from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
+from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
 
 
 def leaf_only(distribution=(0.5, 0.5)) -> Network:
@@ -343,3 +349,68 @@ class TestStats:
         assert stats.node_count == 1
         assert stats.height == 0
         assert stats.sum_out_degrees == ()
+
+
+def column_networks() -> list[Network]:
+    """Trees, DAGs with shared nodes, and networks with unreachable entries or many copies."""
+    trees = [random_spn(1 + s % 7, 1 + s % 6, seed=s) for s in range(60)]
+    nets = [*trees, *map(shared_leaf_dag, trees)]
+    nets += [single_child_sum(shared_sum_dag(tree)) for tree in trees]
+    nets += [gap_network(copies) for copies in range(1, 5)]
+    nets.append(mis_to_spn(random_graph(12, 30.0, 3)).network)
+    formula = CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))
+    amplified = amplify(cnf_to_spn(formula), 40).network
+    nets += [amplified, parse_spn(serialize_spn(amplified))]
+    unreachable = {
+        0: ProductNode((1, 2)),
+        1: LeafNode(0, (0.5, 0.5)),
+        2: LeafNode(1, (0.2, 0.8)),
+        3: ProductNode((2, 1, 4)),
+        4: SumNode((1, 1), (0.5, 0.5)),
+    }
+    nets += [leaf_only(), Network.from_nodes(unreachable, 0)]
+    return nets
+
+
+class TestArrays:
+    """The numpy columns of the passes that work a level at a time."""
+
+    @staticmethod
+    def rebuilt(net: Network) -> tuple:
+        """``_arrays`` by plain conversion of the tables and the record, with a height loop."""
+        record, t = net._compiled, net._tables
+        height = [0] * len(t.ids)
+        for e in record.internal:  # children first
+            height[e] = 1 + max(height[kid] for kid in record.children[e])
+        columns = (
+            t.child_offset, t.child_index, record.variable, record.offset, record.best, height
+        )
+        child_index = np.array(t.child_index, dtype=np.intp)
+        shared = bool(np.bincount(child_index, minlength=len(height)).max(initial=0) > 1)
+        return (*(np.array(c, dtype=np.intp) for c in columns), shared)
+
+    def test_columns_and_heights_match_a_rebuild(self):
+        for net in column_networks():
+            arrays, expected = net._arrays, self.rebuilt(net)
+            assert arrays.shared is expected[-1]
+            for got, want in zip(arrays[:-1], expected[:-1]):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_levels_hold_each_inner_entry_once_above_its_children(self):
+        for net in column_networks():
+            arrays, log_table = net._arrays, net._compiled.log_table
+            fan, done = np.diff(arrays.child_offset), arrays.variable >= 0
+            for level in net._levels:
+                entries = level.entries.tolist()
+                assert not done[entries].any()
+                assert len(set(arrays.height[entries].tolist())) == 1
+                assert set(fan[entries].tolist()) == {level.kids.shape[1]}
+                for e, kids in zip(entries, level.kids.tolist()):
+                    assert kids == list(net._compiled.children[e]) and done[kids].all()
+                if level.weights is None:
+                    assert (np.diff(arrays.offset)[entries] == 0).all()
+                else:
+                    at = arrays.offset[entries][:, None] + np.arange(level.kids.shape[1])
+                    assert np.array_equal(level.weights, log_table[at])
+                done[entries] = True
+            assert done.all()

@@ -36,7 +36,7 @@ from spnmap import (
     solve,
     validate,
 )
-from spnmap import solvers
+from spnmap import inference, solvers
 from spnmap.experiments import derive_seed, gap_fragment
 from spnmap.reductions import amplify, cnf_to_spn
 from conftest import shared_leaf_dag, shared_sum_dag, single_child_sum
@@ -46,7 +46,10 @@ from oracles import (
     brute_map,
     brute_mis_size,
     brute_value,
+    max_pass_by_entry,
+    max_product_by_entry,
     scores_by_sum,
+    sum_pass_by_entry,
 )
 
 LOG_SLACK = 1e-12
@@ -258,12 +261,13 @@ def random_dags(count: int, seed: int = 0):
 
 
 def outcome(solver, net: Network, evidence: dict) -> tuple:
-    """A solver's configuration and value bits, or its exception's type and message."""
+    """A solver's configuration, value and bound bits, or its exception's type and message."""
     try:
         result = solver(net, evidence)
     except ValueError as exc:
         return type(exc), str(exc)
-    return sorted(result.configuration.items()), result.value.log.hex()
+    pd = None if result.pd_value is None else result.pd_value.log.hex()
+    return sorted(result.configuration.items()), result.value.log.hex(), pd
 
 
 class TestWaveRescoring:
@@ -272,7 +276,7 @@ class TestWaveRescoring:
     @pytest.fixture(autouse=True)
     def every_network_by_wave(self, monkeypatch):
         """Sends every network through the wave pass and records its scores by sum entry."""
-        monkeypatch.setattr(solvers, "_LEVELLED_MIN", 0)
+        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
         self.scores: dict = {}
         score_wave = solvers._score_wave
 
@@ -353,11 +357,11 @@ class TestWaveRescoring:
         assert terms.sum() != functools.reduce(operator.add, terms.tolist())
         assert set(self.scores[net._entry[1]]) == {logs.max() + np.log(terms.sum())}
 
-    @pytest.mark.parametrize("levelled_min", [0, solvers._LEVELLED_MIN])
+    @pytest.mark.parametrize("levelled_min", [0, inference._LEVELLED_MIN])
     def test_a_tree_whose_leaves_disagree_keeps_its_first_visited_leaf(
         self, monkeypatch, levelled_min
     ):
-        monkeypatch.setattr(solvers, "_LEVELLED_MIN", levelled_min)
+        monkeypatch.setattr(inference, "_LEVELLED_MIN", levelled_min)
         # Product 1 is not decomposable: leaf 3 prefers x0 = 1 and leaf 4,
         # under product 8, x0 = 0.  The walk down child 1 visits leaf 3
         # first, so that candidate is {x0: 1, x1: 0} and scores
@@ -380,6 +384,98 @@ class TestWaveRescoring:
         result = argmax_product(net)
         assert result.configuration == {0: 0, 1: 0}
         assert result.value.linear == pytest.approx(0.308, rel=1e-12)
+
+
+class TestLevelledPasses:
+    """The levelled sum and max passes against the per-entry loop, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def every_network_levelled(self, monkeypatch):
+        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
+
+    def agree(self, cases) -> int:
+        """Checks each case's passes and solvers; returns the case count."""
+        rng = random.Random(0)
+        count = 0
+        for net, evidence in cases:
+            assert inference._levelled(net)
+            marginal = evaluate_marginal(net, evidence).log
+            assert marginal.hex() == sum_pass_by_entry(net, evidence).hex()
+            # A total assignment that extends the evidence.
+            total = {v.index: rng.randrange(v.cardinality) for v in net.variables} | evidence
+            assert evaluate(net, total).log.hex() == sum_pass_by_entry(net, total).hex()
+            value, choice = solvers._max_pass(net, evidence)
+            expected_value, expected_choice = max_pass_by_entry(net, evidence)
+            assert (value.hex(), choice) == (expected_value.hex(), expected_choice)
+            for solver, oracle in (
+                (max_product, max_product_by_entry),
+                (argmax_product, argmax_by_sum),
+            ):
+                assert outcome(solver, net, evidence) == outcome(oracle, net, evidence)
+            count += 1
+        return count
+
+    def test_random_networks_with_and_without_evidence(self):
+        nets = [random_spn(3 + s % 6, 4 + s % 4, seed=s) for s in range(40)]
+        cases = ((net, ev) for s, net in enumerate(nets) for ev in ({}, {0: s % 2}))
+        assert self.agree(cases) == 80
+
+    def test_gap_independent_set_and_amplified_networks(self):
+        self.agree((gap_network(copies), {}) for copies in range(1, 7))
+        graphs = [
+            random_graph(n, pct, derive_seed(0, n, pct))
+            for n in (5, 10, 20)
+            for pct in (10.0, 60.0)
+        ]
+        mis = [mis_to_spn(g).network for g in graphs]
+        self.agree((net, ev) for net in mis for ev in ({}, {0: 1, 3: 0}))
+        # With every vertex out of the set the evidence has no mass, and the
+        # solvers return ``decode_configuration(..., 0)``.
+        nobody = {v.index: 0 for v in mis[-1].variables}
+        assert max_product(mis[-1], nobody).pd_value.is_zero
+        self.agree([(mis[-1], nobody)])
+        sat = amplify(cnf_to_spn(CnfFormula(4, ((-1, 2, -3), (-1, 3, 4)))), 6).network
+        self.agree((sat, ev) for ev in ({}, {0: 1}))
+
+    def test_zero_weights_and_zero_probability_leaves(self):
+        # Under x0 = 1 both terms of the root sum are LOG_ZERO.
+        nodes = {
+            0: SumNode((1, 2), (1.0, 0.0)),
+            1: ProductNode((3, 4)),
+            2: ProductNode((5, 6)),
+            3: LeafNode(0, (1.0, 0.0)),
+            4: LeafNode(1, (0.3, 0.7)),
+            5: LeafNode(0, (0.0, 1.0)),
+            6: LeafNode(1, (0.5, 0.5)),
+        }
+        net = Network.from_nodes(nodes, 0)
+        assert evaluate_marginal(net, {0: 1}).is_zero
+        self.agree((net, ev) for ev in ({}, {0: 0}, {0: 1}, {1: 1}))
+
+    def test_wide_sums_add_in_order(self):
+        # Under x0 = 1 the root's value rounds differently when numpy adds
+        # its nine shifted exponentials pairwise than when they are added in
+        # order, as ``logsumexp`` adds them.
+        rng = random.Random(2)
+        raw = [rng.random() for _ in range(9)]
+        nodes = {0: SumNode(tuple(range(1, 10)), [w / sum(raw) for w in raw])}
+        for nid in range(1, 10):
+            p = rng.random()
+            nodes[nid] = LeafNode(0, (1.0 - p, p))
+        net = Network.from_nodes(nodes, 0)
+        weights = np.array(net.nodes[0].weights)
+        ones = np.array([net.nodes[nid].distribution[1] for nid in range(1, 10)])
+        terms = (np.log(weights) + np.log(ones)).tolist()
+        peak = max(terms)
+        shifted = [math.exp(t - peak) for t in terms]
+        in_order = functools.reduce(operator.add, shifted)
+        assert peak + math.log(np.array(shifted).sum()) != peak + math.log(in_order)
+        self.agree((net, ev) for ev in ({}, {0: 1}))
+
+    def test_shared_and_non_decomposable_dags(self):
+        assert self.agree((net, {}) for net in random_dags(300)) == 300
+        self.agree((net, {1: 0}) for net in random_dags(100, seed=2))
+        self.agree(solver_cases(30))
 
 
 class TestZeroProbabilityEvidence:

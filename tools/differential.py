@@ -24,9 +24,11 @@ The corpus:
   of several waves of sums, with and without evidence ``{0: s % 2}``
 - ``gap_network(1..10)``
 - the unsatisfiable 3-variable formula amplified 400 times and the
-  satisfiable 4-variable one amplified 300 times, each serialized and parsed
+  satisfiable 4-variable one amplified 300 times, each serialized and parsed,
+  and solved with evidence ``{}``, ``{0: 0}`` and ``{0: 1}``
 - ``cli_map``'s document: the independent-set network of
-  ``random_graph(80, 10.0, derive_seed(1, "scale"))``
+  ``random_graph(80, 10.0, derive_seed(1, "scale"))``, solved with the same
+  three evidences and with every vertex set to 0, which has no mass
 - small random node dicts, many of them cyclic or with invalid parameters,
   and the first 100 that build, each amplified to at least 1024 entries
 - malformed documents, each parsed and serialized again: every single-line
@@ -215,12 +217,15 @@ def _corpus() -> None:
         parsed = spnmap.parse_spn(spnmap.serialize_spn(built))
         for label, net in ((f"{name}{q} built", built), (f"{name}{q} parsed", parsed)):
             _structure(label, net)
-            _solve(label, net, {}, False)
+            for evidence in ({}, {0: 0}, {0: 1}):
+                _solve(f"{label} {evidence}", net, evidence, False)
 
     graph = spnmap.random_graph(80, 10.0, spnmap.derive_seed(1, "scale"))
     net = spnmap.mis_to_spn(graph).network
     _structure("mis80", net)
-    _solve("mis80", net, {}, False)
+    for evidence in ({}, {0: 0}, {0: 1}):
+        _solve(f"mis80 {evidence}", net, evidence, False)
+    _solve("mis80 every vertex 0", net, dict.fromkeys(range(graph.n), 0), False)
 
     small = spnmap.serialize_spn(amplify(cnf_to_spn(sat), 1).network).splitlines()
     for k in range(len(small)):
