@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows
-from .network import Network, Variable, _below, _Compiled, _Level
+from .network import Network, Variable, _below, _Level
 
 #: Rows per batch when enumerating assignments.
 _CHUNK_SIZE = 1 << 14
@@ -56,7 +56,7 @@ def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
 
 
 def _upward(
-    compiled: _Compiled,
+    network: Network,
     vals: dict,
     reduce: Callable[[list], object],
     internal: Iterable[int] | None = None,
@@ -68,7 +68,8 @@ def _upward(
     weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
     max-product.  Values are floats for one assignment, rows for a batch.
     """
-    children, offset, log_list = compiled.children, compiled.offset, compiled.log_list
+    compiled, log_list = network._compiled, network._log_list
+    children, offset = compiled.children, compiled.offset
     for e in compiled.internal if internal is None else internal:
         kids = children[e]
         start, stop = offset[e], offset[e + 1]
@@ -144,13 +145,13 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
         vals = np.zeros(len(compiled.variable))  # a free leaf is 1
         vals[leaves] = compiled.log_table[network._arrays.offset[leaves] + cats]
         return float(_levelled_upward(network._levels, vals, _logsumexp_each_row)[compiled.root])
-    variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
+    variable, offset, log_list = compiled.variable, compiled.offset, network._log_list
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    return _upward(compiled, vals, logsumexp)[compiled.root]
+    return _upward(network, vals, logsumexp)[compiled.root]
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
@@ -168,12 +169,13 @@ def evaluate_marginal(
     return Probability(_sum_pass(network, evidence))
 
 
-def _batch_upward(compiled: _Compiled, entry: int, columns) -> np.ndarray:
+def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
     """Log value of table entry ``entry`` for each row of a batch.
 
     ``columns[var]`` holds one category per row for each variable in the
     entry's scope.  Only the entry's sub-DAG is evaluated.
     """
+    compiled = network._compiled
     variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
     children = compiled.children
     sub_dag = _below(children, entry, {})
@@ -183,7 +185,7 @@ def _batch_upward(compiled: _Compiled, entry: int, columns) -> np.ndarray:
         if not children[e]
     }
     internal = sorted((e for e in sub_dag if children[e]), key=compiled.rank.__getitem__)
-    return _upward(compiled, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
+    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
 
 
 def batch_log_values(
@@ -205,7 +207,7 @@ def batch_log_values(
         for var in sorted(scope):
             for cat in (columns[var].min(), columns[var].max()):
                 check_evidence(network, {var: int(cat)})
-    return _batch_upward(network._compiled, network._entry[node_id], columns)
+    return _batch_upward(network, network._entry[node_id], columns)
 
 
 def free_variables(
@@ -268,7 +270,7 @@ def enumerate_log_values(
         for var in free:
             stride //= var.cardinality
             columns[var.index] = (idx // stride) % var.cardinality
-        yield start, _batch_upward(compiled, compiled.root, columns)
+        yield start, _batch_upward(network, compiled.root, columns)
 
 
 def log_partition(network: Network) -> float:

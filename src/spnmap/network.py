@@ -155,7 +155,6 @@ class _Compiled(NamedTuple):
     best: list[int]  # per leaf: most probable category, lowest on ties
     offset: list[int]  # the tables' parameter offsets
     log_table: np.ndarray
-    log_list: list[float]  # ``log_table`` as Python floats, for scalar passes
     cycle: int | None  # id of the first node found on a cycle
     invalid: int | None  # id of the first node with a negative or non-finite parameter
     negative: frozenset[int]  # entries with a negative parameter
@@ -406,14 +405,13 @@ class Network:
         variable_column = np.array(variable, dtype=np.intp)
         best_column = np.where(variable_column >= 0, best_array, -1)
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
-        log_list = log_table.tolist()
         below_zero = flat < 0
         owners = owner[below_zero | ~np.isfinite(flat)].tolist()
         invalid = ids[min(owners, key=rank.__getitem__)] if owners else None
         negative = frozenset(owner[below_zero].tolist())
         return _Compiled(
             order, rank, self._entry[self._root], internal, children, scopes, variable,
-            best_column.tolist(), param_offset, log_table, log_list, cycle, invalid, negative,
+            best_column.tolist(), param_offset, log_table, cycle, invalid, negative,
             (variable_column, table_offset, best_column),
         )
 
@@ -429,6 +427,14 @@ class Network:
         if record.invalid is not None:
             raise ValueError(f"node {record.invalid} has a negative or non-finite parameter")
         return record
+
+    @functools.cached_property
+    def _log_list(self) -> list[float]:
+        """The compiled ``log_table`` as Python floats, for the scalar passes.
+
+        Built on first use; the levelled passes of large networks never read it.
+        """
+        return self._compiled.log_table.tolist()
 
     @functools.cached_property
     def _arrays(self) -> _Arrays:

@@ -86,13 +86,13 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
                 choice.update(zip(level.entries.tolist(), picks.tolist()))
         return float(vals[compiled.root]), choice
     variable, best = compiled.variable, compiled.best
-    offset, log_list = compiled.offset, compiled.log_list
+    offset, log_list = compiled.offset, network._log_list
     vals = {
         e: log_list[offset[e] + evidence.get(var, best[e])]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    vals = _upward(compiled, vals, max)
+    vals = _upward(network, vals, max)
     children = compiled.children
     for e in compiled.internal:
         start, stop = offset[e], offset[e + 1]
@@ -168,7 +168,7 @@ def argmax_product(
     evidence = dict(evidence or {})
     compiled = network._compiled
     if not _levelled(network):
-        choice = _choose_by_sum(compiled, evidence)
+        choice = _choose_by_sum(network, evidence)
     else:
         cards = np.array([v.cardinality for v in network.variables])
         choice = _choose_by_wave(compiled, network._arrays, evidence, cards)
@@ -186,8 +186,9 @@ def argmax_product(
 _CHUNK_VALUES = 1 << 17
 
 
-def _choose_by_sum(compiled: _Compiled, evidence: Mapping[int, int]) -> dict[int, int]:
+def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
     """Each sum's choice by child index, one ``_batch_upward`` per sum, children first."""
+    compiled = network._compiled
     offset = compiled.offset
     choice: dict[int, int] = {}
     for e in compiled.internal:  # children first, so their choices are made
@@ -200,7 +201,7 @@ def _choose_by_sum(compiled: _Compiled, evidence: Mapping[int, int]) -> dict[int
         # variables; those read category 0.
         scope = list(compiled.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        choice[e] = int(np.argmax(_batch_upward(compiled, e, dict(zip(scope, rows)))))
+        choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
     return choice
 
 

@@ -143,13 +143,13 @@ def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
     ``_upward`` with the scalar ``logsumexp``, children first.
     """
     compiled = network._compiled
-    variable, offset, log_list = compiled.variable, compiled.offset, compiled.log_list
+    variable, offset, log_list = compiled.variable, compiled.offset, network._log_list
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    return _upward(compiled, vals, logsumexp)[compiled.root]
+    return _upward(network, vals, logsumexp)[compiled.root]
 
 
 def max_pass_by_entry(
@@ -162,13 +162,13 @@ def max_pass_by_entry(
     """
     compiled = network._compiled
     variable, best = compiled.variable, compiled.best
-    offset, log_list = compiled.offset, compiled.log_list
+    offset, log_list = compiled.offset, network._log_list
     vals = {
         e: log_list[offset[e] + evidence.get(var, best[e])]
         for e, var in enumerate(variable)
         if var >= 0
     }
-    vals = _upward(compiled, vals, max)
+    vals = _upward(network, vals, max)
     choice = {}
     for e in compiled.internal:
         weights = log_list[offset[e] : offset[e + 1]]
@@ -217,7 +217,7 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
         candidates = [_walk(compiled, evidence, kid, choice) for kid in compiled.children[e]]
         scope = list(compiled.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        scores[e] = _batch_upward(compiled, e, dict(zip(scope, rows)))
+        scores[e] = _batch_upward(network, e, dict(zip(scope, rows)))
         choice[e] = int(np.argmax(scores[e]))
     return scores
 
