@@ -36,23 +36,23 @@ _LEVELLED_MIN = 1 << 10
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
     """Raise ``ValueError`` unless every pair names a variable and category."""
-    n = len(network.variables)
+    n, cards = len(network.variables), network._cardinalities
     for var, cat in evidence.items():
         if not 0 <= var < n:
             raise ValueError(f"evidence names unknown variable {var}")
-        if not 0 <= cat < network.cardinality(var):
+        if not 0 <= cat < cards[var]:
             raise ValueError(
-                f"evidence assigns category {cat} to variable {var} "
-                f"of cardinality {network.cardinality(var)}"
+                f"evidence assigns category {cat} to variable {var} of cardinality {cards[var]}"
             )
 
 
 def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
     """Raise ``ValueError`` unless the assignment is total and in range."""
     check_evidence(network, assignment)
-    for v in network.variables:
-        if v.index not in assignment:
-            raise ValueError(f"assignment is missing variable {v.index}")
+    n = len(network.variables)
+    if len(assignment) < n:  # every key names a variable, so some variable is missing
+        missing = min(set(range(n)).difference(assignment))
+        raise ValueError(f"assignment is missing variable {missing}")
 
 
 def _upward(
@@ -68,9 +68,9 @@ def _upward(
     weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
     max-product.  Values are floats for one assignment, rows for a batch.
     """
-    compiled, log_list = network._compiled, network._log_list
-    children, offset = compiled.children, compiled.offset
-    for e in compiled.internal if internal is None else internal:
+    offset, log_list = network._compiled.offset, network._log_list
+    children, every = network._numbering.children, network._numbering.internal
+    for e in every if internal is None else internal:
         kids = children[e]
         start, stop = offset[e], offset[e + 1]
         if start == stop:  # a product has no weights
@@ -84,7 +84,7 @@ def _upward(
 
 
 def _levelled(network: Network) -> bool:
-    """Whether the network's passes work a level at a time."""
+    """Whether the network's passes, and its cycle check, work a level at a time."""
     return len(network._tables.ids) >= _LEVELLED_MIN
 
 
@@ -175,16 +175,15 @@ def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
     ``columns[var]`` holds one category per row for each variable in the
     entry's scope.  Only the entry's sub-DAG is evaluated.
     """
-    compiled = network._compiled
+    compiled, t, rank = network._compiled, network._tables, network._numbering.rank
     variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
-    children = compiled.children
-    sub_dag = _below(children, entry, {})
+    sub_dag = _below(t.child_offset, t.child_index, entry, {})
     vals = {
         e: log_table[offset[e] : offset[e + 1]][columns[variable[e]]]
         for e in sub_dag
-        if not children[e]
+        if variable[e] >= 0
     }
-    internal = sorted((e for e in sub_dag if children[e]), key=compiled.rank.__getitem__)
+    internal = sorted((e for e in sub_dag if variable[e] < 0), key=rank.__getitem__)
     return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
 
 

@@ -135,30 +135,36 @@ def _csr(rows: Sequence[Sequence]) -> tuple[list[int], list]:
 
 
 class _Compiled(NamedTuple):
-    """A network's passes, indexed by table entry and visited children first.
+    """A network's parameters and leaf columns, indexed by table entry: what every pass reads.
 
     Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Entry
     ``e``'s parameters, a leaf's categories or a sum's weights, are
-    ``log_table[offset[e]:offset[e + 1]]``; a product has none.  A cyclic
-    network is numbered too, skipping edges back to a node on the walk's
-    path; its scopes are partial, and only ``validate`` and ``is_acyclic``
-    read its record.
+    ``log_table[offset[e]:offset[e + 1]]``; a product has none.  It is built
+    with no walk over the entries, so it exists for a cyclic network too.
     """
 
-    order: list[int]  # every entry, children first
-    rank: list[int]  # index of each entry in ``order``
     root: int  # entry of the root
-    internal: list[int]  # entries of sums and products, children first
-    children: list[tuple[int, ...]]  # child entries; empty for leaves
-    scopes: list[frozenset[int]]  # variables below each entry
     variable: list[int]  # the tables' list: per leaf; -1 elsewhere
     best: list[int]  # per leaf: most probable category, lowest on ties
     offset: list[int]  # the tables' parameter offsets
     log_table: np.ndarray
-    cycle: int | None  # id of the first node found on a cycle
-    invalid: int | None  # id of the first node with a negative or non-finite parameter
-    negative: frozenset[int]  # entries with a negative parameter
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # ``variable``, ``offset``, ``best``
+    invalid: list[int]  # entries with a negative or non-finite parameter, once per parameter
+
+
+class _Numbering(NamedTuple):
+    """The entries in one depth-first walk, children first, with their child tuples and scopes.
+
+    A cyclic network is numbered too, skipping edges back to a node on the
+    walk's path; its scopes are partial.
+    """
+
+    order: list[int]  # every entry, children first
+    rank: list[int]  # index of each entry in ``order``
+    internal: list[int]  # entries of sums and products, children first
+    children: list[tuple[int, ...]]  # child entries; empty for leaves
+    scopes: list[frozenset[int]]  # variables below each entry
+    cycle: int | None  # id of the first node found on a cycle
 
 
 class _Arrays(NamedTuple):
@@ -169,7 +175,7 @@ class _Arrays(NamedTuple):
     variable: np.ndarray  # per leaf; -1 elsewhere
     offset: np.ndarray  # parameter offsets into ``log_table``
     best: np.ndarray  # per leaf: most probable category
-    height: np.ndarray  # arcs on the longest path down to a leaf
+    height: np.ndarray  # arcs on the longest path down to a leaf; -1 on or above a cycle
     shared: bool  # whether some entry is the child of two arcs
 
 
@@ -222,9 +228,11 @@ class Network:
 
     The nodes are stored as flat tables (``_Tables``), in the mapping's
     order.  Construction renormalizes sum weights that are within ``1e-6``
-    of a proper convex combination.  The nodes are numbered and tabulated on
-    first use.  Cyclic graphs are constructible (so ``validate`` can report
-    them) but refuse traversal-based queries.
+    of a proper convex combination.  The parameters are tabulated on first
+    use (``_compiled``); the nodes are numbered by a depth-first walk
+    (``_numbering``) only where a small network's pass or a structural query
+    needs the order.  Cyclic graphs are constructible (so ``validate`` can
+    report them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -325,6 +333,8 @@ class Network:
 
     @property
     def is_acyclic(self) -> bool:
+        if inference._levelled(self):  # a large network checks its heights, with no walk
+            return bool(self._arrays.height.min() >= 0)
         return self._numbering.cycle is None
 
     @property
@@ -333,23 +343,28 @@ class Network:
 
     def topological_order(self) -> tuple[int, ...]:
         """All node ids, children before parents."""
-        return tuple(map(self._tables.ids.__getitem__, self._compiled.order))
+        self._compiled  # refuses cycles and invalid parameters
+        return tuple(map(self._tables.ids.__getitem__, self._numbering.order))
 
     def scope(self, node_id: int) -> frozenset[int]:
         """Variable indices reachable below ``node_id``."""
         if node_id not in self._entry:
             raise KeyError(f"unknown node id {node_id}")
-        return self._compiled.scopes[self._entry[node_id]]
+        self._compiled  # refuses cycles and invalid parameters
+        return self._numbering.scopes[self._entry[node_id]]
 
     @functools.cached_property
-    def _numbering(self) -> _Compiled:
-        """Order and tabulate the entries in one depth-first walk, children first.
+    def _numbering(self) -> _Numbering:
+        """Order the entries in one depth-first walk, children first.
 
         The walk starts from each id not yet numbered, in increasing order.
         It skips each edge back to a node on its path and records the first
-        such node as ``cycle``.  The record is built on first use and kept.
+        such node as ``cycle``.  Built on first use, by the per-entry passes
+        of small networks, enumeration, ``topological_order`` and ``scope``,
+        and to name a node on a cycle or with an invalid parameter; large
+        networks validate and solve without it.
         """
-        ids, _, child_offset, child_index, variable, param_offset, params = self._tables
+        ids, _, child_offset, child_index, variable, _, _ = self._tables
         n = len(ids)
         empty: frozenset[int] = frozenset()
         singletons = [frozenset((v.index,)) for v in self._variables]
@@ -390,9 +405,19 @@ class Network:
                     internal.append(e)
         order.pop()  # the bottom frame finishes last
         rank.pop()
+        return _Numbering(order, rank, internal, children, scopes, cycle)
 
+    @functools.cached_property
+    def _unchecked(self) -> _Compiled:
+        """Tabulate the parameters' logs and the leaf columns in numpy, with no walk.
+
+        Built on first use and kept; ``_compiled`` is this record once checked.
+        """
+        ids, _, _, _, variable, param_offset, params = self._tables
+        n = len(ids)
         # Each leaf's first most probable category, and the parameters' logs.
-        flat, table_offset = np.array(params, dtype=float), np.array(param_offset, dtype=np.intp)
+        flat = np.fromiter(params, dtype=float, count=len(params))
+        table_offset = np.fromiter(param_offset, dtype=np.intp, count=n + 1)
         lengths = np.diff(table_offset)
         starts = table_offset[:-1]
         owner = np.repeat(np.arange(n), lengths)  # entry of each parameter
@@ -402,30 +427,31 @@ class Network:
         best_array = np.full(n, -1, dtype=np.intp)
         first = np.where(flat == peak, within, len(flat))  # a row's index of its peak
         best_array[nonempty] = np.minimum.reduceat(first, starts[nonempty])
-        variable_column = np.array(variable, dtype=np.intp)
+        variable_column = np.fromiter(variable, dtype=np.intp, count=n)
         best_column = np.where(variable_column >= 0, best_array, -1)
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
-        below_zero = flat < 0
-        owners = owner[below_zero | ~np.isfinite(flat)].tolist()
-        invalid = ids[min(owners, key=rank.__getitem__)] if owners else None
-        negative = frozenset(owner[below_zero].tolist())
+        invalid = owner[(flat < 0) | ~np.isfinite(flat)].tolist()
         return _Compiled(
-            order, rank, self._entry[self._root], internal, children, scopes, variable,
-            best_column.tolist(), param_offset, log_table, cycle, invalid, negative,
-            (variable_column, table_offset, best_column),
+            self._entry[self._root], variable, best_column.tolist(), param_offset, log_table,
+            (variable_column, table_offset, best_column), invalid,
         )
 
     @functools.cached_property
     def _compiled(self) -> _Compiled:
-        """The numbering that every pass reads; refuses cycles and invalid parameters.
+        """The record that every pass reads; refuses cycles and invalid parameters.
 
-        A refusal is raised again on each access, since only a record is kept.
+        A refused network is numbered to name its node: the first one the
+        walk finds on a cycle, or the first one it numbers with a negative or
+        non-finite parameter.  A refusal is raised again on each access.
         """
-        record = self._numbering
-        if record.cycle is not None:
-            raise ValueError(f"network contains a cycle through node {record.cycle}")
-        if record.invalid is not None:
-            raise ValueError(f"node {record.invalid} has a negative or non-finite parameter")
+        record = self._unchecked
+        if not self.is_acyclic:
+            raise ValueError(f"network contains a cycle through node {self._numbering.cycle}")
+        if record.invalid:
+            first = min(record.invalid, key=self._numbering.rank.__getitem__)
+            raise ValueError(
+                f"node {self._tables.ids[first]} has a negative or non-finite parameter"
+            )
         return record
 
     @functools.cached_property
@@ -438,13 +464,15 @@ class Network:
 
     @functools.cached_property
     def _arrays(self) -> _Arrays:
-        """The compiled record's columns as numpy arrays, with each entry's height.
+        """The tables' child CSR and the leaf columns as numpy arrays, with each entry's height.
 
-        Built on first use, by the passes that work a level at a time.  The
-        heights come from one sweep up from the leaves, a level per step:
-        an entry's height is the step at which its last child got one.
+        Built on first use, by ``validate``, by the cycle check of large
+        networks and by the passes that work a level at a time.  The heights
+        come from one sweep up from the leaves, a level per step: an entry's
+        height is the step at which its last child got one.  An entry on a
+        cycle, or above one, never gets a height.
         """
-        columns = self._compiled.columns
+        columns = self._unchecked.columns
         t = self._tables
         n = len(t.ids)
         child_offset = np.fromiter(t.child_offset, dtype=np.intp, count=n + 1)
@@ -454,14 +482,14 @@ class Network:
         parent_offset = np.cumsum(in_degree) - in_degree
         by_child = np.argsort(child_index, kind="stable")  # fast on nearly sorted indices
         parents = np.repeat(np.arange(n), fan)[by_child]  # one per arc, grouped by child
-        height = np.zeros(n, dtype=np.intp)
+        height = np.full(n, -1, dtype=np.intp)
         waiting = fan.copy()  # per entry: its children not yet given a height
         level, done = 0, np.flatnonzero(fan == 0)
         while done.size:
             height[done] = level
-            count = in_degree[done]
-            first = np.repeat(parent_offset[done] - (np.cumsum(count) - count), count)
-            above, arcs = np.unique(parents[first + np.arange(len(first))], return_counts=True)
+            above, arcs = np.unique(
+                _runs(parents, parent_offset[done], in_degree[done]), return_counts=True
+            )
             waiting[above] -= arcs
             done = above[waiting[above] == 0]
             level += 1
@@ -515,13 +543,19 @@ class Network:
         return cls(nodes, root, variables)
 
 
+def _runs(values: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs ``values[start[i]:start[i] + count[i]]``, concatenated in order."""
+    first = np.repeat(start - (np.cumsum(count) - count), count)
+    return values[first + np.arange(len(first))]
+
+
 def _below(
-    children: Sequence[tuple[int, ...]], start: int, choice: Mapping[int, int]
+    child_offset: Sequence[int], child_index: Sequence[int], start: int, choice: Mapping[int, int]
 ) -> dict[int, None]:
     """Entries reachable from ``start``, each once, in depth-first order.
 
-    ``children`` holds each entry's child entries.  A sum in ``choice``
-    follows only its child of that index.
+    ``child_offset`` and ``child_index`` are the tables' child CSR.  A sum in
+    ``choice`` follows only its child of that index.
     """
     seen: dict[int, None] = {}
     stack = [start]
@@ -529,8 +563,10 @@ def _below(
         e = stack.pop()
         if e not in seen:
             seen[e] = None
-            kids = children[e]
-            stack.extend((kids[choice[e]],) if e in choice else kids)
+            if e in choice:
+                stack.append(child_index[child_offset[e] + choice[e]])
+            elif (first := child_offset[e]) != (stop := child_offset[e + 1]):  # not a leaf
+                stack.extend(child_index[first:stop])
     return seen
 
 
@@ -539,62 +575,144 @@ def validate(network: Network) -> list[Violation]:
 
     Checks, in order: leaf distributions (nonnegative, unit total within
     ``1e-9``), sum weights (nonnegative, unit total within ``1e-6``),
-    acyclicity, reachability from the root, completeness of sum nodes,
-    decomposability of product nodes, and root scope coverage.
+    reachability from the root, acyclicity, completeness of sum nodes,
+    decomposability of product nodes, and root scope coverage.  Within a
+    check, the nodes are reported in increasing id order.  A cycle ends the
+    report, naming the first node that a depth-first walk from the ids in
+    increasing order finds on one.
+
+    Each check is a numpy mask over the entries (``Network._arrays``), with
+    no walk over them.  A parameter total is screened in numpy and confirmed
+    with ``math.fsum`` when it fails or lies near the tolerance's edge, so
+    every verdict and reported total is ``math.fsum``'s.  Scopes are compared
+    by size: a sum is complete when each child's scope has the size of their
+    union, and a product decomposable when its children's sizes add up to it.
     """
     violations: list[Violation] = []
     ids, kind, _, _, _, param_offset, params = network._tables
-    by_id = network._by_id
+    arrays = network._arrays
+    by_id = functools.partial(sorted, key=ids.__getitem__)
     # Per kind: the check, one parameter, several, and the tolerance on their total.
     rules = {
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
         _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
     }
-    record = network._numbering
-    for e in by_id:
-        if kind[e] == _PRODUCT:
-            continue
+    for e in by_id(_unsettled_rows(arrays, params).tolist()):
         check, one, several, tolerance = rules[kind[e]]
-        if e in record.negative:
+        row = params[param_offset[e] : param_offset[e + 1]]
+        if any(p < 0 for p in row):
             violations.append(Violation(ids[e], check, f"negative {one}"))
             continue
-        total = math.fsum(params[param_offset[e] : param_offset[e + 1]])
+        total = math.fsum(row)
         if not abs(total - 1.0) <= tolerance:  # NaN fails this test
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
-    children, scopes = record.children, record.scopes
-    reachable = _below(children, record.root, {})
-    if len(reachable) < len(ids):
-        for e in by_id:
-            if e not in reachable:
-                violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
+    root = network._entry[network.root]
+    for e in by_id(np.flatnonzero(~_reached(arrays, root)).tolist()):
+        violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
 
-    if record.cycle is not None:
-        violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
+    if arrays.height.min() < 0:
+        cycle = network._numbering.cycle
+        violations.append(Violation(cycle, "cycle", "node lies on a directed cycle"))
         return violations
 
-    for e in by_id:
+    size, defect = _scope_checks(arrays, len(network.variables))
+    for e in by_id(np.flatnonzero(defect).tolist()):
         if kind[e] == _SUM:
-            if len({scopes[kid] for kid in children[e]}) > 1:
-                violations.append(
-                    Violation(ids[e], "completeness", "children have differing scopes")
-                )
-        elif kind[e] == _PRODUCT:
-            seen: set[int] = set()
-            for kid in children[e]:
-                child_scope = scopes[kid]
-                if seen & child_scope:
-                    violations.append(
-                        Violation(ids[e], "decomposability", "children share scope variables")
-                    )
-                    break
-                seen |= child_scope
-    all_vars = frozenset(v.index for v in network.variables)
-    if scopes[record.root] != all_vars:
+            violations.append(Violation(ids[e], "completeness", "children have differing scopes"))
+        else:
+            violations.append(
+                Violation(ids[e], "decomposability", "children share scope variables")
+            )
+    if size[root] != len(network.variables):
         violations.append(
             Violation(network.root, "scope", "root scope does not cover all variables")
         )
     return violations
+
+
+def _unsettled_rows(arrays: _Arrays, params: list[float]) -> np.ndarray:
+    """The leaves and sums whose parameters the numpy screen cannot pass.
+
+    A row passes when it has no negative and its float total lies within
+    its tolerance of 1 by more than ``length * 2**-50``, which bounds the
+    total's rounding error, since its terms are nonnegative and it is near 1.
+    """
+    rows = np.flatnonzero(np.diff(arrays.offset))
+    if not rows.size:
+        return rows
+    flat = np.fromiter(params, dtype=float, count=len(params))
+    starts, lengths = arrays.offset[rows], np.diff(arrays.offset)[rows]
+    tolerance = np.where(arrays.variable[rows] >= 0, LEAF_TOLERANCE, WEIGHT_TOLERANCE)
+    with np.errstate(over="ignore", invalid="ignore"):  # such totals fail the screen
+        distance = np.abs(np.add.reduceat(flat, starts) - 1.0)
+    nonnegative = np.minimum.reduceat(flat, starts) >= 0  # NaN fails this test
+    return rows[~(nonnegative & (distance <= tolerance - lengths * 2.0**-50))]
+
+
+def _reached(arrays: _Arrays, root: int) -> np.ndarray:
+    """Whether each entry is reachable from ``root``, by a sweep down a frontier at a time."""
+    n = len(arrays.height)
+    reached = np.zeros(n, dtype=bool)
+    reached[root] = True
+    frontier = np.array([root])
+    last = np.empty(n, dtype=np.intp)  # per entry: its last position in a frontier
+    while frontier.size:
+        fan = arrays.child_offset[frontier + 1] - arrays.child_offset[frontier]
+        kids = _runs(arrays.child_index, arrays.child_offset[frontier], fan)
+        kids = kids[~reached[kids]]
+        reached[kids] = True
+        at = np.arange(len(kids))
+        last[kids] = at
+        frontier = kids[last[kids] == at]  # each entry once
+    return reached
+
+
+def _scope_checks(arrays: _Arrays, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's scope size, and whether a sum is incomplete or a product not decomposable.
+
+    The network must be acyclic.  Scopes are built a height at a time, up
+    from the leaves, as runs of sorted variables kept in one buffer: an
+    entry's run is the distinct variables of its children's runs, found by
+    sorting ``(entry, variable)`` keys.
+    """
+    height, variable, child_offset = arrays.height, arrays.variable, arrays.child_offset
+    n = len(height)
+    leaves = np.flatnonzero(variable >= 0)
+    size = np.ones(n, dtype=np.intp)
+    start = np.zeros(n, dtype=np.intp)
+    start[leaves] = np.arange(len(leaves))
+    buffer, used = variable[leaves], len(leaves)
+    defect = np.zeros(n, dtype=bool)
+    inner = np.flatnonzero(variable < 0)
+    inner = inner[np.argsort(height[inner], kind="stable")]
+    for entries in np.split(inner, np.flatnonzero(np.diff(height[inner])) + 1):
+        if not entries.size:
+            continue
+        fan = child_offset[entries + 1] - child_offset[entries]
+        kids = _runs(arrays.child_index, child_offset[entries], fan)
+        kid_size = size[kids]
+        owner = np.repeat(np.arange(len(entries)), fan)
+        keys = np.repeat(owner * n_vars, kid_size) + _runs(buffer, start[kids], kid_size)
+        keys.sort()
+        distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        union = np.bincount(distinct // n_vars, minlength=len(entries))
+        row = np.cumsum(fan) - fan
+        is_sum = arrays.offset[entries + 1] > arrays.offset[entries]
+        defect[entries] = np.where(
+            is_sum,
+            np.logical_or.reduceat(kid_size != union[owner], row),
+            np.add.reduceat(kid_size, row) != union,
+        )
+        size[entries] = union
+        start[entries] = used + np.cumsum(union) - union
+        if used + len(distinct) > len(buffer):  # grow by at least half, so copies stay linear
+            grown = np.empty(max(used + len(distinct), len(buffer) * 3 // 2), dtype=np.intp)
+            grown[:used] = buffer[:used]
+            buffer = grown
+        buffer[used : used + len(distinct)] = distinct % n_vars
+        used += len(distinct)
+    return size, defect
 
 
 @dataclass(frozen=True)
@@ -622,3 +740,7 @@ def network_stats(network: Network) -> NetworkStats:
         height=int(network._arrays.height[compiled.root]),
         sum_out_degrees=tuple(degrees),
     )
+
+
+# Imported last: ``inference`` imports this module, and ``is_acyclic`` reads its threshold.
+from . import inference  # noqa: E402

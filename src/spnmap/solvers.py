@@ -35,7 +35,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, _Arrays, _below, _Compiled, network_stats
+from .network import Network, _Arrays, _below, _Compiled, _runs, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -93,8 +93,9 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
         if var >= 0
     }
     vals = _upward(network, vals, max)
-    children = compiled.children
-    for e in compiled.internal:
+    numbering = network._numbering
+    children = numbering.children
+    for e in numbering.internal:
         start, stop = offset[e], offset[e + 1]
         if start < stop:  # sums have weights, products none
             terms = [w + vals[kid] for w, kid in zip(log_list[start:stop], children[e])]
@@ -103,16 +104,17 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
 
 
 def _walk(
-    compiled: _Compiled, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
+    network: Network, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
 ) -> dict[int, int]:
     """Configuration of the tree that ``choice`` induces below table entry ``start``.
 
     Each leaf on the tree fixes its variable to the evidence or to its most
     probable category, unless a leaf visited earlier fixed it.
     """
+    compiled, t = network._compiled, network._tables
     variable, best = compiled.variable, compiled.best
     config: dict[int, int] = {}
-    for e in _below(compiled.children, start, choice):
+    for e in _below(t.child_offset, t.child_index, start, choice):
         if (var := variable[e]) >= 0:
             config.setdefault(var, evidence.get(var, best[e]))
     return config
@@ -139,7 +141,7 @@ def max_product(
     if bound.is_zero:
         config = decode_configuration(network, evidence, 0)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(compiled, evidence, compiled.root, choice)}
+    config = {**evidence, **_walk(network, evidence, compiled.root, choice)}
     return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
 
 
@@ -171,8 +173,8 @@ def argmax_product(
         choice = _choose_by_sum(network, evidence)
     else:
         cards = np.array([v.cardinality for v in network.variables])
-        choice = _choose_by_wave(compiled, network._arrays, evidence, cards)
-    config = _walk(compiled, evidence, compiled.root, choice)
+        choice = _choose_by_wave(network, evidence, cards)
+    config = _walk(network, evidence, compiled.root, choice)
     value = base.value if config == base.configuration else evaluate(network, config)
     # With nested sums the candidate can score below max-product's configuration,
     # whose value feeds cross terms that the candidate pass never sees.
@@ -188,27 +190,27 @@ _CHUNK_VALUES = 1 << 17
 
 def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
     """Each sum's choice by child index, one ``_batch_upward`` per sum, children first."""
-    compiled = network._compiled
-    offset = compiled.offset
+    offset, numbering = network._compiled.offset, network._numbering
     choice: dict[int, int] = {}
-    for e in compiled.internal:  # children first, so their choices are made
+    for e in numbering.internal:  # children first, so their choices are made
         # A sum has one weight per child and a product none, so this skips
         # every node with no choice to make.
         if offset[e + 1] - offset[e] < 2:
             continue
-        candidates = [_walk(compiled, evidence, kid, choice) for kid in compiled.children[e]]
+        candidates = [_walk(network, evidence, kid, choice) for kid in numbering.children[e]]
         # Candidates of an incomplete sum (an invalid network) can miss scope
         # variables; those read category 0.
-        scope = list(compiled.scopes[e])
+        scope = list(numbering.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
     return choice
 
 
 def _choose_by_wave(
-    compiled: _Compiled, arrays: _Arrays, evidence: Mapping[int, int], cards: np.ndarray
+    network: Network, evidence: Mapping[int, int], cards: np.ndarray
 ) -> dict[int, int]:
     """``_choose_by_sum``'s choices, made one wave of sums at a time."""
+    arrays = network._arrays
     fan = np.diff(arrays.child_offset)
     # Each entry's chosen tree follows ``count`` children from child index
     # ``skip``: all of them, or the one its sum chose.
@@ -223,7 +225,7 @@ def _choose_by_wave(
     for sums in np.split(deciding, np.flatnonzero(np.diff(wave)) + 1):
         if sums.size:
             scores = _score_wave(
-                compiled, arrays, fan, follow, fixed, cards, evidence, choice, sums
+                network, arrays, fan, follow, fixed, cards, evidence, choice, sums
             )
             picks = scores.argmax(axis=1)  # the first best child
             follow[0][sums] = picks
@@ -248,7 +250,7 @@ class _Pairs(NamedTuple):
 
 
 def _score_wave(
-    compiled: _Compiled,
+    network: Network,
     arrays: _Arrays,
     fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
@@ -261,9 +263,9 @@ def _score_wave(
     """Each sum's log value at each child's candidate, one row per sum of the wave."""
     pairs = _sub_dags(arrays, fan, sums)
     pair_slot, cat_rows, row = _candidate_rows(
-        compiled, arrays, fan, follow, fixed, cards, evidence, choice, pairs
+        network, arrays, fan, follow, fixed, cards, evidence, choice, pairs
     )
-    top_values = _levelled_pass(compiled, arrays, fan, pairs, pair_slot, cat_rows)
+    top_values = _levelled_pass(network._compiled, arrays, fan, pairs, pair_slot, cat_rows)
     return np.take_along_axis(top_values, row, axis=1)
 
 
@@ -271,8 +273,7 @@ def _expand(
     owner: np.ndarray, start: np.ndarray, count: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each item's ``count`` items of ``index`` from ``start``, in order, and their owners."""
-    first = np.repeat(start - (np.cumsum(count) - count), count)
-    return np.repeat(owner, count), index[first + np.arange(len(first))]
+    return np.repeat(owner, count), _runs(index, start, count)
 
 
 def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
@@ -305,7 +306,7 @@ def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
 
 
 def _candidate_rows(
-    compiled: _Compiled,
+    network: Network,
     arrays: _Arrays,
     fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
@@ -364,7 +365,7 @@ def _candidate_rows(
     walked.append(slot_sum[clash // k] * k + clash % k)
     for c in sorted(set(np.concatenate(walked).tolist())):  # its first-visited leaf wins
         i, j = divmod(c, k)
-        config = _walk(compiled, evidence, int(entry[roots[c]]), choice)
+        config = _walk(network, evidence, int(entry[roots[c]]), choice)
         slots = slice(slot_first[i], slot_first[i + 1])
         table[slots, j] = [config.get(v, 0) for v in slot_var[slots].tolist()]
 

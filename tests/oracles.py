@@ -6,7 +6,9 @@ deliberately sharing no propagation code with the package under test.
 Those are the per-entry loop (``_upward``) of the sum and max passes, and
 argmax-product's per-sum loop, built from the package's scalar walk and
 batch pass.  The levelled passes and the wave pass of large networks must
-match them bit for bit.
+match them bit for bit.  ``validate_by_walk`` checks each node over the
+depth-first walk's child tuples and scope sets; the array ``validate`` must
+report what it reports.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from spnmap import (
     ProductNode,
     Solver,
     SumNode,
+    Violation,
 )
 from spnmap.inference import _batch_upward, _upward, check_assignment, decode_configuration
 from spnmap.logspace import logsumexp
+from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
 from spnmap.solvers import _walk
 
 
@@ -169,11 +173,12 @@ def max_pass_by_entry(
         if var >= 0
     }
     vals = _upward(network, vals, max)
+    numbering = network._numbering
     choice = {}
-    for e in compiled.internal:
+    for e in numbering.internal:
         weights = log_list[offset[e] : offset[e + 1]]
         if weights:  # a sum
-            terms = [w + vals[kid] for w, kid in zip(weights, compiled.children[e])]
+            terms = [w + vals[kid] for w, kid in zip(weights, numbering.children[e])]
             choice[e] = terms.index(vals[e])
     return vals[compiled.root], choice
 
@@ -193,7 +198,7 @@ def max_product_by_entry(
     if bound.is_zero:
         config = decode_configuration(network, evidence, 0)
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(compiled, evidence, compiled.root, choice)}
+    config = {**evidence, **_walk(network, evidence, compiled.root, choice)}
     check_assignment(network, config)
     value = Probability(sum_pass_by_entry(network, config))
     return MapResult(config, value, Solver.MAX_PRODUCT, bound)
@@ -207,15 +212,14 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     (``_batch_upward``, with category 0 for a scope variable a candidate
     misses) and chooses the first best child.
     """
-    compiled = network._compiled
-    offset = compiled.offset
+    offset, numbering = network._compiled.offset, network._numbering
     scores: dict[int, np.ndarray] = {}
     choice: dict[int, int] = {}
-    for e in compiled.internal:
+    for e in numbering.internal:
         if offset[e + 1] - offset[e] < 2:  # products and one-child sums
             continue
-        candidates = [_walk(compiled, evidence, kid, choice) for kid in compiled.children[e]]
-        scope = list(compiled.scopes[e])
+        candidates = [_walk(network, evidence, kid, choice) for kid in numbering.children[e]]
+        scope = list(numbering.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         scores[e] = _batch_upward(network, e, dict(zip(scope, rows)))
         choice[e] = int(np.argmax(scores[e]))
@@ -234,12 +238,76 @@ def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -
     evidence = dict(evidence or {})
     compiled = network._compiled
     choice = {e: int(np.argmax(v)) for e, v in scores_by_sum(network, evidence).items()}
-    config = _walk(compiled, evidence, compiled.root, choice)
+    config = _walk(network, evidence, compiled.root, choice)
     check_assignment(network, config)
     value = Probability(sum_pass_by_entry(network, config))
     if base.value.log > value.log:
         config, value = base.configuration, base.value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
+
+
+def validate_by_walk(network: Network) -> list[Violation]:
+    """``validate``'s report, checked one node at a time over the walk's record.
+
+    Parameter totals by ``math.fsum``, reachability by a stack over the
+    child tuples, and each sum's and product's rule on its children's scope
+    sets, every check in increasing id order.
+    """
+    violations: list[Violation] = []
+    ids, kind, _, _, _, param_offset, params = network._tables
+    # Per kind: the check, one parameter, several, and the tolerance on their total.
+    rules = {
+        _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
+        _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
+    }
+    record, by_id = network._numbering, sorted(range(len(ids)), key=ids.__getitem__)
+    for e in by_id:
+        if kind[e] == _PRODUCT:
+            continue
+        check, one, several, tolerance = rules[kind[e]]
+        row = params[param_offset[e] : param_offset[e + 1]]
+        if any(p < 0 for p in row):
+            violations.append(Violation(ids[e], check, f"negative {one}"))
+            continue
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= tolerance:  # NaN fails this test
+            violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
+
+    children, scopes = record.children, record.scopes
+    root = network._entry[network.root]
+    reachable, stack = set(), [root]
+    while stack:
+        if (e := stack.pop()) not in reachable:
+            reachable.add(e)
+            stack.extend(children[e])
+    for e in by_id:
+        if e not in reachable:
+            violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
+
+    if record.cycle is not None:
+        violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
+        return violations
+
+    for e in by_id:
+        if kind[e] == _SUM:
+            if len({scopes[kid] for kid in children[e]}) > 1:
+                violations.append(
+                    Violation(ids[e], "completeness", "children have differing scopes")
+                )
+        elif kind[e] == _PRODUCT:
+            seen: set[int] = set()
+            for kid in children[e]:
+                if seen & scopes[kid]:
+                    violations.append(
+                        Violation(ids[e], "decomposability", "children share scope variables")
+                    )
+                    break
+                seen |= scopes[kid]
+    if scopes[root] != frozenset(v.index for v in network.variables):
+        violations.append(
+            Violation(network.root, "scope", "root scope does not cover all variables")
+        )
+    return violations
 
 
 def amplified_nodes(network: Network, q: int) -> dict[int, Node]:

@@ -74,6 +74,19 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="missing variable"):
             evaluate(mixture_net, {0: 1})
 
+    def test_the_first_error_names_the_lowest_missing_variable(self):
+        net = random_spn(6, 3, seed=1)
+        for assignment, message in (
+            ({}, "assignment is missing variable 0"),
+            ({0: 0, 1: 1, 3: 0, 5: 1}, "assignment is missing variable 2"),
+            ({5: 0, 4: 0, 3: 0, 2: 0, 1: 0}, "assignment is missing variable 0"),
+            ({0: 0, 9: 0}, "evidence names unknown variable 9"),  # before any missing one
+            ({1: 7}, "evidence assigns category 7 to variable 1 of cardinality 2"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                evaluate(net, assignment)
+            assert str(raised.value) == message
+
     def test_unknown_variable(self, mixture_net):
         with pytest.raises(ValueError, match="unknown variable"):
             evaluate_marginal(mixture_net, {7: 0})

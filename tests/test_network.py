@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import pickle
+import random
 
 import numpy as np
 import pytest
 
+import spnmap
 from spnmap import (
     LeafNode,
     Network,
+    Node,
     ProductNode,
     SumNode,
     Variable,
@@ -27,8 +32,10 @@ from spnmap import (
     serialize_spn,
     validate,
 )
+from spnmap import inference
 from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
+from oracles import below, validate_by_walk
 
 
 def leaf_only(distribution=(0.5, 0.5)) -> Network:
@@ -378,10 +385,10 @@ class TestArrays:
     @staticmethod
     def rebuilt(net: Network) -> tuple:
         """``_arrays`` by plain conversion of the tables and the record, with a height loop."""
-        record, t = net._compiled, net._tables
+        record, numbering, t = net._compiled, net._numbering, net._tables
         height = [0] * len(t.ids)
-        for e in record.internal:  # children first
-            height[e] = 1 + max(height[kid] for kid in record.children[e])
+        for e in numbering.internal:  # children first
+            height[e] = 1 + max(height[kid] for kid in numbering.children[e])
         columns = (
             t.child_offset, t.child_index, record.variable, record.offset, record.best, height
         )
@@ -406,7 +413,7 @@ class TestArrays:
                 assert len(set(arrays.height[entries].tolist())) == 1
                 assert set(fan[entries].tolist()) == {level.kids.shape[1]}
                 for e, kids in zip(entries, level.kids.tolist()):
-                    assert kids == list(net._compiled.children[e]) and done[kids].all()
+                    assert kids == list(net._numbering.children[e]) and done[kids].all()
                 if level.weights is None:
                     assert (np.diff(arrays.offset)[entries] == 0).all()
                 else:
@@ -414,3 +421,148 @@ class TestArrays:
                     assert np.array_equal(level.weights, log_table[at])
                 done[entries] = True
             assert done.all()
+
+
+def defective_dag(rng: random.Random) -> Network:
+    """A random network of up to 15 nodes, with defects drawn at random.
+
+    Each node's children are drawn among the nodes before it, so children are
+    often shared and the network is a DAG unless a two-node cycle is added.
+    Parameters are negative, NaN or infinite, or total just inside or just
+    outside ``1e-9`` (leaves) and ``1e-6`` (sums) of 1; sums and products
+    draw children of any scope, and the root is any node.
+    """
+    cards = [rng.randint(2, 5) for _ in range(rng.randint(1, 4))]
+    ids = rng.sample(range(40), rng.randint(2, 14))
+    nodes: dict[int, Node] = {}
+
+    def parameters(count: int, tolerance: float) -> list[float]:
+        shares = [rng.random() + 0.01 for _ in range(count)]
+        roll = rng.random()
+        if roll < 0.4:
+            target = 1.0
+        else:  # just inside or outside the tolerance, or at its edge
+            target = 1.0 + rng.choice((-1, 1)) * tolerance * rng.choice(
+                (0.5, 1 - 1e-4, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-4, 2.0)
+            )
+        values = [target * x / math.fsum(shares) for x in shares]
+        if rng.random() < 0.15:
+            values[rng.randrange(count)] = rng.choice((-0.25, -math.inf, math.inf, math.nan, 0.0))
+        return values
+
+    for k, nid in enumerate(ids):
+        roll = rng.random() if k else 0.0
+        if roll < 0.4:
+            var = rng.randrange(len(cards))
+            nodes[nid] = LeafNode(var, parameters(cards[var], 1e-9))
+        else:
+            kids = tuple(rng.choice(ids[:k]) for _ in range(rng.randint(1, 3)))
+            if roll < 0.7:
+                nodes[nid] = SumNode(kids, parameters(len(kids), 1e-6))
+            else:
+                nodes[nid] = ProductNode(kids)
+    inner = [nid for nid in ids if not isinstance(nodes[nid], LeafNode)]
+    if inner and rng.random() < 0.2:  # a cycle through a new product
+        top, nid = rng.choice(inner), max(ids) + 1
+        nodes[nid] = ProductNode((top,))
+        node = nodes[top]
+        if isinstance(node, SumNode):
+            nodes[top] = SumNode((*node.children, nid), (*node.weights[:-1], 0.5, 0.5))
+        else:
+            nodes[top] = ProductNode((*node.children, nid))
+    root = inner[-1] if inner and rng.random() < 0.6 else rng.choice(ids)
+    return Network(nodes, root, [Variable(i, c) for i, c in enumerate(cards)])
+
+
+def refusal(net: Network):
+    """The structural queries' answer, or the message of their refusal."""
+    try:
+        return net.topological_order(), [net.scope(nid) for nid in sorted(net.nodes)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLevelledValidate:
+    """``validate`` and the cycle check of the levelled path against the walk."""
+
+    @pytest.fixture(autouse=True)
+    def every_network_levelled(self, monkeypatch):
+        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
+
+    @staticmethod
+    def report(violations) -> list[tuple[int, str, str]]:
+        return [(v.node_id, v.kind, v.message) for v in violations]
+
+    def test_reports_match_the_walk_on_random_dags(self, monkeypatch):
+        rng = random.Random(0)
+        kinds, refusals = set(), set()
+        for _ in range(600):
+            net = defective_dag(rng)
+            # The same nodes under the default threshold take the walk's cycle check.
+            walked = Network(dict(net.nodes), net.root, net.variables)
+            report = self.report(validate(net))
+            assert report == self.report(validate_by_walk(walked))
+            assert net.is_acyclic is (walked._numbering.cycle is None)
+            outcome = refusal(net)
+            monkeypatch.setattr(inference, "_LEVELLED_MIN", 1 << 10)
+            assert walked.is_acyclic is net.is_acyclic
+            assert refusal(walked) == outcome
+            monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
+            kinds.update(kind for _, kind, _ in report)
+            if isinstance(outcome, str):
+                refusals.add(outcome.split(" ")[-1] if "cycle" in outcome else "parameter")
+            elif net.is_acyclic:
+                for nid in net.nodes:
+                    leaves = (net.nodes[i] for i in below(net, nid))
+                    assert net.scope(nid) == {n.variable for n in leaves if isinstance(n, LeafNode)}
+        every_kind = {
+            "distribution", "normalization", "unreachable", "cycle",
+            "completeness", "decomposability", "scope",
+        }
+        assert kinds == every_kind
+        assert "parameter" in refusals and len(refusals) > 2
+
+    def test_edge_totals_take_the_exact_sum(self):
+        # Rows whose total, added in order, falls on the other side of the
+        # tolerance than the exact total does.
+        rng, tested = random.Random(1), 0
+        for tolerance in (1e-9, 1e-6):
+            for _ in range(4000):
+                shares = [rng.random() for _ in range(rng.randint(3, 12))]
+                side = rng.choice((-1, 1))
+                target = 1 + side * tolerance * (1 + rng.choice((-1, 1)) * rng.random() * 1e-6)
+                row = [target * x / math.fsum(shares) for x in shares]
+                in_order = functools.reduce(operator.add, row)
+                if (abs(in_order - 1) <= tolerance) == (abs(math.fsum(row) - 1) <= tolerance):
+                    continue
+                if tolerance == 1e-9:
+                    net = Network({0: LeafNode(0, row)}, 0, [Variable(0, len(row))])
+                else:
+                    leaves = {k: LeafNode(0, (0.5, 0.5)) for k in range(1, len(row) + 1)}
+                    net = Network({0: SumNode(tuple(leaves), row), **leaves}, 0, [Variable(0, 2)])
+                assert self.report(validate(net)) == self.report(validate_by_walk(net))
+                tested += 1
+        assert tested > 50
+
+    def test_shared_and_amplified_networks_are_valid(self):
+        *valid, unreachable = column_networks()  # the last one has unreachable entries
+        for net in valid:
+            assert validate(net) == validate_by_walk(net) == []
+        assert validate(unreachable) == validate_by_walk(unreachable) != []
+
+
+def test_a_large_valid_network_is_solved_without_the_walk():
+    # The unsatisfiable formula of all eight sign patterns: 1801 entries.
+    clauses = [(a * 1, b * 2, c * 3) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    formula = CnfFormula(3, tuple(clauses))
+    net = parse_spn(serialize_spn(amplify(cnf_to_spn(formula), 8).network))
+    assert inference._levelled(net)
+    assert validate(net) == []
+    spnmap.evaluate_marginal(net)
+    max_product(net)
+    spnmap.argmax_product(net)
+    spnmap.decision_map(net, None, 0.0, spnmap.Solver.MAX_PRODUCT)
+    assert "_numbering" not in vars(net)
+    assert net.is_acyclic and "_numbering" not in vars(net)
+    net.topological_order()  # a structural query numbers the entries
+    assert "_numbering" in vars(net)

@@ -31,6 +31,11 @@ The corpus:
   three evidences and with every vertex set to 0, which has no mass
 - small random node dicts, many of them cyclic or with invalid parameters,
   and the first 100 that build, each amplified to at least 1024 entries
+- three ``random_spn`` networks amplified to at least 1024 entries, each with
+  one defect put in at a time: negative, NaN and infinite parameters, totals
+  just inside and outside the tolerances, an unreachable leaf, cycles that the
+  root reaches and that it does not, an incomplete sum, a non-decomposable
+  product and a variable that no leaf covers
 - malformed documents, each parsed and serialized again: every single-line
   edit (delete, duplicate, replace a token) of criterion 06's document (the
   satisfiable formula amplified once), and such edits of six lines of the
@@ -157,6 +162,55 @@ def _random_nodes(rng: random.Random) -> tuple[dict, int]:
     return nodes, rng.choice(ids)
 
 
+def _defects(net) -> list[tuple[str, dict, int, list]]:
+    """``net``'s nodes with one defect each, as ``(defect, nodes, root, variables)``."""
+    from spnmap import LeafNode, ProductNode, SumNode, Variable
+
+    nodes, root, variables = dict(net.nodes), net.root, list(net.variables)
+    kinds = {kind: [i for i in sorted(nodes) if isinstance(nodes[i], kind)]
+             for kind in (LeafNode, SumNode, ProductNode)}
+    leaf, other_leaf = kinds[LeafNode][len(kinds[LeafNode]) // 2], kinds[LeafNode][-1]
+    mix, product = kinds[SumNode][len(kinds[SumNode]) // 2], kinds[ProductNode][-1]
+    top = max(nodes) + 1
+    stray = min(v.index for v in variables if v.index not in net.scope(mix))
+
+    def scaled(node, factor):
+        if isinstance(node, LeafNode):
+            return LeafNode(node.variable, [p * factor for p in node.distribution])
+        return SumNode(node.children, [w * factor for w in node.weights])
+
+    def point(var):  # a leaf with all its mass on category 0
+        return LeafNode(var, (1.0,) + (0.0,) * (variables[var].cardinality - 1))
+
+    def first(node, value):
+        if isinstance(node, LeafNode):
+            return LeafNode(node.variable, (value, *node.distribution[1:]))
+        return SumNode(node.children, (value, *node.weights[1:]))
+
+    edits = {
+        "negative probability": {leaf: first(nodes[leaf], -0.25)},
+        "negative infinite weight": {mix: first(nodes[mix], -math.inf)},
+        "NaN weight": {mix: first(nodes[mix], math.nan)},
+        "infinite probability": {other_leaf: first(nodes[other_leaf], math.inf)},
+        "leaf total inside 1e-9": {leaf: scaled(nodes[leaf], 1 + 0.9e-9)},
+        "leaf total outside 1e-9": {leaf: scaled(nodes[leaf], 1 + 1.1e-9)},
+        "weight total outside 1e-6": {mix: scaled(nodes[mix], 1 - 1.1e-6)},
+        "unreachable leaf": {top: point(0)},
+        "reachable cycle": {product: ProductNode((*nodes[product].children, root))},
+        "unreachable cycle": {top: ProductNode((top + 1, leaf)), top + 1: ProductNode((top,))},
+        "incomplete sum": {
+            top: point(stray),
+            mix: SumNode((*nodes[mix].children, top), (*nodes[mix].weights, 0.0)),
+        },
+        "non-decomposable product": {
+            product: ProductNode((*nodes[product].children, nodes[product].children[0]))
+        },
+    }
+    cases = [(defect, {**nodes, **edit}, root, variables) for defect, edit in edits.items()]
+    cases.append(("uncovered variable", nodes, root, [*variables, Variable(len(variables), 2)]))
+    return cases
+
+
 def _edits(lines: list[str], k: int, tokens) -> list[list[str]]:
     """``lines`` with line ``k`` deleted, duplicated, or with one token replaced."""
     edited = [lines[:k] + lines[k + 1 :], lines[: k + 1] + lines[k:]]
@@ -258,6 +312,16 @@ def _corpus() -> None:
         copies = amplify(spnmap.ReductionResult(net, Fraction(1), {}), q).network
         _structure(f"{label} x{q}", copies)
         _solve(f"{label} x{q}", copies, {}, False)
+
+    for s in range(3):
+        base = spnmap.random_spn(3 + s, 3 + s, seed=2000 + s)
+        q = 1 + 1024 // len(base.nodes)
+        copies = amplify(spnmap.ReductionResult(base, Fraction(1), {}), q).network
+        for defect, nodes, root, variables in _defects(copies):
+            label = f"random_spn {2000 + s} x{q} {defect}"
+            net = spnmap.Network(nodes, root, variables)
+            _structure(label, net)
+            _solve(label, net, {}, False)
 
 
 def _run(tree: str) -> subprocess.Popen:
