@@ -23,7 +23,7 @@ from typing import Mapping
 from .logspace import LOG_ZERO
 from .network import LeafNode, Network, Node, ProductNode, SumNode, Variable
 from .reductions import Graph, ReductionResult, amplify, mis_to_spn
-from .solvers import argmax_product, max_product
+from .solvers import _improved, argmax_product, max_product
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,8 @@ def ratio(network: Network, evidence: Mapping[int, int] | None = None) -> float:
     Both zero gives 1.  A zero denominator with a nonzero numerator gives
     ``inf``, and so does a ratio beyond the largest float.
     """
-    a = argmax_product(network, evidence).value.log
-    m = max_product(network, evidence).value.log
-    return _ratio_from_logs(a, m)
+    base = max_product(network, evidence)
+    return _ratio_from_logs(_improved(network, evidence, base).value.log, base.value.log)
 
 
 def run_mis_experiment(config: ExperimentConfig) -> list[ExperimentRow]:

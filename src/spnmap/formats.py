@@ -254,17 +254,7 @@ def _number_error(what: str, refused: np.ndarray, token: Callable[[int], int]) -
 
 def parse_spn(text: str) -> Network:
     """Parse a network document; structural semantics are left to ``validate``."""
-    # The lists are made once the scan's arrays are freed, to reuse their
-    # memory, and the arrays go before the network indexes the lists.
-    columns, root, cards = _table_columns(_checked_columns(text))
-    tables = _Tables(*(column.tolist() for column in columns))
-    del columns
-    return Network._from_tables(tables, root, list(map(Variable, itertools.count(), cards)))
-
-
-def _table_columns(c: SimpleNamespace) -> tuple[list[np.ndarray], int, list[int]]:
-    """The ``_Tables`` columns, as arrays, of ``_checked_columns``' result; and
-    its root and cardinalities."""
+    c = _checked_columns(text)
     n = len(c.ids)
     degree = np.bincount(c.parent, minlength=n)
     # Stable, so each parent's edges keep their line order.
@@ -283,8 +273,10 @@ def _table_columns(c: SimpleNamespace) -> tuple[list[np.ndarray], int, list[int]
     params[slot[under_sum]] = c.weight[by_parent][under_sum]
     variable = np.full(n, -1)
     variable[leaves] = c.var
-    columns = [c.ids, c.kind, child_offset, c.child[by_parent], variable, param_offset, params]
-    return columns, c.root, c.cards
+    tables = _Tables(
+        c.ids.tolist(), c.kind, child_offset, c.child[by_parent], variable, param_offset, params
+    )
+    return Network._from_tables(tables, c.root, list(map(Variable, itertools.count(), c.cards)))
 
 
 def _checked_columns(text: str) -> SimpleNamespace:
@@ -464,24 +456,22 @@ def serialize_spn(network: Network) -> str:
     """Render a network document that parses back to an equivalent network."""
     t = network._tables
     # Format each distinct parameter, told apart by its bits, once.
-    bits, which = np.unique(np.array(t.params, dtype=float).view(np.int64), return_inverse=True)
+    bits, which = np.unique(t.params.view(np.int64), return_inverse=True)
     texts = np.array([format(p, ".17g") for p in bits.view(float).tolist()], dtype=object)[which]
     ids = np.array(t.ids, dtype=object)
-    entry = np.arange(len(t.ids)) if isinstance(network._by_id, range) else np.array(network._by_id)
     # A line per node in id order, then a line per edge, by parent in id order.
     # Each line is a format, and ``%`` fills in each part's fields at once.
-    nodes = _node_lines(t, entry, ids, texts)
-    edges = _edge_lines(t, entry, ids, texts)
-    return f"spn {len(entry)}\n{nodes}{edges}root {network.root}\n"
+    nodes = _node_lines(t, network._by_id, ids, texts)
+    edges = _edge_lines(t, network._by_id, ids, texts)
+    return f"spn {len(t.ids)}\n{nodes}{edges}root {network.root}\n"
 
 
 def _node_lines(t: _Tables, entry: np.ndarray, ids: np.ndarray, texts: np.ndarray) -> str:
     """The node lines of ``entry``, the entries in id order."""
-    kinds = np.array(t.kind)[entry]
+    kinds = t.kind[entry]
     leaf = kinds == _LEAF
     leaves = entry[leaf]
-    param_offset = np.array(t.param_offset)
-    size = np.diff(param_offset)[leaves]
+    size = np.diff(t.param_offset)[leaves]
     forms = np.empty(len(entry), dtype=object)
     forms[kinds == _SUM] = "node %s sum\n"
     forms[kinds == _PRODUCT] = "node %s prod\n"
@@ -492,23 +482,23 @@ def _node_lines(t: _Tables, entry: np.ndarray, ids: np.ndarray, texts: np.ndarra
     at = np.cumsum(width) - width  # each line's first field
     fields = np.empty(width.sum(), dtype=object)
     fields[at] = ids[entry]
-    fields[at[leaf] + 1] = np.array(t.variable, dtype=object)[leaves]
-    fields[_ragged(at[leaf] + 2, size)] = texts[_ragged(param_offset[leaves], size)]
+    fields[at[leaf] + 1] = t.variable[leaves]
+    fields[_ragged(at[leaf] + 2, size)] = texts[_ragged(t.param_offset[leaves], size)]
     return _filled(forms, fields)
 
 
 def _edge_lines(t: _Tables, entry: np.ndarray, ids: np.ndarray, texts: np.ndarray) -> str:
     """The edge lines of the parents ``entry``, in that order."""
-    child_offset, param_offset = np.array(t.child_offset), np.array(t.param_offset)
+    child_offset, param_offset = t.child_offset, t.param_offset
     degree = np.diff(child_offset)[entry]
     parent = np.repeat(entry, degree)
     slot = _ragged(child_offset[entry], degree)  # each edge's place in the child table
-    weighted = np.array(t.kind)[parent] == _SUM
+    weighted = t.kind[parent] == _SUM
     forms = np.array(["edge %s %s\n", "edge %s %s %s\n"], dtype=object)[weighted.view(np.int8)]
     at = 2 * np.arange(len(slot)) + np.cumsum(weighted) - weighted
     fields = np.empty(2 * len(slot) + np.count_nonzero(weighted), dtype=object)
     fields[at] = ids[parent]
-    fields[at + 1] = ids[np.array(t.child_index, dtype=np.intp)[slot]]
+    fields[at + 1] = ids[t.child_index[slot]]
     fields[at[weighted] + 2] = texts[(param_offset[parent] + slot - child_offset[parent])[weighted]]
     return _filled(forms, fields)
 

@@ -68,7 +68,7 @@ def _upward(
     weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
     max-product.  Values are floats for one assignment, rows for a batch.
     """
-    offset, log_list = network._compiled.offset, network._log_list
+    offset, log_list = network._lists.param_offset, network._lists.log_table
     children, every = network._numbering.children, network._numbering.internal
     for e in every if internal is None else internal:
         kids = children[e]
@@ -128,7 +128,7 @@ def _leaf_categories(
     network: Network, evidence: Mapping[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The leaf entries, and each one's category under the evidence (-1 where free)."""
-    variable = network._arrays.variable
+    variable = network._tables.variable
     leaves = np.flatnonzero(variable >= 0)
     fixed = np.full(len(network.variables), -1)
     fixed[list(evidence)] = list(evidence.values())
@@ -142,10 +142,10 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
         leaves, cats = _leaf_categories(network, evidence)
         fixed = cats >= 0
         leaves, cats = leaves[fixed], cats[fixed]
-        vals = np.zeros(len(compiled.variable))  # a free leaf is 1
-        vals[leaves] = compiled.log_table[network._arrays.offset[leaves] + cats]
+        vals = np.zeros(len(network._tables.ids))  # a free leaf is 1
+        vals[leaves] = compiled.log_table[network._tables.param_offset[leaves] + cats]
         return float(_levelled_upward(network._levels, vals, _logsumexp_each_row)[compiled.root])
-    variable, offset, log_list = compiled.variable, compiled.offset, network._log_list
+    _, _, variable, offset, _, _, log_list = network._lists
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
@@ -175,9 +175,9 @@ def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
     ``columns[var]`` holds one category per row for each variable in the
     entry's scope.  Only the entry's sub-DAG is evaluated.
     """
-    compiled, t, rank = network._compiled, network._tables, network._numbering.rank
-    variable, offset, log_table = compiled.variable, compiled.offset, compiled.log_table
-    sub_dag = _below(t.child_offset, t.child_index, entry, {})
+    log_table, rank = network._compiled.log_table, network._numbering.rank
+    child_offset, child_index, variable, offset, *_ = network._lists
+    sub_dag = _below(child_offset, child_index, entry, {})
     vals = {
         e: log_table[offset[e] : offset[e + 1]][columns[variable[e]]]
         for e in sub_dag

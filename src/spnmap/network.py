@@ -117,39 +117,44 @@ class _Tables(NamedTuple):
     Entry ``i``'s children are the entries
     ``child_index[child_offset[i]:child_offset[i + 1]]`` in their stored
     order, and its parameters, a leaf's probabilities or a sum's weights,
-    are ``params[param_offset[i]:param_offset[i + 1]]``.
+    are ``params[param_offset[i]:param_offset[i + 1]]``.  Each column but
+    ``ids`` is a numpy array of one dtype, which ``Network._adopt`` sets.
     """
 
-    ids: list[int]  # node id of each entry
-    kind: list[int]  # _LEAF, _SUM or _PRODUCT
-    child_offset: list[int]
-    child_index: list[int]
-    variable: list[int]  # per leaf; -1 elsewhere
-    param_offset: list[int]
-    params: list[float]
-
-
-def _csr(rows: Sequence[Sequence]) -> tuple[list[int], list]:
-    """Offsets and concatenated values of ``rows``, as ``_Tables`` stores them."""
-    return [0, *itertools.accumulate(map(len, rows))], [*itertools.chain.from_iterable(rows)]
+    ids: list[int]  # node id of each entry, of any size
+    kind: np.ndarray  # _LEAF, _SUM or _PRODUCT
+    child_offset: np.ndarray
+    child_index: np.ndarray
+    variable: np.ndarray  # per leaf; -1 elsewhere
+    param_offset: np.ndarray
+    params: np.ndarray
 
 
 class _Compiled(NamedTuple):
-    """A network's parameters and leaf columns, indexed by table entry: what every pass reads.
+    """A network's parameter logs and leaf column, indexed by table entry: what every pass reads.
 
     Log tables follow one rule, ``log p if p > 0 else LOG_ZERO``.  Entry
-    ``e``'s parameters, a leaf's categories or a sum's weights, are
-    ``log_table[offset[e]:offset[e + 1]]``; a product has none.  It is built
-    with no walk over the entries, so it exists for a cyclic network too.
+    ``e``'s parameters, a leaf's categories or a sum's weights, have their
+    logs at the tables' ``param_offset[e]:param_offset[e + 1]``; a product
+    has none.  It is built with no walk, so it exists for a cyclic network.
     """
 
     root: int  # entry of the root
-    variable: list[int]  # the tables' list: per leaf; -1 elsewhere
-    best: list[int]  # per leaf: most probable category, lowest on ties
-    offset: list[int]  # the tables' parameter offsets
+    best: np.ndarray  # per leaf: most probable category, lowest on ties; -1 elsewhere
     log_table: np.ndarray
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # ``variable``, ``offset``, ``best``
     invalid: list[int]  # entries with a negative or non-finite parameter, once per parameter
+
+
+class _Lists(NamedTuple):
+    """The columns that per-entry Python code reads, as Python lists indexed by table entry."""
+
+    child_offset: list[int]
+    child_index: list[int]
+    variable: list[int]
+    param_offset: list[int]
+    params: list[float]
+    best: list[int]
+    log_table: list[float]
 
 
 class _Numbering(NamedTuple):
@@ -168,13 +173,8 @@ class _Numbering(NamedTuple):
 
 
 class _Arrays(NamedTuple):
-    """Per-entry numpy columns of a compiled network, indexed by table entry."""
+    """The heights and sharing of a network's entries, for the numpy checks and passes."""
 
-    child_offset: np.ndarray  # the tables' child CSR
-    child_index: np.ndarray
-    variable: np.ndarray  # per leaf; -1 elsewhere
-    offset: np.ndarray  # parameter offsets into ``log_table``
-    best: np.ndarray  # per leaf: most probable category
     height: np.ndarray  # arcs on the longest path down to a leaf; -1 on or above a cycle
     shared: bool  # whether some entry is the child of two arcs
 
@@ -190,27 +190,29 @@ class _Level(NamedTuple):
 class _NodeView(Mapping):
     """Read-only view of a network's nodes by id; each lookup builds its node."""
 
-    __slots__ = ("_tables", "_entry")
+    __slots__ = ("_network",)
 
-    def __init__(self, tables: _Tables, entry: dict[int, int]) -> None:
-        self._tables, self._entry = tables, entry
+    def __init__(self, network: Network) -> None:
+        self._network = network
 
     def __getitem__(self, node_id: int) -> Node:
-        t, e = self._tables, self._entry[node_id]
-        params = t.params[t.param_offset[e] : t.param_offset[e + 1]]
-        if t.kind[e] == _LEAF:
-            return LeafNode(t.variable[e], params)
-        kids = map(t.ids.__getitem__, t.child_index[t.child_offset[e] : t.child_offset[e + 1]])
-        return SumNode(tuple(kids), params) if t.kind[e] == _SUM else ProductNode(tuple(kids))
+        network = self._network
+        e, lists = network._entry[node_id], network._lists
+        params = lists.params[lists.param_offset[e] : lists.param_offset[e + 1]]
+        if lists.variable[e] >= 0:  # a leaf has a variable, a sum parameters, a product neither
+            return LeafNode(lists.variable[e], params)
+        kids = lists.child_index[lists.child_offset[e] : lists.child_offset[e + 1]]
+        kids = tuple(map(network._tables.ids.__getitem__, kids))
+        return SumNode(kids, params) if params else ProductNode(kids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._tables.ids)
+        return iter(self._network._tables.ids)
 
     def __len__(self) -> int:
-        return len(self._tables.ids)
+        return len(self._network._tables.ids)
 
     def __contains__(self, node_id: object) -> bool:
-        return node_id in self._entry
+        return node_id in self._network._entry
 
 
 class Network:
@@ -226,13 +228,14 @@ class Network:
     variables:
         The variables of the network; indices must be exactly ``0..n-1``.
 
-    The nodes are stored as flat tables (``_Tables``), in the mapping's
-    order.  Construction renormalizes sum weights that are within ``1e-6``
-    of a proper convex combination.  The parameters are tabulated on first
-    use (``_compiled``); the nodes are numbered by a depth-first walk
-    (``_numbering``) only where a small network's pass or a structural query
-    needs the order.  Cyclic graphs are constructible (so ``validate`` can
-    report them) but refuse traversal-based queries.
+    The nodes are stored as flat tables (``_Tables``) of numpy columns, in
+    the mapping's order.  Construction renormalizes sum weights that are
+    within ``1e-6`` of a proper convex combination.  The parameters are
+    tabulated on first use (``_compiled``), and per-entry Python code reads
+    the columns as lists (``_lists``); the nodes are numbered by a
+    depth-first walk (``_numbering``) only where a small network's pass or a
+    structural query needs the order.  Cyclic graphs are constructible (so
+    ``validate`` can report them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -272,11 +275,16 @@ class Network:
                 rows.append((_SUM, -1, node.children, node.weights))
             else:
                 rows.append((_PRODUCT, -1, node.children, ()))
-        kind, variable, children, params = map(list, zip(*rows))
-        tables = _Tables(list(store), kind, *_csr(children), variable, *_csr(params))
+        kind, variable, children, params = zip(*rows)
+        child_offset = np.fromiter(itertools.accumulate(map(len, children), initial=0), np.intp)
+        param_offset = np.fromiter(itertools.accumulate(map(len, params), initial=0), np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(params), np.float64, param_offset[-1])
+        tables = _Tables(list(store), kind, child_offset, (), variable, param_offset, flat)
         self._adopt(tables, int(root), ordered_vars)
-        # The children were stored as ids; ``_adopt`` gave each id its entry.
-        tables.child_index[:] = map(self._entry.__getitem__, tables.child_index)
+        # The children are named by id; ``_adopt`` gave each id its entry.
+        child_ids = map(self._entry.__getitem__, itertools.chain.from_iterable(children))
+        child_index = np.fromiter(child_ids, np.intp, child_offset[-1])
+        self._tables = self._tables._replace(child_index=child_index)
 
     @classmethod
     def _from_tables(cls, tables: _Tables, root: int, variables: list[Variable]) -> Network:
@@ -286,10 +294,14 @@ class Network:
         return network
 
     def _adopt(self, tables: _Tables, root: int, variables: tuple[Variable, ...]) -> None:
-        """Keep ``tables`` as the nodes, renormalizing sum weights in place."""
+        """Keep ``tables`` as the nodes, each column in its dtype, renormalizing sum weights."""
+        # The dtypes of ``kind`` and the columns after it; builders write arrays of these.
+        dtypes = (np.int8, np.intp, np.intp, np.intp, np.intp, np.float64)
+        tables = _Tables(tables.ids, *map(np.asarray, tables[1:], dtypes))
         offset, params = tables.param_offset, tables.params
-        for e in itertools.compress(range(len(tables.kind)), map(_SUM.__eq__, tables.kind)):
-            weights = params[offset[e] : offset[e + 1]]
+        sums = np.flatnonzero(tables.kind == _SUM)
+        for start, stop in zip(offset[sums].tolist(), offset[sums + 1].tolist()):
+            weights = params[start:stop].tolist()
             total = math.fsum(weights)
             near_one = total != 1.0 and abs(total - 1.0) <= WEIGHT_TOLERANCE
             if near_one and all(w >= 0 for w in weights):
@@ -301,12 +313,13 @@ class Network:
                 j = weights.index(max(weights))
                 while (total := math.fsum(weights)) != 1.0:
                     weights[j] = math.nextafter(weights[j], 2.0 if total < 1.0 else 0.0)
-                params[offset[e] : offset[e + 1]] = weights
+                params[start:stop] = weights
         self._tables = tables
         ids, entries = tables.ids, range(len(tables.ids))
         self._entry = dict(zip(ids, entries))  # entry of each id
-        # The entries in increasing id order; ids are distinct.
-        self._by_id = entries if ids == sorted(ids) else sorted(entries, key=ids.__getitem__)
+        self._by_id = np.arange(len(ids))  # the entries in increasing id order; ids are distinct
+        if ids != sorted(ids):
+            self._by_id = np.array(sorted(entries, key=ids.__getitem__))
         self._root = root
         self._variables = variables
         self._cardinalities = {v.index: v.cardinality for v in variables}
@@ -318,7 +331,7 @@ class Network:
         Each lookup builds its node from the tables, so bind a node once
         rather than looking it up again in a loop.
         """
-        return _NodeView(self._tables, self._entry)
+        return _NodeView(self)
 
     @property
     def root(self) -> int:
@@ -364,7 +377,7 @@ class Network:
         and to name a node on a cycle or with an invalid parameter; large
         networks validate and solve without it.
         """
-        ids, _, child_offset, child_index, variable, _, _ = self._tables
+        ids, (child_offset, child_index, variable, *_) = self._tables.ids, self._lists
         n = len(ids)
         empty: frozenset[int] = frozenset()
         singletons = [frozenset((v.index,)) for v in self._variables]
@@ -377,7 +390,7 @@ class Network:
         order: list[int] = []  # entries in numbering order
         internal: list[int] = []  # the sums and products among them
         cycle = None
-        stack = [(n, iter(self._by_id))]
+        stack = [(n, iter(self._by_id.tolist()))]
         while stack:
             e, kids = stack[-1]
             for child in kids:
@@ -409,31 +422,25 @@ class Network:
 
     @functools.cached_property
     def _unchecked(self) -> _Compiled:
-        """Tabulate the parameters' logs and the leaf columns in numpy, with no walk.
+        """Tabulate the parameters' logs and each leaf's most probable category, with no walk.
 
         Built on first use and kept; ``_compiled`` is this record once checked.
         """
-        ids, _, _, _, variable, param_offset, params = self._tables
-        n = len(ids)
-        # Each leaf's first most probable category, and the parameters' logs.
-        flat = np.fromiter(params, dtype=float, count=len(params))
-        table_offset = np.fromiter(param_offset, dtype=np.intp, count=n + 1)
-        lengths = np.diff(table_offset)
-        starts = table_offset[:-1]
+        t = self._tables
+        flat, n = t.params, len(t.ids)
+        lengths = np.diff(t.param_offset)
+        starts = t.param_offset[:-1]
         owner = np.repeat(np.arange(n), lengths)  # entry of each parameter
         within = np.arange(len(flat)) - starts[owner]
         nonempty = np.flatnonzero(lengths)
         peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
-        best_array = np.full(n, -1, dtype=np.intp)
+        best = np.full(n, -1, dtype=np.intp)
         first = np.where(flat == peak, within, len(flat))  # a row's index of its peak
-        best_array[nonempty] = np.minimum.reduceat(first, starts[nonempty])
-        variable_column = np.fromiter(variable, dtype=np.intp, count=n)
-        best_column = np.where(variable_column >= 0, best_array, -1)
+        best[nonempty] = np.minimum.reduceat(first, starts[nonempty])
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         invalid = owner[(flat < 0) | ~np.isfinite(flat)].tolist()
         return _Compiled(
-            self._entry[self._root], variable, best_column.tolist(), param_offset, log_table,
-            (variable_column, table_offset, best_column), invalid,
+            self._entry[self._root], np.where(t.variable >= 0, best, -1), log_table, invalid
         )
 
     @functools.cached_property
@@ -455,16 +462,20 @@ class Network:
         return record
 
     @functools.cached_property
-    def _log_list(self) -> list[float]:
-        """The compiled ``log_table`` as Python floats, for the scalar passes.
+    def _lists(self) -> _Lists:
+        """The columns of ``_Lists``, converted once with ``tolist``.
 
-        Built on first use; the levelled passes of large networks never read it.
+        Built on first use, by the per-entry passes of small networks, the
+        walk, enumeration and node lookups; large networks validate and solve
+        without it.
         """
-        return self._compiled.log_table.tolist()
+        t, record = self._tables, self._unchecked
+        columns = (t.child_offset, t.child_index, t.variable, t.param_offset, t.params)
+        return _Lists(*(c.tolist() for c in (*columns, record.best, record.log_table)))
 
     @functools.cached_property
     def _arrays(self) -> _Arrays:
-        """The tables' child CSR and the leaf columns as numpy arrays, with each entry's height.
+        """Each entry's height, and whether an entry is shared.
 
         Built on first use, by ``validate``, by the cycle check of large
         networks and by the passes that work a level at a time.  The heights
@@ -472,11 +483,8 @@ class Network:
         height is the step at which its last child got one.  An entry on a
         cycle, or above one, never gets a height.
         """
-        columns = self._unchecked.columns
-        t = self._tables
-        n = len(t.ids)
-        child_offset = np.fromiter(t.child_offset, dtype=np.intp, count=n + 1)
-        child_index = np.fromiter(t.child_index, dtype=np.intp, count=len(t.child_index))
+        child_offset, child_index = self._tables.child_offset, self._tables.child_index
+        n = len(self._tables.ids)
         fan = np.diff(child_offset)
         in_degree = np.bincount(child_index, minlength=n)
         parent_offset = np.cumsum(in_degree) - in_degree
@@ -493,13 +501,7 @@ class Network:
             waiting[above] -= arcs
             done = above[waiting[above] == 0]
             level += 1
-        return _Arrays(
-            child_offset,
-            child_index,
-            *columns,
-            height,
-            bool(in_degree.max(initial=0) > 1),
-        )
+        return _Arrays(height, bool(in_degree.max(initial=0) > 1))
 
     @functools.cached_property
     def _levels(self) -> list[_Level]:
@@ -508,21 +510,21 @@ class Network:
         Every child of a group is a leaf or in an earlier group.  Built on
         first use, by the single-assignment passes of large networks.
         """
-        arrays = self._arrays
-        fan = np.diff(arrays.child_offset)
-        inner = np.flatnonzero(arrays.variable < 0)
-        is_sum = arrays.offset[inner + 1] > arrays.offset[inner]
-        key = (arrays.height[inner] * 2 + is_sum) * (int(fan.max()) + 1) + fan[inner]
+        t, height = self._tables, self._arrays.height
+        fan, offset = np.diff(t.child_offset), t.param_offset
+        inner = np.flatnonzero(t.variable < 0)
+        is_sum = offset[inner + 1] > offset[inner]
+        key = (height[inner] * 2 + is_sum) * (int(fan.max()) + 1) + fan[inner]
         order = np.argsort(key, kind="stable")
         inner, key = inner[order], key[order]
         levels = []
         for entries in np.split(inner, np.flatnonzero(np.diff(key)) + 1):
             if entries.size:
                 e, columns = entries[0], np.arange(fan[entries[0]])
-                kids = arrays.child_index[arrays.child_offset[entries][:, None] + columns]
+                kids = t.child_index[t.child_offset[entries][:, None] + columns]
                 weights = None
-                if arrays.offset[e + 1] > arrays.offset[e]:
-                    weights = self._compiled.log_table[arrays.offset[entries][:, None] + columns]
+                if offset[e + 1] > offset[e]:
+                    weights = self._compiled.log_table[offset[entries][:, None] + columns]
                 levels.append(_Level(entries, kids, weights))
         return levels
 
@@ -554,8 +556,8 @@ def _below(
 ) -> dict[int, None]:
     """Entries reachable from ``start``, each once, in depth-first order.
 
-    ``child_offset`` and ``child_index`` are the tables' child CSR.  A sum in
-    ``choice`` follows only its child of that index.
+    ``child_offset`` and ``child_index`` are the tables' child CSR, as lists
+    or as arrays.  A sum in ``choice`` follows only its child of that index.
     """
     seen: dict[int, None] = {}
     stack = [start]
@@ -589,17 +591,17 @@ def validate(network: Network) -> list[Violation]:
     union, and a product decomposable when its children's sizes add up to it.
     """
     violations: list[Violation] = []
-    ids, kind, _, _, _, param_offset, params = network._tables
-    arrays = network._arrays
+    tables, height = network._tables, network._arrays.height
+    ids, kind, param_offset, params = tables.ids, tables.kind, tables.param_offset, tables.params
     by_id = functools.partial(sorted, key=ids.__getitem__)
     # Per kind: the check, one parameter, several, and the tolerance on their total.
     rules = {
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
         _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
     }
-    for e in by_id(_unsettled_rows(arrays, params).tolist()):
+    for e in by_id(_unsettled_rows(tables).tolist()):
         check, one, several, tolerance = rules[kind[e]]
-        row = params[param_offset[e] : param_offset[e + 1]]
+        row = params[param_offset[e] : param_offset[e + 1]].tolist()
         if any(p < 0 for p in row):
             violations.append(Violation(ids[e], check, f"negative {one}"))
             continue
@@ -608,15 +610,15 @@ def validate(network: Network) -> list[Violation]:
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
     root = network._entry[network.root]
-    for e in by_id(np.flatnonzero(~_reached(arrays, root)).tolist()):
+    for e in by_id(np.flatnonzero(~_reached(tables, root)).tolist()):
         violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
 
-    if arrays.height.min() < 0:
+    if height.min() < 0:
         cycle = network._numbering.cycle
         violations.append(Violation(cycle, "cycle", "node lies on a directed cycle"))
         return violations
 
-    size, defect = _scope_checks(arrays, len(network.variables))
+    size, defect = _scope_checks(network)
     for e in by_id(np.flatnonzero(defect).tolist()):
         if kind[e] == _SUM:
             violations.append(Violation(ids[e], "completeness", "children have differing scopes"))
@@ -631,35 +633,35 @@ def validate(network: Network) -> list[Violation]:
     return violations
 
 
-def _unsettled_rows(arrays: _Arrays, params: list[float]) -> np.ndarray:
+def _unsettled_rows(tables: _Tables) -> np.ndarray:
     """The leaves and sums whose parameters the numpy screen cannot pass.
 
     A row passes when it has no negative and its float total lies within
     its tolerance of 1 by more than ``length * 2**-50``, which bounds the
     total's rounding error, since its terms are nonnegative and it is near 1.
     """
-    rows = np.flatnonzero(np.diff(arrays.offset))
+    offset, flat = tables.param_offset, tables.params
+    rows = np.flatnonzero(np.diff(offset))
     if not rows.size:
         return rows
-    flat = np.fromiter(params, dtype=float, count=len(params))
-    starts, lengths = arrays.offset[rows], np.diff(arrays.offset)[rows]
-    tolerance = np.where(arrays.variable[rows] >= 0, LEAF_TOLERANCE, WEIGHT_TOLERANCE)
+    starts, lengths = offset[rows], np.diff(offset)[rows]
+    tolerance = np.where(tables.variable[rows] >= 0, LEAF_TOLERANCE, WEIGHT_TOLERANCE)
     with np.errstate(over="ignore", invalid="ignore"):  # such totals fail the screen
         distance = np.abs(np.add.reduceat(flat, starts) - 1.0)
     nonnegative = np.minimum.reduceat(flat, starts) >= 0  # NaN fails this test
     return rows[~(nonnegative & (distance <= tolerance - lengths * 2.0**-50))]
 
 
-def _reached(arrays: _Arrays, root: int) -> np.ndarray:
+def _reached(tables: _Tables, root: int) -> np.ndarray:
     """Whether each entry is reachable from ``root``, by a sweep down a frontier at a time."""
-    n = len(arrays.height)
+    child_offset, n = tables.child_offset, len(tables.ids)
     reached = np.zeros(n, dtype=bool)
     reached[root] = True
     frontier = np.array([root])
     last = np.empty(n, dtype=np.intp)  # per entry: its last position in a frontier
     while frontier.size:
-        fan = arrays.child_offset[frontier + 1] - arrays.child_offset[frontier]
-        kids = _runs(arrays.child_index, arrays.child_offset[frontier], fan)
+        fan = child_offset[frontier + 1] - child_offset[frontier]
+        kids = _runs(tables.child_index, child_offset[frontier], fan)
         kids = kids[~reached[kids]]
         reached[kids] = True
         at = np.arange(len(kids))
@@ -668,7 +670,7 @@ def _reached(arrays: _Arrays, root: int) -> np.ndarray:
     return reached
 
 
-def _scope_checks(arrays: _Arrays, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+def _scope_checks(network: Network) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's scope size, and whether a sum is incomplete or a product not decomposable.
 
     The network must be acyclic.  Scopes are built a height at a time, up
@@ -676,7 +678,8 @@ def _scope_checks(arrays: _Arrays, n_vars: int) -> tuple[np.ndarray, np.ndarray]
     entry's run is the distinct variables of its children's runs, found by
     sorting ``(entry, variable)`` keys.
     """
-    height, variable, child_offset = arrays.height, arrays.variable, arrays.child_offset
+    tables, height, n_vars = network._tables, network._arrays.height, len(network.variables)
+    variable, child_offset, offset = tables.variable, tables.child_offset, tables.param_offset
     n = len(height)
     leaves = np.flatnonzero(variable >= 0)
     size = np.ones(n, dtype=np.intp)
@@ -690,7 +693,7 @@ def _scope_checks(arrays: _Arrays, n_vars: int) -> tuple[np.ndarray, np.ndarray]
         if not entries.size:
             continue
         fan = child_offset[entries + 1] - child_offset[entries]
-        kids = _runs(arrays.child_index, child_offset[entries], fan)
+        kids = _runs(tables.child_index, child_offset[entries], fan)
         kid_size = size[kids]
         owner = np.repeat(np.arange(len(entries)), fan)
         keys = np.repeat(owner * n_vars, kid_size) + _runs(buffer, start[kids], kid_size)
@@ -698,7 +701,7 @@ def _scope_checks(arrays: _Arrays, n_vars: int) -> tuple[np.ndarray, np.ndarray]
         distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         union = np.bincount(distinct // n_vars, minlength=len(entries))
         row = np.cumsum(fan) - fan
-        is_sum = arrays.offset[entries + 1] > arrays.offset[entries]
+        is_sum = offset[entries + 1] > offset[entries]
         defect[entries] = np.where(
             is_sum,
             np.logical_or.reduceat(kid_size != union[owner], row),
@@ -729,14 +732,14 @@ class NetworkStats:
 
 def network_stats(network: Network) -> NetworkStats:
     """Counts, height (arcs from root to deepest leaf), and sum out-degrees."""
-    _, kind, offset, *_ = network._tables
-    degrees = [offset[e + 1] - offset[e] for e in network._by_id if kind[e] == _SUM]
+    t, by_id = network._tables, network._by_id
+    degrees = np.diff(t.child_offset)[by_id][t.kind[by_id] == _SUM].tolist()
     compiled = network._compiled
     return NetworkStats(
-        node_count=len(kind),
+        node_count=len(t.ids),
         sum_count=len(degrees),
-        product_count=kind.count(_PRODUCT),
-        leaf_count=kind.count(_LEAF),
+        product_count=int(np.count_nonzero(t.kind == _PRODUCT)),
+        leaf_count=int(np.count_nonzero(t.kind == _LEAF)),
         height=int(network._arrays.height[compiled.root]),
         sum_out_degrees=tuple(degrees),
     )

@@ -14,11 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _csr, _Tables
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _runs, _Tables
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,25 @@ def _pinned_mixture(
     Leaf ``j`` is certainly ``pins[k][j]`` where product ``k`` pins ``j``
     and uniform elsewhere.
     """
-    pinned = ((1.0, 0.0), (0.0, 1.0))
-    product_ids = range(1, len(pins) * (n + 1), n + 1)
-    # Each node's entry in the tables is its id.
-    kind = [_SUM, *[_PRODUCT, *[_LEAF] * n] * len(pins)]
-    variable = [-1, *[-1, *range(n)] * len(pins)]
-    children: list[Sequence[int]] = [product_ids]
-    params: list[Sequence[float]] = [weights]
-    for product_id, pin in zip(product_ids, pins):
-        children += [range(product_id + 1, product_id + 1 + n), *[()] * n]
-        params += [(), *(pinned[pin[j]] if j in pin else (0.5, 0.5) for j in range(n))]
-    tables = _Tables(list(range(len(kind))), kind, *_csr(children), variable, *_csr(params))
+    k = len(pins)
+    # Per pin set and variable, its leaf's row of ``rows``: pinned to 0 or 1, or uniform.
+    rows = np.array([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+    codes = np.full((k, n), 2)
+    product = np.repeat(np.arange(k), list(map(len, pins)))
+    codes[product, [j for pin in pins for j in pin]] = [c for pin in pins for c in pin.values()]
+    # Each node's entry in the tables is its id.  Per product, where its
+    # parameters and then each of its leaves' end:
+    param_end = k + 2 * n * np.arange(k)[:, None] + np.arange(0, 2 * n + 1, 2)
+    variable = np.concatenate(([-1], np.tile(np.arange(-1, n), k)))
+    tables = _Tables(
+        list(range(len(variable))),
+        np.concatenate(([_SUM], np.tile([_PRODUCT, *[_LEAF] * n], k)), dtype=np.int8),
+        np.concatenate(([0, k], np.repeat(k + n * np.arange(1, k + 1), n + 1))),
+        np.concatenate((np.arange(1, len(variable), n + 1), np.flatnonzero(variable >= 0))),
+        variable,
+        np.concatenate(([0, k], param_end.ravel())),
+        np.concatenate((weights, rows[codes].ravel())),
+    )
     return Network._from_tables(tables, 0, [Variable(j, 2) for j in range(n)])
 
 
@@ -195,29 +203,26 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     if q == 1:
         return result
     base = result.network
-    ids, kind, kid_offset, kid_index, variable, param_offset, params = base._tables
-    size, n = len(ids), len(base.variables)
-    by_id = base._by_id
-    rank = {e: r for r, e in enumerate(by_id)}
+    tables, by_id = base._tables, base._by_id
+    size, n = len(tables.ids), len(base.variables)
+    rank = np.argsort(by_id)  # of each entry among the ids
     # One copy's rows in id order, with children as ranks.
-    kids = [[rank[k] for k in kid_index[kid_offset[e] : kid_offset[e + 1]]] for e in by_id]
-    rows = [params[param_offset[e] : param_offset[e + 1]] for e in by_id]
-    kid_counts, param_counts = list(map(len, kids)), list(map(len, rows))
-    base_variable = np.array([variable[e] for e in by_id])
+    fan, param_size = np.diff(tables.child_offset)[by_id], np.diff(tables.param_offset)[by_id]
+    kids = rank[_runs(tables.child_index, tables.child_offset[by_id], fan)]
+    params = _runs(tables.params, tables.param_offset[by_id], param_size)
+    variable = tables.variable[by_id]
     # Entry 0 is the root product over the copies.  Copy t's entries follow
     # in id order from 1 + t * size, and each entry's id is its index.
     copy = np.arange(q)[:, None]
+    first = 1 + copy * size
     amplified = _Tables(
         list(range(1 + q * size)),
-        [_PRODUCT, *[kind[e] for e in by_id] * q],
-        list(itertools.accumulate([0, q, *kid_counts * q])),
-        [
-            *range(1 + rank[base._entry[base.root]], 1 + q * size, size),
-            *(1 + copy * size + np.array(_csr(kids)[1], dtype=np.intp)).ravel().tolist(),
-        ],
-        [-1, *np.where(base_variable >= 0, base_variable + copy * n, -1).ravel().tolist()],
-        list(itertools.accumulate([0, 0, *param_counts * q])),
-        list(itertools.chain.from_iterable(rows)) * q,
+        np.concatenate(([_PRODUCT], *[tables.kind[by_id]] * q), dtype=np.int8),
+        np.concatenate(([0, q], (q + copy * len(kids) + np.cumsum(fan)).ravel())),
+        np.concatenate(((first + rank[base._entry[base.root]]).ravel(), (first + kids).ravel())),
+        np.concatenate(([-1], np.where(variable >= 0, variable + copy * n, -1).ravel())),
+        np.concatenate(([0, 0], (copy * len(params) + np.cumsum(param_size)).ravel())),
+        np.concatenate([params] * q),
     )
     variables = [
         Variable(t * n + v.index, v.cardinality)

@@ -35,7 +35,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, _Arrays, _below, _Compiled, _runs, network_stats
+from .network import Network, _below, _runs, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -74,19 +74,18 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
     compiled = network._compiled
     choice: dict[int, int] = {}
     if _levelled(network):
-        arrays, levels = network._arrays, network._levels
+        levels = network._levels
         leaves, cats = _leaf_categories(network, evidence)
-        cats = np.where(cats >= 0, cats, arrays.best[leaves])
-        vals = np.zeros(len(compiled.variable))
-        vals[leaves] = compiled.log_table[arrays.offset[leaves] + cats]
+        cats = np.where(cats >= 0, cats, compiled.best[leaves])
+        vals = np.zeros(len(network._tables.ids))
+        vals[leaves] = compiled.log_table[network._tables.param_offset[leaves] + cats]
         vals = _levelled_upward(levels, vals, lambda terms: terms.max(axis=1))
         for level in levels:
             if level.weights is not None:
                 picks = (level.weights + vals[level.kids]).argmax(axis=1)  # the first best
                 choice.update(zip(level.entries.tolist(), picks.tolist()))
         return float(vals[compiled.root]), choice
-    variable, best = compiled.variable, compiled.best
-    offset, log_list = compiled.offset, network._log_list
+    _, _, variable, offset, _, best, log_list = network._lists
     vals = {
         e: log_list[offset[e] + evidence.get(var, best[e])]
         for e, var in enumerate(variable)
@@ -109,12 +108,16 @@ def _walk(
     """Configuration of the tree that ``choice`` induces below table entry ``start``.
 
     Each leaf on the tree fixes its variable to the evidence or to its most
-    probable category, unless a leaf visited earlier fixed it.
+    probable category, unless a leaf visited earlier fixed it.  Large
+    networks walk the tables' arrays, and small ones the list record.
     """
-    compiled, t = network._compiled, network._tables
-    variable, best = compiled.variable, compiled.best
+    if _levelled(network):  # memoryviews read the arrays' items as Python ints
+        child_offset, child_index, variable = map(memoryview, network._tables[2:5])
+        best = memoryview(network._compiled.best)
+    else:
+        child_offset, child_index, variable, _, _, best, _ = network._lists
     config: dict[int, int] = {}
-    for e in _below(t.child_offset, t.child_index, start, choice):
+    for e in _below(child_offset, child_index, start, choice):
         if (var := variable[e]) >= 0:
             config.setdefault(var, evidence.get(var, best[e]))
     return config
@@ -164,16 +167,18 @@ def argmax_product(
     a level at a time on large networks.  Worst case quadratic in network
     size.
     """
-    base = max_product(network, evidence)
+    return _improved(network, evidence, max_product(network, evidence))
+
+
+def _improved(
+    network: Network, evidence: Mapping[int, int] | None, base: MapResult
+) -> MapResult:
+    """Argmax-product's result from ``base``, max-product's result with the same evidence."""
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
     compiled = network._compiled
-    if not _levelled(network):
-        choice = _choose_by_sum(network, evidence)
-    else:
-        cards = np.array([v.cardinality for v in network.variables])
-        choice = _choose_by_wave(network, evidence, cards)
+    choice = (_choose_by_wave if _levelled(network) else _choose_by_sum)(network, evidence)
     config = _walk(network, evidence, compiled.root, choice)
     value = base.value if config == base.configuration else evaluate(network, config)
     # With nested sums the candidate can score below max-product's configuration,
@@ -190,7 +195,7 @@ _CHUNK_VALUES = 1 << 17
 
 def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
     """Each sum's choice by child index, one ``_batch_upward`` per sum, children first."""
-    offset, numbering = network._compiled.offset, network._numbering
+    offset, numbering = network._lists.param_offset, network._numbering
     choice: dict[int, int] = {}
     for e in numbering.internal:  # children first, so their choices are made
         # A sum has one weight per child and a product none, so this skips
@@ -206,27 +211,24 @@ def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, i
     return choice
 
 
-def _choose_by_wave(
-    network: Network, evidence: Mapping[int, int], cards: np.ndarray
-) -> dict[int, int]:
+def _choose_by_wave(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
     """``_choose_by_sum``'s choices, made one wave of sums at a time."""
-    arrays = network._arrays
-    fan = np.diff(arrays.child_offset)
+    t, height = network._tables, network._arrays.height
+    cards = np.array([v.cardinality for v in network.variables])
+    fan = np.diff(t.child_offset)
     # Each entry's chosen tree follows ``count`` children from child index
     # ``skip``: all of them, or the one its sum chose.
     follow = np.zeros(len(fan), dtype=np.intp), fan.copy()
     fixed = np.full(len(cards), -1)
     fixed[list(evidence)] = list(evidence.values())
-    deciding = np.flatnonzero((arrays.variable < 0) & (np.diff(arrays.offset) >= 2))
-    wave = arrays.height[deciding] * (len(fan) + 1) + fan[deciding]
+    deciding = np.flatnonzero((t.variable < 0) & (np.diff(t.param_offset) >= 2))
+    wave = height[deciding] * (len(fan) + 1) + fan[deciding]
     order = np.argsort(wave)
     deciding, wave = deciding[order], wave[order]
     choice: dict[int, int] = {}
     for sums in np.split(deciding, np.flatnonzero(np.diff(wave)) + 1):
         if sums.size:
-            scores = _score_wave(
-                network, arrays, fan, follow, fixed, cards, evidence, choice, sums
-            )
+            scores = _score_wave(network, fan, follow, fixed, cards, evidence, choice, sums)
             picks = scores.argmax(axis=1)  # the first best child
             follow[0][sums] = picks
             follow[1][sums] = 1
@@ -251,7 +253,6 @@ class _Pairs(NamedTuple):
 
 def _score_wave(
     network: Network,
-    arrays: _Arrays,
     fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
     fixed: np.ndarray,
@@ -261,11 +262,11 @@ def _score_wave(
     sums: np.ndarray,
 ) -> np.ndarray:
     """Each sum's log value at each child's candidate, one row per sum of the wave."""
-    pairs = _sub_dags(arrays, fan, sums)
+    pairs = _sub_dags(network, fan, sums)
     pair_slot, cat_rows, row = _candidate_rows(
-        network, arrays, fan, follow, fixed, cards, evidence, choice, pairs
+        network, fan, follow, fixed, cards, evidence, choice, pairs
     )
-    top_values = _levelled_pass(network._compiled, arrays, fan, pairs, pair_slot, cat_rows)
+    top_values = _levelled_pass(network, fan, pairs, pair_slot, cat_rows)
     return np.take_along_axis(top_values, row, axis=1)
 
 
@@ -276,14 +277,15 @@ def _expand(
     return np.repeat(owner, count), _runs(index, start, count)
 
 
-def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
+def _sub_dags(network: Network, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
     """The pairs of the sums' sub-DAGs, found level by level down from the sums."""
+    tables, shared = network._tables, network._arrays.shared
     n, w = len(fan), len(sums)
     owner, entries = np.arange(w), sums
     owners, levels, kids = [], [], []
     size = 0
     while entries.size:
-        if arrays.shared:  # a pair once per level
+        if shared:  # a pair once per level
             keys, inverse = np.unique(owner * n + entries, return_inverse=True)
             owner, entries = np.divmod(keys, n)
             if kids:
@@ -293,12 +295,12 @@ def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
         size += len(entries)
         count = fan[entries]
         kids.append(size + np.arange(int(count.sum())))
-        owner, entries = _expand(owner, arrays.child_offset[entries], count, arrays.child_index)
+        owner, entries = _expand(owner, tables.child_offset[entries], count, tables.child_index)
     owner, entry, kid = (np.concatenate(x) for x in (owners, levels, kids))
     kid_start = np.cumsum(fan[entry])
     kid_start -= fan[entry]
     top = np.arange(w)
-    if arrays.shared:  # and once in all
+    if shared:  # and once in all
         _, first, inverse = np.unique(owner * n + entry, return_index=True, return_inverse=True)
         owner, entry, kid_start = owner[first], entry[first], kid_start[first]
         kid, top = inverse[kid], inverse[:w]
@@ -307,7 +309,6 @@ def _sub_dags(arrays: _Arrays, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
 
 def _candidate_rows(
     network: Network,
-    arrays: _Arrays,
     fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
     fixed: np.ndarray,
@@ -324,7 +325,7 @@ def _candidate_rows(
     slot and row (a variable a candidate misses reads 0), and each
     candidate's row, by sum and child.
     """
-    variable = arrays.variable
+    variable, shared = network._tables.variable, network._arrays.shared
     owner, entry, kid, kid_start, top = pairs
     w, k, nv = len(top), int(fan[entry[top[0]]]), len(cards)
     roots = kid[kid_start[top][:, None] + np.arange(k)].ravel()
@@ -334,7 +335,7 @@ def _candidate_rows(
     at, by = roots, np.arange(w * k)
     hit_pair, hit_by, walked = [], [], []
     while at.size:
-        if arrays.shared:  # a tree that reaches an entry twice is walked in Python
+        if shared:  # a tree that reaches an entry twice is walked in Python
             keys, counts = np.unique(by * len(entry) + at, return_counts=True)
             walked.append(keys[counts > 1] // len(entry))
             by, at = np.divmod(keys, len(entry))
@@ -357,7 +358,7 @@ def _candidate_rows(
     pair_slot[leaf_pairs] = leaf_slot
     hit_ent = entry[hit_pair]
     cat = fixed[variable[hit_ent]]
-    cat = np.where(cat >= 0, cat, arrays.best[hit_ent])
+    cat = np.where(cat >= 0, cat, network._compiled.best[hit_ent])
     cell = pair_slot[hit_pair] * k + hit_by % k
     table = np.zeros((len(slot_keys), k), dtype=np.intp)
     table.flat[cell] = cat
@@ -389,8 +390,7 @@ def _candidate_rows(
 
 
 def _levelled_pass(
-    compiled: _Compiled,
-    arrays: _Arrays,
+    network: Network,
     fan: np.ndarray,
     pairs: _Pairs,
     pair_slot: np.ndarray,
@@ -403,18 +403,19 @@ def _levelled_pass(
     pairs, then the other pairs grouped by height, kind and fan-out; a
     chunk's last group is its sums.
     """
-    log_table, offset = compiled.log_table, arrays.offset
+    t, log_table = network._tables, network._compiled.log_table
+    offset = t.param_offset
     owner, entry, kid, kid_start, top = pairs
     w, rows = len(top), cat_rows.shape[1]
     per_sum = np.bincount(owner, minlength=w)
     block = min(rows, max(1, _CHUNK_VALUES // int(per_sum.max())))
     chunk = ((np.cumsum(per_sum) - per_sum) * block // _CHUNK_VALUES)[owner]
-    height = arrays.height[entry]
+    height = network._arrays.height[entry]
     p_fan = fan[entry]
     fans = np.zeros(int(p_fan.max()) + 1, dtype=np.intp)
     fans[p_fan] = 1
     tallest, fan_count = int(height.max()) + 1, int(fans.sum())
-    is_sum = (np.diff(offset)[entry] > 0) & (arrays.variable[entry] < 0)
+    is_sum = (np.diff(offset)[entry] > 0) & (t.variable[entry] < 0)
     group = ((chunk * tallest + height) * 2 + is_sum) * fan_count + (np.cumsum(fans) - 1)[p_fan]
     span = (int(chunk.max()) + 1) * tallest * 2 * fan_count
     perm = np.argsort(group.astype(np.min_scalar_type(span)), kind="stable")  # radix on small keys

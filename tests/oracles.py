@@ -146,8 +146,8 @@ def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
 
     ``_upward`` with the scalar ``logsumexp``, children first.
     """
-    compiled = network._compiled
-    variable, offset, log_list = compiled.variable, compiled.offset, network._log_list
+    compiled, lists = network._compiled, network._lists
+    variable, offset, log_list = lists.variable, lists.param_offset, lists.log_table
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
         for e, var in enumerate(variable)
@@ -164,9 +164,9 @@ def max_pass_by_entry(
     Free leaves take their most probable category; ``_upward`` takes each
     sum's ``max``, and a sum chooses the first child whose term reaches it.
     """
-    compiled = network._compiled
-    variable, best = compiled.variable, compiled.best
-    offset, log_list = compiled.offset, network._log_list
+    compiled, lists = network._compiled, network._lists
+    variable, best = lists.variable, lists.best
+    offset, log_list = lists.param_offset, lists.log_table
     vals = {
         e: log_list[offset[e] + evidence.get(var, best[e])]
         for e, var in enumerate(variable)
@@ -212,7 +212,7 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     (``_batch_upward``, with category 0 for a scope variable a candidate
     misses) and chooses the first best child.
     """
-    offset, numbering = network._compiled.offset, network._numbering
+    offset, numbering = network._lists.param_offset, network._numbering
     scores: dict[int, np.ndarray] = {}
     choice: dict[int, int] = {}
     for e in numbering.internal:
@@ -254,7 +254,8 @@ def validate_by_walk(network: Network) -> list[Violation]:
     sets, every check in increasing id order.
     """
     violations: list[Violation] = []
-    ids, kind, _, _, _, param_offset, params = network._tables
+    ids, kind = network._tables.ids, network._tables.kind.tolist()
+    param_offset, params = network._lists.param_offset, network._lists.params
     # Per kind: the check, one parameter, several, and the tolerance on their total.
     rules = {
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),

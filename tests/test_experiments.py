@@ -11,6 +11,7 @@ from spnmap import (
     LOG_ZERO,
     derive_seed,
     gap_network,
+    max_product,
     network_stats,
     random_graph,
     random_spn,
@@ -18,6 +19,7 @@ from spnmap import (
     run_mis_experiment,
     validate,
 )
+from spnmap import experiments, solvers
 from spnmap.experiments import _ratio_from_logs, gap_fragment
 from oracles import brute_value, all_assignments
 
@@ -87,6 +89,19 @@ class TestRatio:
     def test_ratio_beyond_float_range_is_infinite(self):
         assert _ratio_from_logs(800.0, 0.0) == math.inf
         assert ratio(gap_network(1000)) == math.inf
+
+    def test_max_product_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(network, evidence=None):
+            calls.append(network)
+            return max_product(network, evidence)
+
+        monkeypatch.setattr(solvers, "max_product", counted)
+        monkeypatch.setattr(experiments, "max_product", counted)
+        assert ratio(gap_network(3)) == pytest.approx(2.2**3, rel=1e-12)
+        assert ratio(gap_network(3), {0: 1}) == pytest.approx(2.2**2, rel=1e-12)
+        assert len(calls) == 2
 
 
 class TestExperimentConfig:

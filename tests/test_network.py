@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -32,7 +33,7 @@ from spnmap import (
     serialize_spn,
     validate,
 )
-from spnmap import inference
+from spnmap import inference, network
 from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
 from oracles import below, validate_by_walk
@@ -384,43 +385,116 @@ class TestArrays:
 
     @staticmethod
     def rebuilt(net: Network) -> tuple:
-        """``_arrays`` by plain conversion of the tables and the record, with a height loop."""
-        record, numbering, t = net._compiled, net._numbering, net._tables
+        """Heights by a loop over the walk's record, whether an entry is shared,
+        and each leaf's first most probable category, from the nodes."""
+        numbering, t = net._numbering, net._tables
         height = [0] * len(t.ids)
         for e in numbering.internal:  # children first
             height[e] = 1 + max(height[kid] for kid in numbering.children[e])
-        columns = (
-            t.child_offset, t.child_index, record.variable, record.offset, record.best, height
-        )
-        child_index = np.array(t.child_index, dtype=np.intp)
-        shared = bool(np.bincount(child_index, minlength=len(height)).max(initial=0) > 1)
-        return (*(np.array(c, dtype=np.intp) for c in columns), shared)
+        shared = len(set(t.child_index.tolist())) < len(t.child_index)
+        best = [-1] * len(t.ids)
+        for nid, node in net.nodes.items():
+            if isinstance(node, LeafNode):
+                best[net._entry[nid]] = node.distribution.index(max(node.distribution))
+        return np.array(height, dtype=np.intp), shared, np.array(best, dtype=np.intp)
 
     def test_columns_and_heights_match_a_rebuild(self):
         for net in column_networks():
-            arrays, expected = net._arrays, self.rebuilt(net)
-            assert arrays.shared is expected[-1]
-            for got, want in zip(arrays[:-1], expected[:-1]):
+            height, shared, best = self.rebuilt(net)
+            assert net._arrays.shared is shared
+            for got, want in ((net._arrays.height, height), (net._compiled.best, best)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_levels_hold_each_inner_entry_once_above_its_children(self):
         for net in column_networks():
-            arrays, log_table = net._arrays, net._compiled.log_table
-            fan, done = np.diff(arrays.child_offset), arrays.variable >= 0
+            t, height, log_table = net._tables, net._arrays.height, net._compiled.log_table
+            fan, done = np.diff(t.child_offset), t.variable >= 0
             for level in net._levels:
                 entries = level.entries.tolist()
                 assert not done[entries].any()
-                assert len(set(arrays.height[entries].tolist())) == 1
+                assert len(set(height[entries].tolist())) == 1
                 assert set(fan[entries].tolist()) == {level.kids.shape[1]}
                 for e, kids in zip(entries, level.kids.tolist()):
                     assert kids == list(net._numbering.children[e]) and done[kids].all()
                 if level.weights is None:
-                    assert (np.diff(arrays.offset)[entries] == 0).all()
+                    assert (np.diff(t.param_offset)[entries] == 0).all()
                 else:
-                    at = arrays.offset[entries][:, None] + np.arange(level.kids.shape[1])
+                    at = t.param_offset[entries][:, None] + np.arange(level.kids.shape[1])
                     assert np.array_equal(level.weights, log_table[at])
                 done[entries] = True
             assert done.all()
+
+
+def built_networks() -> dict[str, Network]:
+    """A network from each builder; the parsed one names nodes by ids past 64 bits."""
+    big = 10**20
+    doc = (
+        f"spn 3\nnode -7 sum\nnode {big} leaf 0 0.5 0.5\nnode {-big} leaf 0 0.1 0.9\n"
+        f"edge -7 {-big} 0.25\nedge -7 {big} 0.75\nroot -7\n"
+    )
+    formula = CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))
+    return {
+        "parse_spn": parse_spn(doc),
+        "mis_to_spn": mis_to_spn(random_graph(5, 40.0, 2)).network,
+        "cnf_to_spn": cnf_to_spn(formula).network,
+        "amplify": amplify(cnf_to_spn(formula), 20).network,  # 1141 entries: levelled passes
+        "Network": Network(mixture_nodes(), 0, [Variable(1, 2), Variable(0, 2)]),
+        "from_nodes": random_spn(4, 3, seed=5),
+    }
+
+
+class TestOneForm:
+    """Tables held once, as numpy columns, behind a surface of Python numbers."""
+
+    def test_every_builder_gives_each_column_its_dtype(self):
+        for name, net in built_networks().items():
+            t = net._tables
+            assert type(t.ids) is list and all(type(i) is int for i in t.ids), name
+            dtypes = (np.int8, np.intp, np.intp, np.intp, np.intp, np.float64)
+            assert [column.dtype for column in t[1:]] == list(map(np.dtype, dtypes)), name
+
+    def test_the_public_surface_stays_python_numbers(self):
+        def python(value) -> bool:
+            if isinstance(value, (tuple, frozenset)):
+                return all(map(python, value))
+            return type(value) in (int, float)
+
+        for name, net in built_networks().items():
+            for nid, node in net.nodes.items():
+                fields = [getattr(node, f.name) for f in dataclasses.fields(node)]
+                assert python(nid) and all(map(python, fields)), (name, node)
+                assert python(net.scope(nid))
+            assert python(net.topological_order())
+            assert all(map(python, dataclasses.astuple(network_stats(net)))), name
+            result = max_product(net)
+            assert python(tuple(result.configuration.items())), name
+        big = 10**20
+        parsed = built_networks()["parse_spn"]
+        assert repr(parsed.nodes[-7]) == f"SumNode(children=({-big}, {big}), weights=(0.25, 0.75))"
+        assert repr(parsed.nodes[big]) == "LeafNode(variable=0, distribution=(0.5, 0.5))"
+        assert parsed.topological_order() == (-big, big, -7)
+
+    def test_reports_and_refusals_name_python_ids(self):
+        big = 10**20
+        nodes = {
+            -7: SumNode((-big, big), (0.5, 0.75)),
+            big: LeafNode(0, (0.5, 0.5)),
+            -big: LeafNode(0, (-0.1, 1.1)),
+            big + 1: LeafNode(1, (0.5, 0.5)),
+        }
+        net = Network(nodes, -7, [Variable(0, 2), Variable(1, 2)])
+        assert validate(net) == [
+            Violation(-big, "distribution", "negative probability"),
+            Violation(-7, "normalization", "weights sum to 1.25"),
+            Violation(big + 1, "unreachable", "not reachable from the root"),
+            Violation(-7, "scope", "root scope does not cover all variables"),
+        ]
+        assert all(type(v.node_id) is int for v in validate(net))
+        with pytest.raises(ValueError, match=f"^node {-big} has a negative or non-finite"):
+            max_product(net)
+        cycle = {-big: ProductNode((big,)), big: SumNode((-big,), (1.0,))}
+        with pytest.raises(ValueError, match=f"^network contains a cycle through node {-big}$"):
+            max_product(Network(cycle, -big, [Variable(0, 2)]))
 
 
 def defective_dag(rng: random.Random) -> Network:
@@ -562,7 +636,8 @@ def test_a_large_valid_network_is_solved_without_the_walk():
     max_product(net)
     spnmap.argmax_product(net)
     spnmap.decision_map(net, None, 0.0, spnmap.Solver.MAX_PRODUCT)
-    assert "_numbering" not in vars(net)
+    assert len(net.nodes) == 1801
+    assert "_numbering" not in vars(net) and "_lists" not in vars(net)
     assert net.is_acyclic and "_numbering" not in vars(net)
     net.topological_order()  # a structural query numbers the entries
     assert "_numbering" in vars(net)

@@ -24,6 +24,11 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - ``spnmap map --algo amap``'s work on the serialized MIS network of
   ``random_graph(80, 10.0, derive_seed(1, "scale"))``: ``parse_spn``,
   ``validate`` and ``argmax_product``
+- two small-network paths, each over 20 networks: the ratio study's largest
+  cell, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
+  ``random_graph(20, 50.0, derive_seed(0, 20, 50.0, rep))``; and
+  ``random_spn(20, 6, seed=rep)``, the node-dict construction that
+  ``perfbench``'s ``exact_enum`` builds its networks with
 
 The script prints a Markdown table: per stage, each tree's median and
 quartiles in milliseconds, the change of the medians, and the rounds in
@@ -42,11 +47,12 @@ import sys
 import time
 from pathlib import Path
 
-#: Copies of each formula, and the MIS graph's size, in the timed pass and in the warm-up.
-_SIZES = {"timed": (400, 300, 80), "warm": (8, 6, 12)}
+#: Copies of each formula, the MIS graph's size, and the count of each kind of
+#: small network, in the timed pass and in the warm-up.
+_SIZES = {"timed": (400, 300, 80, 20), "warm": (8, 6, 12, 2)}
 
 
-def _pass(sizes: tuple[int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
+def _pass(sizes: tuple[int, int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
     """Seconds per stage, and each argmax-product result in hex, for one pass."""
     import spnmap
     from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
@@ -68,7 +74,7 @@ def _pass(sizes: tuple[int, int, int]) -> tuple[dict[str, float], dict[str, str]
         seconds[label] = time.perf_counter() - start
         return out
 
-    unsat_q, sat_q, mis_n = sizes
+    unsat_q, sat_q, mis_n, small = sizes
     for name, formula, q in (("unsat", unsat, unsat_q), ("sat", sat, sat_q)):
         amplified = timed(f"{name} build", lambda f=formula, q=q: amplify(cnf_to_spn(f), q))
         text = timed(f"{name} serialize_spn", spnmap.serialize_spn, amplified.network)
@@ -96,6 +102,20 @@ def _pass(sizes: tuple[int, int, int]) -> tuple[dict[str, float], dict[str, str]
     am = timed("mis argmax_product", spnmap.argmax_product, net)
     seconds["mis solve"] = sum(v for k, v in seconds.items() if k.startswith("mis "))
     results["mis"] = f"{sorted(am.configuration.items())} {am.value.log.hex()}"
+
+    seeds = [spnmap.derive_seed(0, 20, 50.0, r) for r in range(small)]
+    graphs = [spnmap.random_graph(20, 50.0, seed) for seed in seeds]
+
+    def ratio_cell() -> list[str]:
+        solved = []
+        for graph in graphs:
+            net = spnmap.mis_to_spn(graph).network
+            mp, am = spnmap.max_product(net), spnmap.argmax_product(net)
+            solved.append(f"{mp.value.log.hex()} {am.value.log.hex()}")
+        return solved
+
+    results["ratio"] = " ".join(timed("ratio n=20 build and solve", ratio_cell))
+    timed("random_spn(20, 6)", lambda: [spnmap.random_spn(20, 6, seed=r) for r in range(small)])
     return seconds, results
 
 
