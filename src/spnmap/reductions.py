@@ -98,8 +98,8 @@ def _pinned_mixture(
     codes = np.full((k, n), 2)
     product = np.repeat(np.arange(k), list(map(len, pins)))
     codes[product, [j for pin in pins for j in pin]] = [c for pin in pins for c in pin.values()]
-    # Each node's entry in the tables is its id.  Per product, where its
-    # parameters and then each of its leaves' end:
+    # Each node's entry in the tables is its id.  Row t of ``param_end`` is where
+    # product t's parameters end (it has none), then where each of its leaves' do.
     param_end = k + 2 * n * np.arange(k)[:, None] + np.arange(0, 2 * n + 1, 2)
     variable = np.concatenate(([-1], np.tile(np.arange(-1, n), k)))
     tables = _Tables(

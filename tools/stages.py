@@ -13,14 +13,15 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - the ``amplified_cnf`` pipeline on the unsatisfiable 3-variable formula
   with all eight sign patterns amplified 400 times and on the satisfiable
   ``(-1 2 -3)(-1 3 4)`` amplified 300 times: build (``cnf_to_spn`` and
-  ``amplify``), ``serialize_spn``, ``parse_spn``, ``validate`` (which pays
-  the compile), ``validate`` again on the compiled network (its own checks
-  alone), the first build of the numpy columns (``Network._arrays``; where
-  ``validate`` builds them, this reads about 0), ``evaluate_marginal``,
-  ``max_product``, ``argmax_product``, ``evaluate`` at argmax-product's
-  configuration and ``decision_map`` with max-product, each stage on the last
-  one's output; the pipeline total leaves out the second ``validate`` and the
-  ``evaluate``, which the ``amplified_cnf`` workload does not run
+  ``amplify``), ``serialize_spn``, ``parse_spn``, ``validate``, ``validate``
+  again on the same network (its own checks alone), the first build of the
+  heights (``Network._arrays``) and of the compiled record
+  (``Network._compiled``), each about 0 where an earlier stage built it,
+  ``evaluate_marginal``, ``max_product``, ``argmax_product``, ``evaluate`` at
+  argmax-product's configuration and ``decision_map`` with max-product, each
+  stage on the last one's output; the pipeline total leaves out the second
+  ``validate`` and the ``evaluate``, which the ``amplified_cnf`` workload does
+  not run
 - ``spnmap map --algo amap``'s work on the serialized MIS network of
   ``random_graph(80, 10.0, derive_seed(1, "scale"))``: ``parse_spn``,
   ``validate`` and ``argmax_product``
@@ -82,6 +83,7 @@ def _pass(sizes: tuple[int, int, int, int]) -> tuple[dict[str, float], dict[str,
         timed(f"{name} validate", spnmap.validate, net)
         timed(f"{name} validate again", spnmap.validate, net)
         timed(f"{name} first _arrays", lambda: net._arrays)
+        timed(f"{name} first _compiled", lambda: net._compiled)
         timed(f"{name} evaluate_marginal", spnmap.evaluate_marginal, net)
         timed(f"{name} max_product", spnmap.max_product, net)
         am = timed(f"{name} argmax_product", spnmap.argmax_product, net)
