@@ -33,7 +33,7 @@ from spnmap import (
     serialize_spn,
     validate,
 )
-from spnmap import inference, network
+from spnmap import inference
 from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
 from oracles import below, validate_by_walk
