@@ -5,8 +5,13 @@ compiled network; networks of ``_LEVELLED_MIN`` entries or more take it a
 level at a time in numpy instead (``_levelled_upward``), with the same bits.
 Leaves whose variable is fixed contribute the probability of the fixed
 category; leaves outside the evidence scope contribute 1, which turns the
-same pass into marginal inference.  A batch form evaluates many total
-assignments at once for exhaustive MAP and normalization checks.
+same pass into marginal inference.
+
+Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
+of total assignments a level at a time on networks of every size, one row
+per assignment, with the bits of a pass one entry at a time.  The per-entry
+batch form, ``_batch_upward``, is left to argmax-product's per-sum loop on
+small networks and to ``batch_log_values``.
 """
 
 from __future__ import annotations
@@ -16,11 +21,16 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows
+from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows, logsumexp_stacked
 from .network import Network, Variable, _below, _Level
 
-#: Rows per batch when enumerating assignments.
+#: Rows per chunk that ``enumerate_log_values`` yields.  ``log_partition``
+#: reduces each chunk on its own, so its bits depend on this size.
 _CHUNK_SIZE = 1 << 14
+
+#: Assignments per block of the enumeration pass.  On networks of a few
+#: hundred entries its ``(slots, rows)`` value matrix then stays in cache.
+_BLOCK_SIZE = 1 << 12
 
 #: Enumeration refuses configuration spaces larger than this.
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -244,32 +254,116 @@ def decode_configuration(
     return config
 
 
+def _enumeration_plan(network: Network) -> tuple[list, list, int, int]:
+    """The slots of the enumeration pass: distinct leaf rows, then sums and products.
+
+    Returns, per variable with leaves, ``(variable, first slot, table)``,
+    whose ``(rows, cardinality)`` table holds the variable's distinct leaf
+    log rows; per group of ``network._levels``, its first slot, its kids'
+    slots and its weights; the root's slot; and the slot count.
+    """
+    t, log_table = network._tables, network._compiled.log_table
+    leaves = np.flatnonzero(t.variable >= 0)
+    cards = np.diff(t.param_offset)[leaves]
+    columns = np.arange(int(cards.max()))
+    inside = columns < cards[:, None]
+    rows = np.zeros((len(leaves), len(columns) + 1))  # the variable, then its logs
+    rows[:, 0] = t.variable[leaves]
+    rows[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
+    distinct, leaf_slot = np.unique(rows, axis=0, return_inverse=True)
+    owner = distinct[:, 0].astype(np.intp)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    tables = [
+        (int(owner[s]), int(s), distinct[s:e, 1 : 1 + network.cardinality(int(owner[s]))].copy())
+        for s, e in zip(first.tolist(), [*first[1:].tolist(), len(owner)])
+    ]
+    slot = np.empty(len(t.ids), dtype=np.intp)
+    slot[leaves] = leaf_slot.ravel()
+    groups, size = [], len(distinct)
+    for level in network._levels:
+        slot[level.entries] = np.arange(size, size + len(level.entries))
+        groups.append((size, slot[level.kids], level.weights))
+        size += len(level.entries)
+    return tables, groups, int(slot[network._compiled.root]), size
+
+
 def enumerate_log_values(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence.
 
-    Chunks follow ``decode_configuration``'s order; each builds one column of
-    categories per variable.  Refuses more than ``DEFAULT_ENUMERATION_CAP``
+    Chunks follow ``decode_configuration``'s order and hold ``_CHUNK_SIZE``
+    rows but the last.  The values come from one levelled pass per block of
+    ``_BLOCK_SIZE`` assignments over a reused ``(slots, rows)`` matrix, with
+    the slots of ``_enumeration_plan``.  Leaf rows that are the same in
+    every block, those of the evidence and of the variables that cycle
+    within a block, are filled once.  Products add their children in order
+    and sums reduce as ``logsumexp_rows``, so each value has the bits of a
+    pass one entry at a time.  Refuses more than ``DEFAULT_ENUMERATION_CAP``
     assignments.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    free = free_variables(network, evidence)
     total = count_free_configurations(network, evidence)
     if total > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    compiled = network._compiled
+    tables, groups, root, size = _enumeration_plan(network)
+    stride, strides = total, {}
+    for var in free_variables(network, evidence):
+        stride //= var.cardinality
+        strides[var.index] = stride
+    # Block ``k`` holds assignments ``k * width`` on; the last one runs past ``total``.
+    width = min(_BLOCK_SIZE, total)
+    vals = np.empty((size, width))
+    refill = []  # the leaf rows that differ between blocks
+    for var, first, table in tables:
+        rows, card = vals[first : first + len(table)], table.shape[1]
+        if var in evidence:
+            rows[:] = table[:, evidence[var], None]
+        elif width % (strides[var] * card) == 0:  # every block runs through whole periods
+            rows[:] = table[:, np.arange(width) // strides[var] % card]
+        else:
+            refill.append((rows, table, strides[var]))
+    done = -1  # the block whose values ``vals`` holds
     for start in range(0, total, _CHUNK_SIZE):
-        idx = np.arange(start, min(start + _CHUNK_SIZE, total), dtype=np.int64)
-        columns = {var: np.full(len(idx), cat, dtype=np.intp) for var, cat in evidence.items()}
-        stride = total
-        for var in free:
-            stride //= var.cardinality
-            columns[var.index] = (idx // stride) % var.cardinality
-        yield start, _batch_upward(network, compiled.root, columns)
+        stop = min(start + _CHUNK_SIZE, total)
+        values = np.empty(stop - start)
+        for k in range(start // width, (stop - 1) // width + 1):
+            if k != done:
+                _enumerated_block(k * width, refill, groups, vals)
+                done = k
+            lo, hi = max(start, k * width), min(stop, (k + 1) * width)
+            values[lo - start : hi - start] = vals[root, lo - k * width : hi - k * width]
+        yield start, values
+
+
+def _enumerated_block(offset: int, refill: list, groups: list, vals: np.ndarray) -> None:
+    """Fill ``vals`` for the block of assignments from index ``offset``.
+
+    ``refill`` holds the leaf rows that change between blocks, as
+    ``(rows, table, stride)``; a variable whose stride is a multiple of the
+    block takes one category in the whole block.
+    """
+    width = vals.shape[1]
+    for rows, table, stride in refill:
+        card = table.shape[1]
+        if stride % width == 0:
+            rows[:] = table[:, offset // stride % card, None]
+        else:
+            cats = np.arange(offset, offset + width) // stride % card
+            np.take(table, cats, axis=1, out=rows, mode="clip")
+    for first, kids, weights in groups:
+        out = vals[first : first + len(kids)]
+        if weights is None:  # a product adds its children in order
+            out[:] = vals[kids[:, 0]]
+            for j in range(1, kids.shape[1]):
+                out += vals[kids[:, j]]
+        else:
+            terms = vals[kids]
+            terms += weights[:, :, None]
+            out[:] = logsumexp_stacked(terms)
 
 
 def log_partition(network: Network) -> float:

@@ -43,6 +43,28 @@ def logsumexp_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def logsumexp_stacked(terms: np.ndarray) -> np.ndarray:
+    """``logsumexp_rows`` of each ``terms[i]``, bit for bit, as one ``(m, k)`` array.
+
+    ``terms`` is ``(m, t, k)`` and is overwritten.  ``logsumexp_rows`` adds
+    each column's exponentials as one contiguous run, which numpy sums in
+    order below 8 terms and pairwise from 8; this adds them the same way.
+    """
+    peak = terms.max(axis=1)
+    finite = peak > LOG_ZERO
+    terms -= np.where(finite, peak, 0.0)[:, None, :]
+    np.exp(terms, out=terms)
+    if terms.shape[1] < 8:
+        total = terms[:, 0].copy()
+        for j in range(1, terms.shape[1]):
+            total += terms[:, j]
+    else:
+        total = np.ascontiguousarray(terms.transpose(0, 2, 1)).sum(axis=2)
+    np.log(total, out=total, where=finite)  # a column of LOG_ZERO keeps its total, 0
+    total += peak
+    return total
+
+
 @dataclass(frozen=True, order=True)
 class Probability:
     """A probability held in log space with a linear accessor."""

@@ -373,9 +373,9 @@ class Network:
         The walk starts from each id not yet numbered, in increasing order.
         It skips each edge back to a node on its path and records the first
         such node as ``cycle``.  Built on first use, by the per-entry passes
-        of small networks, enumeration, ``topological_order`` and ``scope``,
-        and to name a node on a cycle or with an invalid parameter; large
-        networks validate and solve without it.
+        and the cycle check of small networks, ``topological_order`` and
+        ``scope``, and to name a node on a cycle or with an invalid
+        parameter; large networks validate and solve without it.
         """
         ids, (child_offset, child_index, variable, *_) = self._tables.ids, self._lists
         n = len(ids)
@@ -466,8 +466,7 @@ class Network:
         """The columns of ``_Lists``, converted once with ``tolist``.
 
         Built on first use, by the per-entry passes of small networks, the
-        walk, enumeration and node lookups; large networks validate and solve
-        without it.
+        walk and node lookups; large networks validate and solve without it.
         """
         t, record = self._tables, self._unchecked
         columns = (t.child_offset, t.child_index, t.variable, t.param_offset, t.params)
@@ -508,7 +507,8 @@ class Network:
         """The sums and products in groups of one height, kind and fan-out, lowest first.
 
         Every child of a group is a leaf or in an earlier group.  Built on
-        first use, by the single-assignment passes of large networks.
+        first use, by the single-assignment passes of large networks and by
+        enumeration on networks of every size.
         """
         t, height = self._tables, self._arrays.height
         fan, offset = np.diff(t.child_offset), t.param_offset

@@ -34,7 +34,7 @@ from .inference import (
     enumerate_log_values,
     evaluate,
 )
-from .logspace import LOG_ZERO, Probability
+from .logspace import LOG_ZERO, Probability, logsumexp_stacked
 from .network import Network, _below, _runs, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
@@ -428,39 +428,32 @@ def _levelled_pass(
     chunk_ends = np.cumsum(sizes)[sizes > 0].tolist()
     del chunk, height, is_sum, group, pos
     top_vals = np.empty((w, rows))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r0 in range(0, rows, block):
-            cats = cat_rows[:, r0 : r0 + block]
-            stops, stop = iter(chunk_ends), 0
-            for g0, g1 in zip([0, *ends], ends):
-                if g0 == stop:
-                    base, stop = g0, next(stops)
-                    vals = np.empty((stop - base, cats.shape[1]))
-                members = perm[g0:g1]
-                ents = entry[members]
-                out = vals[g0 - base : g1 - base]
-                e, t = int(ents[0]), int(p_fan[members[0]])
-                if t == 0:
-                    at = cats[pair_slot[members]]
-                    at += offset[ents][:, None]
-                    np.take(log_table, at, out=out, mode="clip")  # in range; "clip" spares a copy
-                elif offset[e + 1] == offset[e]:  # a product adds its children in order
-                    below = kid[kid_start[members][:, None] + np.arange(t)] - base
-                    out[:] = vals[below[:, 0]]
-                    for j in range(1, t):
-                        out += vals[below[:, j]]
-                else:  # a sum reduces as ``logsumexp_rows`` does
-                    below = vals[kid[kid_start[members][:, None] + np.arange(t)] - base]
-                    terms = log_table[offset[ents][:, None] + np.arange(t)][:, :, None] + below
-                    peak = terms.max(axis=1)
-                    finite = peak > LOG_ZERO
-                    terms -= np.where(finite, peak, 0.0)[:, None, :]
-                    # ``logsumexp_rows`` sums each row's terms as one contiguous
-                    # run, which numpy adds pairwise; so does this.
-                    runs = np.ascontiguousarray(np.exp(terms, out=terms).transpose(0, 2, 1))
-                    out[:] = np.where(finite, peak + np.log(runs.sum(axis=2)), LOG_ZERO)
-                if g1 == stop:
-                    top_vals[owner[members], r0 : r0 + block] = out
+    for r0 in range(0, rows, block):
+        cats = cat_rows[:, r0 : r0 + block]
+        stops, stop = iter(chunk_ends), 0
+        for g0, g1 in zip([0, *ends], ends):
+            if g0 == stop:
+                base, stop = g0, next(stops)
+                vals = np.empty((stop - base, cats.shape[1]))
+            members = perm[g0:g1]
+            ents = entry[members]
+            out = vals[g0 - base : g1 - base]
+            e, t = int(ents[0]), int(p_fan[members[0]])
+            if t == 0:
+                at = cats[pair_slot[members]]
+                at += offset[ents][:, None]
+                np.take(log_table, at, out=out, mode="clip")  # in range; "clip" spares a copy
+            elif offset[e + 1] == offset[e]:  # a product adds its children in order
+                below = kid[kid_start[members][:, None] + np.arange(t)] - base
+                out[:] = vals[below[:, 0]]
+                for j in range(1, t):
+                    out += vals[below[:, j]]
+            else:  # a sum reduces as ``logsumexp_rows`` does
+                terms = vals[kid[kid_start[members][:, None] + np.arange(t)] - base]
+                terms += log_table[offset[ents][:, None] + np.arange(t)][:, :, None]
+                out[:] = logsumexp_stacked(terms)
+            if g1 == stop:
+                top_vals[owner[members], r0 : r0 + block] = out
     return top_vals
 
 

@@ -3,9 +3,10 @@
 Everything here but the ``_by_entry`` and ``_by_sum`` oracles works in
 linear-domain floats with plain recursion and exhaustive enumeration,
 deliberately sharing no propagation code with the package under test.
-Those are the per-entry loop (``_upward``) of the sum and max passes, and
-argmax-product's per-sum loop, built from the package's scalar walk and
-batch pass.  The levelled passes and the wave pass of large networks must
+Those are the per-entry loop (``_upward``) of the sum and max passes, a
+batch pass one entry at a time (``batch_by_entry``), and argmax-product's
+per-sum loop, built from the package's scalar walk and that batch pass.
+The levelled passes, the wave pass of large networks and enumeration must
 match them bit for bit.  ``validate_by_walk`` checks each node over the
 depth-first walk's child tuples and scope sets; the array ``validate`` must
 report what it reports.
@@ -32,8 +33,8 @@ from spnmap import (
     SumNode,
     Violation,
 )
-from spnmap.inference import _batch_upward, _upward, check_assignment, decode_configuration
-from spnmap.logspace import logsumexp
+from spnmap.inference import _upward, check_assignment, decode_configuration
+from spnmap.logspace import logsumexp, logsumexp_rows
 from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
 from spnmap.solvers import _walk
 
@@ -204,12 +205,41 @@ def max_product_by_entry(
     return MapResult(config, value, Solver.MAX_PRODUCT, bound)
 
 
+def batch_by_entry(network: Network, entry: int, columns: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Log value of table entry ``entry`` for each row of a batch, one entry at a time.
+
+    ``columns[var]`` holds one category per row for each variable in the
+    entry's scope.  Plain recursion over the tables: a leaf gathers its log
+    row at its column, a product adds its children's rows in order, and a
+    sum passes its weighted children's rows, stacked, to ``logsumexp_rows``.
+    """
+    t, log_table = network._tables, network._compiled.log_table
+    memo: dict[int, np.ndarray] = {}
+
+    def value(e: int) -> np.ndarray:
+        if e not in memo:
+            logs = log_table[t.param_offset[e] : t.param_offset[e + 1]]
+            kids = t.child_index[t.child_offset[e] : t.child_offset[e + 1]].tolist()
+            if t.variable[e] >= 0:
+                memo[e] = logs[columns[int(t.variable[e])]]
+            elif not len(logs):  # a product
+                acc = value(kids[0])
+                for kid in kids[1:]:
+                    acc = acc + value(kid)
+                memo[e] = acc
+            else:
+                memo[e] = logsumexp_rows(np.stack([w + value(k) for w, k in zip(logs, kids)]))
+        return memo[e]
+
+    return value(entry)
+
+
 def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np.ndarray]:
     """Each sum's log value at each child's candidate, one re-evaluation per sum.
 
     Children first, each sum with two or more children walks each child's
     chosen tree (``_walk``), evaluates its own sub-DAG at those candidates
-    (``_batch_upward``, with category 0 for a scope variable a candidate
+    (``batch_by_entry``, with category 0 for a scope variable a candidate
     misses) and chooses the first best child.
     """
     offset, numbering = network._lists.param_offset, network._numbering
@@ -221,7 +251,7 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
         candidates = [_walk(network, evidence, kid, choice) for kid in numbering.children[e]]
         scope = list(numbering.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        scores[e] = _batch_upward(network, e, dict(zip(scope, rows)))
+        scores[e] = batch_by_entry(network, e, dict(zip(scope, rows)))
         choice[e] = int(np.argmax(scores[e]))
     return scores
 

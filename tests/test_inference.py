@@ -22,12 +22,14 @@ from spnmap import (
     evaluate,
     evaluate_marginal,
     log_partition,
+    mis_to_spn,
+    random_graph,
     random_spn,
 )
 from spnmap.experiments import gap_network
 from spnmap.inference import free_variables
 from conftest import shared_leaf_dag
-from oracles import all_assignments, below, brute_marginal, brute_value
+from oracles import all_assignments, batch_by_entry, below, brute_marginal, brute_value
 
 
 def one_variable_mixture() -> Network:
@@ -220,6 +222,36 @@ class TestEnumeration:
         expected = [evaluate(net, a).log for a in all_assignments(net, {1: 1})]
         assert len(set(expected)) == len(expected) == 8
         assert values == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_values_are_the_per_entry_batch_bit_for_bit(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", chunk)
+        zero_at_one = {  # at x0 = 1 every term of the root is LOG_ZERO
+            0: SumNode((1, 2), (0.5, 0.5)),
+            1: ProductNode((3, 4)),
+            2: ProductNode((5, 6)),
+            3: LeafNode(0, (1.0, 0.0)),
+            4: LeafNode(1, (0.4, 0.6)),
+            5: LeafNode(0, (1.0, 0.0)),
+            6: LeafNode(1, (0.9, 0.1)),
+        }
+        cases = [
+            # 8192 rows, two blocks of the default chunk; the root sums 14 terms pairwise
+            (mis_to_spn(random_graph(14, 30.0, 5)).network, {3: 1}),
+            (shared_leaf_dag(random_spn(4, max_height=3, seed=4)), {}),
+            (Network({0: LeafNode(0, (0.25, 0.75))}, 0, [Variable(0, 2), Variable(1, 3)]), {}),
+            (Network.from_nodes(zero_at_one, 0), {}),
+        ]
+        for net, evidence in cases:
+            assignments = list(all_assignments(net, evidence))
+            columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
+            expected = batch_by_entry(net, net._entry[net.root], columns)
+            chunks = list(enumerate_log_values(net, evidence))
+            assert [start for start, _ in chunks] == list(range(0, len(assignments), chunk or 1 << 14))
+            values = np.concatenate([v for _, v in chunks])
+            assert values.tobytes() == expected.tobytes()
+        assert LOG_ZERO in values and values.max() > LOG_ZERO
 
     def test_enumerate_log_values_matches_decode(self, mixture_net):
         for start, values in enumerate_log_values(mixture_net):

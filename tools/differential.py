@@ -23,6 +23,11 @@ The corpus:
 - ``random_spn(4 + s % 5, 6 + s % 3, seed=1000 + s)`` for s < 60, networks
   of several waves of sums, with and without evidence ``{0: s % 2}``
 - ``gap_network(1..10)``
+- enumeration over several chunks and blocks: ``exact_map`` on the
+  independent-set networks of ``random_graph(16, pct, derive_seed(0,
+  "enumeration", pct))`` for pct 10 and 40, with evidence ``{}`` and
+  ``{0: 1}``, and ``exact_map`` and ``log_partition`` on
+  ``random_spn(17, height, seed=0)`` for heights 5 and 6
 - the unsatisfiable 3-variable formula amplified 400 times and the
   satisfiable 4-variable one amplified 300 times, each serialized and parsed,
   and solved with evidence ``{}``, ``{0: 0}`` and ``{0: 1}``
@@ -257,6 +262,16 @@ def _corpus() -> None:
         net = spnmap.gap_network(copies)
         _structure(f"gap {copies}", net)
         _solve(f"gap {copies}", net, {}, _small(net))
+
+    for pct in (10.0, 40.0):
+        graph = spnmap.random_graph(16, pct, spnmap.derive_seed(0, "enumeration", pct))
+        net = spnmap.mis_to_spn(graph).network
+        for evidence in ({}, {0: 1}):
+            _emit(f"mis16 {pct} {evidence}", "exact_map", spnmap.exact_map, net, evidence)
+    for height in (5, 6):
+        net = spnmap.random_spn(17, height, seed=0)
+        _emit(f"random_spn 17 {height}", "exact_map", spnmap.exact_map, net, {})
+        _emit(f"random_spn 17 {height}", "log_partition", spnmap.log_partition, net)
 
     unsat = CnfFormula(
         3,

@@ -1,4 +1,4 @@
-"""Time each stage of spnmap's amplified-CNF pipeline and MIS solve in two checkouts.
+"""Time each stage of spnmap's amplified-CNF pipeline, MIS solve and enumeration in two checkouts.
 
 Usage::
 
@@ -30,11 +30,15 @@ stage once on fresh networks and prints the seconds as one JSON line:
   ``random_graph(20, 50.0, derive_seed(0, 20, 50.0, rep))``; and
   ``random_spn(20, 6, seed=rep)``, the node-dict construction that
   ``perfbench``'s ``exact_enum`` builds its networks with
+- enumeration over 2**18 assignments: ``exact_map`` on the independent-set
+  network of ``random_graph(18, 10.0, derive_seed(1, "exact", 10.0))`` and
+  ``log_partition`` on ``random_spn(18, 6, seed=3)`` (323 nodes)
 
 The script prints a Markdown table: per stage, each tree's median and
 quartiles in milliseconds, the change of the medians, and the rounds in
 which the new tree was faster.  The runs also check that both trees give the
-same argmax-product results; the script exits 1 when they do not.
+same argmax-product, ``exact_map`` and ``log_partition`` results, compared in
+hex; the script exits 1 when they do not.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ import sys
 import time
 from pathlib import Path
 
-#: Copies of each formula, the MIS graph's size, and the count of each kind of
-#: small network, in the timed pass and in the warm-up.
-_SIZES = {"timed": (400, 300, 80, 20), "warm": (8, 6, 12, 2)}
+#: Copies of each formula, the MIS graph's size, the count of each kind of
+#: small network and the enumerated variables, in the timed pass and in the warm-up.
+_SIZES = {"timed": (400, 300, 80, 20, 18), "warm": (8, 6, 12, 2, 8)}
 
 
-def _pass(sizes: tuple[int, int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
-    """Seconds per stage, and each argmax-product result in hex, for one pass."""
+def _pass(sizes: tuple[int, int, int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
+    """Seconds per stage, and each solver's and ``log_partition``'s result in hex, for one pass."""
     import spnmap
     from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 
@@ -75,7 +79,7 @@ def _pass(sizes: tuple[int, int, int, int]) -> tuple[dict[str, float], dict[str,
         seconds[label] = time.perf_counter() - start
         return out
 
-    unsat_q, sat_q, mis_n, small = sizes
+    unsat_q, sat_q, mis_n, small, enumerated = sizes
     for name, formula, q in (("unsat", unsat, unsat_q), ("sat", sat, sat_q)):
         amplified = timed(f"{name} build", lambda f=formula, q=q: amplify(cnf_to_spn(f), q))
         text = timed(f"{name} serialize_spn", spnmap.serialize_spn, amplified.network)
@@ -118,6 +122,13 @@ def _pass(sizes: tuple[int, int, int, int]) -> tuple[dict[str, float], dict[str,
 
     results["ratio"] = " ".join(timed("ratio n=20 build and solve", ratio_cell))
     timed("random_spn(20, 6)", lambda: [spnmap.random_spn(20, 6, seed=r) for r in range(small)])
+
+    graph = spnmap.random_graph(enumerated, 10.0, spnmap.derive_seed(1, "exact", 10.0))
+    net = spnmap.mis_to_spn(graph).network
+    exact = timed("enumeration exact_map (MIS)", spnmap.exact_map, net)
+    results["exact_map"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
+    net = spnmap.random_spn(enumerated, 6, seed=3)
+    results["log_partition"] = timed("enumeration log_partition", spnmap.log_partition, net).hex()
     return seconds, results
 
 
@@ -164,7 +175,7 @@ def main(argv: list[str]) -> int:
         )
     differing = {k for k in old[0]["results"] if old[0]["results"][k] != new[0]["results"][k]}
     if differing:
-        print(f"\nargmax-product results differ on: {', '.join(sorted(differing))}")
+        print(f"\nresults differ on: {', '.join(sorted(differing))}")
         return 1
     return 0
 
