@@ -272,11 +272,11 @@ def _enumeration_plan(network: Network) -> tuple[list, list, int, int]:
     rows[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
     distinct, leaf_slot = np.unique(rows, axis=0, return_inverse=True)
     owner = distinct[:, 0].astype(np.intp)
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
-    tables = [
-        (int(owner[s]), int(s), distinct[s:e, 1 : 1 + network.cardinality(int(owner[s]))].copy())
-        for s, e in zip(first.tolist(), [*first[1:].tolist(), len(owner)])
-    ]
+    bounds = [*np.flatnonzero(np.diff(owner, prepend=-1)).tolist(), len(owner)]
+    tables = []
+    for lo, hi in zip(bounds, bounds[1:]):  # the rows of one variable
+        var = int(owner[lo])
+        tables.append((var, lo, distinct[lo:hi, 1 : 1 + network.cardinality(var)].copy()))
     slot = np.empty(len(t.ids), dtype=np.intp)
     slot[leaves] = leaf_slot.ravel()
     groups, size = [], len(distinct)
@@ -314,7 +314,7 @@ def enumerate_log_values(
     for var in free_variables(network, evidence):
         stride //= var.cardinality
         strides[var.index] = stride
-    # Block ``k`` holds assignments ``k * width`` on; the last one runs past ``total``.
+    # Block ``k`` holds assignments ``k * width`` on; rows past ``total`` are never read.
     width = min(_BLOCK_SIZE, total)
     vals = np.empty((size, width))
     refill = []  # the leaf rows that differ between blocks

@@ -236,9 +236,23 @@ class TestEnumeration:
             5: LeafNode(0, (1.0, 0.0)),
             6: LeafNode(1, (0.9, 0.1)),
         }
+        rng = np.random.default_rng(3)
+        wide = {0: SumNode(tuple(range(1, 11)), tuple(rng.dirichlet(np.ones(10))))}
+        for i in range(1, 11):  # ten products of three leaves, summed pairwise
+            wide[i] = ProductNode((10 * i + 1, 10 * i + 2, 10 * i + 3))
+            for var in range(3):
+                p = rng.random()
+                wide[10 * i + 1 + var] = LeafNode(var, (p, 1.0 - p))
+        ternary = {0: SumNode((1, 2), (0.3, 0.7))}
+        for i in (1, 2):  # 3**8 rows: blocks of 4096 cut through each variable's period
+            ternary[i] = ProductNode(tuple(range(10 * i, 10 * i + 8)))
+            for var in range(8):
+                ternary[10 * i + var] = LeafNode(var, tuple(rng.dirichlet(np.ones(3))))
         cases = [
-            # 8192 rows, two blocks of the default chunk; the root sums 14 terms pairwise
+            # 8192 rows, two blocks of the default chunk
             (mis_to_spn(random_graph(14, 30.0, 5)).network, {3: 1}),
+            (Network.from_nodes(wide, 0), {}),
+            (Network.from_nodes(ternary, 0), {}),
             (shared_leaf_dag(random_spn(4, max_height=3, seed=4)), {}),
             (Network({0: LeafNode(0, (0.25, 0.75))}, 0, [Variable(0, 2), Variable(1, 3)]), {}),
             (Network.from_nodes(zero_at_one, 0), {}),
