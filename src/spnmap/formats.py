@@ -77,53 +77,135 @@ _WIDE_BREAKS = np.array([0x85, 0x2028, 0x2029])
 _COMMENT = re.compile("#[^\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 #: Characters per block of a network document's scan; a block then runs to the next ``\n``.
 _BLOCK = 1 << 18
+#: Spaces around each block, so that the 8 characters from a token's start, or up to its
+#: end, lie in the block.
+_PAD = " " * 8
 
 _SPN, _NODE, _EDGE, _ROOT, _OTHER = range(5)
-_DIRECTIVES = {"spn": _SPN, "node": _NODE, "edge": _EDGE, "root": _ROOT}
-_KINDS = {"leaf": _LEAF, "sum": _SUM, "prod": _PRODUCT}
+#: A token's key: its first characters, up to 5, as little-endian bytes, and their count in
+#: bit 40 up.  Per count, the mask of those bytes and the count's bits.
+_KEY_MASK = np.array([(1 << 8 * m) - 1 for m in range(6)], np.uint64)
+_KEY_TAG = np.arange(6, dtype=np.uint64) << np.uint64(40)
+_DIRECTIVES, _KINDS = (
+    np.array([int.from_bytes(w.encode(), "little") | len(w) << 40 for w in words], np.uint64)
+    for words in (("spn", "node", "edge", "root"), ("leaf", "sum", "prod"))  # in code order
+)
+_UNKNOWN_KIND = len(_KINDS)  # after _LEAF, _SUM and _PRODUCT
+#: Per count ``n`` of digits up to 8: the bytes of a window that hold them, and "0"s in the others.
+_DIGIT_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)
+_DIGIT_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], np.uint64)
+_HIGH = 0xF0F0F0F0F0F0F0F0
+#: Powers of ten up to 10**19, and as floats, which hold them exactly, up to 10**18.
+_POWERS = np.array([10**k for k in range(20)], np.uint64)
+_POW10 = _POWERS[:19].astype(float)
 
 
-def _content_rows(block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """``block``'s tokens; per content line, the index of its first token, its
-    token count and its line in the block; and the block's number of line breaks.
+def _tokens(block: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``block`` padded; its code points, past 255 read as 255; each token's start and end
+    in it; per content line, its first token and its line in the block; and the block's
+    number of line breaks.
     """
-    words = np.array(block.split(), dtype=object)
-    if block.isascii():
-        code = np.frombuffer(block.encode("ascii"), np.uint8)
+    padded = f"{_PAD}{block}{_PAD}"
+    if padded.isascii():
+        code = np.frombuffer(padded.encode("ascii"), np.uint8)
     else:
-        code = np.frombuffer(block.encode("utf-32-le", "surrogatepass"), np.uint32)
+        code = np.frombuffer(padded.encode("utf-32-le", "surrogatepass"), np.uint32)
     space = ((code >= 9) & (code <= 13)) | ((code >= 28) & (code <= 32))
     ends = ((code >= 10) & (code <= 13)) | ((code >= 28) & (code <= 30))
     if code.dtype == np.uint32:
         space |= np.isin(code, _WIDE_SPACES)
         ends |= np.isin(code, _WIDE_BREAKS)
+        code = np.minimum(code, 255).astype(np.uint8)
     if "\r\n" in block:
         ends[:-1] &= (code[:-1] != 13) | (code[1:] != 10)  # one break, at the "\n"
-    starts = np.flatnonzero(space[:-1] > space[1:]) + 1  # each token after a space
-    if code.size and not space[0]:
-        starts = np.concatenate(([0], starts))
-    line = np.flatnonzero(ends).searchsorted(starts)  # each token's line: breaks before it
-    first = np.flatnonzero(np.diff(line, prepend=-1))
-    return words, first, np.diff(first, append=len(words)), line[first], np.count_nonzero(ends)
+    bounds = (space[:-1] != space[1:]).nonzero()[0] + 1  # a start, then an end, per token
+    starts, stops = bounds[::2], bounds[1::2]
+    breaks = ends.nonzero()[0]
+    after = starts.searchsorted(breaks)  # the token after each break
+    first = np.zeros(len(starts) + 1, bool)
+    first[after] = first[0] = True
+    first = first[:-1].nonzero()[0]
+    return padded, code, starts, stops, first, after.searchsorted(first, "right"), breaks.size
+
+
+def _keywords(words: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: np.ndarray):
+    """Each token's place in ``known``, or ``len(known)``; ``words`` as in ``_scan``."""
+    width = np.minimum(stops - starts, 5)
+    match = (words[starts] & _KEY_MASK[width] | _KEY_TAG[width])[:, None] == known
+    return np.where(match.any(1), match.argmax(1), len(known)).astype(np.int8)
+
+
+def _digits(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The number that the ``length`` (0-19) characters before each ``end`` spell, and
+    whether they are all decimal digits.  Eight at a time: their bytes as one ``uint64``,
+    then three multiplies, each joining neighbouring groups of digits.
+    """
+    n = np.minimum(length, 8)
+    w = words[end - 8] & _DIGIT_KEEP[n] | _DIGIT_FILL[n]
+    ok = (w & _HIGH | (w + 0x0606060606060606 & _HIGH) >> 4) == 0x3333333333333333
+    w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    w = (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+    if (more := (length > 8).nonzero()[0]).size:
+        high, high_ok = _digits(words, end[more] - 8, length[more] - 8)
+        w[more] += high * 100_000_000
+        ok[more] &= high_ok
+    return w, ok
+
+
+def _values(code: np.ndarray, words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+            index: np.ndarray, split: int) -> tuple[np.ndarray, ...]:
+    """Tokens ``index`` as ``int`` and as ``float`` read them, where digit arithmetic can
+    tell, and the places in ``index`` where it cannot, the first ``split`` read as ints
+    and the others as floats.  An int is ``[+-]?[0-9]{1,18}``.  A float may also have
+    one ``.``, and must be at most 2**53 without it: then one division by a power of ten,
+    which a float holds exactly, rounds it as ``float`` does.
+    """
+    dots = (code == 46).nonzero()[0]
+    holder = starts.searchsorted(dots, "right") - 1  # each dot's token
+    point = np.bincount(holder, minlength=len(starts))[index]
+    dot = np.zeros(len(starts), np.intp)
+    dot[holder] = dots
+    dot, starts, stops = dot[index], starts[index], stops[index]
+    head = code[starts]
+    negative = head == 45
+    begin = starts + (negative | (head == 43))
+    # The digits after a point, or all of them; then, in the same call, those before it.
+    one = point == 1
+    dotted = one.nonzero()[0]
+    fraction = stops - np.where(one, dot + 1, begin)
+    ends = np.concatenate((stops, dot[dotted]))
+    parts, parts_ok = _digits(words, ends, np.minimum(np.concatenate((fraction, (dot - begin)[dotted])), 19))
+    mantissa, ok = parts[: len(index)], parts_ok[: len(index)]
+    mantissa[dotted] += parts[len(index) :] * _POWERS[np.minimum(fraction[dotted], 19)]
+    ok[dotted] &= parts_ok[len(index) :]
+    ok &= (stops - begin - point >= 1) & (stops - begin - point <= 18)
+    floats = mantissa / _POW10[np.where(ok & one, fraction, 0)]
+    ok[:split] &= point[:split] == 0
+    ok[split:] &= mantissa[split:] <= 1 << 53
+    ints = mantissa.view(np.int64)
+    np.negative(ints, out=ints, where=negative)
+    np.negative(floats, out=floats, where=negative)
+    return ints, floats, (~ok).nonzero()[0]
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ...``, ``lengths[i]`` of them, for each ``i`` in turn."""
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(lengths.sum()) + (starts - lengths.cumsum() + lengths).repeat(lengths)
 
 
-def _numbers(tokens: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(tokens: list[str], dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """``tokens`` converted as ``int`` or ``float`` would, and which ones do not
     convert; those read as 0.  Integers past int64 stay Python ints, in an
     object array.
     """
     refused = np.zeros(len(tokens), bool)
     try:
-        return tokens.astype(dtype), refused
+        return np.array(tokens, dtype=object).astype(dtype), refused
     except (ValueError, OverflowError):
         values = []
     convert = int if dtype is np.int64 else float
-    for k, token in enumerate(tokens.tolist()):
+    for k, token in enumerate(tokens):
         try:
             values.append(convert(token))
         except ValueError:
@@ -152,50 +234,52 @@ def _scan(text: str) -> tuple[SimpleNamespace, list[tuple[int, int, int]]]:
         block = text[start:end]
         if "#" in block:
             block = _COMMENT.sub("", block)
-        words, first, count, at, breaks = _content_rows(block)
+        padded, code, starts, stops, first, at, breaks = _tokens(block)
+        count = np.concatenate((first[1:], [len(starts)])) - first
         line = at + (before + 1)
-        heads = map(_DIRECTIVES.get, words[first].tolist(), itertools.repeat(_OTHER))
-        directive = np.fromiter(heads, np.int8, len(first))
+        words = np.ndarray((code.size - 7,), np.uint64, code, 0, (1,))  # 8 bytes from each
+        directive = _keywords(words, starts[first], stops[first], _DIRECTIVES)
         node = (directive == _NODE) & (count >= 3)
-        kinds = map(_KINDS.get, words[first[node] + 2].tolist(), itertools.repeat(-1))
-        kind = np.fromiter(kinds, np.int8, np.count_nonzero(node))
+        kind = _keywords(words, starts[first[node] + 2], stops[first[node] + 2], _KINDS)
         leaf = node.copy()
         leaf[node] = (kind == _LEAF) & (count[node] >= 6)
         size = count[leaf] - 4
-        prob = _ragged(first[leaf] + 4, size)
         edge = (directive == _EDGE) & ((count == 3) | (count == 4))
         weighted = edge & (count == 4)
         spn = (directive == _SPN) & (count == 2)
         root = (directive == _ROOT) & (count == 2)
-        for name, value in (
-            ("line", line),
-            ("directive", directive),
-            ("count", count),
-            ("node_line", line[node]),
-            ("node_count", count[node]),
-            ("kind", kind),
-            ("leaf_line", line[leaf]),
-            ("size", size),
-            ("edge_line", line[edge]),
-            ("weighted", count[edge] == 4),
-            ("weight_line", line[weighted]),
-            ("spn_line", line[spn]),
-            ("root_line", line[root]),
-        ):
+        for name, value in dict(
+            line=line, directive=directive, count=count, kind=kind, size=size,
+            node_line=line[node], node_count=count[node], leaf_line=line[leaf],
+            edge_line=line[edge], weighted=count[edge] == 4, weight_line=line[weighted],
+            spn_line=line[spn], root_line=line[root],
+        ).items():
             columns[name].append(value)
-        for name, dtype, index in (
-            ("spn", np.int64, first[spn] + 1),
-            ("root", np.int64, first[root] + 1),
-            ("node_id", np.int64, first[node] + 1),
-            ("leaf_var", np.int64, first[leaf] + 3),
-            ("prob", float, prob),
-            ("parent", np.int64, first[edge] + 1),
-            ("child", np.int64, first[edge] + 2),
-            ("weight", float, first[weighted] + 3),
-        ):
-            values, refused = _numbers(words[index], dtype)
+        # Every number in one pass: the integer columns, then the float ones.
+        numbers = dict(
+            spn=first[spn] + 1, root=first[root] + 1, node_id=first[node] + 1,
+            leaf_var=first[leaf] + 3, parent=first[edge] + 1, child=first[edge] + 2,
+            prob=_ragged(first[leaf] + 4, size), weight=first[weighted] + 3,
+        )
+        index = np.concatenate(list(numbers.values()))
+        split = len(index) - len(numbers["prob"]) - len(numbers["weight"])
+        ints, floats, slow = _values(code, words, starts, stops, index, split)
+        refused = np.zeros(len(index), bool)
+        slow_at, at = slow.tolist(), 0
+        for name, rows in numbers.items():
+            stop = at + len(rows)
+            values, dtype = (floats, float) if name in ("prob", "weight") else (ints, np.int64)
+            values = values[at:stop]
+            # Only the tokens that digit arithmetic cannot read become strings.
+            mine = slow[bisect.bisect_left(slow_at, at) : bisect.bisect_left(slow_at, stop)]
+            if mine.size:
+                bounds = zip(starts[index[mine]].tolist(), stops[index[mine]].tolist())
+                converted, refused[mine] = _numbers([padded[i:j] for i, j in bounds], dtype)
+                values = values.astype(converted.dtype)
+                values[mine - at] = converted
             columns[name].append(values)
-            columns[f"{name}_refused"].append(refused)
+            columns[f"{name}_refused"].append(refused[at:stop])
+            at = stop
         blocks.append((before, start, end))
         before += breaks
         if end == len(text):
@@ -225,7 +309,7 @@ class _FirstError:
         ``message`` is the error's text, or makes it from the row and the
         line's tokens.
         """
-        rows = np.flatnonzero(failing)
+        rows = failing.nonzero()[0]
         if rows.size and lines[rows[0]] < self._line:
             self._line = int(lines[rows[0]])
             if isinstance(message, str):
@@ -242,51 +326,22 @@ class _FirstError:
         raise ParseError(self._line, self._message(raw.split("#", 1)[0].split()))
 
 
-def _number_error(what: str, refused: np.ndarray, token: Callable[[int], int]) -> Callable:
-    """The message for a number that did not convert or is not finite."""
+def _number_error(what: str, token: int | Callable[[int], int], refused=None) -> Callable:
+    """The message for an integer that did not convert, or, given which ones were
+    ``refused``, for a float that did not convert or is not finite.
+    """
 
     def message(row: int, tokens: list[str]) -> str:
-        problem = "a number" if refused[row] else "finite"
-        return f"{what} must be {problem}, got {tokens[token(row)]!r}"
+        problem = "an integer" if refused is None else "a number" if refused[row] else "finite"
+        return f"{what} must be {problem}, got {tokens[token if isinstance(token, int) else token(row)]!r}"
 
     return message
 
 
 def parse_spn(text: str) -> Network:
-    """Parse a network document; structural semantics are left to ``validate``."""
-    c = _checked_columns(text)
-    n = len(c.ids)
-    degree = np.bincount(c.parent, minlength=n)
-    # Stable, so each parent's edges keep their line order.
-    by_parent = np.argsort(c.parent, kind="stable")
-    child_offset = np.concatenate(([0], np.cumsum(degree)))
-    leaves, sums = np.flatnonzero(c.kind == _LEAF), c.kind == _SUM
-    param_size = np.zeros(n, np.intp)
-    param_size[leaves] = c.size
-    param_size[sums] = degree[sums]
-    param_offset = np.concatenate(([0], np.cumsum(param_size)))
-    params = np.empty(param_offset[-1])
-    params[_ragged(param_offset[leaves], c.size)] = c.prob
-    owner = c.parent[by_parent]
-    slot = param_offset[owner] - child_offset[owner] + np.arange(len(owner))
-    under_sum = c.kind[owner] == _SUM
-    params[slot[under_sum]] = c.weight[by_parent][under_sum]
-    variable = np.full(n, -1)
-    variable[leaves] = c.var
-    tables = _Tables(
-        c.ids.tolist(), c.kind, child_offset, c.child[by_parent], variable, param_offset, params
-    )
-    return Network._from_tables(tables, c.root, list(map(Variable, itertools.count(), c.cards)))
+    """Parse a network document; structural semantics are left to ``validate``.
 
-
-def _checked_columns(text: str) -> SimpleNamespace:
-    """A network document's nodes, edges and root, after every check.
-
-    ``ids``, ``kind`` and ``var``, ``size`` and ``prob`` (per leaf, its
-    variable, its probability count and, concatenated, its probabilities)
-    follow the node lines.  ``parent``, ``child`` (as node rows) and
-    ``weight`` (0 where there is none) follow the edge lines.  ``cards`` are
-    the variables' cardinalities.  A ``ParseError`` names the first error.
+    A ``ParseError`` names the first error.
     """
     c, blocks = _scan(text)
     error = _FirstError(text, blocks)
@@ -299,7 +354,7 @@ def _checked_columns(text: str) -> SimpleNamespace:
     if c.spn[0] != n:
         raise ParseError(header, f"header declares {c.spn[0]} nodes, found {n}")
 
-    sorted_ids, by_id = np.unique(ids, return_index=True)  # the ids are distinct
+    sorted_ids, by_id, _ = c.id_groups  # the ids are distinct
 
     def rows(keys: np.ndarray) -> np.ndarray:
         """The node row of each id in ``keys``; -1 for an undeclared one."""
@@ -327,10 +382,10 @@ def _checked_columns(text: str) -> SimpleNamespace:
     )
     error.raise_noted()
 
-    childless = (kind != _LEAF) & (np.bincount(parent, minlength=n) == 0)
+    degree = np.bincount(parent, minlength=n)
     error.check(
         c.node_line,
-        childless,
+        (kind != _LEAF) & (degree == 0),
         lambda i, t: f"{'sum' if kind[i] == _SUM else 'product'} node {ids[i]} has no children",
     )
     error.raise_noted()
@@ -339,23 +394,31 @@ def _checked_columns(text: str) -> SimpleNamespace:
     if rows(np.array([root_id]))[0] < 0:
         root_line = int(c.root_line[0]) if c.root.size else header
         raise ParseError(root_line, f"root {root_id} is not a declared node")
-    variables, first_leaf = np.unique(c.leaf_var, return_index=True)
+    variables, first_leaf, _ = c.var_groups
     if not variables.size or (variables != np.arange(len(variables))).any():
         raise ParseError(header, "leaf variables must cover 0..n-1 with no gaps")
+
+    # Stable, so each parent's edges keep their line order.
+    by_parent = parent.argsort(kind="stable")
+    child_offset = np.concatenate(([0], degree.cumsum()))
+    leaves, sums = (kind == _LEAF).nonzero()[0], kind == _SUM
+    param_size = np.zeros(n, np.intp)
+    param_size[leaves] = c.size
+    param_size[sums] = degree[sums]
+    param_offset = np.concatenate(([0], param_size.cumsum()))
+    params = np.empty(param_offset[-1])
+    params[_ragged(param_offset[leaves], c.size)] = c.prob
+    owner = parent[by_parent]
+    slot = param_offset[owner] - child_offset[owner] + np.arange(len(owner))
     weight = np.zeros(len(parent))
     weight[c.weighted] = c.weight
-    return SimpleNamespace(
-        ids=ids,
-        kind=kind,
-        var=c.leaf_var,
-        size=c.size,
-        prob=c.prob,
-        parent=parent,
-        child=child,
-        weight=weight,
-        root=int(root_id),
-        cards=c.size[first_leaf].tolist(),
-    )
+    under_sum = kind[owner] == _SUM
+    params[slot[under_sum]] = weight[by_parent][under_sum]
+    variable = np.full(n, -1)
+    variable[leaves] = c.leaf_var
+    tables = _Tables(ids.tolist(), kind, child_offset, child[by_parent], variable, param_offset, params)
+    cards = c.size[first_leaf].tolist()
+    return Network._from_tables(tables, int(root_id), list(map(Variable, itertools.count(), cards)))
 
 
 def _check_lines(c: SimpleNamespace, error: _FirstError) -> int | None:
@@ -368,49 +431,41 @@ def _check_lines(c: SimpleNamespace, error: _FirstError) -> int | None:
     root_lines = c.line[c.directive == _ROOT]
     header = int(spn_lines[0]) if spn_lines.size else math.inf
 
-    headed = np.isin(c.directive, (_NODE, _EDGE, _ROOT))
+    headed = (c.directive != _SPN) & (c.directive != _OTHER)
     error.check(c.line, headed & (c.line < header), "missing spn header")
     error.check(spn_lines, spn_lines > header, "duplicate spn header")
     error.check(spn_lines, c.count[c.directive == _SPN] != 2, "expected: spn <node-count>")
-    error.check(
-        c.spn_line, c.spn_refused, lambda i, t: f"node count must be an integer, got {t[1]!r}"
-    )
+    error.check(c.spn_line, c.spn_refused, _number_error("node count", 1))
 
     error.check(
         c.line, (c.directive == _NODE) & (c.count < 3), "expected: node <id> <kind> ..."
     )
-    error.check(
-        c.node_line, c.node_id_refused, lambda i, t: f"node id must be an integer, got {t[1]!r}"
-    )
-    _, first_id, id_row = np.unique(ids, return_index=True, return_inverse=True)
+    error.check(c.node_line, c.node_id_refused, _number_error("node id", 1))
+    c.id_groups = _, first_id, id_row = np.unique(ids, return_index=True, return_inverse=True)
     duplicate = first_id[id_row] != np.arange(len(ids))
     error.check(c.node_line, duplicate, lambda i, t: f"duplicate node id {ids[i]}")
 
     def bad_kind(row: int, tokens: list[str]) -> str:
         if kind[row] == _LEAF:
             return "leaf needs a variable and at least two probabilities"
-        if kind[row] < 0:
+        if kind[row] == _UNKNOWN_KIND:
             return f"unknown node kind {tokens[2]!r}"
         return f"unexpected tokens after {tokens[2]} node"
 
     short = np.where(kind == _LEAF, c.node_count < 6, c.node_count != 3)
-    error.check(c.node_line, (kind < 0) | short, bad_kind)
-    error.check(
-        c.leaf_line,
-        c.leaf_var_refused,
-        lambda i, t: f"variable index must be an integer, got {t[3]!r}",
-    )
+    error.check(c.node_line, (kind == _UNKNOWN_KIND) | short, bad_kind)
+    error.check(c.leaf_line, c.leaf_var_refused, _number_error("variable index", 3))
     error.check(
         c.leaf_line, var < 0, lambda i, t: f"variable index must be nonnegative, got {var[i]}"
     )
-    leaf_of = np.repeat(np.arange(len(size)), size)  # each probability's leaf row
-    prob_offset = np.cumsum(size) - size
+    leaf_of = np.arange(len(size)).repeat(size)  # each probability's leaf row
+    prob_offset = size.cumsum() - size
     error.check(
         c.leaf_line[leaf_of],
         c.prob_refused | ~np.isfinite(c.prob),
-        _number_error("probability", c.prob_refused, lambda k: 4 + k - prob_offset[leaf_of[k]]),
+        _number_error("probability", lambda k: 4 + k - prob_offset[leaf_of[k]], c.prob_refused),
     )
-    _, first_var, var_row = np.unique(var, return_index=True, return_inverse=True)
+    c.var_groups = _, first_var, var_row = np.unique(var, return_index=True, return_inverse=True)
     first = first_var[var_row]  # each leaf's first leaf with its variable
     error.check(
         c.leaf_line,
@@ -426,23 +481,17 @@ def _check_lines(c: SimpleNamespace, error: _FirstError) -> int | None:
         (c.directive == _EDGE) & (c.count != 3) & (c.count != 4),
         "expected: edge <parent> <child> [weight]",
     )
-    error.check(
-        c.edge_line, c.parent_refused, lambda i, t: f"parent id must be an integer, got {t[1]!r}"
-    )
-    error.check(
-        c.edge_line, c.child_refused, lambda i, t: f"child id must be an integer, got {t[2]!r}"
-    )
+    error.check(c.edge_line, c.parent_refused, _number_error("parent id", 1))
+    error.check(c.edge_line, c.child_refused, _number_error("child id", 2))
     error.check(
         c.weight_line,
         c.weight_refused | ~np.isfinite(c.weight),
-        _number_error("weight", c.weight_refused, lambda i: 3),
+        _number_error("weight", 3, c.weight_refused),
     )
 
     error.check(root_lines, root_lines > root_lines[:1], "duplicate root directive")
     error.check(root_lines, c.count[c.directive == _ROOT] != 2, "expected: root <id>")
-    error.check(
-        c.root_line, c.root_refused, lambda i, t: f"root id must be an integer, got {t[1]!r}"
-    )
+    error.check(c.root_line, c.root_refused, _number_error("root id", 1))
     error.check(c.line, c.directive == _OTHER, lambda i, t: f"unknown directive {t[0]!r}")
     return None if header == math.inf else header
 

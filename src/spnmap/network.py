@@ -299,7 +299,7 @@ class Network:
         dtypes = (np.int8, np.intp, np.intp, np.intp, np.intp, np.float64)
         tables = _Tables(tables.ids, *map(np.asarray, tables[1:], dtypes))
         offset, params = tables.param_offset, tables.params
-        sums = np.flatnonzero(tables.kind == _SUM)
+        sums = (tables.kind == _SUM).nonzero()[0]
         for start, stop in zip(offset[sums].tolist(), offset[sums + 1].tolist()):
             weights = params[start:stop].tolist()
             total = math.fsum(weights)
@@ -547,7 +547,7 @@ class Network:
 
 def _runs(values: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The runs ``values[start[i]:start[i] + count[i]]``, concatenated in order."""
-    first = np.repeat(start - (np.cumsum(count) - count), count)
+    first = (start - count.cumsum() + count).repeat(count)
     return values[first + np.arange(len(first))]
 
 

@@ -205,11 +205,13 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     base = result.network
     tables, by_id = base._tables, base._by_id
     size, n = len(tables.ids), len(base.variables)
-    rank = np.argsort(by_id)  # of each entry among the ids
+    rank = by_id.argsort()  # of each entry among the ids
     # One copy's rows in id order, with children as ranks.
-    fan, param_size = np.diff(tables.child_offset)[by_id], np.diff(tables.param_offset)[by_id]
-    kids = rank[_runs(tables.child_index, tables.child_offset[by_id], fan)]
-    params = _runs(tables.params, tables.param_offset[by_id], param_size)
+    child_offset, param_offset = tables.child_offset, tables.param_offset
+    fan = (child_offset[1:] - child_offset[:-1])[by_id]
+    param_size = (param_offset[1:] - param_offset[:-1])[by_id]
+    kids = rank[_runs(tables.child_index, child_offset[by_id], fan)]
+    params = _runs(tables.params, param_offset[by_id], param_size)
     variable = tables.variable[by_id]
     # Entry 0 is the root product over the copies.  Copy t's entries follow
     # in id order from 1 + t * size, and each entry's id is its index.
@@ -218,10 +220,10 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     amplified = _Tables(
         list(range(1 + q * size)),
         np.concatenate(([_PRODUCT], *[tables.kind[by_id]] * q), dtype=np.int8),
-        np.concatenate(([0, q], (q + copy * len(kids) + np.cumsum(fan)).ravel())),
+        np.concatenate(([0, q], (q + copy * len(kids) + fan.cumsum()).ravel())),
         np.concatenate(((first + rank[base._entry[base.root]]).ravel(), (first + kids).ravel())),
         np.concatenate(([-1], np.where(variable >= 0, variable + copy * n, -1).ravel())),
-        np.concatenate(([0, 0], (copy * len(params) + np.cumsum(param_size)).ravel())),
+        np.concatenate(([0, 0], (copy * len(params) + param_size.cumsum()).ravel())),
         np.concatenate([params] * q),
     )
     variables = [

@@ -31,6 +31,7 @@ from spnmap import (
     serialize_spn,
     validate,
 )
+from spnmap.formats import _BLOCK
 from oracles import all_assignments
 
 MIXTURE_DOC = """\
@@ -83,18 +84,24 @@ class TestNetworkParsing:
 
     def test_edges_keep_their_order(self):
         doc = (
-            "spn 3\n"
+            "spn 4\n"
             "node 0 sum\n"
             "node 1 leaf 0 1 0\n"
             "node 2 leaf 0 0 1\n"
+            "node 3 sum\n"
             "edge 0 2 0.75\n"
+            "edge 3 1 0.375\n"
             "edge 0 1 0.25\n"
+            "edge 3 2 0.625\n"
         )
         net = parse_spn(doc)
         node = net.nodes[0]
         assert isinstance(node, SumNode)
         assert node.children == (2, 1)
         assert node.weights == (0.75, 0.25)
+        # Edges of two parents interleave; each parent's weights follow its children.
+        assert net.nodes[3].children == (1, 2)
+        assert net.nodes[3].weights == (0.375, 0.625)
 
     def test_node_ids_need_not_be_contiguous(self):
         doc = "spn 2\nnode 7 prod\nnode 3 leaf 0 0.5 0.5\nedge 7 3\nroot 7\n"
@@ -315,6 +322,125 @@ class TestLinesAndTokens:
             parse_spn("\n".join(lines) + "\n")
         assert excinfo.value.line == line
         assert str(excinfo.value) == f"line {line}: {message}"
+
+    def test_one_wide_space_in_one_block(self):
+        # That block is read from 32-bit code points, the others from bytes.
+        doc = sat300_document()
+        at = doc.index(" ", 2 * _BLOCK + 1000)
+        net, plain = parse_spn(f"{doc[:at]}\xa0{doc[at + 1 :]}"), parse_spn(doc)
+        assert net.nodes == plain.nodes
+        assert net.root == plain.root and net.variables == plain.variables
+
+
+#: The first digit of three non-ASCII decimal digit runs, which ``int`` and ``float`` read.
+WIDE_ZEROS = ("\u0660", "\u0966", "\uff10")
+DIGITS = "0123456789"
+
+
+def respelled(draw, sign: str, digits: str) -> str:
+    """``sign`` and ``digits`` with drawn leading zeros, one ``_`` and non-ASCII digits."""
+    digits = "0" * draw(st.integers(0, 2)) + digits
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        if digits[cut - 1] in DIGITS and digits[cut] in DIGITS:
+            digits = f"{digits[:cut]}_{digits[cut:]}"
+    if draw(st.integers(0, 4)) == 0:
+        zero = ord(draw(st.sampled_from(WIDE_ZEROS)))
+        digits = "".join(chr(zero + int(d)) if d in DIGITS else d for d in digits)
+    return sign + digits
+
+
+@st.composite
+def integer_token(draw, value: int) -> str:
+    """A spelling of ``value`` that ``int`` reads."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+", "-"] if value == 0 else ["", "+"]))
+    return respelled(draw, sign, str(abs(value)))
+
+
+@st.composite
+def float_token(draw) -> str:
+    """A finite number as ``float`` reads it: a mantissa of up to 30 digits, 16, 17
+    or 30 of them, or one just below or above 2**53, with or without a point and an
+    exponent; or one of a few short forms.
+    """
+    fixed = ["0", "-0", "+0", "-0.0", ".5", "5.", "-.5", "+5.", "5e-1", "1E2", "0.1", "1"]
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(fixed))
+    mantissa = draw(
+        st.text(DIGITS, min_size=1, max_size=30)
+        | st.sampled_from([16, 17, 30]).flatmap(lambda k: st.text(DIGITS, min_size=k, max_size=k))
+        | st.integers(2**53 - 3, 2**53 + 3).map(str)
+    )
+    if draw(st.booleans()):
+        point = draw(st.integers(0, len(mantissa)))
+        mantissa = f"{mantissa[:point]}.{mantissa[point:]}"
+    if draw(st.integers(0, 5)) == 0:
+        mantissa += draw(st.sampled_from(["e", "E"])) + str(draw(st.integers(-20, 20)))
+    return respelled(draw, draw(st.sampled_from(["", "", "+", "-"])), mantissa)
+
+
+@st.composite
+def spelled_document(draw) -> tuple:
+    """The lines of a document of a sum over leaves, each number drawn in one of its
+    spellings; where the first block is to end among them (see ``spread``); the ids;
+    each leaf's variable and probability tokens; and the sum's weight tokens.
+    """
+    leaves = draw(st.integers(2, 5))
+    ids = draw(
+        st.lists(
+            st.integers(-(10**25), 10**25) | st.integers(2**63 - 2, 2**63 + 2),
+            min_size=leaves + 1,
+            max_size=leaves + 1,
+            unique=True,
+        )
+    )
+    spell = lambda value: draw(integer_token(value))  # noqa: E731
+    probs = [[draw(float_token()) for _ in range(2)] for _ in range(leaves)]
+    weights = [draw(float_token()) for _ in range(leaves)]
+    lines = [f"node {spell(ids[0])} sum"]
+    for k, leaf in enumerate(ids[1:]):
+        lines.append(f"node {spell(leaf)} leaf {spell(k % 2)} {' '.join(probs[k])}")
+    for leaf, weight in zip(ids[1:], weights):
+        lines.append(f"edge {spell(ids[0])} {spell(leaf)} {weight}")
+    # A weight of 2 keeps the sum's total away from 1, which would renormalize it.
+    lines += [f"edge {spell(ids[0])} {spell(ids[1])} 2", f"root {spell(ids[0])}"]
+    lines.insert(0, f"spn {spell(leaves + 1)}")
+    into = draw(st.integers(0, sum(map(len, lines[1:]))))
+    return lines, into, ids, [(k % 2, p) for k, p in enumerate(probs)], weights
+
+
+def spread(lines: list[str], into: int) -> str:
+    """``lines`` as a document whose first block ends ``into`` characters after the header."""
+    fill = _BLOCK - len(lines[0]) - 1 - into
+    return "\n".join([lines[0], " " * fill, *lines[1:]]) + "\n"
+
+
+class TestNumberSpellings:
+    """Each number reads as ``int`` or ``float`` reads its token, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(spelled_document())
+    def test_numbers_read_as_int_and_float_do(self, drawn):
+        lines, into, ids, leaves, weights = drawn
+        net = parse_spn(spread(lines, into))
+        assert sorted(net.nodes) == sorted(ids) and net.root == ids[0]
+        for leaf, (var, probs) in zip(ids[1:], leaves):
+            node = net.nodes[leaf]
+            assert node.variable == var
+            assert [p.hex() for p in node.distribution] == [float(t).hex() for t in probs]
+        expected = [float(t).hex() for t in weights] + [(2.0).hex()]
+        assert [w.hex() for w in net.nodes[ids[0]].weights] == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(spelled_document(), st.sampled_from(["inf", "-inf", "nan", "+NaN", "Infinity", "1e999"]))
+    def test_infinite_and_nan_numbers_are_refused(self, drawn, token):
+        lines, into, *_ = drawn
+        for k, what, column in ((2, "probability", 4), (len(lines) - 3, "weight", 3)):
+            words = lines[k].split()
+            words[column] = token
+            edited = [*lines[:k], " ".join(words), *lines[k + 1 :]]
+            message = f"{what} must be finite, got {token!r}"
+            expect_parse_error(spread(edited, into), k + 2, message)
 
 
 @st.composite

@@ -46,6 +46,11 @@ The corpus:
   satisfiable formula amplified once), and such edits of six lines of the
   satisfiable x300 document, which the parser reads in several blocks (two
   of the lines meet at the first block boundary)
+- the satisfiable x300 document respelled, each parsed and serialized again:
+  its probabilities written ``1.0``, ``1e0`` or ``+1`` for 1 and ``0.50`` for
+  0.5, and its ids written with ``_`` or with Arabic-Indic digits; the parser
+  reads some of these spellings by digit arithmetic and the others as
+  ``float`` and ``int`` do
 """
 
 from __future__ import annotations
@@ -79,6 +84,13 @@ _EDIT_TOKENS = (
 )
 #: The lines of the x300 document that are edited, and the tokens put in.
 _LARGE_EDITS = ((1, 3090, 11905, 11906, 30000, 42603), ("x", "-1", "0.5", "1e999", "99999", ""))
+
+#: Spellings of the x300 document's probabilities and of its ids.
+_PROBABILITIES = {"1.0": {"1": "1.0", "0.5": "0.50"}, "1e0": {"1": "1e0"}, "+1": {"1": "+1"}}
+_IDS = {
+    "underscore": lambda t: f"{t[0]}_{t[1:]}" if len(t) > 1 else t,
+    "Arabic-Indic": lambda t: "".join(chr(0x660 + int(d)) for d in t),
+}
 
 
 def _render(value) -> str:
@@ -225,6 +237,19 @@ def _edits(lines: list[str], k: int, tokens) -> list[list[str]]:
     return edited
 
 
+def _respelled(lines: list[str], probability, ident) -> list[str]:
+    """``lines`` with each leaf's probabilities and each id respelled."""
+    out = []
+    for line in lines:
+        words = line.split()
+        ids = {"node": 1, "edge": 2, "root": 1}.get(words[0], 0)
+        words[1 : 1 + ids] = map(ident, words[1 : 1 + ids])
+        if words[0] == "node" and words[2] == "leaf":
+            words[4:] = map(probability, words[4:])
+        out.append(" ".join(words))
+    return out
+
+
 def _reparsed(lines: list[str]) -> str:
     import spnmap
 
@@ -305,6 +330,11 @@ def _corpus() -> None:
     for k in rows:
         for e, lines in enumerate(_edits(large, k - 1, tokens)):
             _emit(f"sat300 line {k} edit {e}", "parse", _reparsed, lines)
+    for name, spelling in _PROBABILITIES.items():
+        lines = _respelled(large, lambda t: spelling.get(t, t), str)
+        _emit(f"sat300 probabilities as {name}", "parse", _reparsed, lines)
+    for name, ident in _IDS.items():
+        _emit(f"sat300 ids with {name}", "parse", _reparsed, _respelled(large, str, ident))
 
     rng = random.Random(0)
     built = []

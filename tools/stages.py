@@ -25,6 +25,10 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - ``spnmap map --algo amap``'s work on the serialized MIS network of
   ``random_graph(80, 10.0, derive_seed(1, "scale"))``: ``parse_spn``,
   ``validate`` and ``argmax_product``
+- two more parses: a 6-line document (the median of 300 parses), and
+  ``random_spn(18, 6, seed=3)`` amplified 50 times and serialized, whose
+  parameters mostly have 17 significant digits, too many for the parser's
+  digit arithmetic
 - two small-network paths, each over 20 networks: the ratio study's largest
   cell, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
   ``random_graph(20, 50.0, derive_seed(0, 20, 50.0, rep))``; and
@@ -38,11 +42,13 @@ The script prints a Markdown table: per stage, each tree's median and
 quartiles in milliseconds, the change of the medians, and the rounds in
 which the new tree was faster.  The runs also check that both trees give the
 same argmax-product, ``exact_map`` and ``log_partition`` results, compared in
-hex; the script exits 1 when they do not.
+hex, and the same 17-digit network, compared by the sha256 of its
+serialization; the script exits 1 when they do not.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -53,12 +59,18 @@ import time
 from pathlib import Path
 
 #: Copies of each formula, the MIS graph's size, the count of each kind of
-#: small network and the enumerated variables, in the timed pass and in the warm-up.
-_SIZES = {"timed": (400, 300, 80, 20, 18), "warm": (8, 6, 12, 2, 8)}
+#: small network, the enumerated variables, the copies of the 17-digit network and
+#: the small document's parses, in the timed pass and in the warm-up.
+_SIZES = {"timed": (400, 300, 80, 20, 18, 50, 300), "warm": (8, 6, 12, 2, 8, 2, 10)}
+
+#: The small document that ``parse_spn`` reads again and again.
+_SMALL = "spn 3\nnode 0 sum\nnode 1 leaf 0 0.5 0.5\nnode 2 leaf 0 0.1 0.9\nedge 0 1 0.5\nedge 0 2 0.5\n"
 
 
-def _pass(sizes: tuple[int, int, int, int, int]) -> tuple[dict[str, float], dict[str, str]]:
+def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
     """Seconds per stage, and each solver's and ``log_partition``'s result in hex, for one pass."""
+    from fractions import Fraction
+
     import spnmap
     from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 
@@ -79,7 +91,7 @@ def _pass(sizes: tuple[int, int, int, int, int]) -> tuple[dict[str, float], dict
         seconds[label] = time.perf_counter() - start
         return out
 
-    unsat_q, sat_q, mis_n, small, enumerated = sizes
+    unsat_q, sat_q, mis_n, small, enumerated, digits_q, parses = sizes
     for name, formula, q in (("unsat", unsat, unsat_q), ("sat", sat, sat_q)):
         amplified = timed(f"{name} build", lambda f=formula, q=q: amplify(cnf_to_spn(f), q))
         text = timed(f"{name} serialize_spn", spnmap.serialize_spn, amplified.network)
@@ -108,6 +120,16 @@ def _pass(sizes: tuple[int, int, int, int, int]) -> tuple[dict[str, float], dict
     am = timed("mis argmax_product", spnmap.argmax_product, net)
     seconds["mis solve"] = sum(v for k, v in seconds.items() if k.startswith("mis "))
     results["mis"] = f"{sorted(am.configuration.items())} {am.value.log.hex()}"
+
+    each = []
+    for _ in range(parses):
+        timed("small parse_spn", spnmap.parse_spn, _SMALL)
+        each.append(seconds["small parse_spn"])
+    seconds["small parse_spn"] = statistics.median(each)
+    base = spnmap.ReductionResult(spnmap.random_spn(18, 6, seed=3), Fraction(1), {})
+    text = spnmap.serialize_spn(amplify(base, digits_q).network)
+    net = timed("17-digit parse_spn", spnmap.parse_spn, text)
+    results["17-digit"] = hashlib.sha256(spnmap.serialize_spn(net).encode()).hexdigest()
 
     seeds = [spnmap.derive_seed(0, 20, 50.0, r) for r in range(small)]
     graphs = [spnmap.random_graph(20, 50.0, seed) for seed in seeds]
