@@ -22,9 +22,11 @@ use a ``graph <n>`` header with 1-indexed ``edge <u> <v>`` lines; formulas
 use DIMACS CNF.  Every parser reports 1-based line numbers and rejects
 trailing garbage.
 
-``parse_spn`` reads a document in blocks of about 256K characters.  In each
-block it finds every line's first token and token count with numpy over the
-code points, and converts each numeric column in one call; the checks that
+``parse_spn`` reads a document in blocks of about 256K characters, from each
+block's code points: token bounds from the spaces, directives and node kinds
+from their first bytes, and numbers by digit arithmetic on 8-byte windows
+(``_values`` says which spellings).  Only the other numbers become strings,
+converted by ``int`` or ``float`` in one call per column.  The checks that
 span lines, and the tables, are then built from whole columns.  An error is
 the first line that fails a check and, on that line, the check the format
 makes first; only that line's tokens are read again, for the message.
@@ -82,14 +84,7 @@ _BLOCK = 1 << 18
 _PAD = " " * 8
 
 _SPN, _NODE, _EDGE, _ROOT, _OTHER = range(5)
-#: A token's key: its first characters, up to 5, as little-endian bytes, and their count in
-#: bit 40 up.  Per count, the mask of those bytes and the count's bits.
-_KEY_MASK = np.array([(1 << 8 * m) - 1 for m in range(6)], np.uint64)
-_KEY_TAG = np.arange(6, dtype=np.uint64) << np.uint64(40)
-_DIRECTIVES, _KINDS = (
-    np.array([int.from_bytes(w.encode(), "little") | len(w) << 40 for w in words], np.uint64)
-    for words in (("spn", "node", "edge", "root"), ("leaf", "sum", "prod"))  # in code order
-)
+_DIRECTIVES, _KINDS = ("spn", "node", "edge", "root"), ("leaf", "sum", "prod")  # in code order
 _UNKNOWN_KIND = len(_KINDS)  # after _LEAF, _SUM and _PRODUCT
 #: Per count ``n`` of digits up to 8: the bytes of a window that hold them, and "0"s in the others.
 _DIGIT_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)
@@ -100,7 +95,7 @@ _POWERS = np.array([10**k for k in range(20)], np.uint64)
 _POW10 = _POWERS[:19].astype(float)
 
 
-def _tokens(block: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _tokens(block: str) -> tuple:
     """``block`` padded; its code points, past 255 read as 255; each token's start and end
     in it; per content line, its first token and its line in the block; and the block's
     number of line breaks.
@@ -128,11 +123,14 @@ def _tokens(block: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.nda
     return padded, code, starts, stops, first, after.searchsorted(first, "right"), breaks.size
 
 
-def _keywords(words: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: np.ndarray):
+def _keywords(words: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: tuple[str, ...]):
     """Each token's place in ``known``, or ``len(known)``; ``words`` as in ``_scan``."""
-    width = np.minimum(stops - starts, 5)
-    match = (words[starts] & _KEY_MASK[width] | _KEY_TAG[width])[:, None] == known
-    return np.where(match.any(1), match.argmax(1), len(known)).astype(np.int8)
+    width, head = stops - starts, words[starts]
+    place = np.full(len(starts), len(known), np.int8)
+    for k, word in enumerate(known):  # its bytes, little endian, are the low ones of ``head``
+        mask, key = (1 << 8 * len(word)) - 1, int.from_bytes(word.encode(), "little")
+        place[(width == len(word)) & (head & mask == key)] = k
+    return place
 
 
 def _digits(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -175,7 +173,8 @@ def _values(code: np.ndarray, words: np.ndarray, starts: np.ndarray, stops: np.n
     dotted = one.nonzero()[0]
     fraction = stops - np.where(one, dot + 1, begin)
     ends = np.concatenate((stops, dot[dotted]))
-    parts, parts_ok = _digits(words, ends, np.minimum(np.concatenate((fraction, (dot - begin)[dotted])), 19))
+    lengths = np.minimum(np.concatenate((fraction, (dot - begin)[dotted])), 19)
+    parts, parts_ok = _digits(words, ends, lengths)
     mantissa, ok = parts[: len(index)], parts_ok[: len(index)]
     mantissa[dotted] += parts[len(index) :] * _POWERS[np.minimum(fraction[dotted], 19)]
     ok[dotted] &= parts_ok[len(index) :]
@@ -333,7 +332,8 @@ def _number_error(what: str, token: int | Callable[[int], int], refused=None) ->
 
     def message(row: int, tokens: list[str]) -> str:
         problem = "an integer" if refused is None else "a number" if refused[row] else "finite"
-        return f"{what} must be {problem}, got {tokens[token if isinstance(token, int) else token(row)]!r}"
+        at = token if isinstance(token, int) else token(row)
+        return f"{what} must be {problem}, got {tokens[at]!r}"
 
     return message
 
@@ -416,7 +416,9 @@ def parse_spn(text: str) -> Network:
     params[slot[under_sum]] = weight[by_parent][under_sum]
     variable = np.full(n, -1)
     variable[leaves] = c.leaf_var
-    tables = _Tables(ids.tolist(), kind, child_offset, child[by_parent], variable, param_offset, params)
+    tables = _Tables(
+        ids.tolist(), kind, child_offset, child[by_parent], variable, param_offset, params
+    )
     cards = c.size[first_leaf].tolist()
     return Network._from_tables(tables, int(root_id), list(map(Variable, itertools.count(), cards)))
 

@@ -353,7 +353,8 @@ def respelled(draw, sign: str, digits: str) -> str:
 @st.composite
 def integer_token(draw, value: int) -> str:
     """A spelling of ``value`` that ``int`` reads."""
-    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+", "-"] if value == 0 else ["", "+"]))
+    signs = ["", "", "+", "-"] if value == 0 else ["", "+"]  # "-0" is 0
+    sign = "-" if value < 0 else draw(st.sampled_from(signs))
     return respelled(draw, sign, str(abs(value)))
 
 

@@ -64,7 +64,9 @@ from pathlib import Path
 _SIZES = {"timed": (400, 300, 80, 20, 18, 50, 300), "warm": (8, 6, 12, 2, 8, 2, 10)}
 
 #: The small document that ``parse_spn`` reads again and again.
-_SMALL = "spn 3\nnode 0 sum\nnode 1 leaf 0 0.5 0.5\nnode 2 leaf 0 0.1 0.9\nedge 0 1 0.5\nedge 0 2 0.5\n"
+_SMALL = (
+    "spn 3\nnode 0 sum\nnode 1 leaf 0 0.5 0.5\nnode 2 leaf 0 0.1 0.9\nedge 0 1 0.5\nedge 0 2 0.5\n"
+)
 
 
 def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
@@ -191,8 +193,10 @@ def main(argv: list[str]) -> int:
         b = [run["seconds"][stage] * 1e3 for run in new]
         (a1, a2, a3), (b1, b2, b3) = _quartiles(a), _quartiles(b)
         wins = sum(y < x for x, y in zip(a, b))
+        digits = 1 if min(a1, b1) >= 1 else 3  # sub-millisecond stages get three decimals
         print(
-            f"| {stage} | {a2:.1f} [{a1:.1f}, {a3:.1f}] | {b2:.1f} [{b1:.1f}, {b3:.1f}] "
+            f"| {stage} | {a2:.{digits}f} [{a1:.{digits}f}, {a3:.{digits}f}] "
+            f"| {b2:.{digits}f} [{b1:.{digits}f}, {b3:.{digits}f}] "
             f"| {(b2 - a2) / a2:+.0%} | {wins}/{rounds} |"
         )
     differing = {k for k in old[0]["results"] if old[0]["results"][k] != new[0]["results"][k]}
