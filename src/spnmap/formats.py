@@ -86,6 +86,10 @@ _PAD = " " * 8
 _SPN, _NODE, _EDGE, _ROOT, _OTHER = range(5)
 _DIRECTIVES, _KINDS = ("spn", "node", "edge", "root"), ("leaf", "sum", "prod")  # in code order
 _UNKNOWN_KIND = len(_KINDS)  # after _LEAF, _SUM and _PRODUCT
+#: A token's key: its first characters, up to 5, as little-endian bytes, and their count in
+#: bit 40 up.  Per count, the mask of those bytes and the count's bits.
+_KEY_MASK = np.array([(1 << 8 * m) - 1 for m in range(6)], np.uint64)
+_KEY_TAG = np.arange(6, dtype=np.uint64) << np.uint64(40)
 #: Per count ``n`` of digits up to 8: the bytes of a window that hold them, and "0"s in the others.
 _DIGIT_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)
 _DIGIT_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], np.uint64)
@@ -125,11 +129,11 @@ def _tokens(block: str) -> tuple:
 
 def _keywords(words: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: tuple[str, ...]):
     """Each token's place in ``known``, or ``len(known)``; ``words`` as in ``_scan``."""
-    width, head = stops - starts, words[starts]
-    place = np.full(len(starts), len(known), np.int8)
-    for k, word in enumerate(known):  # its bytes, little endian, are the low ones of ``head``
-        mask, key = (1 << 8 * len(word)) - 1, int.from_bytes(word.encode(), "little")
-        place[(width == len(word)) & (head & mask == key)] = k
+    width = np.minimum(stops - starts, 5)
+    keys = words[starts] & _KEY_MASK[width] | _KEY_TAG[width]
+    place = np.full(len(keys), len(known), np.int8)
+    for k, word in enumerate(known):
+        place[keys == int.from_bytes(word.encode(), "little") | len(word) << 40] = k
     return place
 
 
@@ -190,7 +194,8 @@ def _values(code: np.ndarray, words: np.ndarray, starts: np.ndarray, stops: np.n
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ...``, ``lengths[i]`` of them, for each ``i`` in turn."""
-    return np.arange(lengths.sum()) + (starts - lengths.cumsum() + lengths).repeat(lengths)
+    first = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    return first + np.arange(len(first))
 
 
 def _numbers(tokens: list[str], dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -356,16 +361,13 @@ def parse_spn(text: str) -> Network:
 
     sorted_ids, by_id, _ = c.id_groups  # the ids are distinct
 
-    def rows(keys: np.ndarray) -> np.ndarray:
-        """The node row of each id in ``keys``; -1 for an undeclared one."""
-        at = sorted_ids.searchsorted(keys)
-        found = at < n
-        found[found] = sorted_ids[at[found]] == keys[found]
-        out = np.full(len(keys), -1)
-        out[found] = by_id[at[found]]
-        return out
-
-    parent, child = rows(c.parent), rows(c.child)
+    keys = np.concatenate((c.parent, c.child))  # each edge's parent id, then each child id
+    at = sorted_ids.searchsorted(keys)
+    found = at < n
+    found[found] = sorted_ids[at[found]] == keys[found]
+    rows = np.full(len(keys), -1)  # the node row of each id; -1 for an undeclared one
+    rows[found] = by_id[at[found]]
+    parent, child = rows[: len(c.parent)], rows[len(c.parent) :]
     parent_kind = np.append(kind, -1)[parent]
     error.check(c.edge_line, parent < 0, lambda i, t: f"edge from undeclared node {c.parent[i]}")
     error.check(c.edge_line, child < 0, lambda i, t: f"edge to undeclared node {c.child[i]}")
@@ -391,11 +393,12 @@ def parse_spn(text: str) -> Network:
     error.raise_noted()
 
     root_id = c.root[0] if c.root.size else 0
-    if rows(np.array([root_id]))[0] < 0:
+    at = sorted_ids.searchsorted(root_id)
+    if at == n or sorted_ids[at] != root_id:
         root_line = int(c.root_line[0]) if c.root.size else header
         raise ParseError(root_line, f"root {root_id} is not a declared node")
-    variables, first_leaf, _ = c.var_groups
-    if not variables.size or (variables != np.arange(len(variables))).any():
+    variables, first_leaf, _ = c.var_groups  # distinct, in order
+    if not variables.size or variables[0] != 0 or variables[-1] != len(variables) - 1:
         raise ParseError(header, "leaf variables must cover 0..n-1 with no gaps")
 
     # Stable, so each parent's edges keep their line order.
@@ -460,12 +463,16 @@ def _check_lines(c: SimpleNamespace, error: _FirstError) -> int | None:
     error.check(
         c.leaf_line, var < 0, lambda i, t: f"variable index must be nonnegative, got {var[i]}"
     )
-    leaf_of = np.arange(len(size)).repeat(size)  # each probability's leaf row
-    prob_offset = size.cumsum() - size
+    ends = size.cumsum()  # past each leaf's probabilities
+
+    def prob_token(k: int) -> int:
+        leaf = ends.searchsorted(k, "right")
+        return 4 + k - ends[leaf] + size[leaf]
+
     error.check(
-        c.leaf_line[leaf_of],
+        c.leaf_line.repeat(size),
         c.prob_refused | ~np.isfinite(c.prob),
-        _number_error("probability", lambda k: 4 + k - prob_offset[leaf_of[k]], c.prob_refused),
+        _number_error("probability", prob_token, c.prob_refused),
     )
     c.var_groups = _, first_var, var_row = np.unique(var, return_index=True, return_inverse=True)
     first = first_var[var_row]  # each leaf's first leaf with its variable
