@@ -273,16 +273,16 @@ def _scan(text: str) -> tuple[SimpleNamespace, list[tuple[int, int, int]]]:
         for name, rows in numbers.items():
             stop = at + len(rows)
             values, dtype = (floats, float) if name in ("prob", "weight") else (ints, np.int64)
-            values = values[at:stop]
+            values = values[at:stop].copy()  # a view would keep all the block's numbers
             # Only the tokens that digit arithmetic cannot read become strings.
             mine = slow[bisect.bisect_left(slow_at, at) : bisect.bisect_left(slow_at, stop)]
             if mine.size:
                 bounds = zip(starts[index[mine]].tolist(), stops[index[mine]].tolist())
                 converted, refused[mine] = _numbers([padded[i:j] for i, j in bounds], dtype)
-                values = values.astype(converted.dtype)
+                values = values.astype(converted.dtype, copy=False)
                 values[mine - at] = converted
             columns[name].append(values)
-            columns[f"{name}_refused"].append(refused[at:stop])
+            columns[f"{name}_refused"].append(refused[at:stop].copy())
             at = stop
         blocks.append((before, start, end))
         before += breaks
@@ -344,9 +344,40 @@ def _number_error(what: str, token: int | Callable[[int], int], refused=None) ->
 
 
 def parse_spn(text: str) -> Network:
-    """Parse a network document; structural semantics are left to ``validate``.
+    """Parse a network document; structural semantics are left to ``validate``."""
+    c = _checked_columns(text)
+    n = len(c.ids)
+    # Stable, so each parent's edges keep their line order.
+    by_parent = c.parent.argsort(kind="stable")
+    child_offset = np.concatenate(([0], c.degree.cumsum()))
+    leaves, sums = (c.kind == _LEAF).nonzero()[0], c.kind == _SUM
+    param_size = np.zeros(n, np.intp)
+    param_size[leaves] = c.size
+    param_size[sums] = c.degree[sums]
+    param_offset = np.concatenate(([0], param_size.cumsum()))
+    params = np.empty(param_offset[-1])
+    params[_ragged(param_offset[leaves], c.size)] = c.prob
+    owner = c.parent[by_parent]
+    slot = param_offset[owner] - child_offset[owner] + np.arange(len(owner))
+    under_sum = c.kind[owner] == _SUM
+    params[slot[under_sum]] = c.weight[by_parent][under_sum]
+    variable = np.full(n, -1)
+    variable[leaves] = c.var
+    tables = _Tables(
+        c.ids.tolist(), c.kind, child_offset, c.child[by_parent], variable, param_offset, params
+    )
+    return Network._from_tables(tables, c.root, list(map(Variable, itertools.count(), c.cards)))
 
-    A ``ParseError`` names the first error.
+
+def _checked_columns(text: str) -> SimpleNamespace:
+    """A network document's nodes, edges and root, after every check.
+
+    ``ids``, ``kind``, ``degree`` (child count) and ``var``, ``size`` and
+    ``prob`` (per leaf, its variable, its probability count and,
+    concatenated, its probabilities) follow the node lines.  ``parent``,
+    ``child`` (as node rows) and ``weight`` (0 where there is none) follow
+    the edge lines.  ``cards`` are the variables' cardinalities.  A
+    ``ParseError`` names the first error.
     """
     c, blocks = _scan(text)
     error = _FirstError(text, blocks)
@@ -360,7 +391,6 @@ def parse_spn(text: str) -> Network:
         raise ParseError(header, f"header declares {c.spn[0]} nodes, found {n}")
 
     sorted_ids, by_id, _ = c.id_groups  # the ids are distinct
-
     keys = np.concatenate((c.parent, c.child))  # each edge's parent id, then each child id
     at = sorted_ids.searchsorted(keys)
     found = at < n
@@ -400,30 +430,21 @@ def parse_spn(text: str) -> Network:
     variables, first_leaf, _ = c.var_groups  # distinct, in order
     if not variables.size or variables[0] != 0 or variables[-1] != len(variables) - 1:
         raise ParseError(header, "leaf variables must cover 0..n-1 with no gaps")
-
-    # Stable, so each parent's edges keep their line order.
-    by_parent = parent.argsort(kind="stable")
-    child_offset = np.concatenate(([0], degree.cumsum()))
-    leaves, sums = (kind == _LEAF).nonzero()[0], kind == _SUM
-    param_size = np.zeros(n, np.intp)
-    param_size[leaves] = c.size
-    param_size[sums] = degree[sums]
-    param_offset = np.concatenate(([0], param_size.cumsum()))
-    params = np.empty(param_offset[-1])
-    params[_ragged(param_offset[leaves], c.size)] = c.prob
-    owner = parent[by_parent]
-    slot = param_offset[owner] - child_offset[owner] + np.arange(len(owner))
     weight = np.zeros(len(parent))
     weight[c.weighted] = c.weight
-    under_sum = kind[owner] == _SUM
-    params[slot[under_sum]] = weight[by_parent][under_sum]
-    variable = np.full(n, -1)
-    variable[leaves] = c.leaf_var
-    tables = _Tables(
-        ids.tolist(), kind, child_offset, child[by_parent], variable, param_offset, params
+    return SimpleNamespace(
+        ids=ids,
+        kind=kind,
+        degree=degree,
+        var=c.leaf_var,
+        size=c.size,
+        prob=c.prob,
+        parent=parent,
+        child=child,
+        weight=weight,
+        root=int(root_id),
+        cards=c.size[first_leaf].tolist(),
     )
-    cards = c.size[first_leaf].tolist()
-    return Network._from_tables(tables, int(root_id), list(map(Variable, itertools.count(), cards)))
 
 
 def _check_lines(c: SimpleNamespace, error: _FirstError) -> int | None:
