@@ -99,7 +99,7 @@ _POWERS = np.array([10**k for k in range(20)], np.uint64)
 _POW10 = _POWERS[:19].astype(float)
 
 
-def _tokens(block: str) -> tuple:
+def _tokens(block: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, ...]:
     """``block`` padded; its code points, past 255 read as 255; each token's start and end
     in it; per content line, its first token and its line in the block; and the block's
     number of line breaks.
@@ -127,36 +127,44 @@ def _tokens(block: str) -> tuple:
     return padded, code, starts, stops, first, after.searchsorted(first, "right"), breaks.size
 
 
-def _keywords(words: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: tuple[str, ...]):
-    """Each token's place in ``known``, or ``len(known)``; ``words`` as in ``_scan``."""
+def _keywords(
+    windows: np.ndarray, starts: np.ndarray, stops: np.ndarray, known: tuple[str, ...]
+) -> np.ndarray:
+    """Each token's place in ``known``, or ``len(known)``; ``windows`` as in ``_scan``."""
     width = np.minimum(stops - starts, 5)
-    keys = words[starts] & _KEY_MASK[width] | _KEY_TAG[width]
+    keys = windows[starts] & _KEY_MASK[width] | _KEY_TAG[width]
     place = np.full(len(keys), len(known), np.int8)
     for k, word in enumerate(known):
         place[keys == int.from_bytes(word.encode(), "little") | len(word) << 40] = k
     return place
 
 
-def _digits(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
+def _digits(windows: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
     """The number that the ``length`` (0-19) characters before each ``end`` spell, and
     whether they are all decimal digits.  Eight at a time: their bytes as one ``uint64``,
     then three multiplies, each joining neighbouring groups of digits.
     """
     n = np.minimum(length, 8)
-    w = words[end - 8] & _DIGIT_KEEP[n] | _DIGIT_FILL[n]
+    w = windows[end - 8] & _DIGIT_KEEP[n] | _DIGIT_FILL[n]
     ok = (w & _HIGH | (w + 0x0606060606060606 & _HIGH) >> 4) == 0x3333333333333333
     w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
     w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
     w = (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
     if (more := (length > 8).nonzero()[0]).size:
-        high, high_ok = _digits(words, end[more] - 8, length[more] - 8)
+        high, high_ok = _digits(windows, end[more] - 8, length[more] - 8)
         w[more] += high * 100_000_000
         ok[more] &= high_ok
     return w, ok
 
 
-def _values(code: np.ndarray, words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-            index: np.ndarray, split: int) -> tuple[np.ndarray, ...]:
+def _values(
+    code: np.ndarray,
+    windows: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    index: np.ndarray,
+    split: int,
+) -> tuple[np.ndarray, ...]:
     """Tokens ``index`` as ``int`` and as ``float`` read them, where digit arithmetic can
     tell, and the places in ``index`` where it cannot, the first ``split`` read as ints
     and the others as floats.  An int is ``[+-]?[0-9]{1,18}``.  A float may also have
@@ -178,7 +186,7 @@ def _values(code: np.ndarray, words: np.ndarray, starts: np.ndarray, stops: np.n
     fraction = stops - np.where(one, dot + 1, begin)
     ends = np.concatenate((stops, dot[dotted]))
     lengths = np.minimum(np.concatenate((fraction, (dot - begin)[dotted])), 19)
-    parts, parts_ok = _digits(words, ends, lengths)
+    parts, parts_ok = _digits(windows, ends, lengths)
     mantissa, ok = parts[: len(index)], parts_ok[: len(index)]
     mantissa[dotted] += parts[len(index) :] * _POWERS[np.minimum(fraction[dotted], 19)]
     ok[dotted] &= parts_ok[len(index) :]
@@ -238,13 +246,13 @@ def _scan(text: str) -> tuple[SimpleNamespace, list[tuple[int, int, int]]]:
         block = text[start:end]
         if "#" in block:
             block = _COMMENT.sub("", block)
-        padded, code, starts, stops, first, at, breaks = _tokens(block)
+        padded, code, starts, stops, first, line, breaks = _tokens(block)
         count = np.concatenate((first[1:], [len(starts)])) - first
-        line = at + (before + 1)
-        words = np.ndarray((code.size - 7,), np.uint64, code, 0, (1,))  # 8 bytes from each
-        directive = _keywords(words, starts[first], stops[first], _DIRECTIVES)
+        line += before + 1
+        windows = np.ndarray((code.size - 7,), np.uint64, code, 0, (1,))  # 8 bytes from each
+        directive = _keywords(windows, starts[first], stops[first], _DIRECTIVES)
         node = (directive == _NODE) & (count >= 3)
-        kind = _keywords(words, starts[first[node] + 2], stops[first[node] + 2], _KINDS)
+        kind = _keywords(windows, starts[first[node] + 2], stops[first[node] + 2], _KINDS)
         leaf = node.copy()
         leaf[node] = (kind == _LEAF) & (count[node] >= 6)
         size = count[leaf] - 4
@@ -267,7 +275,7 @@ def _scan(text: str) -> tuple[SimpleNamespace, list[tuple[int, int, int]]]:
         )
         index = np.concatenate(list(numbers.values()))
         split = len(index) - len(numbers["prob"]) - len(numbers["weight"])
-        ints, floats, slow = _values(code, words, starts, stops, index, split)
+        ints, floats, slow = _values(code, windows, starts, stops, index, split)
         refused = np.zeros(len(index), bool)
         slow_at, at = slow.tolist(), 0
         for name, rows in numbers.items():
@@ -330,7 +338,9 @@ class _FirstError:
         raise ParseError(self._line, self._message(raw.split("#", 1)[0].split()))
 
 
-def _number_error(what: str, token: int | Callable[[int], int], refused=None) -> Callable:
+def _number_error(
+    what: str, token: int | Callable[[int], int], refused: np.ndarray | None = None
+) -> Callable:
     """The message for an integer that did not convert, or, given which ones were
     ``refused``, for a float that did not convert or is not finite.
     """

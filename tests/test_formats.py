@@ -338,7 +338,7 @@ DIGITS = "0123456789"
 
 
 def respelled(draw, sign: str, digits: str) -> str:
-    """``sign`` and ``digits`` with drawn leading zeros, one ``_`` and non-ASCII digits."""
+    """``sign`` and ``digits``, maybe with leading zeros, one ``_`` or non-ASCII digits."""
     digits = "0" * draw(st.integers(0, 2)) + digits
     if len(digits) > 1 and draw(st.booleans()):
         cut = draw(st.integers(1, len(digits) - 1))
@@ -424,6 +424,7 @@ class TestNumberSpellings:
     def test_numbers_read_as_int_and_float_do(self, drawn):
         lines, into, ids, leaves, weights = drawn
         net = parse_spn(spread(lines, into))
+        assert len(net.nodes) == int(lines[0].split()[1])  # the header's count
         assert sorted(net.nodes) == sorted(ids) and net.root == ids[0]
         for leaf, (var, probs) in zip(ids[1:], leaves):
             node = net.nodes[leaf]
