@@ -99,7 +99,9 @@ _POWERS = np.array([10**k for k in range(20)], np.uint64)
 _POW10 = _POWERS[:19].astype(float)
 
 
-def _tokens(block: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, ...]:
+def _tokens(
+    block: str,
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """``block`` padded; its code points, past 255 read as 255; each token's start and end
     in it; per content line, its first token and its line in the block; and the block's
     number of line breaks.
@@ -190,7 +192,7 @@ def _values(
     mantissa, ok = parts[: len(index)], parts_ok[: len(index)]
     mantissa[dotted] += parts[len(index) :] * _POWERS[np.minimum(fraction[dotted], 19)]
     ok[dotted] &= parts_ok[len(index) :]
-    ok &= (stops - begin - point >= 1) & (stops - begin - point <= 18)
+    ok &= (stops - begin - point >= 1) & (stops - begin - point <= 18)  # so within int64
     floats = mantissa / _POW10[np.where(ok & one, fraction, 0)]
     ok[:split] &= point[:split] == 0
     ok[split:] &= mantissa[split:] <= 1 << 53
