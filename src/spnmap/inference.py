@@ -2,7 +2,8 @@
 
 A bottom-up pass over one assignment is one loop, ``_upward``, over the
 compiled network; networks of ``_LEVELLED_MIN`` entries or more take it a
-level at a time in numpy instead (``_levelled_upward``), with the same bits.
+level at a time in numpy instead (``_levelled_upward``), with the same bits,
+over the leaves and levels of the network's pass plan (``Network._plan``).
 Leaves whose variable is fixed contribute the probability of the fixed
 category; leaves outside the evidence scope contribute 1, which turns the
 same pass into marginal inference.
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows, logsumexp_stacked
-from .network import Network, Variable, _below, _Level
+from .network import Network, Variable, _below, _Level, _spans
 
 #: Rows per chunk that ``enumerate_log_values`` yields.  ``log_partition``
 #: reduces each chunk on its own, so its bits depend on this size.
@@ -37,11 +38,12 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 
 #: Networks of this many entries or more take each single-assignment pass a
 #: level at a time, and argmax-product's re-evaluation a wave of sums at a
-#: time.  Levels and waves cost numpy calls that outweigh the per-entry
-#: Python they save on the ratio study's networks (31 to 421 entries).
+#: time, over the network's pass plan.  The plan's few hundred numpy calls
+#: cost more than the per-entry Python they save below about 150 entries
+#: (independent-set networks) to 190 (``random_spn``'s deeper ones).
 #: Without shared nodes, one wave's sub-DAGs hold each entry at most once, so
 #: the entry count bounds the work of every wave.
-_LEVELLED_MIN = 1 << 10
+_LEVELLED_MIN = 1 << 8
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
@@ -134,27 +136,25 @@ def _logsumexp_each_row(terms: np.ndarray) -> np.ndarray:
     return np.where(peak > LOG_ZERO, peak + logs, LOG_ZERO)
 
 
-def _leaf_categories(
-    network: Network, evidence: Mapping[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf entries, and each one's category under the evidence (-1 where free)."""
-    variable = network._tables.variable
-    leaves = np.flatnonzero(variable >= 0)
+def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
+    """Each plan leaf's log at its evidence, else ``free``: one value, or one per leaf."""
+    if not evidence:
+        return free
+    leaves, t = network._plan.leaves, network._tables
     fixed = np.full(len(network.variables), -1)
     fixed[list(evidence)] = list(evidence.values())
-    return leaves, fixed[variable[leaves]]
+    cats = fixed[t.variable[leaves]]
+    return np.where(cats >= 0, network._compiled.log_table[t.param_offset[leaves] + cats], free)
 
 
 def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
     """Log value of the root with unobserved leaves marginalized to 1."""
     compiled = network._compiled
     if _levelled(network):
-        leaves, cats = _leaf_categories(network, evidence)
-        fixed = cats >= 0
-        leaves, cats = leaves[fixed], cats[fixed]
-        vals = np.zeros(len(network._tables.ids))  # a free leaf is 1
-        vals[leaves] = compiled.log_table[network._tables.param_offset[leaves] + cats]
-        return float(_levelled_upward(network._levels, vals, _logsumexp_each_row)[compiled.root])
+        plan = network._plan
+        vals = np.empty(len(network._tables.ids))
+        vals[plan.leaves] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
+        return float(_levelled_upward(plan.levels, vals, _logsumexp_each_row)[compiled.root])
     _, _, variable, offset, _, _, log_list = network._lists
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
@@ -259,8 +259,8 @@ def _enumeration_plan(network: Network) -> tuple[list, list, int, int]:
 
     Returns, per variable with leaves, ``(variable, first slot, table)``,
     whose ``(rows, cardinality)`` table holds the variable's distinct leaf
-    log rows; per group of ``network._levels``, its first slot, its kids'
-    slots and its weights; the root's slot; and the slot count.
+    log rows; per level of ``network._plan``, ``_groups_pass``'s group of
+    its slots; the root's slot; and the slot count.
     """
     t, log_table = network._tables, network._compiled.log_table
     leaves = np.flatnonzero(t.variable >= 0)
@@ -272,17 +272,16 @@ def _enumeration_plan(network: Network) -> tuple[list, list, int, int]:
     rows[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
     distinct, leaf_slot = np.unique(rows, axis=0, return_inverse=True)
     owner = distinct[:, 0].astype(np.intp)
-    bounds = [*np.flatnonzero(np.diff(owner, prepend=-1)).tolist(), len(owner)]
     tables = []
-    for lo, hi in zip(bounds, bounds[1:]):  # the rows of one variable
+    for lo, hi in _spans(owner):  # the rows of one variable
         var = int(owner[lo])
         tables.append((var, lo, distinct[lo:hi, 1 : 1 + network.cardinality(var)].copy()))
     slot = np.empty(len(t.ids), dtype=np.intp)
     slot[leaves] = leaf_slot.ravel()
     groups, size = [], len(distinct)
-    for level in network._levels:
+    for level in network._plan.levels:
         slot[level.entries] = np.arange(size, size + len(level.entries))
-        groups.append((size, slot[level.kids], level.weights))
+        groups.append((size, size + len(level.entries), slot[level.kids], level.weights))
         size += len(level.entries)
     return tables, groups, int(slot[network._compiled.root]), size
 
@@ -354,9 +353,18 @@ def _enumerated_block(offset: int, refill: list, groups: list, vals: np.ndarray)
         else:
             cats = np.arange(offset, offset + width) // stride % card
             np.take(table, cats, axis=1, out=rows, mode="clip")
-    for first, kids, weights in groups:
-        out = vals[first : first + len(kids)]
-        if weights is None:  # a product adds its children in order
+    _groups_pass(groups, vals)
+
+
+def _groups_pass(groups: list, vals: np.ndarray) -> None:
+    """Fill ``vals``, a row per slot and a column per assignment, one group of slots at a time.
+
+    A group is ``(first slot, stop, kids' slots, a sum's log-weights or None)``.  Products
+    add their children in order and sums reduce as ``logsumexp_rows``, with its bits.
+    """
+    for lo, hi, kids, weights in groups:
+        out = vals[lo:hi]
+        if weights is None:
             out[:] = vals[kids[:, 0]]
             for j in range(1, kids.shape[1]):
                 out += vals[kids[:, j]]

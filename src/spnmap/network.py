@@ -187,6 +187,41 @@ class _Level(NamedTuple):
     weights: np.ndarray | None  # (entries, fan-out): a sum's log-weights; None for products
 
 
+class _Plan(NamedTuple):
+    """What the passes a level at a time read: the leaves, and the sums and products by level."""
+
+    leaves: np.ndarray  # the leaf entries
+    best: np.ndarray  # each leaf's log at its most probable category
+    levels: list[_Level]
+    fan: np.ndarray  # per entry
+    group: np.ndarray  # per entry: its level's key, 0 for leaves, higher for higher levels
+
+
+class _Wave(NamedTuple):
+    """Argmax-product's sums of one height and fan-out ``k``, with their sub-DAGs as pairs.
+
+    Pair ``p`` is entry ``entry[p]`` below one of the sums, each pair once,
+    with child pairs ``kid[kid_start[p]:kid_start[p] + fan]``.  Leaf pairs
+    come first, each with its slot (a scope variable of its sum; slots are
+    sorted by sum, then variable); then ``groups`` of one height, kind and
+    fan-out, as ``inference._groups_pass`` takes them; the last group is the
+    sums, in order.  A candidate's code is its categories on its sum's slots
+    times ``digit``, on the ``coded`` sums.
+    """
+
+    sums: np.ndarray
+    entry: np.ndarray
+    kid: np.ndarray
+    kid_start: np.ndarray
+    slot: np.ndarray  # per leaf pair
+    slot_sum: np.ndarray
+    slot_var: np.ndarray
+    slot_first: np.ndarray  # per sum and one more: its first slot
+    digit: np.ndarray  # per slot
+    coded: np.ndarray  # per sum
+    groups: list[tuple[int, int, np.ndarray, np.ndarray | None]]
+
+
 class _NodeView(Mapping):
     """Read-only view of a network's nodes by id; each lookup builds its node."""
 
@@ -234,7 +269,8 @@ class Network:
     tabulated on first use (``_compiled``), and per-entry Python code reads
     the columns as lists (``_lists``); the nodes are numbered by a
     depth-first walk (``_numbering``) only where a small network's pass or a
-    structural query needs the order.  Cyclic graphs are constructible (so
+    structural query needs the order; larger networks pass over a plan built
+    once (``_plan``, ``_waves``).  Cyclic graphs are constructible (so
     ``validate`` can report them) but refuse traversal-based queries.
     """
 
@@ -315,11 +351,10 @@ class Network:
                     weights[j] = math.nextafter(weights[j], 2.0 if total < 1.0 else 0.0)
                 params[start:stop] = weights
         self._tables = tables
-        ids, entries = tables.ids, range(len(tables.ids))
-        self._entry = dict(zip(ids, entries))  # entry of each id
+        ids = tables.ids
         self._by_id = np.arange(len(ids))  # the entries in increasing id order; ids are distinct
         if ids != sorted(ids):
-            self._by_id = np.array(sorted(entries, key=ids.__getitem__))
+            self._by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
         self._root = root
         self._variables = variables
         self._cardinalities = {v.index: v.cardinality for v in variables}
@@ -365,6 +400,11 @@ class Network:
             raise KeyError(f"unknown node id {node_id}")
         self._compiled  # refuses cycles and invalid parameters
         return self._numbering.scopes[self._entry[node_id]]
+
+    @functools.cached_property
+    def _entry(self) -> dict[int, int]:
+        """The entry of each node id, built on first use by lookups by id; the passes need none."""
+        return dict(zip(self._tables.ids, range(len(self._tables.ids))))
 
     @functools.cached_property
     def _numbering(self) -> _Numbering:
@@ -428,19 +468,19 @@ class Network:
         """
         t = self._tables
         flat, n = t.params, len(t.ids)
-        lengths = np.diff(t.param_offset)
         starts = t.param_offset[:-1]
-        owner = np.repeat(np.arange(n), lengths)  # entry of each parameter
+        lengths = t.param_offset[1:] - starts
+        owner = np.arange(n).repeat(lengths)  # entry of each parameter
         within = np.arange(len(flat)) - starts[owner]
-        nonempty = np.flatnonzero(lengths)
-        peak = np.repeat(np.maximum.reduceat(flat, starts[nonempty]), lengths[nonempty])
+        nonempty = lengths.nonzero()[0]
+        peak = np.maximum.reduceat(flat, starts[nonempty]).repeat(lengths[nonempty])
         best = np.full(n, -1, dtype=np.intp)
         first = np.where(flat == peak, within, len(flat))  # a row's index of its peak
         best[nonempty] = np.minimum.reduceat(first, starts[nonempty])
         log_table = np.log(flat, out=np.full(flat.shape, LOG_ZERO), where=flat > 0)
         invalid = owner[(flat < 0) | ~np.isfinite(flat)].tolist()
         return _Compiled(
-            self._entry[self._root], np.where(t.variable >= 0, best, -1), log_table, invalid
+            t.ids.index(self._root), np.where(t.variable >= 0, best, -1), log_table, invalid
         )
 
     @functools.cached_property
@@ -478,55 +518,67 @@ class Network:
 
         Built on first use, by ``validate``, by the cycle check of large
         networks and by the passes that work a level at a time.  The heights
-        come from one sweep up from the leaves, a level per step: an entry's
-        height is the step at which its last child got one.  An entry on a
-        cycle, or above one, never gets a height.
+        come from one sweep up from the leaves, a level per step, each step
+        counting the arcs into every entry: an entry's height is the step at
+        which its last child got one.  An entry on a cycle, or above one,
+        never gets a height.
         """
         child_offset, child_index = self._tables.child_offset, self._tables.child_index
         n = len(self._tables.ids)
-        fan = np.diff(child_offset)
+        fan = child_offset[1:] - child_offset[:-1]
         in_degree = np.bincount(child_index, minlength=n)
-        parent_offset = np.cumsum(in_degree) - in_degree
-        by_child = np.argsort(child_index, kind="stable")  # fast on nearly sorted indices
-        parents = np.repeat(np.arange(n), fan)[by_child]  # one per arc, grouped by child
+        parent_offset = in_degree.cumsum() - in_degree
+        by_child = child_index.argsort(kind="stable")  # fast on nearly sorted indices
+        parents = np.arange(n).repeat(fan)[by_child]  # one per arc, grouped by child
         height = np.full(n, -1, dtype=np.intp)
         waiting = fan.copy()  # per entry: its children not yet given a height
-        level, done = 0, np.flatnonzero(fan == 0)
+        level, done = 0, (fan == 0).nonzero()[0]
         while done.size:
             height[done] = level
-            above, arcs = np.unique(
-                _runs(parents, parent_offset[done], in_degree[done]), return_counts=True
-            )
-            waiting[above] -= arcs
-            done = above[waiting[above] == 0]
+            waiting[done] = -1
+            arcs = _runs(parents, parent_offset[done], in_degree[done])  # into the next level
+            waiting -= np.bincount(arcs, minlength=n)
+            done = (waiting == 0).nonzero()[0]
             level += 1
         return _Arrays(height, bool(in_degree.max(initial=0) > 1))
 
     @functools.cached_property
-    def _levels(self) -> list[_Level]:
-        """The sums and products in groups of one height, kind and fan-out, lowest first.
+    def _plan(self) -> _Plan:
+        """The leaves, and the sums and products in levels of one height, kind and fan-out.
 
-        Every child of a group is a leaf or in an earlier group.  Built on
-        first use, by the single-assignment passes of large networks and by
-        enumeration on networks of every size.
+        Every child of a level is a leaf or in an earlier level.  Built on
+        first use, by the passes that work a level at a time, enumeration's
+        on networks of every size included.
         """
-        t, height = self._tables, self._arrays.height
-        fan, offset = np.diff(t.child_offset), t.param_offset
-        inner = np.flatnonzero(t.variable < 0)
-        is_sum = offset[inner + 1] > offset[inner]
-        key = (height[inner] * 2 + is_sum) * (int(fan.max()) + 1) + fan[inner]
-        order = np.argsort(key, kind="stable")
-        inner, key = inner[order], key[order]
+        t, height, record = self._tables, self._arrays.height, self._compiled
+        child_offset, offset = t.child_offset, t.param_offset
+        fan = child_offset[1:] - child_offset[:-1]
+        is_sum = (t.variable < 0) & (offset[1:] > offset[:-1])
+        group = (height * 2 + is_sum) * (int(fan.max()) + 1) + fan
+        inner = (t.variable < 0).nonzero()[0]
+        inner = inner[group[inner].argsort(kind="stable")]
         levels = []
-        for entries in np.split(inner, np.flatnonzero(np.diff(key)) + 1):
-            if entries.size:
-                e, columns = entries[0], np.arange(fan[entries[0]])
-                kids = t.child_index[t.child_offset[entries][:, None] + columns]
-                weights = None
-                if offset[e + 1] > offset[e]:
-                    weights = self._compiled.log_table[offset[entries][:, None] + columns]
-                levels.append(_Level(entries, kids, weights))
-        return levels
+        for lo, hi in _spans(group[inner]):
+            entries = inner[lo:hi]
+            e, columns = entries[0], np.arange(fan[entries[0]])
+            kids = t.child_index[child_offset[entries][:, None] + columns]
+            weights = None
+            if is_sum[e]:
+                weights = record.log_table[offset[entries][:, None] + columns]
+            levels.append(_Level(entries, kids, weights))
+        leaves = (t.variable >= 0).nonzero()[0]
+        best = record.log_table[offset[leaves] + record.best[leaves]]
+        return _Plan(leaves, best, levels, fan, group)
+
+    @functools.cached_property
+    def _waves(self) -> list[_Wave]:
+        """Argmax-product's waves: the levels of sums with several children, built on first use."""
+        cards = np.array([v.cardinality for v in self._variables])
+        return [
+            _wave(self, cards, level.entries)
+            for level in self._plan.levels
+            if level.weights is not None and level.kids.shape[1] >= 2
+        ]
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":
@@ -543,6 +595,73 @@ class Network:
             raise ValueError("leaf variables must cover indices 0..n-1 with no gaps")
         variables = [Variable(i, cards[i]) for i in range(len(cards))]
         return cls(nodes, root, variables)
+
+
+def _spans(key: np.ndarray) -> list[tuple[int, int]]:
+    """The bounds of each run of equal values in ``key``, in order."""
+    bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(key)]
+    return list(zip(bounds[:-1], bounds[1:])) if len(key) else []
+
+
+def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
+    """The ``_Wave`` of ``sums``, given each variable's cardinality."""
+    tables, shared, plan = network._tables, network._arrays.shared, network._plan
+    offset, log_table, fan = tables.param_offset, network._compiled.log_table, plan.fan
+    n, w = len(fan), len(sums)
+    owner, entries = np.arange(w), sums
+    owners, levels, kids = [], [], []
+    size = 0
+    while entries.size:
+        if shared:  # a pair once per level
+            keys, inverse = np.unique(owner * n + entries, return_inverse=True)
+            owner, entries = np.divmod(keys, n)
+            if kids:
+                kids[-1] = size + inverse
+        owners.append(owner)  # the sub-DAGs, a level down from the sums at a time
+        levels.append(entries)
+        size += len(entries)
+        count = fan[entries]
+        kids.append(np.arange(size, size + int(count.sum())))
+        entries = _runs(tables.child_index, tables.child_offset[entries], count)
+        owner = owner.repeat(count)
+    owner, entry, kid = (np.concatenate(x) for x in (owners, levels, kids))
+    kid_start = fan[entry].cumsum() - fan[entry]
+    if shared:  # and once in all, in the order of their sums
+        _, first, inverse = np.unique(owner * n + entry, return_index=True, return_inverse=True)
+        owner, entry, kid_start, kid = owner[first], entry[first], kid_start[first], inverse[kid]
+
+    # Into evaluation order.  The sums, of the largest key, keep their order as the last group.
+    key = plan.group[entry]
+    order = key.argsort(kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    owner, entry, kid_start, key = owner[order], entry[order], kid_start[order], key[order]
+    kid = where[kid]
+    (_, leaves), *spans = _spans(key)  # every sub-DAG ends in leaves, and they come first
+
+    # The slots: each sum's scope variables, from its leaf pairs.
+    nv = len(cards)
+    slot_keys, slot = np.unique(
+        owner[:leaves] * nv + tables.variable[entry[:leaves]], return_inverse=True
+    )
+    slot_sum, slot_var = np.divmod(slot_keys, nv)
+    slot_first = slot_sum.searchsorted(np.arange(w + 1))
+    radix = int(cards[slot_var].max())
+    coded = (slot_first[1:] - slot_first[:-1]) * math.log2(radix) < 62
+    place = np.arange(len(slot_keys)) - slot_first[slot_sum]
+    digit = radix ** np.where(coded[slot_sum], place, 0)
+
+    groups = []
+    for lo, hi in spans:
+        ents = entry[lo:hi]
+        columns = np.arange(fan[ents[0]])
+        below = kid[kid_start[lo:hi][:, None] + columns]
+        weights = None
+        if offset[ents[0] + 1] > offset[ents[0]]:  # a sum
+            weights = log_table[offset[ents][:, None] + columns]
+        groups.append((lo, hi, below, weights))
+    slots = slot, slot_sum, slot_var, slot_first, digit, coded
+    return _Wave(sums, entry, kid, kid_start, *slots, groups)
 
 
 def _runs(values: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -609,7 +728,7 @@ def validate(network: Network) -> list[Violation]:
         if not abs(total - 1.0) <= tolerance:  # NaN fails this test
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
-    root = network._entry[network.root]
+    root = ids.index(network.root)
     for e in by_id(np.flatnonzero(~_reached(tables, root)).tolist()):
         violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
 

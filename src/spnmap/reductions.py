@@ -221,7 +221,7 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
         list(range(1 + q * size)),
         np.concatenate(([_PRODUCT], *[tables.kind[by_id]] * q), dtype=np.int8),
         np.concatenate(([0, q], (q + copy * len(kids) + fan.cumsum()).ravel())),
-        np.concatenate(((first + rank[base._entry[base.root]]).ravel(), (first + kids).ravel())),
+        np.concatenate((first[:, 0] + rank[tables.ids.index(base.root)], (first + kids).ravel())),
         np.concatenate(([-1], np.where(variable >= 0, variable + copy * n, -1).ravel())),
         np.concatenate(([0, 0], (copy * len(params) + param_size.cumsum()).ravel())),
         np.concatenate([params] * q),

@@ -2,9 +2,9 @@
 
 All three return a total configuration together with its exact probability,
 so results are directly comparable.  Argmax-product re-evaluates every sum
-at its children's candidates; on large networks it does so a wave of sums
-at a time in numpy, scoring candidates that agree on a sum's scope once,
-with the same bits as one re-evaluation per sum.
+at its children's candidates; on larger networks it does so a wave of sums
+at a time in numpy (``Network._waves``), scoring candidates that agree on a
+sum's scope once, with the same bits as one re-evaluation per sum.
 
 Ties are broken deterministically: sum nodes prefer the lowest child index,
 leaves the lowest category index, and the exhaustive solver the first
@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .inference import (
     _batch_upward,
-    _leaf_categories,
+    _groups_pass,
+    _leaf_logs,
     _levelled,
     _levelled_upward,
     _upward,
@@ -34,8 +35,8 @@ from .inference import (
     enumerate_log_values,
     evaluate,
 )
-from .logspace import LOG_ZERO, Probability, logsumexp_stacked
-from .network import Network, _below, _runs, network_stats
+from .logspace import LOG_ZERO, Probability
+from .network import Network, _below, _runs, _Wave, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -74,13 +75,11 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
     compiled = network._compiled
     choice: dict[int, int] = {}
     if _levelled(network):
-        levels = network._levels
-        leaves, cats = _leaf_categories(network, evidence)
-        cats = np.where(cats >= 0, cats, compiled.best[leaves])
-        vals = np.zeros(len(network._tables.ids))
-        vals[leaves] = compiled.log_table[network._tables.param_offset[leaves] + cats]
-        vals = _levelled_upward(levels, vals, lambda terms: terms.max(axis=1))
-        for level in levels:
+        plan = network._plan
+        vals = np.empty(len(network._tables.ids))
+        vals[plan.leaves] = _leaf_logs(network, evidence, plan.best)
+        vals = _levelled_upward(plan.levels, vals, lambda terms: terms.max(axis=1))
+        for level in plan.levels:
             if level.weights is not None:
                 picks = (level.weights + vals[level.kids]).argmax(axis=1)  # the first best
                 choice.update(zip(level.entries.tolist(), picks.tolist()))
@@ -188,8 +187,8 @@ def _improved(
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
-#: The levelled pass takes a wave's sums in chunks of about this many
-#: (pair, candidate row) values, and at least one sum.
+#: The levelled pass takes a wave's candidate rows in blocks of about this
+#: many (pair, candidate row) values, and at least one row.
 _CHUNK_VALUES = 1 << 17
 
 
@@ -212,123 +211,49 @@ def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, i
 
 
 def _choose_by_wave(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
-    """``_choose_by_sum``'s choices, made one wave of sums at a time."""
-    t, height = network._tables, network._arrays.height
-    cards = np.array([v.cardinality for v in network.variables])
-    fan = np.diff(t.child_offset)
+    """``_choose_by_sum``'s choices, made one wave of ``Network._waves`` at a time."""
     # Each entry's chosen tree follows ``count`` children from child index
     # ``skip``: all of them, or the one its sum chose.
-    follow = np.zeros(len(fan), dtype=np.intp), fan.copy()
-    fixed = np.full(len(cards), -1)
-    fixed[list(evidence)] = list(evidence.values())
-    deciding = np.flatnonzero((t.variable < 0) & (np.diff(t.param_offset) >= 2))
-    wave = height[deciding] * (len(fan) + 1) + fan[deciding]
-    order = np.argsort(wave)
-    deciding, wave = deciding[order], wave[order]
+    follow = np.zeros_like(network._plan.fan), network._plan.fan.copy()
     choice: dict[int, int] = {}
-    for sums in np.split(deciding, np.flatnonzero(np.diff(wave)) + 1):
-        if sums.size:
-            scores = _score_wave(network, fan, follow, fixed, cards, evidence, choice, sums)
-            picks = scores.argmax(axis=1)  # the first best child
-            follow[0][sums] = picks
-            follow[1][sums] = 1
-            choice.update(zip(sums.tolist(), picks.tolist()))
+    for wave in network._waves:
+        scores = _score_wave(network, follow, evidence, choice, wave)
+        picks = scores.argmax(axis=1)  # the first best child
+        follow[0][wave.sums] = picks
+        follow[1][wave.sums] = 1
+        choice.update(zip(wave.sums.tolist(), picks.tolist()))
     return choice
-
-
-class _Pairs(NamedTuple):
-    """A wave's sub-DAGs as (sum, entry) pairs, each pair once.
-
-    Pair ``p`` is entry ``entry[p]`` below the wave's sum number ``owner[p]``.
-    Its child pairs are ``kid[kid_start[p]:kid_start[p] + fan[entry[p]]]``, in
-    the entry's child order.  Pair ``top[i]`` is sum ``i`` itself.
-    """
-
-    owner: np.ndarray
-    entry: np.ndarray
-    kid: np.ndarray
-    kid_start: np.ndarray
-    top: np.ndarray
 
 
 def _score_wave(
     network: Network,
-    fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
-    fixed: np.ndarray,
-    cards: np.ndarray,
     evidence: Mapping[int, int],
     choice: Mapping[int, int],
-    sums: np.ndarray,
+    wave: _Wave,
 ) -> np.ndarray:
     """Each sum's log value at each child's candidate, one row per sum of the wave."""
-    pairs = _sub_dags(network, fan, sums)
-    pair_slot, cat_rows, row = _candidate_rows(
-        network, fan, follow, fixed, cards, evidence, choice, pairs
-    )
-    top_values = _levelled_pass(network, fan, pairs, pair_slot, cat_rows)
-    return np.take_along_axis(top_values, row, axis=1)
-
-
-def _expand(
-    owner: np.ndarray, start: np.ndarray, count: np.ndarray, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's ``count`` items of ``index`` from ``start``, in order, and their owners."""
-    return np.repeat(owner, count), _runs(index, start, count)
-
-
-def _sub_dags(network: Network, fan: np.ndarray, sums: np.ndarray) -> _Pairs:
-    """The pairs of the sums' sub-DAGs, found level by level down from the sums."""
-    tables, shared = network._tables, network._arrays.shared
-    n, w = len(fan), len(sums)
-    owner, entries = np.arange(w), sums
-    owners, levels, kids = [], [], []
-    size = 0
-    while entries.size:
-        if shared:  # a pair once per level
-            keys, inverse = np.unique(owner * n + entries, return_inverse=True)
-            owner, entries = np.divmod(keys, n)
-            if kids:
-                kids[-1] = size + inverse
-        owners.append(owner)
-        levels.append(entries)
-        size += len(entries)
-        count = fan[entries]
-        kids.append(size + np.arange(int(count.sum())))
-        owner, entries = _expand(owner, tables.child_offset[entries], count, tables.child_index)
-    owner, entry, kid = (np.concatenate(x) for x in (owners, levels, kids))
-    kid_start = np.cumsum(fan[entry])
-    kid_start -= fan[entry]
-    top = np.arange(w)
-    if shared:  # and once in all
-        _, first, inverse = np.unique(owner * n + entry, return_index=True, return_inverse=True)
-        owner, entry, kid_start = owner[first], entry[first], kid_start[first]
-        kid, top = inverse[kid], inverse[:w]
-    return _Pairs(owner, entry, kid, kid_start, top)
+    cat_rows, row = _candidate_rows(network, follow, evidence, choice, wave)
+    top_values = _levelled_pass(network, wave, cat_rows)
+    return top_values[np.arange(len(row))[:, None], row]
 
 
 def _candidate_rows(
     network: Network,
-    fan: np.ndarray,
     follow: tuple[np.ndarray, np.ndarray],
-    fixed: np.ndarray,
-    cards: np.ndarray,
     evidence: Mapping[int, int],
     choice: Mapping[int, int],
-    pairs: _Pairs,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    wave: _Wave,
+) -> tuple[np.ndarray, np.ndarray]:
     """The candidates' categories, one row per sum and distinct candidate.
 
-    Candidate ``c = i * k + j`` is child ``j`` of the wave's sum ``i``.  A slot
-    is one of a sum's scope variables; slots are sorted by sum, then variable.
-    Returns each pair's slot (-1 for a sum or product), the categories by
-    slot and row (a variable a candidate misses reads 0), and each
-    candidate's row, by sum and child.
+    Returns the categories by slot and row (a variable a candidate misses
+    reads 0), and each candidate's row, by sum and child.
     """
     variable, shared = network._tables.variable, network._arrays.shared
-    owner, entry, kid, kid_start, top = pairs
-    w, k, nv = len(top), int(fan[entry[top[0]]]), len(cards)
-    roots = kid[kid_start[top][:, None] + np.arange(k)].ravel()
+    entry, kid, kid_start = wave.entry, wave.kid, wave.kid_start
+    (w, k), leaves = wave.groups[-1][2].shape, len(wave.slot)
+    roots = wave.groups[-1][2].ravel()  # candidate ``i * k + j`` is child ``j`` of sum ``i``
 
     # The leaf pairs of each candidate's chosen tree.
     skip, count = follow
@@ -339,121 +264,69 @@ def _candidate_rows(
             keys, counts = np.unique(by * len(entry) + at, return_counts=True)
             walked.append(keys[counts > 1] // len(entry))
             by, at = np.divmod(keys, len(entry))
-        e = entry[at]
-        leaf = variable[e] >= 0
+        leaf = at < leaves
         hit_pair.append(at[leaf])
         hit_by.append(by[leaf])
         inner = ~leaf
-        at, e = at[inner], e[inner]
-        by, at = _expand(by[inner], kid_start[at] + skip[e], count[e], kid)
+        at = at[inner]
+        e = entry[at]
+        by, at = by[inner].repeat(count[e]), _runs(kid, kid_start[at] + skip[e], count[e])
     hit_pair, hit_by = np.concatenate(hit_pair), np.concatenate(hit_by)
 
     # Each candidate's category on each slot: the evidence, else its leaf's best.
-    var = variable[entry]
-    leaf_pairs = np.flatnonzero(var >= 0)
-    slot_keys, leaf_slot = np.unique(owner[leaf_pairs] * nv + var[leaf_pairs], return_inverse=True)
-    slot_sum, slot_var = np.divmod(slot_keys, nv)
-    slot_first = np.searchsorted(slot_sum, np.arange(w + 1))
-    pair_slot = np.full(len(entry), -1)
-    pair_slot[leaf_pairs] = leaf_slot
     hit_ent = entry[hit_pair]
-    cat = fixed[variable[hit_ent]]
-    cat = np.where(cat >= 0, cat, network._compiled.best[hit_ent])
-    cell = pair_slot[hit_pair] * k + hit_by % k
-    table = np.zeros((len(slot_keys), k), dtype=np.intp)
+    cat = network._compiled.best[hit_ent]
+    if evidence:
+        fixed = np.full(len(network.variables), -1)
+        fixed[list(evidence)] = list(evidence.values())
+        cat = np.where((given := fixed[variable[hit_ent]]) >= 0, given, cat)
+    cell = wave.slot[hit_pair] * k + hit_by % k
+    slot_sum, slot_first = wave.slot_sum, wave.slot_first
+    table = np.zeros((len(slot_sum), k), dtype=np.intp)
     table.flat[cell] = cat
-    clash = np.flatnonzero(np.bincount(cell, minlength=table.size) > 1)
+    clash = (np.bincount(cell, minlength=table.size) > 1).nonzero()[0]
     walked.append(slot_sum[clash // k] * k + clash % k)
     for c in sorted(set(np.concatenate(walked).tolist())):  # its first-visited leaf wins
         i, j = divmod(c, k)
         config = _walk(network, evidence, int(entry[roots[c]]), choice)
         slots = slice(slot_first[i], slot_first[i + 1])
-        table[slots, j] = [config.get(v, 0) for v in slot_var[slots].tolist()]
+        table[slots, j] = [config.get(v, 0) for v in wave.slot_var[slots].tolist()]
 
     # Candidates equal on the sum's scope share a row: code each in base ``radix``.
     # A sum whose codes could pass 2**62 scores each candidate on its own row.
-    radix = int(cards[slot_var].max())
-    exact = np.diff(slot_first) * math.log2(radix) < 62
-    digit = np.arange(len(slot_keys)) - slot_first[slot_sum]
-    weight = radix ** np.where(exact[slot_sum], digit, 0)
-    code = np.add.reduceat(table * weight[:, None], slot_first[:-1], axis=0)
-    code[~exact] = np.arange(k)
-    by_code = np.argsort(code, axis=1)
-    ranked = np.take_along_axis(code, by_code, axis=1)
+    code = np.add.reduceat(table * wave.digit[:, None], slot_first[:-1], axis=0)
+    code[~wave.coded] = np.arange(k)
+    by_code = code.argsort(axis=1)
+    sums = np.arange(w)[:, None]
+    ranked = code[sums, by_code]
     rank = np.zeros((w, k), dtype=np.intp)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+    (ranked[:, 1:] != ranked[:, :-1]).cumsum(axis=1, out=rank[:, 1:])
     row = np.empty_like(rank)
-    np.put_along_axis(row, by_code, rank, axis=1)
-    rep = np.repeat(by_code[:, :1], int(rank[:, -1].max()) + 1, axis=1)  # padding repeats row 0
-    np.put_along_axis(rep, rank, by_code, axis=1)
-    return pair_slot, np.take_along_axis(table, rep[slot_sum], axis=1), row
+    row[sums, by_code] = rank
+    rep = by_code[:, :1].repeat(int(rank[:, -1].max()) + 1, axis=1)  # padding repeats row 0
+    rep[sums, rank] = by_code
+    return table[np.arange(len(slot_sum))[:, None], rep[slot_sum]], row
 
 
-def _levelled_pass(
-    network: Network,
-    fan: np.ndarray,
-    pairs: _Pairs,
-    pair_slot: np.ndarray,
-    cat_rows: np.ndarray,
-) -> np.ndarray:
+def _levelled_pass(network: Network, wave: _Wave, cat_rows: np.ndarray) -> np.ndarray:
     """Each sum's log value at each of its candidate rows.
 
-    The pass takes the rows in blocks and, within a block, the sums in chunks
-    of about ``_CHUNK_VALUES`` values.  In each chunk it evaluates the leaf
-    pairs, then the other pairs grouped by height, kind and fan-out; a
-    chunk's last group is its sums.
+    The pass takes the rows in blocks of about ``_CHUNK_VALUES`` values over
+    all the wave's pairs, and at least one row, as enumeration takes its blocks.
     """
-    t, log_table = network._tables, network._compiled.log_table
-    offset = t.param_offset
-    owner, entry, kid, kid_start, top = pairs
-    w, rows = len(top), cat_rows.shape[1]
-    per_sum = np.bincount(owner, minlength=w)
-    block = min(rows, max(1, _CHUNK_VALUES // int(per_sum.max())))
-    chunk = ((np.cumsum(per_sum) - per_sum) * block // _CHUNK_VALUES)[owner]
-    height = network._arrays.height[entry]
-    p_fan = fan[entry]
-    fans = np.zeros(int(p_fan.max()) + 1, dtype=np.intp)
-    fans[p_fan] = 1
-    tallest, fan_count = int(height.max()) + 1, int(fans.sum())
-    is_sum = (np.diff(offset)[entry] > 0) & (t.variable[entry] < 0)
-    group = ((chunk * tallest + height) * 2 + is_sum) * fan_count + (np.cumsum(fans) - 1)[p_fan]
-    span = (int(chunk.max()) + 1) * tallest * 2 * fan_count
-    perm = np.argsort(group.astype(np.min_scalar_type(span)), kind="stable")  # radix on small keys
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(len(perm))
-    kid = pos[kid]
-    sizes = np.bincount(group, minlength=span)
-    ends = np.cumsum(sizes)[sizes > 0].tolist()
-    sizes = np.bincount(chunk)
-    chunk_ends = np.cumsum(sizes)[sizes > 0].tolist()
-    del chunk, height, is_sum, group, pos
-    top_vals = np.empty((w, rows))
+    log_table = network._compiled.log_table
+    leaves, size, rows = len(wave.slot), len(wave.entry), cat_rows.shape[1]
+    start = network._tables.param_offset[wave.entry[:leaves]][:, None]
+    block = min(rows, max(1, _CHUNK_VALUES // size))
+    top_vals = np.empty((len(wave.sums), rows))
     for r0 in range(0, rows, block):
         cats = cat_rows[:, r0 : r0 + block]
-        stops, stop = iter(chunk_ends), 0
-        for g0, g1 in zip([0, *ends], ends):
-            if g0 == stop:
-                base, stop = g0, next(stops)
-                vals = np.empty((stop - base, cats.shape[1]))
-            members = perm[g0:g1]
-            ents = entry[members]
-            out = vals[g0 - base : g1 - base]
-            e, t = int(ents[0]), int(p_fan[members[0]])
-            if t == 0:
-                at = cats[pair_slot[members]]
-                at += offset[ents][:, None]
-                np.take(log_table, at, out=out, mode="clip")  # in range; "clip" spares a copy
-            elif offset[e + 1] == offset[e]:  # a product adds its children in order
-                below = kid[kid_start[members][:, None] + np.arange(t)] - base
-                out[:] = vals[below[:, 0]]
-                for j in range(1, t):
-                    out += vals[below[:, j]]
-            else:  # a sum reduces as ``logsumexp_rows`` does
-                terms = vals[kid[kid_start[members][:, None] + np.arange(t)] - base]
-                terms += log_table[offset[ents][:, None] + np.arange(t)][:, :, None]
-                out[:] = logsumexp_stacked(terms)
-            if g1 == stop:
-                top_vals[owner[members], r0 : r0 + block] = out
+        vals = np.empty((size, cats.shape[1]))
+        at = cats[wave.slot]
+        at += start
+        np.take(log_table, at, out=vals[:leaves], mode="clip")  # in range; "clip" spares a copy
+        _groups_pass(wave.groups, vals)
+        top_vals[:, r0 : r0 + block] = vals[size - len(wave.sums) :]
     return top_vals
 
 

@@ -3,9 +3,11 @@
 Everything here but the ``_by_entry`` and ``_by_sum`` oracles works in
 linear-domain floats with plain recursion and exhaustive enumeration,
 deliberately sharing no propagation code with the package under test.
-Those are the per-entry loop (``_upward``) of the sum and max passes, a
-batch pass one entry at a time (``batch_by_entry``), and argmax-product's
-per-sum loop, built from the package's scalar walk and that batch pass.
+Those are the sum and max passes one entry at a time over the tables
+(``_pass_by_entry``), a batch pass one entry at a time (``batch_by_entry``),
+and argmax-product's per-sum loop, built from the package's scalar walk and
+that batch pass; they read the tables and the log table, and share no pass
+with the package.
 The levelled passes, the wave pass of large networks and enumeration must
 match them bit for bit.  ``validate_by_walk`` checks each node over the
 depth-first walk's child tuples and scope sets; the array ``validate`` must
@@ -33,7 +35,7 @@ from spnmap import (
     SumNode,
     Violation,
 )
-from spnmap.inference import _upward, check_assignment, decode_configuration
+from spnmap.inference import check_assignment, decode_configuration
 from spnmap.logspace import logsumexp, logsumexp_rows
 from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
 from spnmap.solvers import _walk
@@ -142,19 +144,71 @@ def argmax_candidate(
     return candidate(network.root)
 
 
+def _children_first(network: Network) -> tuple[list[list[int]], list[int]]:
+    """Each entry's child entries, and every sum and product entry, children first.
+
+    Plain recursion over the tables, from each entry in turn; the network
+    must be acyclic.
+    """
+    t = network._tables
+    children = [
+        t.child_index[start:stop].tolist()
+        for start, stop in zip(t.child_offset[:-1].tolist(), t.child_offset[1:].tolist())
+    ]
+    order: list[int] = []
+    seen: set[int] = set()
+
+    def visit(e: int) -> None:
+        if e not in seen:
+            seen.add(e)
+            for kid in children[e]:
+                visit(kid)
+            if children[e]:
+                order.append(e)
+
+    for e in range(len(children)):
+        visit(e)
+    return children, order
+
+
+def _pass_by_entry(network: Network, leaf_value, reduce) -> tuple[dict[int, float], list]:
+    """Every entry's log value, one entry at a time, children first.
+
+    ``leaf_value(entry, variable, logs)`` gives a leaf's value from its log row.  A
+    product adds its children's values in order; a sum passes its weighted
+    child terms, as a list, to ``reduce``.  Also returns the child lists.
+    """
+    t, log_table = network._tables, network._compiled.log_table
+    children, order = _children_first(network)
+    logs = [
+        log_table[start:stop].tolist()
+        for start, stop in zip(t.param_offset[:-1].tolist(), t.param_offset[1:].tolist())
+    ]
+    vals = {
+        e: leaf_value(e, var, logs[e]) for e, var in enumerate(t.variable.tolist()) if var >= 0
+    }
+    for e in order:
+        if logs[e]:
+            vals[e] = reduce([w + vals[kid] for w, kid in zip(logs[e], children[e])])
+        else:
+            acc = vals[children[e][0]]
+            for kid in children[e][1:]:
+                acc = acc + vals[kid]
+            vals[e] = acc
+    return vals, children
+
+
 def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
     """The root's log value with unobserved leaves at 1, one entry at a time.
 
-    ``_upward`` with the scalar ``logsumexp``, children first.
+    Each sum takes the scalar ``logsumexp`` of its weighted child terms.
     """
-    compiled, lists = network._compiled, network._lists
-    variable, offset, log_list = lists.variable, lists.param_offset, lists.log_table
-    vals = {
-        e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
-        for e, var in enumerate(variable)
-        if var >= 0
-    }
-    return _upward(network, vals, logsumexp)[compiled.root]
+    vals, _ = _pass_by_entry(
+        network,
+        lambda e, var, logs: 0.0 if (cat := evidence.get(var)) is None else logs[cat],
+        logsumexp,
+    )
+    return vals[network._compiled.root]
 
 
 def max_pass_by_entry(
@@ -162,26 +216,25 @@ def max_pass_by_entry(
 ) -> tuple[float, dict[int, int]]:
     """Max-product's root value and each sum's choice, one entry at a time.
 
-    Free leaves take their most probable category; ``_upward`` takes each
-    sum's ``max``, and a sum chooses the first child whose term reaches it.
+    Free leaves take their most probable category, the first on ties; each
+    sum takes the ``max`` of its weighted child terms and chooses the first
+    child whose term reaches it.
     """
-    compiled, lists = network._compiled, network._lists
-    variable, best = lists.variable, lists.best
-    offset, log_list = lists.param_offset, lists.log_table
-    vals = {
-        e: log_list[offset[e] + evidence.get(var, best[e])]
-        for e, var in enumerate(variable)
-        if var >= 0
-    }
-    vals = _upward(network, vals, max)
-    numbering = network._numbering
+    t, log_table = network._tables, network._compiled.log_table
+
+    def leaf_value(e: int, var: int, logs: list[float]) -> float:
+        if var in evidence:
+            return logs[evidence[var]]
+        probs = t.params[t.param_offset[e] : t.param_offset[e + 1]].tolist()
+        return logs[probs.index(max(probs))]
+
+    vals, children = _pass_by_entry(network, leaf_value, max)
     choice = {}
-    for e in numbering.internal:
-        weights = log_list[offset[e] : offset[e + 1]]
-        if weights:  # a sum
-            terms = [w + vals[kid] for w, kid in zip(weights, numbering.children[e])]
-            choice[e] = terms.index(vals[e])
-    return vals[compiled.root], choice
+    for e in (t.kind == _SUM).nonzero()[0].tolist():
+        weights = log_table[t.param_offset[e] : t.param_offset[e + 1]].tolist()
+        terms = [w + vals[kid] for w, kid in zip(weights, children[e])]
+        choice[e] = terms.index(vals[e])
+    return vals[network._compiled.root], choice
 
 
 def max_product_by_entry(
@@ -242,14 +295,18 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     (``batch_by_entry``, with category 0 for a scope variable a candidate
     misses) and chooses the first best child.
     """
-    offset, numbering = network._lists.param_offset, network._numbering
+    t = network._tables
+    children, order = _children_first(network)
+    scopes = [frozenset([var]) if var >= 0 else frozenset() for var in t.variable.tolist()]
+    for e in order:
+        scopes[e] = frozenset().union(*(scopes[kid] for kid in children[e]))
     scores: dict[int, np.ndarray] = {}
     choice: dict[int, int] = {}
-    for e in numbering.internal:
-        if offset[e + 1] - offset[e] < 2:  # products and one-child sums
+    for e in order:
+        if t.param_offset[e + 1] - t.param_offset[e] < 2:  # products and one-child sums
             continue
-        candidates = [_walk(network, evidence, kid, choice) for kid in numbering.children[e]]
-        scope = list(numbering.scopes[e])
+        candidates = [_walk(network, evidence, kid, choice) for kid in children[e]]
+        scope = list(scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         scores[e] = batch_by_entry(network, e, dict(zip(scope, rows)))
         choice[e] = int(np.argmax(scores[e]))
@@ -285,7 +342,7 @@ def validate_by_walk(network: Network) -> list[Violation]:
     """
     violations: list[Violation] = []
     ids, kind = network._tables.ids, network._tables.kind.tolist()
-    param_offset, params = network._lists.param_offset, network._lists.params
+    param_offset, params = network._tables.param_offset.tolist(), network._tables.params.tolist()
     # Per kind: the check, one parameter, several, and the tolerance on their total.
     rules = {
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
@@ -305,7 +362,7 @@ def validate_by_walk(network: Network) -> list[Violation]:
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
     children, scopes = record.children, record.scopes
-    root = network._entry[network.root]
+    root = ids.index(network.root)
     reachable, stack = set(), [root]
     while stack:
         if (e := stack.pop()) not in reachable:

@@ -409,7 +409,7 @@ class TestArrays:
         for net in column_networks():
             t, height, log_table = net._tables, net._arrays.height, net._compiled.log_table
             fan, done = np.diff(t.child_offset), t.variable >= 0
-            for level in net._levels:
+            for level in net._plan.levels:
                 entries = level.entries.tolist()
                 assert not done[entries].any()
                 assert len(set(height[entries].tolist())) == 1
@@ -572,13 +572,13 @@ class TestLevelledValidate:
         kinds, refusals = set(), set()
         for _ in range(600):
             net = defective_dag(rng)
-            # The same nodes under the default threshold take the walk's cycle check.
+            # The same nodes above the threshold take the walk's cycle check.
             walked = Network(dict(net.nodes), net.root, net.variables)
             report = self.report(validate(net))
             assert report == self.report(validate_by_walk(walked))
             assert net.is_acyclic is (walked._numbering.cycle is None)
             outcome = refusal(net)
-            monkeypatch.setattr(inference, "_LEVELLED_MIN", 1 << 10)
+            monkeypatch.setattr(inference, "_LEVELLED_MIN", 1 << 30)
             assert walked.is_acyclic is net.is_acyclic
             assert refusal(walked) == outcome
             monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
@@ -641,3 +641,14 @@ def test_a_large_valid_network_is_solved_without_the_walk():
     assert net.is_acyclic and "_numbering" not in vars(net)
     net.topological_order()  # a structural query numbers the entries
     assert "_numbering" in vars(net)
+
+
+def test_the_ratio_studys_largest_networks_are_solved_by_levels():
+    # The ratio study's networks of 20 vertices, 421 entries, take the
+    # levelled passes and the waves, and look up no node by id.
+    net = mis_to_spn(random_graph(20, 50.0, spnmap.derive_seed(0, 20, 50.0, 0))).network
+    assert len(net.nodes) == 421
+    max_product(net)
+    spnmap.argmax_product(net)
+    assert "_numbering" not in vars(net) and "_lists" not in vars(net)
+    assert "_waves" in vars(net) and "_entry" not in vars(net)

@@ -282,7 +282,7 @@ class TestWaveRescoring:
 
         def recorded(*args):
             scores = score_wave(*args)
-            self.scores.update(zip(args[-1].tolist(), scores))
+            self.scores.update(zip(args[-1].sums.tolist(), scores))
             return scores
 
         monkeypatch.setattr(solvers, "_score_wave", recorded)

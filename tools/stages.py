@@ -29,11 +29,14 @@ stage once on fresh networks and prints the seconds as one JSON line:
   ``random_spn(18, 6, seed=3)`` amplified 50 times and serialized, whose
   parameters mostly have 17 significant digits, too many for the parser's
   digit arithmetic
-- two small-network paths, each over 20 networks: the ratio study's largest
-  cell, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
-  ``random_graph(20, 50.0, derive_seed(0, 20, 50.0, rep))``; and
-  ``random_spn(20, 6, seed=rep)``, the node-dict construction that
-  ``perfbench``'s ``exact_enum`` builds its networks with
+- small-network paths, each over 20 networks: the ratio study's three
+  sizes, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
+  ``random_graph(n, 50.0, derive_seed(0, n, 50.0, rep))`` for n = 5, 10 and
+  20 (31, 111 and 421 entries); and ``random_spn(20, 6, seed=rep)``, the
+  node-dict construction that ``perfbench``'s ``exact_enum`` builds its
+  networks with
+- the first build of the pass plan (``Network._plan`` and ``_waves``) on the
+  first 421-entry network, fresh and compiled, in a checkout that has one
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
   network of ``random_graph(18, 10.0, derive_seed(1, "exact", 10.0))`` and
   ``log_partition`` on ``random_spn(18, 6, seed=3)`` (323 nodes)
@@ -133,10 +136,7 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
     net = timed("17-digit parse_spn", spnmap.parse_spn, text)
     results["17-digit"] = hashlib.sha256(spnmap.serialize_spn(net).encode()).hexdigest()
 
-    seeds = [spnmap.derive_seed(0, 20, 50.0, r) for r in range(small)]
-    graphs = [spnmap.random_graph(20, 50.0, seed) for seed in seeds]
-
-    def ratio_cell() -> list[str]:
+    def ratio_cell(graphs) -> list[str]:
         solved = []
         for graph in graphs:
             net = spnmap.mis_to_spn(graph).network
@@ -144,7 +144,16 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
             solved.append(f"{mp.value.log.hex()} {am.value.log.hex()}")
         return solved
 
-    results["ratio"] = " ".join(timed("ratio n=20 build and solve", ratio_cell))
+    for n in (5, 10, 20):
+        graphs = [
+            spnmap.random_graph(n, 50.0, spnmap.derive_seed(0, n, 50.0, r)) for r in range(small)
+        ]
+        solved = timed(f"ratio n={n} build and solve", ratio_cell, graphs)
+        results[f"ratio n={n}"] = " ".join(solved)
+    net = spnmap.mis_to_spn(graphs[0]).network
+    net._compiled
+    if hasattr(type(net), "_plan"):
+        timed("ratio n=20 first pass plan", lambda: (net._plan, net._waves))
     timed("random_spn(20, 6)", lambda: [spnmap.random_spn(20, 6, seed=r) for r in range(small)])
 
     graph = spnmap.random_graph(enumerated, 10.0, spnmap.derive_seed(1, "exact", 10.0))
@@ -188,7 +197,10 @@ def main(argv: list[str]) -> int:
     print(f"old: {trees[0]}\nnew: {trees[1]}\n{rounds} rounds, alternating\n")
     print("| stage | old ms, median [quartiles] | new ms, median [quartiles] | change | new wins |")
     print("|---|---|---|---|---|")
-    for stage in old[0]["seconds"]:
+    for stage in dict.fromkeys([*old[0]["seconds"], *new[0]["seconds"]]):
+        if any(stage not in runs[tree][0]["seconds"] for tree in trees):  # one tree lacks it
+            for run in old + new:
+                run["seconds"].setdefault(stage, float("nan"))
         a = [run["seconds"][stage] * 1e3 for run in old]
         b = [run["seconds"][stage] * 1e3 for run in new]
         (a1, a2, a3), (b1, b2, b3) = _quartiles(a), _quartiles(b)
