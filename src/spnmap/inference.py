@@ -9,8 +9,11 @@ category; leaves outside the evidence scope contribute 1, which turns the
 same pass into marginal inference.
 
 Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
-of total assignments a level at a time on networks of every size, one row
-per assignment, with the bits of a pass one entry at a time.  The per-entry
+of total assignments a level at a time on networks of every size, one
+column per assignment, with the bits of a pass one entry at a time.  A
+block runs through the whole period of the last free variables, and each
+value is computed once per period of the block's variables it depends on
+(``_enumeration_plan``).  The per-entry
 batch form, ``_batch_upward``, is left to argmax-product's per-sum loop on
 small networks and to ``batch_log_values``.
 """
@@ -29,8 +32,10 @@ from .network import Network, Variable, _below, _Level, _spans
 #: reduces each chunk on its own, so its bits depend on this size.
 _CHUNK_SIZE = 1 << 14
 
-#: Assignments per block of the enumeration pass.  On networks of a few
-#: hundred entries its ``(slots, rows)`` value matrix then stays in cache.
+#: Most assignments per block of the enumeration pass, unless the last free
+#: variable alone has more categories.  Its ``(slots, columns)`` value matrix
+#: takes 8 bytes a cell, 11.2 MB at 343 slots: far more than a cache holds.
+#: Larger blocks make fewer numpy calls per assignment.
 _BLOCK_SIZE = 1 << 12
 
 #: Enumeration refuses configuration spaces larger than this.
@@ -222,8 +227,9 @@ def batch_log_values(
 def free_variables(
     network: Network, evidence: Mapping[int, int] | None = None
 ) -> tuple[Variable, ...]:
-    """Variables not fixed by the evidence, in index order."""
+    """Variables not fixed by the evidence, in index order; checks it as ``check_evidence`` does."""
     evidence = evidence or {}
+    check_evidence(network, evidence)
     return tuple(v for v in network.variables if v.index not in evidence)
 
 
@@ -242,7 +248,8 @@ def decode_configuration(
     Free variables are enumerated in ascending index order with the first
     free variable most significant, so index 0 is the lexicographically
     smallest assignment consistent with the evidence.  Raises ``ValueError``
-    for an index outside ``0..count_free_configurations - 1``.
+    for evidence that ``check_evidence`` refuses and for an index outside
+    ``0..count_free_configurations - 1``.
     """
     config = dict(evidence or {})
     stride = count_free_configurations(network, config)
@@ -254,36 +261,85 @@ def decode_configuration(
     return config
 
 
-def _enumeration_plan(network: Network) -> tuple[list, list, int, int]:
-    """The slots of the enumeration pass: distinct leaf rows, then sums and products.
+def _enumeration_plan(
+    network: Network, evidence: Mapping[int, int]
+) -> tuple[np.ndarray, list, list, int, np.ndarray]:
+    """The enumeration pass's ``(slots, columns)`` matrix, with its fixed leaf rows filled.
 
-    Returns, per variable with leaves, ``(variable, first slot, table)``,
-    whose ``(rows, cardinality)`` table holds the variable's distinct leaf
-    log rows; per level of ``network._plan``, ``_groups_pass``'s group of
-    its slots; the root's slot; and the slot count.
+    A block runs through the whole period of the last free variables: the
+    longest run of them, and at least one, whose cardinalities multiply to
+    at most ``_BLOCK_SIZE``.  The first of them changes fastest in its
+    columns, so a leaf row of the block's variable ``v`` repeats with the
+    product of their cardinalities up to ``v``'s, and other leaf rows with
+    period 1.  The slots are the distinct leaf rows, then the sums and
+    products of ``network._plan``'s levels.  Each is computed through its
+    period, the largest among its children's, then repeated through the
+    widest read that a parent or the root's output makes of it.
+
+    Returns the matrix; per free variable outside the block, its leaf rows,
+    their ``(rows, cardinality)`` logs and the blocks per category;
+    ``_groups_pass``'s groups; the root's slot; and the permutation that
+    puts a block's columns in ``decode_configuration``'s order.
     """
     t, log_table = network._tables, network._compiled.log_table
+    free = free_variables(network, evidence)
+    cut, width = len(free), 1  # the block holds the free variables from ``cut`` on
+    while cut and (cut == len(free) or width * free[cut - 1].cardinality <= _BLOCK_SIZE):
+        cut -= 1
+        width *= free[cut].cardinality
+    block = [v.cardinality for v in free[cut:]]
+    period = np.ones(len(network.variables), dtype=np.intp)
+    period[[v.index for v in free[cut:]]] = np.cumprod(block)
+    stride, strides = 1, {}
+    for var in reversed(free[:cut]):
+        strides[var.index], stride = stride, stride * var.cardinality
+
     leaves = np.flatnonzero(t.variable >= 0)
     cards = np.diff(t.param_offset)[leaves]
     columns = np.arange(int(cards.max()))
     inside = columns < cards[:, None]
-    rows = np.zeros((len(leaves), len(columns) + 1))  # the variable, then its logs
-    rows[:, 0] = t.variable[leaves]
-    rows[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
-    distinct, leaf_slot = np.unique(rows, axis=0, return_inverse=True)
+    keyed = np.zeros((len(leaves), len(columns) + 1))  # the variable, then its logs
+    keyed[:, 0] = t.variable[leaves]
+    keyed[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
+    distinct, leaf_slot = np.unique(keyed, axis=0, return_inverse=True)
     owner = distinct[:, 0].astype(np.intp)
-    tables = []
-    for lo, hi in _spans(owner):  # the rows of one variable
-        var = int(owner[lo])
-        tables.append((var, lo, distinct[lo:hi, 1 : 1 + network.cardinality(var)].copy()))
     slot = np.empty(len(t.ids), dtype=np.intp)
     slot[leaves] = leaf_slot.ravel()
-    groups, size = [], len(distinct)
+    size = len(distinct)
+    span = np.ones(len(t.ids), dtype=np.intp)  # each slot's period; no more slots than entries
+    span[:size] = period[owner]
+    fill = np.zeros_like(span)  # the widest read of each slot
+    groups = []
     for level in network._plan.levels:
-        slot[level.entries] = np.arange(size, size + len(level.entries))
-        groups.append((size, size + len(level.entries), slot[level.kids], level.weights))
-        size += len(level.entries)
-    return tables, groups, int(slot[network._compiled.root]), size
+        lo, hi = size, size + len(level.entries)
+        slot[level.entries] = np.arange(lo, hi)
+        kids = slot[level.kids]
+        if level.weights is None:  # a product's running sum widens along its children
+            reads = np.maximum.accumulate(span[kids].max(axis=0))
+        else:
+            reads = span[kids].max()
+        # Broadcast in full: numpy 2.4.6's ``at`` writes wrong values where it broadcasts.
+        np.maximum.at(fill, kids, np.broadcast_to(reads, kids.shape))
+        span[lo:hi] = reads.max()
+        groups.append((lo, hi, kids, level.weights, reads.tolist()))
+        size = hi
+    root = int(slot[network._compiled.root])
+    fill[root] = width
+    np.maximum(fill, span, out=fill)
+    groups = [(*group, int(fill[group[0] : group[1]].max())) for group in groups]
+
+    vals, outer = np.empty((size, width)), []
+    for lo, hi in _spans(owner):  # the rows of one variable
+        var, card = int(owner[lo]), network.cardinality(int(owner[lo]))
+        rows, table = vals[lo:hi, : fill[lo:hi].max()], distinct[lo:hi, 1 : 1 + card]
+        if var in evidence:
+            rows[:] = table[:, evidence[var], None]
+        elif var in strides:
+            outer.append((rows, table, strides[var]))
+        else:  # column ``c`` holds category ``c // (period / card) % card``
+            rows[:] = table[:, np.arange(rows.shape[1]) // (period[var] // card) % card]
+    order = np.arange(width).reshape(block[::-1]).transpose().ravel()
+    return vals, outer, groups, root, order
 
 
 def enumerate_log_values(
@@ -292,86 +348,68 @@ def enumerate_log_values(
     """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence.
 
     Chunks follow ``decode_configuration``'s order and hold ``_CHUNK_SIZE``
-    rows but the last.  The values come from one levelled pass per block of
-    ``_BLOCK_SIZE`` assignments over a reused ``(slots, rows)`` matrix, with
-    the slots of ``_enumeration_plan``.  Leaf rows that are the same in
-    every block, those of the evidence and of the variables that cycle
-    within a block, are filled once.  Products add their children in order
-    and sums reduce as ``logsumexp_rows``, so each value has the bits of a
-    pass one entry at a time.  Refuses more than ``DEFAULT_ENUMERATION_CAP``
-    assignments.
+    rows but the last.  The values come from one levelled pass per block
+    over the matrix of ``_enumeration_plan``, which computes each value once
+    per period of the block's variables it depends on.  Products add their
+    children in order and sums reduce as ``logsumexp_rows``, so each value
+    has the bits of a pass one entry at a time.  Refuses more than
+    ``DEFAULT_ENUMERATION_CAP`` assignments.
     """
     evidence = dict(evidence or {})
-    check_evidence(network, evidence)
     total = count_free_configurations(network, evidence)
     if total > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    tables, groups, root, size = _enumeration_plan(network)
-    stride, strides = total, {}
-    for var in free_variables(network, evidence):
-        stride //= var.cardinality
-        strides[var.index] = stride
-    # Block ``k`` holds assignments ``k * width`` on; rows past ``total`` are never read.
-    width = min(_BLOCK_SIZE, total)
-    vals = np.empty((size, width))
-    refill = []  # the leaf rows that differ between blocks
-    for var, first, table in tables:
-        rows, card = vals[first : first + len(table)], table.shape[1]
-        if var in evidence:
-            rows[:] = table[:, evidence[var], None]
-        elif width % (strides[var] * card) == 0:  # every block runs through whole periods
-            rows[:] = table[:, np.arange(width) // strides[var] % card]
-        else:
-            refill.append((rows, table, strides[var]))
-    done = -1  # the block whose values ``vals`` holds
+    vals, outer, groups, root, order = _enumeration_plan(network, evidence)
+    width, done = len(order), -1  # the block whose values ``row`` holds
     for start in range(0, total, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, total)
         values = np.empty(stop - start)
         for k in range(start // width, (stop - 1) // width + 1):
             if k != done:
-                _enumerated_block(k * width, refill, groups, vals)
-                done = k
+                for rows, table, stride in outer:
+                    rows[:] = table[:, k // stride % table.shape[1], None]
+                _groups_pass(groups, vals)
+                row, done = vals[root].take(order), k
             lo, hi = max(start, k * width), min(stop, (k + 1) * width)
-            values[lo - start : hi - start] = vals[root, lo - k * width : hi - k * width]
+            values[lo - start : hi - start] = row[lo - k * width : hi - k * width]
         yield start, values
-
-
-def _enumerated_block(offset: int, refill: list, groups: list, vals: np.ndarray) -> None:
-    """Fill ``vals`` for the block of assignments from index ``offset``.
-
-    ``refill`` holds the leaf rows that change between blocks, as
-    ``(rows, table, stride)``; a variable whose stride is a multiple of the
-    block takes one category in the whole block.
-    """
-    width = vals.shape[1]
-    for rows, table, stride in refill:
-        card = table.shape[1]
-        if stride % width == 0:
-            rows[:] = table[:, offset // stride % card, None]
-        else:
-            cats = np.arange(offset, offset + width) // stride % card
-            np.take(table, cats, axis=1, out=rows, mode="clip")
-    _groups_pass(groups, vals)
 
 
 def _groups_pass(groups: list, vals: np.ndarray) -> None:
     """Fill ``vals``, a row per slot and a column per assignment, one group of slots at a time.
 
-    A group is ``(first slot, stop, kids' slots, a sum's log-weights or None)``.  Products
-    add their children in order and sums reduce as ``logsumexp_rows``, with its bits.
+    A group is ``(first slot, stop, kids' slots, a sum's log-weights or None,
+    reads, fill)``.  A sum reads its children through ``reads`` columns; a
+    product reads child ``j`` through ``reads[j]`` and widens its running
+    sum by broadcasting where that grows.  The group's rows are then
+    repeated through ``fill`` columns.  ``None`` reads every row whole, as
+    argmax-product's waves do.  Products add their children in order and
+    sums reduce as ``logsumexp_rows``, with its bits.
     """
-    for lo, hi, kids, weights in groups:
+    for lo, hi, kids, weights, reads, fill in groups:
         out = vals[lo:hi]
         if weights is None:
-            out[:] = vals[kids[:, 0]]
+            read = reads[0]
+            acc = vals[kids[:, 0], :read]
             for j in range(1, kids.shape[1]):
-                out += vals[kids[:, j]]
+                term = vals[kids[:, j], : reads[j]]
+                if reads[j] == read:
+                    acc += term
+                else:  # the running sum repeats every ``read`` columns
+                    folds = term.reshape(len(term), -1, read)
+                    folds += acc[:, None, :]
+                    acc, read = term, reads[j]
         else:
-            terms = vals[kids]
-            terms += weights[:, :, None]
-            out[:] = logsumexp_stacked(terms)
+            read, acc = reads, vals[kids, :reads]
+            acc += weights[:, :, None]
+            acc = logsumexp_stacked(acc)
+        out[:, :read] = acc
+        while fill and read < fill:  # repeat the period, doubling the copy
+            step = min(read, fill - read)
+            out[:, read : read + step] = out[:, :step]
+            read += step
 
 
 def log_partition(network: Network) -> float:

@@ -656,10 +656,10 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
         ents = entry[lo:hi]
         columns = np.arange(fan[ents[0]])
         below = kid[kid_start[lo:hi][:, None] + columns]
-        weights = None
+        weights, reads = None, (None,) * len(columns)  # every row read whole
         if offset[ents[0] + 1] > offset[ents[0]]:  # a sum
-            weights = log_table[offset[ents][:, None] + columns]
-        groups.append((lo, hi, below, weights))
+            weights, reads = log_table[offset[ents][:, None] + columns], None
+        groups.append((lo, hi, below, weights, reads, None))
     slots = slot, slot_sum, slot_var, slot_first, digit, coded
     return _Wave(sums, entry, kid, kid_start, *slots, groups)
 

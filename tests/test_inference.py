@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spnmap import (
     LOG_ZERO,
@@ -21,13 +23,14 @@ from spnmap import (
     enumerate_log_values,
     evaluate,
     evaluate_marginal,
+    exact_map,
     log_partition,
     mis_to_spn,
     random_graph,
     random_spn,
 )
 from spnmap.experiments import gap_network
-from spnmap.inference import free_variables
+from spnmap.inference import _enumeration_plan, free_variables
 from conftest import shared_leaf_dag
 from oracles import all_assignments, batch_by_entry, below, brute_marginal, brute_value
 
@@ -212,6 +215,29 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="outside the 2 configurations"):
             decode_configuration(mixture_net, {0: 1}, 2)
 
+    def test_evidence_is_checked_as_exact_map_checks_it(self):
+        net = random_spn(3, max_height=3, seed=1)
+        calls = (
+            lambda evidence: decode_configuration(net, evidence, 0),
+            lambda evidence: count_free_configurations(net, evidence),
+            lambda evidence: free_variables(net, evidence),
+        )
+        for evidence in ({7: 5}, {0: 9, 11: 1}):
+            with pytest.raises(ValueError) as refused:
+                exact_map(net, evidence)
+            for call in calls:
+                with pytest.raises(ValueError) as raised:
+                    call(evidence)
+                assert str(raised.value) == str(refused.value)
+
+    def test_products_read_each_child_through_its_period(self):
+        # The block is the last 12 of 14 binary variables, the first of them
+        # changing fastest; each product's leaves come in variable order.
+        net = mis_to_spn(random_graph(14, 30.0, 5)).network
+        _, _, groups, _, _ = _enumeration_plan(net, {})
+        (products,) = (reads for _, _, _, weights, reads, _ in groups if weights is None)
+        assert products == [1, 1, *(2**k for k in range(1, 13))]
+
     def test_chunks_enumerate_every_assignment_in_order(self, monkeypatch):
         monkeypatch.setattr("spnmap.inference._CHUNK_SIZE", 3)
         net = random_spn(4, max_height=3, seed=11)
@@ -244,7 +270,7 @@ class TestEnumeration:
                 p = rng.random()
                 wide[10 * i + 1 + var] = LeafNode(var, (p, 1.0 - p))
         ternary = {0: SumNode((1, 2), (0.3, 0.7))}
-        for i in (1, 2):  # 3**8 rows: blocks of 4096 cut through each variable's period
+        for i in (1, 2):  # 3**8 rows: three blocks of the last seven variables, 2187 rows each
             ternary[i] = ProductNode(tuple(range(10 * i, 10 * i + 8)))
             for var in range(8):
                 ternary[10 * i + var] = LeafNode(var, tuple(rng.dirichlet(np.ones(3))))
@@ -272,6 +298,71 @@ class TestEnumeration:
             for offset, value in enumerate(values):
                 assignment = decode_configuration(mixture_net, None, start + offset)
                 assert value == pytest.approx(evaluate(mixture_net, assignment).log)
+
+
+@st.composite
+def mixed_network(draw):
+    """A drawn valid network over variables of cardinality 2 to 5, and drawn evidence.
+
+    Sums mix two or three children over one scope, products split theirs,
+    and some leaf categories have probability 0.  The network may share
+    leaves (``shared_leaf_dag``) and have one more variable that no leaf
+    covers; the evidence fixes up to two variables, any of them.
+    """
+    cards = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    nodes = {}
+
+    def distribution(card: int, least: int) -> tuple[float, ...]:
+        weights = draw(st.lists(st.integers(least, 4), min_size=card, max_size=card).filter(any))
+        return tuple(w / sum(weights) for w in weights)
+
+    def build(scope: list[int], height: int) -> int:
+        nid = len(nodes)
+        nodes[nid] = None  # its children take the next ids
+        if len(scope) == 1 and (height <= 0 or draw(st.booleans())):
+            nodes[nid] = LeafNode(scope[0], distribution(cards[scope[0]], 0))
+        elif len(scope) > 1 and (height <= 0 or draw(st.booleans())):
+            order = draw(st.permutations(scope))
+            cuts = range(1, len(scope))
+            if height > 0:
+                cuts = sorted(draw(st.sets(st.sampled_from(cuts), min_size=1, max_size=2)))
+            parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(scope)])]
+            nodes[nid] = ProductNode(tuple(build(part, height - 1) for part in parts))
+        else:
+            kids = tuple(build(scope, height - 1) for _ in range(draw(st.integers(2, 3))))
+            nodes[nid] = SumNode(kids, distribution(len(kids), 1))
+        return nid
+
+    build(list(range(len(cards))), draw(st.integers(0, 3)))
+    net = Network(nodes, 0, [Variable(i, card) for i, card in enumerate(cards)])
+    if draw(st.booleans()):
+        net = shared_leaf_dag(net)
+    variables = list(net.variables)
+    if draw(st.booleans()):
+        variables.append(Variable(len(cards), draw(st.integers(2, 5))))
+        net = Network(dict(net.nodes), net.root, variables)
+    fixed = draw(st.lists(st.sampled_from(variables), max_size=2, unique=True))
+    return net, {v.index: draw(st.integers(0, v.cardinality - 1)) for v in fixed}
+
+
+class TestPeriodicBlocks:
+    """Blocks whose boundary falls at every variable, a last one wider than the block included."""
+
+    @pytest.mark.parametrize("block", [1, 4, 6, 27])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(mixed_network(), st.sampled_from([1, 5, 1 << 14]))
+    def test_values_and_first_maximum_are_the_oracles(self, block, drawn, chunk):
+        net, evidence = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("spnmap.inference._BLOCK_SIZE", block)
+            patch.setattr("spnmap.inference._CHUNK_SIZE", chunk)
+            values = np.concatenate([v for _, v in enumerate_log_values(net, evidence)])
+            found = exact_map(net, evidence).configuration
+        assignments = list(all_assignments(net, evidence))
+        columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
+        expected = batch_by_entry(net, net._entry[net.root], columns)
+        assert values.tobytes() == expected.tobytes()
+        assert found == assignments[int(np.argmax(expected))]
 
 
 class TestNormalization:

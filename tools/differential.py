@@ -25,9 +25,11 @@ The corpus:
 - ``gap_network(1..10)``
 - enumeration over several chunks and blocks: ``exact_map`` on the
   independent-set networks of ``random_graph(16, pct, derive_seed(0,
-  "enumeration", pct))`` for pct 10 and 40, with evidence ``{}`` and
-  ``{0: 1}``, and ``exact_map`` and ``log_partition`` on
-  ``random_spn(17, height, seed=0)`` for heights 5 and 6
+  "enumeration", pct))`` for pct 10 and 40, with evidence ``{}``, ``{0: 1}``
+  and ``{15: 1}`` (a variable of the last block), ``exact_map`` and
+  ``log_partition`` on ``random_spn(17, height, seed=0)`` for heights 5 and
+  6, and both on ``mixed_spn`` networks over 9 variables of cardinality 2,
+  3 and 4 (11664 assignments), without evidence and with ``{7: 2}``
 - the unsatisfiable 3-variable formula amplified 400 times and the
   satisfiable 4-variable one amplified 300 times, each serialized and parsed,
   and solved with evidence ``{}``, ``{0: 0}`` and ``{0: 1}``
@@ -150,6 +152,42 @@ def _small(net) -> bool:
     import spnmap
 
     return spnmap.count_free_configurations(net) <= _ENUMERATED
+
+
+def mixed_spn(cards: list[int], seed: int):
+    """A valid network over variables of cardinalities ``cards``, random in ``seed``.
+
+    Sums mix two or three children over one scope and products split theirs
+    in two or three, alternating from the root down; a product at the
+    bottom splits its scope into leaves.  A leaf category is 0 at random.
+    """
+    from spnmap import LeafNode, Network, ProductNode, SumNode, Variable
+
+    rng = random.Random(seed)
+    nodes: dict = {}
+
+    def build(scope: list[int], height: int) -> int:
+        nid = len(nodes)
+        nodes[nid] = None  # its children take the next ids
+        if len(scope) == 1:
+            odds = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(cards[scope[0]])]
+            odds[rng.randrange(len(odds))] += 0.5
+            nodes[nid] = LeafNode(scope[0], tuple(p / sum(odds) for p in odds))
+        elif height % 2 == 0:
+            rng.shuffle(scope)
+            cuts = sorted(rng.sample(range(1, len(scope)), min(2, len(scope) - 1)))
+            if height <= 0:
+                cuts = list(range(1, len(scope)))
+            parts = [scope[a:b] for a, b in zip([0, *cuts], [*cuts, len(scope)])]
+            nodes[nid] = ProductNode(tuple(build(part, height - 1) for part in parts))
+        else:
+            kids = tuple(build(list(scope), height - 1) for _ in range(rng.randint(2, 3)))
+            weights = [rng.random() + 0.05 for _ in kids]
+            nodes[nid] = SumNode(kids, tuple(w / sum(weights) for w in weights))
+        return nid
+
+    build(list(range(len(cards))), 5)
+    return Network(nodes, 0, [Variable(i, c) for i, c in enumerate(cards)])
 
 
 def _random_nodes(rng: random.Random) -> tuple[dict, int]:
@@ -291,12 +329,19 @@ def _corpus() -> None:
     for pct in (10.0, 40.0):
         graph = spnmap.random_graph(16, pct, spnmap.derive_seed(0, "enumeration", pct))
         net = spnmap.mis_to_spn(graph).network
-        for evidence in ({}, {0: 1}):
+        for evidence in ({}, {0: 1}, {15: 1}):
             _emit(f"mis16 {pct} {evidence}", "exact_map", spnmap.exact_map, net, evidence)
     for height in (5, 6):
         net = spnmap.random_spn(17, height, seed=0)
         _emit(f"random_spn 17 {height}", "exact_map", spnmap.exact_map, net, {})
         _emit(f"random_spn 17 {height}", "log_partition", spnmap.log_partition, net)
+    for seed in range(3):
+        net = mixed_spn([3, 2, 3, 3, 4, 3, 2, 3, 3], seed)
+        label = f"mixed_spn {seed}"
+        _structure(label, net)
+        _emit(label, "log_partition", spnmap.log_partition, net)
+        for evidence in ({}, {7: 2}):
+            _emit(f"{label} {evidence}", "exact_map", spnmap.exact_map, net, evidence)
 
     unsat = CnfFormula(
         3,

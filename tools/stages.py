@@ -38,8 +38,12 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - the first build of the pass plan (``Network._plan`` and ``_waves``) on the
   first 421-entry network, fresh and compiled, in a checkout that has one
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
-  network of ``random_graph(18, 10.0, derive_seed(1, "exact", 10.0))`` and
-  ``log_partition`` on ``random_spn(18, 6, seed=3)`` (323 nodes)
+  network of ``random_graph(18, 10.0, derive_seed(1, "exact", 10.0))``,
+  ``log_partition`` on ``random_spn(18, 6, seed=3)`` (323 nodes), and
+  ``exact_map`` with evidence ``{2: 1, 15: 0}`` on the structure of
+  ``perfbench``'s ``exact_enum`` random network, ``random_spn(20, 6,
+  seed=derive_seed(0, "structure", 20, 24))`` (343 nodes); and ``exact_map``
+  over 3**11 assignments on ``differential.mixed_spn([3] * 11, 0)``
 
 The script prints a Markdown table: per stage, each tree's median and
 quartiles in milliseconds, the change of the medians, and the rounds in
@@ -54,12 +58,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from differential import mixed_spn
 
 #: Copies of each formula, the MIS graph's size, the count of each kind of
 #: small network, the enumerated variables, the copies of the 17-digit network and
@@ -162,6 +169,12 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
     results["exact_map"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
     net = spnmap.random_spn(enumerated, 6, seed=3)
     results["log_partition"] = timed("enumeration log_partition", spnmap.log_partition, net).hex()
+    net = spnmap.random_spn(enumerated + 2, 6, seed=spnmap.derive_seed(0, "structure", 20, 24))
+    exact = timed("enumeration exact_map (evidence)", spnmap.exact_map, net, {2: 1, enumerated - 3: 0})
+    results["exact_map evidence"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
+    net = mixed_spn([3] * round(enumerated / math.log2(3)), 0)
+    exact = timed("enumeration exact_map (ternary)", spnmap.exact_map, net)
+    results["exact_map ternary"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
     return seconds, results
 
 
