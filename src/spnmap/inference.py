@@ -38,6 +38,14 @@ _CHUNK_SIZE = 1 << 14
 #: Larger blocks make fewer numpy calls per assignment.
 _BLOCK_SIZE = 1 << 12
 
+#: A group of sums more than this share of whose weighted terms are expected
+#: to be ``LOG_ZERO`` (``_zero_shares``) exponentiates only its live terms in
+#: the enumeration pass.  On its blocks (numpy 2.4.6, Xeon host) that saved
+#: 11% of the log-sum-exp at a share of 0.61 and 62% at 0.99 of an
+#: independent-set root's terms, and cost 9-33% at 0.12-0.42 on
+#: ``mixed_spn``'s sums.
+_SPARSE_SHARE = 0.5
+
 #: Enumeration refuses configuration spaces larger than this.
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -309,19 +317,21 @@ def _enumeration_plan(
     span = np.ones(len(t.ids), dtype=np.intp)  # each slot's period; no more slots than entries
     span[:size] = period[owner]
     fill = np.zeros_like(span)  # the widest read of each slot
-    groups = []
+    shares, groups = _zero_shares(network, evidence), []
     for level in network._plan.levels:
         lo, hi = size, size + len(level.entries)
         slot[level.entries] = np.arange(lo, hi)
         kids = slot[level.kids]
+        masked = False
         if level.weights is None:  # a product's running sum widens along its children
             reads = np.maximum.accumulate(span[kids].max(axis=0))
         else:
             reads = span[kids].max()
+            masked = bool(shares[level.entries].mean() > _SPARSE_SHARE)
         # Broadcast in full: numpy 2.4.6's ``at`` writes wrong values where it broadcasts.
         np.maximum.at(fill, kids, np.broadcast_to(reads, kids.shape))
         span[lo:hi] = reads.max()
-        groups.append((lo, hi, kids, level.weights, reads.tolist()))
+        groups.append((lo, hi, kids, level.weights, masked, reads.tolist()))
         size = hi
     root = int(slot[network._compiled.root])
     fill[root] = width
@@ -340,6 +350,35 @@ def _enumeration_plan(
             rows[:] = table[:, np.arange(rows.shape[1]) // (period[var] // card) % card]
     order = np.arange(width).reshape(block[::-1]).transpose().ravel()
     return vals, outer, groups, root, order
+
+
+def _zero_shares(network: Network, evidence: Mapping[int, int]) -> np.ndarray:
+    """Per sum entry, the share of its weighted terms expected to be ``LOG_ZERO``; 0 elsewhere.
+
+    Over the assignments consistent with the evidence, a leaf is ``LOG_ZERO``
+    at its zero categories, a product where a child is, and a sum where all
+    its terms are, with children taken as independent: exactly so for a
+    product's, whose scopes are disjoint.
+    """
+    t, log_table, plan = network._tables, network._compiled.log_table, network._plan
+    leaves, offset = plan.leaves, t.param_offset
+    zeros = np.concatenate(([0], (log_table == LOG_ZERO).cumsum()))
+    share = np.empty(len(t.ids))  # each entry's share of LOG_ZERO values
+    start, stop = offset[leaves], offset[leaves + 1]
+    share[leaves] = (zeros[stop] - zeros[start]) / (stop - start)
+    if evidence:  # a fixed leaf is LOG_ZERO at every assignment or at none
+        held = np.isin(t.variable[leaves], list(evidence))
+        share[leaves[held]] = _leaf_logs(network, evidence, 0.0)[held] == LOG_ZERO
+    terms = np.zeros(len(t.ids))
+    for level in plan.levels:
+        below = share[level.kids]
+        if level.weights is None:
+            share[level.entries] = 1.0 - (1.0 - below).prod(axis=1)
+        else:
+            below[level.weights == LOG_ZERO] = 1.0
+            share[level.entries] = below.prod(axis=1)
+            terms[level.entries] = below.mean(axis=1)
+    return terms
 
 
 def enumerate_log_values(
@@ -381,14 +420,16 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
     """Fill ``vals``, a row per slot and a column per assignment, one group of slots at a time.
 
     A group is ``(first slot, stop, kids' slots, a sum's log-weights or None,
-    reads, fill)``.  A sum reads its children through ``reads`` columns; a
-    product reads child ``j`` through ``reads[j]`` and widens its running
-    sum by broadcasting where that grows.  The group's rows are then
+    sparse, reads, fill)``.  A sum reads its children through ``reads``
+    columns; a product reads child ``j`` through ``reads[j]`` and widens its
+    running sum by broadcasting where that grows.  The group's rows are then
     repeated through ``fill`` columns.  ``None`` reads every row whole, as
     argmax-product's waves do.  Products add their children in order and
-    sums reduce as ``logsumexp_rows``, with its bits.
+    sums reduce with ``logsumexp_stacked``, with the bits of
+    ``logsumexp_rows``.  ``sparse``, chosen when the plan is built
+    (``_SPARSE_SHARE``), has it exponentiate only the live terms.
     """
-    for lo, hi, kids, weights, reads, fill in groups:
+    for lo, hi, kids, weights, sparse, reads, fill in groups:
         out = vals[lo:hi]
         if weights is None:
             read = reads[0]
@@ -404,7 +445,7 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
         else:
             read, acc = reads, vals[kids, :reads]
             acc += weights[:, :, None]
-            acc = logsumexp_stacked(acc)
+            acc = logsumexp_stacked(acc, sparse)
         out[:, :read] = acc
         while fill and read < fill:  # repeat the period, doubling the copy
             step = min(read, fill - read)

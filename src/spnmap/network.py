@@ -219,7 +219,7 @@ class _Wave(NamedTuple):
     slot_first: np.ndarray  # per sum and one more: its first slot
     digit: np.ndarray  # per slot
     coded: np.ndarray  # per sum
-    groups: list[tuple[int, int, np.ndarray, np.ndarray | None]]
+    groups: list[tuple]
 
 
 class _NodeView(Mapping):
@@ -659,7 +659,8 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
         weights, reads = None, (None,) * len(columns)  # every row read whole
         if offset[ents[0] + 1] > offset[ents[0]]:  # a sum
             weights, reads = log_table[offset[ents][:, None] + columns], None
-        groups.append((lo, hi, below, weights, reads, None))
+        # Unmasked: a wave's rows are its distinct candidates, too few for masking to pay.
+        groups.append((lo, hi, below, weights, False, reads, None))
     slots = slot, slot_sum, slot_var, slot_first, digit, coded
     return _Wave(sums, entry, kid, kid_start, *slots, groups)
 

@@ -30,7 +30,7 @@ from spnmap import (
     random_spn,
 )
 from spnmap.experiments import gap_network
-from spnmap.inference import _enumeration_plan, free_variables
+from spnmap.inference import _enumeration_plan, _zero_shares, free_variables
 from conftest import shared_leaf_dag
 from oracles import all_assignments, batch_by_entry, below, brute_marginal, brute_value
 
@@ -39,6 +39,26 @@ def one_variable_mixture() -> Network:
     """A sum over two leaves of variable 0."""
     nodes = {0: SumNode((1, 2), (0.5, 0.5)), 1: LeafNode(0, (0.2, 0.8)), 2: LeafNode(0, (0.6, 0.4))}
     return Network(nodes, 0, [Variable(0, 2)])
+
+
+def wide_sum(variables: int) -> Network:
+    """A sum of 130 children over ``variables`` ternary variables.
+
+    With one variable the children are its leaves; with more, each child is
+    a product of one leaf per variable.  Four leaves in five are 0 at two
+    categories of three, and the others at one.
+    """
+    children, nodes = [], {}
+    for i in range(130):
+        first = 1 + len(nodes)
+        for var in range(variables):
+            nodes[first + var] = LeafNode(var, (0.0, 0.0, 1.0) if (i + var) % 5 else (0.25, 0.0, 0.75))
+        if variables > 1:
+            nodes[first + variables] = ProductNode(tuple(range(first, first + variables)))
+        children.append(len(nodes))
+    weights = [i % 7 + 1 for i in range(130)]
+    nodes[0] = SumNode(tuple(children), tuple(w / sum(weights) for w in weights))
+    return Network.from_nodes(nodes, 0)
 
 
 def small_networks(count: int, max_vars: int = 6):
@@ -235,7 +255,7 @@ class TestEnumeration:
         # changing fastest; each product's leaves come in variable order.
         net = mis_to_spn(random_graph(14, 30.0, 5)).network
         _, _, groups, _, _ = _enumeration_plan(net, {})
-        (products,) = (reads for _, _, _, weights, reads, _ in groups if weights is None)
+        (products,) = (reads for _, _, _, weights, _, reads, _ in groups if weights is None)
         assert products == [1, 1, *(2**k for k in range(1, 13))]
 
     def test_chunks_enumerate_every_assignment_in_order(self, monkeypatch):
@@ -361,6 +381,105 @@ class TestPeriodicBlocks:
         assignments = list(all_assignments(net, evidence))
         columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
         expected = batch_by_entry(net, net._entry[net.root], columns)
+        assert values.tobytes() == expected.tobytes()
+        assert found == assignments[int(np.argmax(expected))]
+
+
+@st.composite
+def wide_network(draw):
+    """A drawn valid network whose sums have 8 to 20 children, and drawn evidence.
+
+    The root is a sum.  A sum's children split its scope into leaves, or
+    are sums of their own, one level down at most; leaf categories are 0
+    about one time in three, so that most of a sum's terms can be
+    ``LOG_ZERO``.  The evidence fixes up to two variables.
+    """
+    cards = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    nodes = {}
+
+    def distribution(card: int) -> tuple[float, ...]:
+        weights = draw(st.lists(st.integers(0, 2), min_size=card, max_size=card).filter(any))
+        return tuple(w / sum(weights) for w in weights)
+
+    def build(scope: list[int], nested: bool) -> int:
+        nid = len(nodes)
+        nodes[nid] = None  # its children take the next ids
+        if nested and draw(st.booleans()):
+            kids = tuple(build(scope, False) for _ in range(draw(st.integers(8, 20))))
+            nodes[nid] = SumNode(kids, distribution(len(kids)))
+        elif len(scope) == 1:
+            nodes[nid] = LeafNode(scope[0], distribution(cards[scope[0]]))
+        else:
+            nodes[nid] = ProductNode(tuple(build([var], nested) for var in draw(st.permutations(scope))))
+        return nid
+
+    nodes[0] = None
+    kids = tuple(build(list(range(len(cards))), draw(st.booleans())) for _ in range(draw(st.integers(8, 20))))
+    nodes[0] = SumNode(kids, distribution(len(kids)))
+    variables = [Variable(i, card) for i, card in enumerate(cards)]
+    fixed = draw(st.lists(st.sampled_from(variables), max_size=2, unique=True))
+    return Network(nodes, 0, variables), {v.index: draw(st.integers(0, v.cardinality - 1)) for v in fixed}
+
+
+def oracle_values(net: Network, evidence: dict) -> tuple[list[dict], np.ndarray]:
+    """Every assignment consistent with the evidence, in order, and the root's log value at each."""
+    assignments = list(all_assignments(net, evidence))
+    columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
+    return assignments, batch_by_entry(net, net._entry[net.root], columns)
+
+
+def forced(patch: pytest.MonkeyPatch, sparse: bool, narrow: int) -> None:
+    """Have every group of sums mask its exponentials, or none, and add in place from ``narrow`` columns."""
+    patch.setattr("spnmap.inference._SPARSE_SHARE", -1.0 if sparse else 1.0)
+    patch.setattr("spnmap.logspace._NARROW", narrow)
+
+
+class TestWideSums:
+    """Sums of 8 children or more, most of whose terms can be ``LOG_ZERO``.
+
+    Each case runs with every group of sums exponentiating only its live
+    terms and with none, and with ``narrow`` 1, where every group adds its
+    terms in place, and 256, where these narrow blocks take numpy's sum of a
+    transposed copy.
+    """
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("narrow", [1, 256])
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(wide_network())
+    def test_values_and_first_maximum_are_the_oracles(self, sparse, narrow, drawn):
+        net, evidence = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            forced(patch, sparse, narrow)
+            values = np.concatenate([v for _, v in enumerate_log_values(net, evidence)])
+            found = exact_map(net, evidence).configuration
+        assignments, expected = oracle_values(net, evidence)
+        assert values.tobytes() == expected.tobytes()
+        assert found == assignments[int(np.argmax(expected))]
+
+    @pytest.mark.parametrize("evidence", [{}, {0: 1}, {3: 0, 5: 1}])
+    def test_an_independent_set_roots_share_of_zero_terms_is_counted_exactly(self, evidence):
+        # Its terms are products of leaves, whose disjoint scopes make the
+        # plan's count exact.
+        net = mis_to_spn(random_graph(8, 30.0, 2)).network
+        assignments = list(all_assignments(net, evidence))
+        columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
+        root = net._entry[net.root]
+        terms = [batch_by_entry(net, int(kid), columns) for kid in net._plan.levels[-1].kids[0]]
+        assert _zero_shares(net, evidence)[root] == pytest.approx(np.mean(np.stack(terms) == LOG_ZERO))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("narrow", [1, 256])
+    @pytest.mark.parametrize("variables", [1, 6])
+    def test_a_sum_of_130_children(self, sparse, narrow, variables):
+        # 130 terms split in two halves of 64 and 66 before the pairwise adds.
+        net = wide_sum(variables)
+        assert _enumeration_plan(net, {})[2][-1][4]  # the root's terms are mostly LOG_ZERO
+        with pytest.MonkeyPatch.context() as patch:
+            forced(patch, sparse, narrow)
+            values = np.concatenate([v for _, v in enumerate_log_values(net)])
+            found = exact_map(net).configuration
+        assignments, expected = oracle_values(net, {})
         assert values.tobytes() == expected.tobytes()
         assert found == assignments[int(np.argmax(expected))]
 

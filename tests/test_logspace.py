@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spnmap import LOG_ZERO, Probability
-from spnmap.logspace import logsumexp, logsumexp_rows
+from spnmap.logspace import logsumexp, logsumexp_rows, logsumexp_stacked
 
 
 def test_log_zero_is_minus_infinity():
@@ -64,6 +64,27 @@ def test_logsumexp_rows_all_zero_column_is_quiet():
     with np.errstate(all="raise"):
         out = logsumexp_rows(rows)
     assert all(v == LOG_ZERO for v in out)
+
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("fan", [*range(1, 41), 127, 128, 129, 300])
+def test_logsumexp_stacked_is_logsumexp_rows_of_each_slice(fan, sparse):
+    # Terms of one magnitude, whose sums round differently in another order;
+    # one in ten more than 745 below its column's peak, where exp underflows;
+    # columns partly LOG_ZERO and every seventh wholly.  Fewer than 256
+    # columns take numpy's own sum of a transposed copy from 8 terms on, and
+    # more take the adds in place.
+    rng = np.random.default_rng(fan)
+    for columns in (5, 300):
+        terms = rng.normal(0.0, 1.0, size=(3, fan, columns))
+        terms[rng.random(terms.shape) < 0.1] -= 800.0
+        terms[rng.random(terms.shape) < 0.4] = LOG_ZERO
+        terms[:, :, ::7] = LOG_ZERO
+        expected = np.stack([logsumexp_rows(rows) for rows in terms])
+        with np.errstate(all="raise"):
+            out = logsumexp_stacked(terms.copy(), sparse)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_probability_round_trip():

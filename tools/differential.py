@@ -30,6 +30,12 @@ The corpus:
   ``log_partition`` on ``random_spn(17, height, seed=0)`` for heights 5 and
   6, and both on ``mixed_spn`` networks over 9 variables of cardinality 2,
   3 and 4 (11664 assignments), without evidence and with ``{7: 2}``
+- wide sums: ``exact_map`` and ``log_partition`` on ``wide_sum(1)`` and
+  ``wide_sum(6)``, sums of 130 leaves of one ternary variable and of 130
+  products over six (729 assignments), most leaves 0 at two categories of
+  three; and both approximate solvers on the independent-set network of
+  ``random_graph(130, 10.0, derive_seed(0, "wide", 10.0))`` (17031
+  entries), whose root wave sums 130 children
 - the unsatisfiable 3-variable formula amplified 400 times and the
   satisfiable 4-variable one amplified 300 times, each serialized and parsed,
   and solved with evidence ``{}``, ``{0: 0}`` and ``{0: 1}``
@@ -190,6 +196,28 @@ def mixed_spn(cards: list[int], seed: int):
     return Network(nodes, 0, [Variable(i, c) for i, c in enumerate(cards)])
 
 
+def wide_sum(variables: int):
+    """A sum of 130 children over ``variables`` ternary variables.
+
+    With one variable the children are its leaves; with more, each child is
+    a product of one leaf per variable.  Four leaves in five are 0 at two
+    categories of three, and the others at one.
+    """
+    from spnmap import LeafNode, Network, ProductNode, SumNode
+
+    children, nodes = [], {}
+    for i in range(130):
+        first = 1 + len(nodes)
+        for var in range(variables):
+            nodes[first + var] = LeafNode(var, (0.0, 0.0, 1.0) if (i + var) % 5 else (0.25, 0.0, 0.75))
+        if variables > 1:
+            nodes[first + variables] = ProductNode(tuple(range(first, first + variables)))
+        children.append(len(nodes))
+    weights = [i % 7 + 1 for i in range(130)]
+    nodes[0] = SumNode(tuple(children), tuple(w / sum(weights) for w in weights))
+    return Network.from_nodes(nodes, 0)
+
+
 def _random_nodes(rng: random.Random) -> tuple[dict, int]:
     """Up to 8 nodes with random children, parameters and ids in random order."""
     from spnmap import LeafNode, ProductNode, SumNode
@@ -342,6 +370,14 @@ def _corpus() -> None:
         _emit(label, "log_partition", spnmap.log_partition, net)
         for evidence in ({}, {7: 2}):
             _emit(f"{label} {evidence}", "exact_map", spnmap.exact_map, net, evidence)
+    for variables in (1, 6):
+        net = wide_sum(variables)
+        _emit(f"wide sum {variables}", "exact_map", spnmap.exact_map, net, {})
+        _emit(f"wide sum {variables}", "log_partition", spnmap.log_partition, net)
+    graph = spnmap.random_graph(130, 10.0, spnmap.derive_seed(0, "wide", 10.0))
+    net = spnmap.mis_to_spn(graph).network
+    _emit("mis130", "max_product", spnmap.max_product, net, {})
+    _emit("mis130", "argmax_product", spnmap.argmax_product, net, {})
 
     unsat = CnfFormula(
         3,

@@ -38,7 +38,8 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - the first build of the pass plan (``Network._plan`` and ``_waves``) on the
   first 421-entry network, fresh and compiled, in a checkout that has one
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
-  network of ``random_graph(18, 10.0, derive_seed(1, "exact", 10.0))``,
+  networks of ``random_graph(18, pct, derive_seed(1, "exact", pct))`` for
+  pct 10 and 40, ``perfbench``'s two ``exact_enum`` headline operations,
   ``log_partition`` on ``random_spn(18, 6, seed=3)`` (323 nodes), and
   ``exact_map`` with evidence ``{2: 1, 15: 0}`` on the structure of
   ``perfbench``'s ``exact_enum`` random network, ``random_spn(20, 6,
@@ -167,6 +168,10 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
     net = spnmap.mis_to_spn(graph).network
     exact = timed("enumeration exact_map (MIS)", spnmap.exact_map, net)
     results["exact_map"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
+    graph = spnmap.random_graph(enumerated, 40.0, spnmap.derive_seed(1, "exact", 40.0))
+    net = spnmap.mis_to_spn(graph).network
+    exact = timed("enumeration exact_map (MIS 40%)", spnmap.exact_map, net)
+    results["exact_map 40%"] = f"{sorted(exact.configuration.items())} {exact.value.log.hex()}"
     net = spnmap.random_spn(enumerated, 6, seed=3)
     results["log_partition"] = timed("enumeration log_partition", spnmap.log_partition, net).hex()
     net = spnmap.random_spn(enumerated + 2, 6, seed=spnmap.derive_seed(0, "structure", 20, 24))
