@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_rows, logsumexp_stacked
+from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_stacked
 from .network import Network, Variable, _below, _Level, _spans
 
 #: Rows per chunk that ``enumerate_log_values`` yields.  ``log_partition``
@@ -207,7 +207,9 @@ def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
         if variable[e] >= 0
     }
     internal = sorted((e for e in sub_dag if variable[e] < 0), key=rank.__getitem__)
-    return _upward(network, vals, lambda terms: logsumexp_rows(np.stack(terms)), internal)[entry]
+    return _upward(
+        network, vals, lambda terms: logsumexp_stacked(np.stack(terms)[None])[0], internal
+    )[entry]
 
 
 def batch_log_values(
@@ -390,8 +392,8 @@ def enumerate_log_values(
     rows but the last.  The values come from one levelled pass per block
     over the matrix of ``_enumeration_plan``, which computes each value once
     per period of the block's variables it depends on.  Products add their
-    children in order and sums reduce as ``logsumexp_rows``, so each value
-    has the bits of a pass one entry at a time.  Refuses more than
+    children in order and sums reduce with ``logsumexp_stacked``, so each
+    value has the bits of a pass one entry at a time.  Refuses more than
     ``DEFAULT_ENUMERATION_CAP`` assignments.
     """
     evidence = dict(evidence or {})
@@ -425,9 +427,9 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
     running sum by broadcasting where that grows.  The group's rows are then
     repeated through ``fill`` columns.  ``None`` reads every row whole, as
     argmax-product's waves do.  Products add their children in order and
-    sums reduce with ``logsumexp_stacked``, with the bits of
-    ``logsumexp_rows``.  ``sparse``, chosen when the plan is built
-    (``_SPARSE_SHARE``), has it exponentiate only the live terms.
+    sums reduce with ``logsumexp_stacked``.  ``sparse``, chosen when the
+    plan is built (``_SPARSE_SHARE``), has it exponentiate only the live
+    terms.
     """
     for lo, hi, kids, weights, sparse, reads, fill in groups:
         out = vals[lo:hi]
@@ -459,6 +461,6 @@ def log_partition(network: Network) -> float:
     Refuses more assignments than ``DEFAULT_ENUMERATION_CAP``.
     """
     return logsumexp(
-        float(logsumexp_rows(values[:, None])[0])
+        float(logsumexp_stacked(values[None, :, None])[0, 0])
         for _, values in enumerate_log_values(network)
     )

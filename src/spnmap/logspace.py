@@ -32,17 +32,6 @@ def logsumexp(values: Iterable[float]) -> float:
     return m + math.log(functools.reduce(operator.add, (math.exp(v - m) for v in vals)))
 
 
-def logsumexp_rows(rows: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp of a ``(t, k)`` array, ``-inf`` safe."""
-    m = rows.max(axis=0)
-    out = np.full(rows.shape[1], LOG_ZERO)
-    finite = m > LOG_ZERO
-    if np.any(finite):
-        shifted = rows[:, finite] - m[finite]
-        out[finite] = m[finite] + np.log(np.exp(shifted).sum(axis=0))
-    return out
-
-
 #: From 8 terms on, ``logsumexp_stacked`` adds terms of fewer columns than
 #: this as numpy's sum of a transposed copy, in two calls, and wider ones in
 #: place, in a call or more per eight terms.  The copy costs more from about
@@ -52,15 +41,16 @@ _NARROW = 256
 
 @np.errstate(under="ignore")  # exp underflows where a term lies 708 or more below its peak
 def logsumexp_stacked(terms: np.ndarray, sparse: bool = False) -> np.ndarray:
-    """``logsumexp_rows`` of each ``terms[i]``, bit for bit, as one ``(m, k)`` array.
+    """Column-wise log-sum-exp of each ``terms[i]``, as one ``(m, k)`` array; ``-inf`` safe.
 
-    ``terms`` is ``(m, t, k)`` and is overwritten.  ``logsumexp_rows`` adds
-    each column's exponentials as one contiguous run, which numpy sums in
-    order below 8 terms and pairwise from 8; this adds them the same way,
-    in place along axis 1 (``_pairwise_sum``).  ``sparse`` exponentiates only
-    the terms above ``LOG_ZERO`` and sets the rest to 0, the same bits:
-    faster where most terms are ``LOG_ZERO``, whose exponential numpy takes
-    slowly, and slower where few are.
+    ``terms`` is ``(m, t, k)`` and is overwritten.  Each column's
+    exponentials are added as numpy sums one contiguous run of them, in
+    order below 8 terms and pairwise from 8, through a transposed copy or in
+    place along axis 1 (``_pairwise_sum``): every column has the bits of the
+    test oracles' column-wise reference, whatever ``m`` and ``k``.
+    ``sparse`` exponentiates only the terms above ``LOG_ZERO`` and sets the
+    rest to 0, the same bits: faster where most terms are ``LOG_ZERO``,
+    whose exponential numpy takes slowly, and slower where few are.
     """
     peak = terms.max(axis=1)
     finite = peak > LOG_ZERO

@@ -5,9 +5,11 @@ linear-domain floats with plain recursion and exhaustive enumeration,
 deliberately sharing no propagation code with the package under test.
 Those are the sum and max passes one entry at a time over the tables
 (``_pass_by_entry``), a batch pass one entry at a time (``batch_by_entry``),
-and argmax-product's per-sum loop, built from the package's scalar walk and
-that batch pass; they read the tables and the log table, and share no pass
-with the package.
+and argmax-product's per-sum loop, built from this module's tree walk
+(``_tree_walk``) and that batch pass; they read the tables and the log table.
+Their log-sum-exps (``_logsumexp_in_order``, ``logsumexp_rows``), tree
+walk, decode and assignment check are this module's own: from the package
+it imports only data types and table constants.
 The levelled passes, the wave pass of large networks and enumeration must
 match them bit for bit.  ``validate_by_walk`` checks each node over the
 depth-first walk's child tuples and scope sets; the array ``validate`` must
@@ -35,10 +37,75 @@ from spnmap import (
     SumNode,
     Violation,
 )
-from spnmap.inference import check_assignment, decode_configuration
-from spnmap.logspace import logsumexp, logsumexp_rows
 from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
-from spnmap.solvers import _walk
+
+
+def _logsumexp_in_order(values: list[float]) -> float:
+    """log(sum(exp(v))) by ``math``, the exponentials added in order; ``-inf`` if all are."""
+    peak = max(values)
+    if peak == -math.inf:
+        return peak
+    total = 0.0
+    for v in values:
+        total += math.exp(v - peak)
+    return peak + math.log(total)
+
+
+def logsumexp_rows(rows: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each column of a ``(t, k)`` array by numpy; ``-inf`` columns stay so."""
+    peak = rows.max(axis=0)
+    out = np.full(rows.shape[1], -math.inf)
+    finite = peak > -math.inf
+    out[finite] = peak[finite] + np.log(np.exp(rows[:, finite] - peak[finite]).sum(axis=0))
+    return out
+
+
+def _best(network: Network, e: int) -> int:
+    """Table entry ``e``'s most probable category, the lowest on ties; ``e`` is a leaf."""
+    t = network._tables
+    probs = t.params[t.param_offset[e] : t.param_offset[e + 1]].tolist()
+    return probs.index(max(probs))
+
+
+def _tree_walk(
+    network: Network, evidence: Mapping[int, int], start: int, choice: Mapping[int, int]
+) -> dict[int, int]:
+    """The configuration of the tree that ``choice`` induces below table entry ``start``.
+
+    Depth first, each node once, a product's children from the last to the
+    first and a sum in ``choice`` to its child of that index; the first leaf
+    of each variable that the walk meets fixes it, to the evidence or to its
+    most probable category.
+    """
+    t = network._tables
+    config: dict[int, int] = {}
+    seen: set[int] = set()
+
+    def visit(e: int) -> None:
+        if e in seen:
+            return
+        seen.add(e)
+        if (var := int(t.variable[e])) >= 0:
+            if var not in config:
+                config[var] = evidence[var] if var in evidence else _best(network, e)
+            return
+        kids = t.child_index[t.child_offset[e] : t.child_offset[e + 1]].tolist()
+        for kid in [kids[choice[e]]] if e in choice else reversed(kids):
+            visit(kid)
+
+    visit(start)
+    return config
+
+
+def _check_total(network: Network, assignment: Mapping[int, int]) -> None:
+    """Raise the package's ``ValueError`` if ``assignment`` misses a variable, naming the lowest.
+
+    A walk's categories are the evidence's or a leaf's, so only a variable
+    that no leaf on the tree holds can be wrong.
+    """
+    missing = [v.index for v in network.variables if v.index not in assignment]
+    if missing:
+        raise ValueError(f"assignment is missing variable {missing[0]}")
 
 
 def brute_value(
@@ -201,12 +268,12 @@ def _pass_by_entry(network: Network, leaf_value, reduce) -> tuple[dict[int, floa
 def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
     """The root's log value with unobserved leaves at 1, one entry at a time.
 
-    Each sum takes the scalar ``logsumexp`` of its weighted child terms.
+    Each sum takes ``_logsumexp_in_order`` of its weighted child terms.
     """
     vals, _ = _pass_by_entry(
         network,
         lambda e, var, logs: 0.0 if (cat := evidence.get(var)) is None else logs[cat],
-        logsumexp,
+        _logsumexp_in_order,
     )
     return vals[network._compiled.root]
 
@@ -223,10 +290,7 @@ def max_pass_by_entry(
     t, log_table = network._tables, network._compiled.log_table
 
     def leaf_value(e: int, var: int, logs: list[float]) -> float:
-        if var in evidence:
-            return logs[evidence[var]]
-        probs = t.params[t.param_offset[e] : t.param_offset[e + 1]].tolist()
-        return logs[probs.index(max(probs))]
+        return logs[evidence[var] if var in evidence else _best(network, e)]
 
     vals, children = _pass_by_entry(network, leaf_value, max)
     choice = {}
@@ -250,10 +314,10 @@ def max_product_by_entry(
     upward, choice = max_pass_by_entry(network, evidence)
     bound = Probability(upward)
     if bound.is_zero:
-        config = decode_configuration(network, evidence, 0)
+        config = next(all_assignments(network, evidence))  # the lexicographically first
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(network, evidence, compiled.root, choice)}
-    check_assignment(network, config)
+    config = {**evidence, **_tree_walk(network, evidence, compiled.root, choice)}
+    _check_total(network, config)
     value = Probability(sum_pass_by_entry(network, config))
     return MapResult(config, value, Solver.MAX_PRODUCT, bound)
 
@@ -291,7 +355,7 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     """Each sum's log value at each child's candidate, one re-evaluation per sum.
 
     Children first, each sum with two or more children walks each child's
-    chosen tree (``_walk``), evaluates its own sub-DAG at those candidates
+    chosen tree (``_tree_walk``), evaluates its own sub-DAG at those candidates
     (``batch_by_entry``, with category 0 for a scope variable a candidate
     misses) and chooses the first best child.
     """
@@ -305,7 +369,7 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     for e in order:
         if t.param_offset[e + 1] - t.param_offset[e] < 2:  # products and one-child sums
             continue
-        candidates = [_walk(network, evidence, kid, choice) for kid in children[e]]
+        candidates = [_tree_walk(network, evidence, kid, choice) for kid in children[e]]
         scope = list(scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         scores[e] = batch_by_entry(network, e, dict(zip(scope, rows)))
@@ -325,8 +389,8 @@ def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -
     evidence = dict(evidence or {})
     compiled = network._compiled
     choice = {e: int(np.argmax(v)) for e, v in scores_by_sum(network, evidence).items()}
-    config = _walk(network, evidence, compiled.root, choice)
-    check_assignment(network, config)
+    config = _tree_walk(network, evidence, compiled.root, choice)
+    _check_total(network, config)
     value = Probability(sum_pass_by_entry(network, config))
     if base.value.log > value.log:
         config, value = base.configuration, base.value

@@ -339,9 +339,9 @@ class TestWaveRescoring:
         self.agree((net, {1: 0}) for net in dags)
 
     def test_nine_terms_are_summed_pairwise(self):
-        # ``logsumexp_rows`` sums the terms of each row as one contiguous run,
-        # which numpy adds pairwise: for sum 1's nine weights that rounds
-        # differently from adding them in order.
+        # The oracles' ``logsumexp_rows`` sums each score's terms as one
+        # contiguous run, which numpy adds pairwise: for sum 1's nine weights
+        # that rounds differently from adding them in order.
         rng = random.Random(5)
         raw = [rng.random() for _ in range(9)]
         nodes = {
