@@ -2,20 +2,24 @@
 
 A bottom-up pass over one assignment is one loop, ``_upward``, over the
 compiled network; networks of ``_LEVELLED_MIN`` entries or more take it a
-level at a time in numpy instead (``_levelled_upward``), with the same bits,
-over the leaves and levels of the network's pass plan (``Network._plan``).
+level at a time in numpy instead (``_levelled_upward``), over the leaves and
+levels of the network's pass plan (``Network._plan``).
 Leaves whose variable is fixed contribute the probability of the fixed
 category; leaves outside the evidence scope contribute 1, which turns the
 same pass into marginal inference.
 
 Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
 of total assignments a level at a time on networks of every size, one
-column per assignment, with the bits of a pass one entry at a time.  A
-block runs through the whole period of the last free variables, and each
-value is computed once per period of the block's variables it depends on
-(``_enumeration_plan``).  The per-entry
-batch form, ``_batch_upward``, is left to argmax-product's per-sum loop on
-small networks and to ``batch_log_values``.
+column per assignment.  A block runs through the whole period of the last
+free variables, and each value is computed once per period of the block's
+variables it depends on (``_enumeration_plan``).  The per-entry batch form,
+``_batch_upward``, is left to argmax-product's per-sum loop on small
+networks and to ``batch_log_values``.
+
+The loop's sums reduce with the scalar ``logsumexp``, which adds their
+exponentials in order.  Every numpy pass reduces with ``logsumexp_stacked``,
+so a value has the same bits whichever numpy pass computes it; the loop's
+can differ from them in the last bits.
 """
 
 from __future__ import annotations
@@ -121,8 +125,6 @@ def _levelled_upward(
     ``vals`` holds each leaf's log value by entry.  A product adds its
     children's values in order; a sum passes its ``(entries, fan-out)``
     matrix of weighted child terms to ``reduce``, which reduces each row.
-    With ``_logsumexp_each_row`` or a row ``max``, every value has the bits
-    of the loop's ``logsumexp`` or ``max``.
     """
     for level in levels:
         below = vals[level.kids]
@@ -131,22 +133,6 @@ def _levelled_upward(
         else:
             vals[level.entries] = reduce(level.weights + below)
     return vals
-
-
-def _logsumexp_each_row(terms: np.ndarray) -> np.ndarray:
-    """``logsumexp`` of each row, bit for bit.
-
-    The exponentials and logs come from ``math``: numpy's vectorized ``exp``
-    can differ from it in the last bit.  Each row's exponentials are added
-    in order, as ``logsumexp`` adds them.
-    """
-    peak = terms.max(axis=1)
-    with np.errstate(invalid="ignore"):  # a row of LOG_ZERO shifts to NaN
-        shifted = terms - peak[:, None]
-    exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=float, count=terms.size)
-    totals = np.add.accumulate(exps.reshape(terms.shape), axis=1)[:, -1]
-    logs = np.fromiter(map(math.log, totals.tolist()), dtype=float, count=len(totals))
-    return np.where(peak > LOG_ZERO, peak + logs, LOG_ZERO)
 
 
 def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
@@ -167,7 +153,10 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
         plan = network._plan
         vals = np.empty(len(network._tables.ids))
         vals[plan.leaves] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
-        return float(_levelled_upward(plan.levels, vals, _logsumexp_each_row)[compiled.root])
+        vals = _levelled_upward(
+            plan.levels, vals, lambda terms: logsumexp_stacked(terms[:, :, None])[:, 0]
+        )
+        return float(vals[compiled.root])
     _, _, variable, offset, _, _, log_list = network._lists
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
@@ -392,8 +381,8 @@ def enumerate_log_values(
     rows but the last.  The values come from one levelled pass per block
     over the matrix of ``_enumeration_plan``, which computes each value once
     per period of the block's variables it depends on.  Products add their
-    children in order and sums reduce with ``logsumexp_stacked``, so each
-    value has the bits of a pass one entry at a time.  Refuses more than
+    children in order and sums reduce with ``logsumexp_stacked``, as every
+    numpy pass does.  Refuses more than
     ``DEFAULT_ENUMERATION_CAP`` assignments.
     """
     evidence = dict(evidence or {})

@@ -131,9 +131,9 @@ def max_product(
     weight.  It is a lower bound on the value of the selected configuration;
     times the product of sum out-degrees it bounds the optimum from above.
     Runs in time linear in the network size.  Networks of ``_LEVELLED_MIN``
-    entries or more take the upward pass, and the evaluation at the selected
-    configuration, a level at a time in numpy, with the bits and choices of
-    the per-entry loop that smaller networks run.
+    entries or more take the upward pass, with the values and choices of the
+    per-entry loop that smaller networks run, and the evaluation at the
+    selected configuration a level at a time in numpy.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)

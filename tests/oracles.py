@@ -7,13 +7,17 @@ Those are the sum and max passes one entry at a time over the tables
 (``_pass_by_entry``), a batch pass one entry at a time (``batch_by_entry``),
 and argmax-product's per-sum loop, built from this module's tree walk
 (``_tree_walk``) and that batch pass; they read the tables and the log table.
-Their log-sum-exps (``_logsumexp_in_order``, ``logsumexp_rows``), tree
+Their log-sum-exps (``logsumexp_in_order``, ``logsumexp_rows``), tree
 walk, decode and assignment check are this module's own: from the package
 it imports only data types and table constants.
-The levelled passes, the wave pass of large networks and enumeration must
-match them bit for bit.  ``validate_by_walk`` checks each node over the
-depth-first walk's child tuples and scope sets; the array ``validate`` must
-report what it reports.
+The library's passes must match them bit for bit, each under the contract
+of its reduction.  The per-entry loops of small networks add a sum's
+exponentials in order, as ``logsumexp_in_order`` does.  Every numpy pass
+(the levelled passes of large networks, their wave pass, the batch pass and
+enumeration) adds them as ``logsumexp_rows`` adds a column; for the
+single-assignment oracles that is ``logsumexp_column``.  ``validate_by_walk``
+checks each node over its own depth-first walk's child lists and scope
+sets; the array ``validate`` must report what it reports.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from spnmap import (
 from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
 
 
-def _logsumexp_in_order(values: list[float]) -> float:
+def logsumexp_in_order(values: list[float]) -> float:
     """log(sum(exp(v))) by ``math``, the exponentials added in order; ``-inf`` if all are."""
     peak = max(values)
     if peak == -math.inf:
@@ -58,6 +62,11 @@ def logsumexp_rows(rows: np.ndarray) -> np.ndarray:
     finite = peak > -math.inf
     out[finite] = peak[finite] + np.log(np.exp(rows[:, finite] - peak[finite]).sum(axis=0))
     return out
+
+
+def logsumexp_column(values: list[float]) -> float:
+    """``logsumexp_rows`` of one column: a sum of the levelled passes, one assignment."""
+    return float(logsumexp_rows(np.array(values)[:, None])[0])
 
 
 def _best(network: Network, e: int) -> int:
@@ -211,11 +220,13 @@ def argmax_candidate(
     return candidate(network.root)
 
 
-def _children_first(network: Network) -> tuple[list[list[int]], list[int]]:
-    """Each entry's child entries, and every sum and product entry, children first.
+def _children_first(network: Network) -> tuple[list[list[int]], list[int], int | None]:
+    """Each entry's child entries, every sum and product entry children first, and a cycle.
 
-    Plain recursion over the tables, from each entry in turn; the network
-    must be acyclic.
+    Plain recursion over the tables from each entry in increasing id order,
+    each entry's children in order.  The third value is the id of the first
+    node that the walk finds on a cycle, the first child it meets on its own
+    path, or None; only without one is the order children first.
     """
     t = network._tables
     children = [
@@ -224,18 +235,35 @@ def _children_first(network: Network) -> tuple[list[list[int]], list[int]]:
     ]
     order: list[int] = []
     seen: set[int] = set()
+    path: set[int] = set()
+    cycle = None
 
     def visit(e: int) -> None:
-        if e not in seen:
+        nonlocal cycle
+        if e in path:
+            if cycle is None:
+                cycle = t.ids[e]
+        elif e not in seen:
             seen.add(e)
+            path.add(e)
             for kid in children[e]:
                 visit(kid)
+            path.remove(e)
             if children[e]:
                 order.append(e)
 
-    for e in range(len(children)):
+    for e in sorted(range(len(children)), key=t.ids.__getitem__):
         visit(e)
-    return children, order
+    return children, order, cycle
+
+
+def _scopes(network: Network, children: list[list[int]], order: list[int]) -> list[frozenset[int]]:
+    """Each entry's scope, built children first along ``order``; the network must be acyclic."""
+    variable = network._tables.variable.tolist()
+    scopes = [frozenset([var]) if var >= 0 else frozenset() for var in variable]
+    for e in order:
+        scopes[e] = frozenset().union(*(scopes[kid] for kid in children[e]))
+    return scopes
 
 
 def _pass_by_entry(network: Network, leaf_value, reduce) -> tuple[dict[int, float], list]:
@@ -246,7 +274,7 @@ def _pass_by_entry(network: Network, leaf_value, reduce) -> tuple[dict[int, floa
     child terms, as a list, to ``reduce``.  Also returns the child lists.
     """
     t, log_table = network._tables, network._compiled.log_table
-    children, order = _children_first(network)
+    children, order, _ = _children_first(network)
     logs = [
         log_table[start:stop].tolist()
         for start, stop in zip(t.param_offset[:-1].tolist(), t.param_offset[1:].tolist())
@@ -265,15 +293,17 @@ def _pass_by_entry(network: Network, leaf_value, reduce) -> tuple[dict[int, floa
     return vals, children
 
 
-def sum_pass_by_entry(network: Network, evidence: Mapping[int, int]) -> float:
+def sum_pass_by_entry(
+    network: Network, evidence: Mapping[int, int], logsumexp=logsumexp_in_order
+) -> float:
     """The root's log value with unobserved leaves at 1, one entry at a time.
 
-    Each sum takes ``_logsumexp_in_order`` of its weighted child terms.
+    Each sum takes ``logsumexp`` of its weighted child terms.
     """
     vals, _ = _pass_by_entry(
         network,
         lambda e, var, logs: 0.0 if (cat := evidence.get(var)) is None else logs[cat],
-        _logsumexp_in_order,
+        logsumexp,
     )
     return vals[network._compiled.root]
 
@@ -302,12 +332,13 @@ def max_pass_by_entry(
 
 
 def max_product_by_entry(
-    network: Network, evidence: Mapping[int, int] | None = None
+    network: Network, evidence: Mapping[int, int] | None = None, logsumexp=logsumexp_in_order
 ) -> MapResult:
     """Max-product with the per-entry passes.
 
     The configuration is ``max_pass_by_entry``'s tree, valued by
-    ``sum_pass_by_entry``, or the first one when the evidence has no mass.
+    ``sum_pass_by_entry`` with ``logsumexp``, or the first one when the
+    evidence has no mass.
     """
     evidence = dict(evidence or {})
     compiled = network._compiled
@@ -318,7 +349,7 @@ def max_product_by_entry(
         return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
     config = {**evidence, **_tree_walk(network, evidence, compiled.root, choice)}
     _check_total(network, config)
-    value = Probability(sum_pass_by_entry(network, config))
+    value = Probability(sum_pass_by_entry(network, config, logsumexp))
     return MapResult(config, value, Solver.MAX_PRODUCT, bound)
 
 
@@ -360,10 +391,8 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     misses) and chooses the first best child.
     """
     t = network._tables
-    children, order = _children_first(network)
-    scopes = [frozenset([var]) if var >= 0 else frozenset() for var in t.variable.tolist()]
-    for e in order:
-        scopes[e] = frozenset().union(*(scopes[kid] for kid in children[e]))
+    children, order, _ = _children_first(network)
+    scopes = _scopes(network, children, order)
     scores: dict[int, np.ndarray] = {}
     choice: dict[int, int] = {}
     for e in order:
@@ -377,13 +406,15 @@ def scores_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, np
     return scores
 
 
-def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
+def argmax_by_sum(
+    network: Network, evidence: Mapping[int, int] | None = None, logsumexp=logsumexp_in_order
+) -> MapResult:
     """Argmax-product with ``scores_by_sum``'s choices and the per-entry passes.
 
     The configuration chosen from the root replaces ``max_product_by_entry``'s
-    unless it scores strictly lower.
+    unless it scores strictly lower; both are valued with ``logsumexp``.
     """
-    base = max_product_by_entry(network, evidence)
+    base = max_product_by_entry(network, evidence, logsumexp)
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
@@ -391,18 +422,19 @@ def argmax_by_sum(network: Network, evidence: Mapping[int, int] | None = None) -
     choice = {e: int(np.argmax(v)) for e, v in scores_by_sum(network, evidence).items()}
     config = _tree_walk(network, evidence, compiled.root, choice)
     _check_total(network, config)
-    value = Probability(sum_pass_by_entry(network, config))
+    value = Probability(sum_pass_by_entry(network, config, logsumexp))
     if base.value.log > value.log:
         config, value = base.configuration, base.value
     return MapResult(config, value, Solver.ARGMAX_PRODUCT)
 
 
 def validate_by_walk(network: Network) -> list[Violation]:
-    """``validate``'s report, checked one node at a time over the walk's record.
+    """``validate``'s report, checked one node at a time over this module's own walk.
 
     Parameter totals by ``math.fsum``, reachability by a stack over the
-    child tuples, and each sum's and product's rule on its children's scope
-    sets, every check in increasing id order.
+    child lists, the cycle that ``_children_first`` finds, and each sum's
+    and product's rule on its children's scope sets, every check in
+    increasing id order.
     """
     violations: list[Violation] = []
     ids, kind = network._tables.ids, network._tables.kind.tolist()
@@ -412,7 +444,7 @@ def validate_by_walk(network: Network) -> list[Violation]:
         _LEAF: ("distribution", "probability", "probabilities", LEAF_TOLERANCE),
         _SUM: ("normalization", "weight", "weights", WEIGHT_TOLERANCE),
     }
-    record, by_id = network._numbering, sorted(range(len(ids)), key=ids.__getitem__)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
     for e in by_id:
         if kind[e] == _PRODUCT:
             continue
@@ -425,7 +457,7 @@ def validate_by_walk(network: Network) -> list[Violation]:
         if not abs(total - 1.0) <= tolerance:  # NaN fails this test
             violations.append(Violation(ids[e], check, f"{several} sum to {total!r}"))
 
-    children, scopes = record.children, record.scopes
+    children, order, cycle = _children_first(network)
     root = ids.index(network.root)
     reachable, stack = set(), [root]
     while stack:
@@ -436,9 +468,11 @@ def validate_by_walk(network: Network) -> list[Violation]:
         if e not in reachable:
             violations.append(Violation(ids[e], "unreachable", "not reachable from the root"))
 
-    if record.cycle is not None:
-        violations.append(Violation(record.cycle, "cycle", "node lies on a directed cycle"))
+    if cycle is not None:
+        violations.append(Violation(cycle, "cycle", "node lies on a directed cycle"))
         return violations
+
+    scopes = _scopes(network, children, order)
 
     for e in by_id:
         if kind[e] == _SUM:

@@ -317,6 +317,23 @@ class TestValidate:
         decreasing = [lines[0], *reversed(lines[1:6]), *lines[6:]]
         assert validate(parse_spn("\n".join(decreasing))) == report
 
+    def test_of_two_cycles_the_first_found_is_named(self):
+        # From the root the walk closes 1 -> 2 -> 1 before 3 -> 4 -> 3, and
+        # meets node 1 again on its path, not node 2 whose edge leads back.
+        nodes = {
+            0: ProductNode((1, 3)),
+            1: ProductNode((2,)),
+            2: ProductNode((1, 5)),
+            3: ProductNode((4,)),
+            4: ProductNode((3, 5)),
+            5: LeafNode(0, (0.5, 0.5)),
+        }
+        net = Network(nodes, 0, [Variable(0, 2)])
+        report = [Violation(1, "cycle", "node lies on a directed cycle")]
+        assert validate(net) == validate_by_walk(net) == report
+        with pytest.raises(ValueError, match="^network contains a cycle through node 1$"):
+            max_product(net)
+
     def test_incomplete_sum(self):
         nodes = {
             0: SumNode((1, 2), (0.5, 0.5)),

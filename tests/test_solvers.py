@@ -46,6 +46,8 @@ from oracles import (
     brute_map,
     brute_mis_size,
     brute_value,
+    logsumexp_column,
+    logsumexp_in_order,
     max_pass_by_entry,
     max_product_by_entry,
     scores_by_sum,
@@ -270,6 +272,56 @@ def outcome(solver, net: Network, evidence: dict) -> tuple:
     return sorted(result.configuration.items()), result.value.log.hex(), pd
 
 
+def passes_agree(cases, levelled: bool) -> int:
+    """Checks each case's passes and solvers against the per-entry oracles; returns the case count.
+
+    Every network must take the levelled passes, or every one the per-entry
+    loops.  The oracles' sums reduce as the path under test does: as
+    ``logsumexp_column`` on the levels, in order one entry at a time.
+    """
+    logsumexp = logsumexp_column if levelled else logsumexp_in_order
+    rng = random.Random(0)
+    count = 0
+    for net, evidence in cases:
+        assert inference._levelled(net) == levelled
+        marginal = evaluate_marginal(net, evidence).log
+        assert marginal.hex() == sum_pass_by_entry(net, evidence, logsumexp).hex()
+        # A total assignment that extends the evidence.
+        total = {v.index: rng.randrange(v.cardinality) for v in net.variables} | evidence
+        assert evaluate(net, total).log.hex() == sum_pass_by_entry(net, total, logsumexp).hex()
+        value, choice = solvers._max_pass(net, evidence)
+        expected_value, expected_choice = max_pass_by_entry(net, evidence)
+        assert (value.hex(), choice) == (expected_value.hex(), expected_choice)
+        for solver, oracle in (
+            (max_product, max_product_by_entry),
+            (argmax_product, argmax_by_sum),
+        ):
+            reference = functools.partial(oracle, logsumexp=logsumexp)
+            assert outcome(solver, net, evidence) == outcome(reference, net, evidence)
+        count += 1
+    return count
+
+
+def nine_leaf_sum() -> Network:
+    """A sum of nine leaves of x0 whose value at x0 = 1 rounds differently by contract.
+
+    Adding its shifted exponentials in order and adding them pairwise, as
+    numpy adds a column, give different bits.
+    """
+    rng = random.Random(2)
+    raw = [rng.random() for _ in range(9)]
+    nodes = {0: SumNode(tuple(range(1, 10)), [w / sum(raw) for w in raw])}
+    for nid in range(1, 10):
+        p = rng.random()
+        nodes[nid] = LeafNode(0, (1.0 - p, p))
+    net = Network.from_nodes(nodes, 0)
+    weights = np.array(net.nodes[0].weights)
+    ones = np.array([net.nodes[nid].distribution[1] for nid in range(1, 10)])
+    terms = (np.log(weights) + np.log(ones)).tolist()
+    assert logsumexp_column(terms) != logsumexp_in_order(terms)
+    return net
+
+
 class TestWaveRescoring:
     """The wave pass against the per-sum loop, bit for bit, on networks of every size."""
 
@@ -292,7 +344,8 @@ class TestWaveRescoring:
         count = 0
         for net, evidence in cases:
             self.scores.clear()
-            assert outcome(argmax_product, net, evidence) == outcome(argmax_by_sum, net, evidence)
+            reference = functools.partial(argmax_by_sum, logsumexp=logsumexp_column)
+            assert outcome(argmax_product, net, evidence) == outcome(reference, net, evidence)
             if self.scores:  # the solver got as far as re-evaluating
                 expected = scores_by_sum(net, evidence)
                 assert {e: v.tobytes() for e, v in self.scores.items()} == {
@@ -386,34 +439,42 @@ class TestWaveRescoring:
         assert result.value.linear == pytest.approx(0.308, rel=1e-12)
 
 
+class TestPerEntryPasses:
+    """Networks under ``_LEVELLED_MIN`` entries: the per-entry loops, bit for bit."""
+
+    def test_random_networks_with_and_without_evidence(self):
+        nets = [random_spn(2 + s % 6, 3 + s % 3, seed=s) for s in range(60)]
+        cases = ((net, ev) for s, net in enumerate(nets) for ev in ({}, {0: s % 2}))
+        assert passes_agree(cases, levelled=False) == 120
+
+    def test_gap_and_independent_set_networks(self):
+        passes_agree(((gap_network(copies), {}) for copies in range(1, 11)), levelled=False)
+        graphs = [
+            random_graph(n, pct, derive_seed(0, n, pct))
+            for n in (3, 5, 8, 10)
+            for pct in (10.0, 60.0)
+        ]
+        cases = ((mis_to_spn(g).network, ev) for g in graphs for ev in ({}, {0: 1, 2: 0}))
+        assert passes_agree(cases, levelled=False) == 16
+
+    def test_wide_sums_add_in_order(self):
+        passes_agree(((nine_leaf_sum(), ev) for ev in ({}, {0: 1})), levelled=False)
+
+    def test_shared_and_non_decomposable_dags(self):
+        assert passes_agree(((net, {}) for net in random_dags(300)), levelled=False) == 300
+        passes_agree(((net, {1: 0}) for net in random_dags(100, seed=2)), levelled=False)
+        passes_agree(solver_cases(30), levelled=False)
+
+
 class TestLevelledPasses:
-    """The levelled sum and max passes against the per-entry loop, bit for bit."""
+    """The levelled sum and max passes against the per-entry oracles, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def every_network_levelled(self, monkeypatch):
         monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
 
     def agree(self, cases) -> int:
-        """Checks each case's passes and solvers; returns the case count."""
-        rng = random.Random(0)
-        count = 0
-        for net, evidence in cases:
-            assert inference._levelled(net)
-            marginal = evaluate_marginal(net, evidence).log
-            assert marginal.hex() == sum_pass_by_entry(net, evidence).hex()
-            # A total assignment that extends the evidence.
-            total = {v.index: rng.randrange(v.cardinality) for v in net.variables} | evidence
-            assert evaluate(net, total).log.hex() == sum_pass_by_entry(net, total).hex()
-            value, choice = solvers._max_pass(net, evidence)
-            expected_value, expected_choice = max_pass_by_entry(net, evidence)
-            assert (value.hex(), choice) == (expected_value.hex(), expected_choice)
-            for solver, oracle in (
-                (max_product, max_product_by_entry),
-                (argmax_product, argmax_by_sum),
-            ):
-                assert outcome(solver, net, evidence) == outcome(oracle, net, evidence)
-            count += 1
-        return count
+        return passes_agree(cases, levelled=True)
 
     def test_random_networks_with_and_without_evidence(self):
         nets = [random_spn(3 + s % 6, 4 + s % 4, seed=s) for s in range(40)]
@@ -452,25 +513,8 @@ class TestLevelledPasses:
         assert evaluate_marginal(net, {0: 1}).is_zero
         self.agree((net, ev) for ev in ({}, {0: 0}, {0: 1}, {1: 1}))
 
-    def test_wide_sums_add_in_order(self):
-        # Under x0 = 1 the root's value rounds differently when numpy adds
-        # its nine shifted exponentials pairwise than when they are added in
-        # order, as ``logsumexp`` adds them.
-        rng = random.Random(2)
-        raw = [rng.random() for _ in range(9)]
-        nodes = {0: SumNode(tuple(range(1, 10)), [w / sum(raw) for w in raw])}
-        for nid in range(1, 10):
-            p = rng.random()
-            nodes[nid] = LeafNode(0, (1.0 - p, p))
-        net = Network.from_nodes(nodes, 0)
-        weights = np.array(net.nodes[0].weights)
-        ones = np.array([net.nodes[nid].distribution[1] for nid in range(1, 10)])
-        terms = (np.log(weights) + np.log(ones)).tolist()
-        peak = max(terms)
-        shifted = [math.exp(t - peak) for t in terms]
-        in_order = functools.reduce(operator.add, shifted)
-        assert peak + math.log(np.array(shifted).sum()) != peak + math.log(in_order)
-        self.agree((net, ev) for ev in ({}, {0: 1}))
+    def test_wide_sums_add_pairwise(self):
+        self.agree((nine_leaf_sum(), ev) for ev in ({}, {0: 1}))
 
     def test_shared_and_non_decomposable_dags(self):
         assert self.agree((net, {}) for net in random_dags(300)) == 300
