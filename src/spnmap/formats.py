@@ -46,7 +46,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _Tables
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _ragged, _Tables
 from .reductions import CnfFormula, Graph
 
 
@@ -200,12 +200,6 @@ def _values(
     np.negative(ints, out=ints, where=negative)
     np.negative(floats, out=floats, where=negative)
     return ints, floats, (~ok).nonzero()[0]
-
-
-def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[i], starts[i] + 1, ...``, ``lengths[i]`` of them, for each ``i`` in turn."""
-    first = (starts - lengths.cumsum() + lengths).repeat(lengths)
-    return first + np.arange(len(first))
 
 
 def _numbers(tokens: list[str], dtype: type) -> tuple[np.ndarray, np.ndarray]:

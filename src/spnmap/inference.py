@@ -10,9 +10,10 @@ same pass into marginal inference.
 
 Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
 of total assignments a level at a time on networks of every size, one
-column per assignment.  A block runs through the whole period of the last
-free variables, and each value is computed once per period of the block's
-variables it depends on (``_enumeration_plan``).  The per-entry batch form,
+column per assignment, and yields each block as one chunk.  A block runs
+through the whole period of the last free variables, and each value is
+computed once per period of the block's variables it depends on
+(``_enumeration_plan``).  The per-entry batch form,
 ``_batch_upward``, is left to argmax-product's per-sum loop on small
 networks and to ``batch_log_values``.
 
@@ -31,10 +32,6 @@ import numpy as np
 
 from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_stacked
 from .network import Network, Variable, _below, _Level, _spans
-
-#: Rows per chunk that ``enumerate_log_values`` yields.  ``log_partition``
-#: reduces each chunk on its own, so its bits depend on this size.
-_CHUNK_SIZE = 1 << 14
 
 #: Most assignments per block of the enumeration pass, unless the last free
 #: variable alone has more categories.  Its ``(slots, columns)`` value matrix
@@ -377,12 +374,13 @@ def enumerate_log_values(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence.
 
-    Chunks follow ``decode_configuration``'s order and hold ``_CHUNK_SIZE``
-    rows but the last.  The values come from one levelled pass per block
-    over the matrix of ``_enumeration_plan``, which computes each value once
-    per period of the block's variables it depends on.  Products add their
-    children in order and sums reduce with ``logsumexp_stacked``, as every
-    numpy pass does.  Refuses more than
+    Chunks follow ``decode_configuration``'s order, one per block of
+    ``_enumeration_plan``: the whole period of the last free variables, so
+    all have one length and each starts at a multiple of it.  A chunk's
+    values come from one levelled pass over the plan's matrix, which computes
+    each value once per period of the block's variables it depends on.
+    Products add their children in order and sums reduce with
+    ``logsumexp_stacked``, as every numpy pass does.  Refuses more than
     ``DEFAULT_ENUMERATION_CAP`` assignments.
     """
     evidence = dict(evidence or {})
@@ -392,19 +390,12 @@ def enumerate_log_values(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     vals, outer, groups, root, order = _enumeration_plan(network, evidence)
-    width, done = len(order), -1  # the block whose values ``row`` holds
-    for start in range(0, total, _CHUNK_SIZE):
-        stop = min(start + _CHUNK_SIZE, total)
-        values = np.empty(stop - start)
-        for k in range(start // width, (stop - 1) // width + 1):
-            if k != done:
-                for rows, table, stride in outer:
-                    rows[:] = table[:, k // stride % table.shape[1], None]
-                _groups_pass(groups, vals)
-                row, done = vals[root].take(order), k
-            lo, hi = max(start, k * width), min(stop, (k + 1) * width)
-            values[lo - start : hi - start] = row[lo - k * width : hi - k * width]
-        yield start, values
+    width = len(order)  # a suffix of the free variables, so it divides ``total``
+    for k in range(total // width):
+        for rows, table, stride in outer:
+            rows[:] = table[:, k // stride % table.shape[1], None]
+        _groups_pass(groups, vals)
+        yield k * width, vals[root].take(order)
 
 
 def _groups_pass(groups: list, vals: np.ndarray) -> None:

@@ -536,7 +536,7 @@ class Network:
         while done.size:
             height[done] = level
             waiting[done] = -1
-            arcs = _runs(parents, parent_offset[done], in_degree[done])  # into the next level
+            arcs = parents[_ragged(parent_offset[done], in_degree[done])]  # into the next level
             waiting -= np.bincount(arcs, minlength=n)
             done = (waiting == 0).nonzero()[0]
             level += 1
@@ -622,7 +622,7 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
         size += len(entries)
         count = fan[entries]
         kids.append(np.arange(size, size + int(count.sum())))
-        entries = _runs(tables.child_index, tables.child_offset[entries], count)
+        entries = tables.child_index[_ragged(tables.child_offset[entries], count)]
         owner = owner.repeat(count)
     owner, entry, kid = (np.concatenate(x) for x in (owners, levels, kids))
     kid_start = fan[entry].cumsum() - fan[entry]
@@ -665,10 +665,10 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
     return _Wave(sums, entry, kid, kid_start, *slots, groups)
 
 
-def _runs(values: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The runs ``values[start[i]:start[i] + count[i]]``, concatenated in order."""
-    first = (start - count.cumsum() + count).repeat(count)
-    return values[first + np.arange(len(first))]
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ...``, ``lengths[i]`` of them, for each ``i`` in turn."""
+    first = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    return first + np.arange(len(first))
 
 
 def _below(
@@ -781,7 +781,7 @@ def _reached(tables: _Tables, root: int) -> np.ndarray:
     last = np.empty(n, dtype=np.intp)  # per entry: its last position in a frontier
     while frontier.size:
         fan = child_offset[frontier + 1] - child_offset[frontier]
-        kids = _runs(tables.child_index, child_offset[frontier], fan)
+        kids = tables.child_index[_ragged(child_offset[frontier], fan)]
         kids = kids[~reached[kids]]
         reached[kids] = True
         at = np.arange(len(kids))
@@ -809,14 +809,13 @@ def _scope_checks(network: Network) -> tuple[np.ndarray, np.ndarray]:
     defect = np.zeros(n, dtype=bool)
     inner = np.flatnonzero(variable < 0)
     inner = inner[np.argsort(height[inner], kind="stable")]
-    for entries in np.split(inner, np.flatnonzero(np.diff(height[inner])) + 1):
-        if not entries.size:
-            continue
+    for lo, hi in _spans(height[inner]):
+        entries = inner[lo:hi]
         fan = child_offset[entries + 1] - child_offset[entries]
-        kids = _runs(tables.child_index, child_offset[entries], fan)
+        kids = tables.child_index[_ragged(child_offset[entries], fan)]
         kid_size = size[kids]
         owner = np.repeat(np.arange(len(entries)), fan)
-        keys = np.repeat(owner * n_vars, kid_size) + _runs(buffer, start[kids], kid_size)
+        keys = np.repeat(owner * n_vars, kid_size) + buffer[_ragged(start[kids], kid_size)]
         keys.sort()
         distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         union = np.bincount(distinct // n_vars, minlength=len(entries))

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _runs, _Tables
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _ragged, _Tables
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,8 @@ def amplify(result: ReductionResult, q: int) -> ReductionResult:
     child_offset, param_offset = tables.child_offset, tables.param_offset
     fan = (child_offset[1:] - child_offset[:-1])[by_id]
     param_size = (param_offset[1:] - param_offset[:-1])[by_id]
-    kids = rank[_runs(tables.child_index, child_offset[by_id], fan)]
-    params = _runs(tables.params, param_offset[by_id], param_size)
+    kids = rank[tables.child_index[_ragged(child_offset[by_id], fan)]]
+    params = tables.params[_ragged(param_offset[by_id], param_size)]
     variable = tables.variable[by_id]
     # Entry 0 is the root product over the copies.  Copy t's entries follow
     # in id order from 1 + t * size, and each entry's id is its index.

@@ -36,7 +36,7 @@ from .inference import (
     evaluate,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, _below, _runs, _Wave, network_stats
+from .network import Network, _below, _ragged, _Wave, network_stats
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -270,7 +270,7 @@ def _candidate_rows(
         inner = ~leaf
         at = at[inner]
         e = entry[at]
-        by, at = by[inner].repeat(count[e]), _runs(kid, kid_start[at] + skip[e], count[e])
+        by, at = by[inner].repeat(count[e]), kid[_ragged(kid_start[at] + skip[e], count[e])]
     hit_pair, hit_by = np.concatenate(hit_pair), np.concatenate(hit_by)
 
     # Each candidate's category on each slot: the evidence, else its leaf's best.

@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here but the ``_by_entry`` and ``_by_sum`` oracles works in
-linear-domain floats with plain recursion and exhaustive enumeration,
-deliberately sharing no propagation code with the package under test.
+linear-domain floats, or exact rationals (``exact_mass``), with plain
+recursion and exhaustive enumeration, deliberately sharing no propagation
+code with the package under test.
 Those are the sum and max passes one entry at a time over the tables
 (``_pass_by_entry``), a batch pass one entry at a time (``batch_by_entry``),
 and argmax-product's per-sum loop, built from this module's tree walk
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -144,6 +146,31 @@ def brute_value(
         return result
 
     return value(network.root if node_id is None else node_id)
+
+
+def exact_mass(network: Network) -> Fraction:
+    """The network polynomial with every indicator at 1, in exact rationals.
+
+    One pass by plain recursion, each node once: a leaf gives the exact sum
+    of its float parameters, a product the product of its children's values
+    and a sum its weighted children's.  For a complete, decomposable network
+    whose leaves cover every variable, this is the exact total mass over
+    every total assignment.
+    """
+    memo: dict[int, Fraction] = {}
+
+    def mass(nid: int) -> Fraction:
+        if nid not in memo:
+            node = network.nodes[nid]
+            if isinstance(node, LeafNode):
+                memo[nid] = sum(map(Fraction, node.distribution))
+            elif isinstance(node, ProductNode):
+                memo[nid] = math.prod(mass(child) for child in node.children)
+            else:
+                memo[nid] = sum(Fraction(w) * mass(c) for w, c in zip(node.weights, node.children))
+        return memo[nid]
+
+    return mass(network.root)
 
 
 def below(network: Network, node_id: int) -> set[int]:

@@ -23,7 +23,7 @@ The corpus:
 - ``random_spn(4 + s % 5, 6 + s % 3, seed=1000 + s)`` for s < 60, networks
   of several waves of sums, with and without evidence ``{0: s % 2}``
 - ``gap_network(1..10)``
-- enumeration over several chunks and blocks: ``exact_map`` on the
+- enumeration over several blocks, each one chunk: ``exact_map`` on the
   independent-set networks of ``random_graph(16, pct, derive_seed(0,
   "enumeration", pct))`` for pct 10 and 40, with evidence ``{}``, ``{0: 1}``
   and ``{15: 1}`` (a variable of the last block), ``exact_map`` and
