@@ -12,7 +12,7 @@ Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
 of total assignments a level at a time on networks of every size, one
 column per assignment, and yields each block as one chunk.  A block runs
 through the whole period of the last free variables, and each value is
-computed once per period of the block's variables it depends on
+computed once per assignment of the block variables in its own scope
 (``_enumeration_plan``).  The per-entry batch form,
 ``_batch_upward``, is left to argmax-product's per-sum loop on small
 networks and to ``batch_log_values``.
@@ -35,8 +35,11 @@ from .network import Network, Variable, _below, _Level, _spans
 
 #: Most assignments per block of the enumeration pass, unless the last free
 #: variable alone has more categories.  Its ``(slots, columns)`` value matrix
-#: takes 8 bytes a cell, 11.2 MB at 343 slots: far more than a cache holds.
-#: Larger blocks make fewer numpy calls per assignment.
+#: takes 8 bytes a cell, 11.2 MB at 343 slots, but a block writes only each
+#: slot's cells: 0.05 MB of the sums and products on ``perfbench``'s
+#: 343-entry ``exact_enum`` network, 0.5-0.6 MB on its 324-entry one and on
+#: its independent-set networks.  Larger blocks make fewer numpy calls per
+#: assignment.
 _BLOCK_SIZE = 1 << 12
 
 #: A group of sums more than this share of whose weighted terms are expected
@@ -265,17 +268,25 @@ def _enumeration_plan(
     A block runs through the whole period of the last free variables: the
     longest run of them, and at least one, whose cardinalities multiply to
     at most ``_BLOCK_SIZE``.  The first of them changes fastest in its
-    columns, so a leaf row of the block's variable ``v`` repeats with the
-    product of their cardinalities up to ``v``'s, and other leaf rows with
-    period 1.  The slots are the distinct leaf rows, then the sums and
-    products of ``network._plan``'s levels.  Each is computed through its
-    period, the largest among its children's, then repeated through the
-    widest read that a parent or the root's output makes of it.
+    columns.  The slots are the distinct leaf rows, then the sums and
+    products of ``network._plan``'s levels.
+
+    A slot holds one cell per assignment of the block variables in its
+    layout, the first of them changing fastest, from column 0 of its row.
+    A leaf of the block's ``i``-th variable is laid out over the first
+    ``i + 1`` of them, through its period; a sum or product over the block
+    variables of its own scope.  A group whose entries' scopes and
+    children's layouts all start at the first block variable (``_sliced``)
+    reads each child through the columns of the widest period among its
+    children, as slices, and repeats a running product where that widens;
+    its entries take that widest period, and a slot that such a group reads
+    is repeated through the widest read.  Every other group reads each child
+    through a map from each of its cells to the child's.
 
     Returns the matrix; per free variable outside the block, its leaf rows,
     their ``(rows, cardinality)`` logs and the blocks per category;
-    ``_groups_pass``'s groups; the root's slot; and the permutation that
-    puts a block's columns in ``decode_configuration``'s order.
+    ``_groups_pass``'s groups; the root's slot; and, per column of a block
+    in ``decode_configuration``'s order, the root's cell.
     """
     t, log_table = network._tables, network._compiled.log_table
     free = free_variables(network, evidence)
@@ -283,12 +294,18 @@ def _enumeration_plan(
     while cut and (cut == len(free) or width * free[cut - 1].cardinality <= _BLOCK_SIZE):
         cut -= 1
         width *= free[cut].cardinality
-    block = [v.cardinality for v in free[cut:]]
+    block = np.array([v.cardinality for v in free[cut:]], dtype=np.intp)
+    through = np.concatenate(([1], np.cumprod(block)))  # the columns of the first ``i`` of them
     period = np.ones(len(network.variables), dtype=np.intp)
-    period[[v.index for v in free[cut:]]] = np.cumprod(block)
+    bit = np.zeros_like(period)
+    period[[v.index for v in free[cut:]]] = through[1:]
+    bit[[v.index for v in free[cut:]]] = 1 << np.arange(len(block))
     stride, strides = 1, {}
     for var in reversed(free[:cut]):
         strides[var.index], stride = stride, stride * var.cardinality
+
+    def first(columns):  # the mask of the block variables laid out through ``columns``
+        return (1 << through[:-1].searchsorted(columns)) - 1
 
     leaves = np.flatnonzero(t.variable >= 0)
     cards = np.diff(t.param_offset)[leaves]
@@ -304,27 +321,42 @@ def _enumeration_plan(
     size = len(distinct)
     span = np.ones(len(t.ids), dtype=np.intp)  # each slot's period; no more slots than entries
     span[:size] = period[owner]
-    fill = np.zeros_like(span)  # the widest read of each slot
+    scope = np.zeros_like(span)  # each slot's block variables, as bits
+    scope[:size] = bit[owner]
+    layout = np.zeros_like(span)  # the block variables that each slot's cells run over
+    layout[:size] = first(span[:size])
+    fill = np.zeros_like(span)  # the widest slice read of each slot
     shares, groups = _zero_shares(network, evidence), []
     for level in network._plan.levels:
         lo, hi = size, size + len(level.entries)
         slot[level.entries] = np.arange(lo, hi)
         kids = slot[level.kids]
-        masked = False
+        scope[lo:hi] = np.bitwise_or.reduce(scope[kids], axis=1)
+        masked = level.weights is not None and bool(shares[level.entries].mean() > _SPARSE_SHARE)
+        if not _sliced(scope[lo:hi], layout[kids]):
+            layout[lo:hi] = scope[lo:hi]  # a run of the first ``k`` of them, ``2**k - 1``, has ``through[k]`` cells
+            span[lo:hi] = through[(1 << np.arange(len(through))).searchsorted(scope[lo:hi] + 1)]
+            groups.append((lo, hi, kids, level.weights, masked, None))
+            size = hi
+            continue
         if level.weights is None:  # a product's running sum widens along its children
             reads = np.maximum.accumulate(span[kids].max(axis=0))
         else:
             reads = span[kids].max()
-            masked = bool(shares[level.entries].mean() > _SPARSE_SHARE)
         # Broadcast in full: numpy 2.4.6's ``at`` writes wrong values where it broadcasts.
         np.maximum.at(fill, kids, np.broadcast_to(reads, kids.shape))
         span[lo:hi] = reads.max()
+        layout[lo:hi] = first(span[lo:hi])
         groups.append((lo, hi, kids, level.weights, masked, reads.tolist()))
         size = hi
-    root = int(slot[network._compiled.root])
-    fill[root] = width
     np.maximum(fill, span, out=fill)
+    sliced = (layout & (layout + 1)) == 0  # runs of first block variables, repeated through ``fill``
+    layout[sliced] = first(fill[sliced])
+    root = int(slot[network._compiled.root])
+    cell = np.arange(width) % fill[root]  # the root's cell of each column, if it lies in the first
     groups = [(*group, int(fill[group[0] : group[1]].max())) for group in groups]
+    if any(group[5] is None for group in groups):
+        cell = _gather_maps(groups, layout[:size], block, root)
 
     vals, outer = np.empty((size, width)), []
     for lo, hi in _spans(owner):  # the rows of one variable
@@ -336,8 +368,64 @@ def _enumeration_plan(
             outer.append((rows, table, strides[var]))
         else:  # column ``c`` holds category ``c // (period / card) % card``
             rows[:] = table[:, np.arange(rows.shape[1]) // (period[var] // card) % card]
-    order = np.arange(width).reshape(block[::-1]).transpose().ravel()
-    return vals, outer, groups, root, order
+    return vals, outer, groups, root, cell[np.arange(width).reshape(block[::-1]).transpose().ravel()]
+
+
+def _gather_maps(groups: list, layout: np.ndarray, block: np.ndarray, root: int) -> np.ndarray:
+    """Give each group of ``groups`` whose reads are ``None`` its maps; return the root's cell of each column.
+
+    ``layout`` holds each slot's block variables, as bits, and ``block``
+    their cardinalities.  A group ``(first slot, stop, kids' slots, a sum's
+    log-weights or None, sparse, None, fill)`` becomes ``(first slot, stop,
+    maps, log-weights per cell or None, sparse, cells, None)``: per cell of
+    its entries, in order, each child's cell in ``vals`` flattened and its
+    own, as ``_groups_pass`` reads them.
+    """
+    width = int(np.prod(block))
+    read = [np.r_[kids.ravel(), lo:hi] for lo, hi, kids, _, _, reads, _ in groups if reads is None]
+    masks = np.unique(layout[np.concatenate([[root], *read])])
+    which = masks.searchsorted(layout)
+    # Per layout: the cell of each column, and the column of each cell in
+    # order.  The product is taken in floats, for numpy's fast matmul; it
+    # is exact below 2**53.
+    step, count = _cells(masks, block)
+    digits = np.indices(block[::-1]).reshape(len(block), width)[::-1]  # each column's categories
+    cell = (step.astype(float) @ digits).astype(np.intp)
+    held = np.bitwise_or.reduce((digits > 0) << np.arange(len(block))[:, None])  # variables off 0
+    column = np.nonzero((held & ~masks[:, None]) == 0)[1]
+    start = count.cumsum() - count
+    for g, (lo, hi, kids, weights, masked, reads, _) in enumerate(groups):
+        if reads is None:
+            cells = count[which[lo:hi]]
+            entry = np.repeat(np.arange(lo, hi), cells)
+            at = np.arange(len(entry)) - (cells.cumsum() - cells).repeat(cells)  # its entry's cell
+            kid = kids[entry - lo].T
+            maps = cell[which[kid], column[start[which[entry]] + at]] + kid * width
+            if weights is not None:
+                weights = np.ascontiguousarray(weights[entry - lo].T)
+            groups[g] = (lo, hi, maps, weights, masked, entry * width + at, None)
+    return cell[which[root]]
+
+
+def _sliced(scopes: np.ndarray, layouts: np.ndarray) -> bool:
+    """Whether a group of these entries' scopes and children's layouts reads its children as slices.
+
+    It does when each is a run of the first block variables, as bits, as
+    every group of an independent-set network is: then each value lies
+    in the first columns of its row, through its period.
+    """
+    return not (scopes & (scopes + 1)).any() and not (layouts & (layouts + 1)).any()
+
+
+def _cells(layouts: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each layout's stride per block variable, 0 outside it, and its cell count.
+
+    A layout is a set of block variables, as bits; ``block`` holds their
+    cardinalities.  The first variable changes fastest in the cells.
+    """
+    held = (layouts[:, None] >> np.arange(len(block))) & 1
+    factors = np.where(held == 1, block, 1)
+    return np.cumprod(factors, axis=1) // factors * held, factors.prod(axis=1)
 
 
 def _zero_shares(network: Network, evidence: Mapping[int, int]) -> np.ndarray:
@@ -378,7 +466,7 @@ def enumerate_log_values(
     ``_enumeration_plan``: the whole period of the last free variables, so
     all have one length and each starts at a multiple of it.  A chunk's
     values come from one levelled pass over the plan's matrix, which computes
-    each value once per period of the block's variables it depends on.
+    each value once per assignment of the block variables in its scope.
     Products add their children in order and sums reduce with
     ``logsumexp_stacked``, as every numpy pass does.  Refuses more than
     ``DEFAULT_ENUMERATION_CAP`` assignments.
@@ -406,12 +494,27 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
     columns; a product reads child ``j`` through ``reads[j]`` and widens its
     running sum by broadcasting where that grows.  The group's rows are then
     repeated through ``fill`` columns.  ``None`` reads every row whole, as
-    argmax-product's waves do.  Products add their children in order and
-    sums reduce with ``logsumexp_stacked``.  ``sparse``, chosen when the
-    plan is built (``_SPARSE_SHARE``), has it exponentiate only the live
-    terms.
+    argmax-product's waves do.  A group whose ``reads`` is an array gathers
+    instead (``_gather_maps``): ``kids`` holds, per child and per cell of
+    its entries, the child's cell in ``vals`` flattened, a sum's log-weights
+    are per cell too, and ``reads`` holds each cell's own place.  Products
+    add their children in order and sums reduce with ``logsumexp_stacked``.
+    ``sparse``, chosen when the plan is built (``_SPARSE_SHARE``), has it
+    exponentiate only the live terms.
     """
+    flat = vals.reshape(-1)
     for lo, hi, kids, weights, sparse, reads, fill in groups:
+        if isinstance(reads, np.ndarray):
+            acc = flat.take(kids)
+            if weights is None:
+                for term in acc[1:]:
+                    acc[0] += term
+                acc = acc[0]
+            else:
+                acc += weights
+                acc = logsumexp_stacked(acc[None], sparse)[0]
+            flat[reads] = acc
+            continue
         out = vals[lo:hi]
         if weights is None:
             read = reads[0]
