@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from spnmap import (
 from spnmap import inference
 from spnmap.experiments import gap_network
 from spnmap.inference import _enumeration_plan, _zero_shares, free_variables
-from conftest import shared_leaf_dag
+from conftest import shared_leaf_dag, shared_sum_dag
 from oracles import (
     all_assignments,
     batch_by_entry,
@@ -69,10 +70,58 @@ def wide_sum(variables: int) -> Network:
     return Network.from_nodes(nodes, 0)
 
 
+def ternary_spn(variables: int, seed: int) -> Network:
+    """A random network over ternary variables whose products split their scopes out of order.
+
+    Sums of two children and products of two alternate from the root down;
+    a leaf category is 0 about one time in five.
+    """
+    rng = random.Random(seed)
+    nodes = {}
+
+    def build(scope: list[int], height: int) -> int:
+        nid = len(nodes)
+        nodes[nid] = None  # its children take the next ids
+        if len(scope) == 1:
+            odds = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(3)]
+            odds[rng.randrange(3)] += 0.5
+            nodes[nid] = LeafNode(scope[0], tuple(p / sum(odds) for p in odds))
+        elif height % 2:
+            nodes[nid] = SumNode((build(scope, height - 1), build(scope, height - 1)), (0.3, 0.7))
+        else:
+            order, cut = rng.sample(scope, len(scope)), rng.randrange(1, len(scope))
+            nodes[nid] = ProductNode((build(order[:cut], height - 1), build(order[cut:], height - 1)))
+        return nid
+
+    build(list(range(variables)), 5)
+    return Network(nodes, 0, [Variable(i, 3) for i in range(variables)])
+
+
+def split_networks() -> list[tuple[Network, dict]]:
+    """Networks whose products split the block variables out of order, with evidence.
+
+    ``random_spn`` structures with one variable fixed near the front and
+    one near the end, which fall outside the block or inside it as the
+    block size varies; shared-leaf and shared-sum DAGs; ternary networks.
+    """
+    cases = [(random_spn(9, 5, seed=seed), {1: seed % 2, 7: 1}) for seed in range(3)]
+    for seed in range(2):
+        tree = random_spn(6, 4, seed=20 + seed)
+        cases += [(shared_leaf_dag(tree), {}), (shared_sum_dag(tree), {4: 0})]
+    return cases + [(ternary_spn(6, seed), {2: seed}) for seed in range(2)]
+
+
 def small_networks(count: int, max_vars: int = 6):
     for seed in range(count):
         n_vars = 1 + seed % max_vars
         yield random_spn(n_vars, max_height=4, seed=seed)
+
+
+def oracle_values(net: Network, evidence: dict) -> tuple[list[dict], np.ndarray]:
+    """Every assignment consistent with the evidence, in order, and the root's log value at each."""
+    assignments = list(all_assignments(net, evidence))
+    columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
+    return assignments, batch_by_entry(net, net._entry[net.root], columns)
 
 
 def whole_blocks(net: Network, evidence: dict) -> np.ndarray:
@@ -297,7 +346,7 @@ class TestEnumeration:
         assert len(set(expected)) == len(expected) == 8
         assert values == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("block", [1, 3, 4, 27, None])
     def test_values_are_the_per_entry_batch_bit_for_bit(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", block)
@@ -322,6 +371,11 @@ class TestEnumeration:
             ternary[i] = ProductNode(tuple(range(10 * i, 10 * i + 8)))
             for var in range(8):
                 ternary[10 * i + var] = LeafNode(var, tuple(rng.dirichlet(np.ones(3))))
+        around = {  # a root over the first and last variables, not the middle one
+            0: ProductNode((1, 2)),
+            1: LeafNode(2, (0.3, 0.7)),
+            2: LeafNode(0, (0.25, 0.75)),
+        }
         cases = [
             # 8192 rows, two blocks of the default size
             (mis_to_spn(random_graph(14, 30.0, 5)).network, {3: 1}),
@@ -329,14 +383,15 @@ class TestEnumeration:
             (Network.from_nodes(ternary, 0), {}),
             (shared_leaf_dag(random_spn(4, max_height=3, seed=4)), {}),
             (Network({0: LeafNode(0, (0.25, 0.75))}, 0, [Variable(0, 2), Variable(1, 3)]), {}),
+            (Network(around, 0, [Variable(0, 2), Variable(1, 3), Variable(2, 2)]), {}),
+            *split_networks(),
             (Network.from_nodes(zero_at_one, 0), {}),
         ]
         for net, evidence in cases:
-            assignments = list(all_assignments(net, evidence))
-            columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
-            expected = batch_by_entry(net, net._entry[net.root], columns)
+            assignments, expected = oracle_values(net, evidence)
             values = whole_blocks(net, evidence)
             assert values.tobytes() == expected.tobytes()
+            assert exact_map(net, evidence).configuration == assignments[int(np.argmax(expected))]
         assert LOG_ZERO in values and values.max() > LOG_ZERO
 
     def test_enumerate_log_values_matches_decode(self, mixture_net):
@@ -400,20 +455,41 @@ class TestPeriodicBlocks:
     """
 
     @staticmethod
-    @pytest.mark.parametrize("block", [1, 4, 6, 27])
+    @pytest.mark.parametrize("block", [1, 4, 6, 27, None])
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(mixed_network())
     def test_values_and_first_maximum_are_the_oracles(block, drawn):
         net, evidence = drawn
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("spnmap.inference._BLOCK_SIZE", block)
+            if block is not None:
+                patch.setattr("spnmap.inference._BLOCK_SIZE", block)
             values = whole_blocks(net, evidence)
             found = exact_map(net, evidence).configuration
-        assignments = list(all_assignments(net, evidence))
-        columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
-        expected = batch_by_entry(net, net._entry[net.root], columns)
+        assignments, expected = oracle_values(net, evidence)
         assert values.tobytes() == expected.tobytes()
         assert found == assignments[int(np.argmax(expected))]
+
+    @pytest.mark.parametrize("block", [4, None])
+    def test_gathering_every_group_gives_the_sliced_bits(self, monkeypatch, block):
+        # Every group of an independent-set network reads its children as
+        # slices; read through gather maps instead, they give the same bits.
+        if block is not None:
+            monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", block)
+        cases = [
+            (mis_to_spn(random_graph(12, pct, seed)).network, evidence)
+            for pct, seed, evidence in ((10.0, 1, {}), (40.0, 2, {0: 1}), (30.0, 5, {11: 1}))
+        ]
+        sliced = []
+        for net, evidence in cases:
+            assert not any(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
+            sliced.append(whole_blocks(net, evidence))
+        monkeypatch.setattr("spnmap.inference._sliced", lambda scopes, layouts: False)
+        for (net, evidence), values in zip(cases, sliced):
+            assert all(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
+            assert whole_blocks(net, evidence).tobytes() == values.tobytes()
+            assignments, expected = oracle_values(net, evidence)
+            assert values.tobytes() == expected.tobytes()
+            assert exact_map(net, evidence).configuration == assignments[int(np.argmax(expected))]
 
 
 @st.composite
@@ -450,13 +526,6 @@ def wide_network(draw):
     variables = [Variable(i, card) for i, card in enumerate(cards)]
     fixed = draw(st.lists(st.sampled_from(variables), max_size=2, unique=True))
     return Network(nodes, 0, variables), {v.index: draw(st.integers(0, v.cardinality - 1)) for v in fixed}
-
-
-def oracle_values(net: Network, evidence: dict) -> tuple[list[dict], np.ndarray]:
-    """Every assignment consistent with the evidence, in order, and the root's log value at each."""
-    assignments = list(all_assignments(net, evidence))
-    columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
-    return assignments, batch_by_entry(net, net._entry[net.root], columns)
 
 
 def forced(patch: pytest.MonkeyPatch, sparse: bool, narrow: int) -> None:
