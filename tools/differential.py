@@ -11,8 +11,9 @@ configurations with their values' logs in hex (so bit for bit), marginals,
 ``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, and the
 type and message of every exception raised, ``ParseError`` included.  Long
 outputs are replaced by their sha256.  The script prints each tree's output
-count and digest, and exits 1 after showing the first differing output when
-the trees disagree.
+count and digest.  When the trees disagree it lists every differing output
+by label and kind, with the distance in units in the last place of each
+float that differs where that is the only difference, and exits 1.
 
 The corpus:
 
@@ -27,9 +28,12 @@ The corpus:
   independent-set networks of ``random_graph(16, pct, derive_seed(0,
   "enumeration", pct))`` for pct 10 and 40, with evidence ``{}``, ``{0: 1}``
   and ``{15: 1}`` (a variable of the last block), ``exact_map`` and
-  ``log_partition`` on ``random_spn(17, height, seed=0)`` for heights 5 and
-  6, and both on ``mixed_spn`` networks over 9 variables of cardinality 2,
-  3 and 4 (11664 assignments), without evidence and with ``{7: 2}``
+  ``log_partition`` on ``random_spn(17, height, seed)`` for heights 5 and
+  6 at seed 0 and 4 and 5 at seed 1, ``exact_map`` on ``random_spn(17, 6,
+  seed=0)`` with evidence ``{1: 0, 14: 1}`` (a variable outside the block
+  and one inside it), and both on ``mixed_spn`` networks over 9 variables
+  of cardinality 2, 3 and 4 (11664 assignments), without evidence and with
+  ``{7: 2}``
 - wide sums: ``exact_map`` and ``log_partition`` on ``wide_sum(1)`` and
   ``wide_sum(6)``, sums of 130 leaves of one ternary variable and of 130
   products over six (729 assignments), most leaves 0 at two categories of
@@ -69,6 +73,7 @@ import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,10 +364,13 @@ def _corpus() -> None:
         net = spnmap.mis_to_spn(graph).network
         for evidence in ({}, {0: 1}, {15: 1}):
             _emit(f"mis16 {pct} {evidence}", "exact_map", spnmap.exact_map, net, evidence)
-    for height in (5, 6):
-        net = spnmap.random_spn(17, height, seed=0)
-        _emit(f"random_spn 17 {height}", "exact_map", spnmap.exact_map, net, {})
-        _emit(f"random_spn 17 {height}", "log_partition", spnmap.log_partition, net)
+    for seed, height in ((0, 5), (0, 6), (1, 4), (1, 5)):
+        net = spnmap.random_spn(17, height, seed=seed)
+        label = f"random_spn 17 {height}" + (f" seed {seed}" if seed else "")
+        _emit(label, "exact_map", spnmap.exact_map, net, {})
+        _emit(label, "log_partition", spnmap.log_partition, net)
+        if (seed, height) == (0, 6):
+            _emit(f"{label} {{1: 0, 14: 1}}", "exact_map", spnmap.exact_map, net, {1: 0, 14: 1})
     for seed in range(3):
         net = mixed_spn([3, 2, 3, 3, 4, 3, 2, 3, 3], seed)
         label = f"mixed_spn {seed}"
@@ -450,6 +458,28 @@ def _corpus() -> None:
             _solve(label, net, {}, False)
 
 
+def _ulps(old: str, new: str) -> list[int] | None:
+    """Per hex float that differs between two output texts, the distance in units in the last place.
+
+    ``None`` when anything else differs.
+    """
+    old_words, new_words = old.split(" "), new.split(" ")
+    if len(old_words) != len(new_words):
+        return None
+    distances = []
+    for a, b in zip(old_words, new_words):
+        if a == b:
+            continue
+        if not all("0x" in word or word.lstrip("-") == "inf" for word in (a, b)):
+            return None
+        ordered = []
+        for x in (a, b):  # the doubles' bits as integers in the order of their values
+            bits = struct.unpack("<q", struct.pack("<d", float.fromhex(x)))[0]
+            ordered.append(bits if bits >= 0 else -(bits & (1 << 63) - 1))
+        distances.append(abs(ordered[0] - ordered[1]))
+    return distances
+
+
 def _run(tree: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
     return subprocess.Popen(
@@ -488,7 +518,13 @@ def main(argv: list[str]) -> int:
     differing = [(a, b) for a, b in zip(old, new) if a != b]
     kinds = collections.Counter(a.split("\t")[1] for a, _ in differing)
     print(f"{len(differing)} outputs differ, by kind: {dict(sorted(kinds.items()))}")
-    print(f"first:\n  old: {differing[0][0]}\n  new: {differing[0][1]}")
+    for a, b in differing:
+        (label, kind, text), (*where, other) = a.split("\t", 2), b.split("\t", 2)
+        ulps = _ulps(text, other) if where == [label, kind] else None
+        if ulps is None:
+            print(f"  {label}\t{kind}\n    old: {a}\n    new: {b}")
+        else:
+            print(f"  {label}\t{kind}\tulps {' '.join(map(str, ulps))}")
     return 1
 
 if __name__ == "__main__":
