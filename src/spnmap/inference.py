@@ -541,9 +541,20 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
 def log_partition(network: Network) -> float:
     """Log of the total mass summed over every total assignment.
 
-    Refuses more assignments than ``DEFAULT_ENUMERATION_CAP``.
+    Each block of ``enumerate_log_values`` is reduced to its peak and the
+    sum of its exponentials against that peak; the sums are added against
+    the largest peak, exactly, and the log is taken once, with its rounding
+    corrected to first order.  Refuses more assignments than
+    ``DEFAULT_ENUMERATION_CAP``.
     """
-    return logsumexp(
-        float(logsumexp_stacked(values[None, :, None])[0, 0])
-        for _, values in enumerate_log_values(network)
-    )
+    peaks, sums = [], []
+    for _, values in enumerate_log_values(network):
+        peaks.append(values.max())
+        sums.append(np.exp(values - peaks[-1]).sum() if peaks[-1] > LOG_ZERO else 0.0)
+    top = max(peaks)
+    if top == LOG_ZERO:
+        return LOG_ZERO
+    terms = [total * math.exp(peak - top) for peak, total in zip(peaks, sums)]
+    log = math.log(math.fsum(terms))  # of at least 1, the top block's peak term
+    near = math.exp(log)  # log(sum) - log is about (sum - near) / near
+    return float(top + log + math.fsum([*terms, -near]) / near)
