@@ -334,7 +334,8 @@ def _enumeration_plan(
         scope[lo:hi] = np.bitwise_or.reduce(scope[kids], axis=1)
         masked = level.weights is not None and bool(shares[level.entries].mean() > _SPARSE_SHARE)
         if not _sliced(scope[lo:hi], layout[kids]):
-            layout[lo:hi] = scope[lo:hi]  # a run of the first ``k`` of them, ``2**k - 1``, has ``through[k]`` cells
+            # Each over its own scope; a run of the first ``k``, ``2**k - 1``, spans ``through[k]``.
+            layout[lo:hi] = scope[lo:hi]
             span[lo:hi] = through[(1 << np.arange(len(through))).searchsorted(scope[lo:hi] + 1)]
             groups.append((lo, hi, kids, level.weights, masked, None))
             size = hi
@@ -350,7 +351,7 @@ def _enumeration_plan(
         groups.append((lo, hi, kids, level.weights, masked, reads.tolist()))
         size = hi
     np.maximum(fill, span, out=fill)
-    sliced = (layout & (layout + 1)) == 0  # runs of first block variables, repeated through ``fill``
+    sliced = (layout & (layout + 1)) == 0  # runs of first block variables, repeated to ``fill``
     layout[sliced] = first(fill[sliced])
     root = int(slot[network._compiled.root])
     cell = np.arange(width) % fill[root]  # the root's cell of each column, if it lies in the first
@@ -368,11 +369,12 @@ def _enumeration_plan(
             outer.append((rows, table, strides[var]))
         else:  # column ``c`` holds category ``c // (period / card) % card``
             rows[:] = table[:, np.arange(rows.shape[1]) // (period[var] // card) % card]
-    return vals, outer, groups, root, cell[np.arange(width).reshape(block[::-1]).transpose().ravel()]
+    order = np.arange(width).reshape(block[::-1]).transpose().ravel()
+    return vals, outer, groups, root, cell[order]
 
 
 def _gather_maps(groups: list, layout: np.ndarray, block: np.ndarray, root: int) -> np.ndarray:
-    """Give each group of ``groups`` whose reads are ``None`` its maps; return the root's cell of each column.
+    """Give the groups whose reads are ``None`` their maps; return the root's cell of each column.
 
     ``layout`` holds each slot's block variables, as bits, and ``block``
     their cardinalities.  A group ``(first slot, stop, kids' slots, a sum's
@@ -549,8 +551,9 @@ def log_partition(network: Network) -> float:
     """
     peaks, sums = [], []
     for _, values in enumerate_log_values(network):
-        peaks.append(values.max())
-        sums.append(np.exp(values - peaks[-1]).sum() if peaks[-1] > LOG_ZERO else 0.0)
+        peak = values.max()
+        peaks.append(peak)
+        sums.append(np.exp(values - peak).sum() if peak > LOG_ZERO else 0.0)
     top = max(peaks)
     if top == LOG_ZERO:
         return LOG_ZERO
