@@ -388,13 +388,14 @@ def _gather_maps(groups: list, layout: np.ndarray, block: np.ndarray, root: int)
     masks = np.unique(layout[np.concatenate([[root], *read])])
     which = masks.searchsorted(layout)
     # Per layout: the cell of each column, and the column of each cell in
-    # order.  The product is taken in floats, for numpy's fast matmul; it
-    # is exact below 2**53.
+    # order.  A block has at most DEFAULT_ENUMERATION_CAP = 2**24 columns,
+    # so a cell fits float32, where numpy's matmul is fast and exact, and a
+    # layout fits 24 bits.
     step, count = _cells(masks, block)
-    digits = np.indices(block[::-1]).reshape(len(block), width)[::-1]  # each column's categories
-    cell = (step.astype(float) @ digits).astype(np.intp)
-    held = np.bitwise_or.reduce((digits > 0) << np.arange(len(block))[:, None])  # variables off 0
-    column = np.nonzero((held & ~masks[:, None]) == 0)[1]
+    digits = np.indices(block[::-1], dtype=np.float32).reshape(len(block), width)[::-1]
+    cell = (step.astype(np.float32) @ digits).astype(np.int32)
+    held = np.bitwise_or.reduce((digits > 0) << np.arange(len(block), dtype=np.uint32)[:, None])
+    column = np.nonzero((held & ~masks.astype(np.uint32)[:, None]) == 0)[1]  # off 0 only in it
     start = count.cumsum() - count
     for g, (lo, hi, kids, weights, masked, reads, _) in enumerate(groups):
         if reads is None:
