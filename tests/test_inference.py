@@ -470,6 +470,14 @@ class TestPeriodicBlocks:
         assert values.tobytes() == expected.tobytes()
         assert found == assignments[int(np.argmax(expected))]
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_gathered_sums_keep_the_bits_masked_or_not(self, monkeypatch, sparse):
+        forced(monkeypatch, sparse, 256)
+        for net, evidence in split_networks():
+            assert any(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
+            assignments, expected = oracle_values(net, evidence)
+            assert whole_blocks(net, evidence).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("block", [4, None])
     def test_gathering_every_group_gives_the_sliced_bits(self, monkeypatch, block):
         # Every group of an independent-set network reads its children as
