@@ -475,7 +475,7 @@ class TestPeriodicBlocks:
         forced(monkeypatch, sparse, 256)
         for net, evidence in split_networks():
             assert any(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
-            assignments, expected = oracle_values(net, evidence)
+            _, expected = oracle_values(net, evidence)
             assert whole_blocks(net, evidence).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("block", [4, None])
@@ -628,7 +628,7 @@ class TestNormalization:
         # Against the log of the exact sum of the yielded values'
         # exponentials, each total lies within a unit in the last place of
         # 1 and their mean within a quarter of one.  A reduction that lost
-        # a unit in the last place of each block's sum would lie about 0.8
+        # a unit in the last place of each block's sum would lie about 0.7
         # below on average; blocks of 64 give each network many of them.
         monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", 64)
         errors = []
