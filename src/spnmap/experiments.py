@@ -11,7 +11,6 @@ family on which argmax-product beats max-product by a factor of ``2.2**m``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 import statistics
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .logspace import LOG_ZERO
-from .network import LeafNode, Network, Node, ProductNode, SumNode, Variable
+from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _Tables
 from .reductions import Graph, ReductionResult, amplify, mis_to_spn
 from .solvers import _improved, max_product
 
@@ -143,73 +142,66 @@ def run_mis_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-#: Most children of a node that ``random_spn`` draws.
-_MAX_FANOUT = 3
-
-
-def _random_partition(rng: random.Random, scope: tuple[int, ...]) -> list[tuple[int, ...]]:
-    items = list(scope)
-    rng.shuffle(items)
-    k = rng.randint(2, min(_MAX_FANOUT, len(items)))
-    cuts = sorted(rng.sample(range(1, len(items)), k - 1))
-    bounds = [0, *cuts, len(items)]
-    return [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 def random_spn(variable_count: int, max_height: int, seed: int = 0) -> Network:
     """Generate a valid network over binary variables, deterministic in the seed.
 
     Sum nodes mix two or three children over the same scope; product nodes
     split the scope into two or three random disjoint parts.  When the
     height budget runs out on a multi-variable scope, a product splits it
-    into single-variable leaves, which may be more than three.
+    into single-variable leaves, which may be more than three.  Each node
+    is written to flat tables as it is made, children first, so its id is
+    its creation index and the root is the last node.
     """
     if variable_count < 1:
         raise ValueError("need at least one variable")
     if max_height < 0:
         raise ValueError("max height must be nonnegative")
     if variable_count > 1 and max_height < 1:
-        raise ValueError(
-            f"{variable_count} variables cannot fit under a height-0 network"
-        )
+        raise ValueError(f"{variable_count} variables cannot fit under a height-0 network")
     rng = random.Random(seed)
-    nodes: dict[int, Node] = {}
-    counter = itertools.count()
+    draw, randint = rng.random, rng.randint
+    kind, variable, child_index, params = [], [], [], []
+    child_offset, param_offset = [0], [0]
 
-    def add(node: Node) -> int:
-        nid = next(counter)
-        nodes[nid] = node
-        return nid
+    def add(node_kind: int, var: int, children, weights) -> int:
+        kind.append(node_kind)
+        variable.append(var)
+        child_index.extend(children)
+        child_offset.append(len(child_index))
+        params.extend(weights)
+        param_offset.append(len(params))
+        return len(kind) - 1
 
-    def make_leaf(var: int) -> int:
-        p = rng.random()
-        return add(LeafNode(var, (1.0 - p, p)))
+    def leaf(var: int) -> int:
+        p = draw()
+        return add(_LEAF, var, (), (1.0 - p, p))
 
-    def mixture_weights(count: int) -> tuple[float, ...]:
-        raw = [rng.random() + 0.05 for _ in range(count)]
+    def mixture(scope: list[int], height: int) -> int:
+        children = [generate(scope, height - 1) for _ in range(randint(2, 3))]
+        raw = [draw() + 0.05 for _ in children]
         total = sum(raw)
-        return tuple(w / total for w in raw)
+        return add(_SUM, -1, children, [w / total for w in raw])
 
-    def generate(scope: tuple[int, ...], height: int) -> int:
+    def generate(scope: list[int], height: int) -> int:
         if len(scope) == 1:
-            if height < 1 or rng.random() < 0.5:
-                return make_leaf(scope[0])
-            fanout = rng.randint(2, _MAX_FANOUT)
-            children = tuple(generate(scope, height - 1) for _ in range(fanout))
-            return add(SumNode(children, mixture_weights(fanout)))
+            if height < 1 or draw() < 0.5:
+                return leaf(scope[0])
+            return mixture(scope, height)
         if height == 1:
-            parts = [(v,) for v in scope]
-            return add(ProductNode(tuple(generate(p, 0) for p in parts)))
-        if rng.random() < 0.5:
-            parts = _random_partition(rng, scope)
-            return add(ProductNode(tuple(generate(p, height - 1) for p in parts)))
-        fanout = rng.randint(2, _MAX_FANOUT)
-        children = tuple(generate(scope, height - 1) for _ in range(fanout))
-        return add(SumNode(children, mixture_weights(fanout)))
+            return add(_PRODUCT, -1, [leaf(v) for v in scope], ())
+        if draw() < 0.5:  # a product over two or three random disjoint parts
+            items = list(scope)
+            rng.shuffle(items)
+            cuts = sorted(rng.sample(range(1, len(items)), randint(2, min(3, len(items))) - 1))
+            parts = zip([0, *cuts], [*cuts, len(items)])
+            return add(_PRODUCT, -1, [generate(items[a:b], height - 1) for a, b in parts], ())
+        return mixture(scope, height)
 
-    root = generate(tuple(range(variable_count)), max_height)
-    variables = [Variable(i, 2) for i in range(variable_count)]
-    return Network(nodes, root, variables)
+    root = generate(list(range(variable_count)), max_height)
+    tables = _Tables(
+        list(range(len(kind))), kind, child_offset, child_index, variable, param_offset, params
+    )
+    return Network._from_tables(tables, root, [Variable(i, 2) for i in range(variable_count)])
 
 
 def gap_fragment() -> ReductionResult:
@@ -220,14 +212,13 @@ def gap_fragment() -> ReductionResult:
     deterministic-0 leaves jointly hold 11/16, which argmax-product finds by
     re-evaluating each candidate.
     """
-    nodes: dict[int, Node] = {
-        0: SumNode((1, 2, 3, 4), (5 / 16, 11 / 48, 11 / 48, 11 / 48)),
-        1: LeafNode(0, (0.0, 1.0)),
-        2: LeafNode(0, (1.0, 0.0)),
-        3: LeafNode(0, (1.0, 0.0)),
-        4: LeafNode(0, (1.0, 0.0)),
-    }
-    network = Network(nodes, 0, [Variable(0, 2)])
+    # Sum 0 mixes leaves 1-4 of variable 0: leaf 1 is certainly 1, the others certainly 0.
+    weights = [5 / 16, 11 / 48, 11 / 48, 11 / 48]
+    tables = _Tables(
+        [0, 1, 2, 3, 4], [_SUM, *[_LEAF] * 4], [0, *[4] * 5], [1, 2, 3, 4], [-1, 0, 0, 0, 0],
+        [0, 4, 6, 8, 10, 12], [*weights, 0.0, 1.0, *[1.0, 0.0] * 3],
+    )
+    network = Network._from_tables(tables, 0, [Variable(0, 2)])
     return ReductionResult(network, Fraction(1), {"kind": "gap", "q": 1, "n": 1})
 
 

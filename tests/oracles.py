@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -41,6 +42,7 @@ from spnmap import (
     ProductNode,
     Solver,
     SumNode,
+    Variable,
     Violation,
 )
 from spnmap.network import LEAF_TOLERANCE, WEIGHT_TOLERANCE, _LEAF, _PRODUCT, _SUM
@@ -546,6 +548,62 @@ def amplified_nodes(network: Network, q: int) -> dict[int, Node]:
             nodes[first + rank[nid]] = copy
     nodes[0] = ProductNode(tuple(1 + t * size + rank[network.root] for t in range(q)))
     return nodes
+
+
+def random_spn_by_nodes(variable_count: int, max_height: int, seed: int = 0) -> Network:
+    """``random_spn`` as a dict of node objects, built through ``Network(nodes, ...)``.
+
+    It makes the same ``random.Random(seed)`` calls in the same order, and
+    numbers each node when it is made, after its children, so the library's
+    tables must equal this network's bit for bit.
+    """
+    if variable_count < 1:
+        raise ValueError("need at least one variable")
+    if max_height < 0:
+        raise ValueError("max height must be nonnegative")
+    if variable_count > 1 and max_height < 1:
+        raise ValueError(f"{variable_count} variables cannot fit under a height-0 network")
+    rng = random.Random(seed)
+    nodes: dict[int, Node] = {}
+
+    def add(node: Node) -> int:
+        nodes[len(nodes)] = node
+        return len(nodes) - 1
+
+    def make_leaf(var: int) -> int:
+        p = rng.random()
+        return add(LeafNode(var, (1.0 - p, p)))
+
+    def mixture_weights(count: int) -> tuple[float, ...]:
+        raw = [rng.random() + 0.05 for _ in range(count)]
+        total = sum(raw)
+        return tuple(w / total for w in raw)
+
+    def partition(scope: tuple[int, ...]) -> list[tuple[int, ...]]:
+        items = list(scope)
+        rng.shuffle(items)
+        k = rng.randint(2, min(3, len(items)))
+        cuts = sorted(rng.sample(range(1, len(items)), k - 1))
+        bounds = [0, *cuts, len(items)]
+        return [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def generate(scope: tuple[int, ...], height: int) -> int:
+        if len(scope) == 1:
+            if height < 1 or rng.random() < 0.5:
+                return make_leaf(scope[0])
+            fanout = rng.randint(2, 3)
+            children = tuple(generate(scope, height - 1) for _ in range(fanout))
+            return add(SumNode(children, mixture_weights(fanout)))
+        if height == 1:
+            return add(ProductNode(tuple(generate((v,), 0) for v in scope)))
+        if rng.random() < 0.5:
+            return add(ProductNode(tuple(generate(p, height - 1) for p in partition(scope))))
+        fanout = rng.randint(2, 3)
+        children = tuple(generate(scope, height - 1) for _ in range(fanout))
+        return add(SumNode(children, mixture_weights(fanout)))
+
+    root = generate(tuple(range(variable_count)), max_height)
+    return Network(nodes, root, [Variable(i, 2) for i in range(variable_count)])
 
 
 def brute_mis_size(graph: Graph) -> int:

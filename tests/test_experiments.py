@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from spnmap import (
@@ -21,7 +23,7 @@ from spnmap import (
 )
 from spnmap import experiments, solvers
 from spnmap.experiments import _ratio_from_logs, gap_fragment
-from oracles import brute_value, all_assignments
+from oracles import all_assignments, brute_value, random_spn_by_nodes
 
 
 class TestSeeding:
@@ -197,6 +199,33 @@ class TestRandomNetworkGenerator:
             assert evaluate(net, assignment).linear == pytest.approx(
                 brute_value(net, assignment), rel=1e-11
             )
+
+    def test_tables_are_the_node_dict_oracles_bit_for_bit(self):
+        def tables(net):
+            t = net._tables
+            columns = [c.tobytes() for c in (t.kind, t.child_offset, t.child_index, t.variable, t.param_offset)]
+            dtypes = [c.dtype for c in t[1:]]
+            return t.ids, columns, t.params.view(np.int64).tolist(), dtypes, net.root, net.variables
+
+        shapes = [
+            (v, h, s)
+            for v in range(1, 21)
+            for h in range(v > 1, 8)  # every valid height
+            for s in (0, 1, 2, *(derive_seed(0, "structure", v, k) for k in range(3)))
+        ]
+        # The structures that perfbench's exact_enum tries, in its seed sequence.
+        shapes += [
+            (v, 6, derive_seed(0, "structure", v, k)) for v, tries in ((20, 25), (18, 4)) for k in range(tries)
+        ]
+        for shape in shapes:
+            assert tables(random_spn(*shape)) == tables(random_spn_by_nodes(*shape)), shape
+
+    def test_rejections_name_the_shape_as_the_oracle_does(self):
+        for shape in ((0, 2), (3, -1), (3, 0), (-4, 0)):
+            with pytest.raises(ValueError) as expected:
+                random_spn_by_nodes(*shape)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                random_spn(*shape)
 
     def test_rejects_impossible_shapes(self):
         with pytest.raises(ValueError):
