@@ -262,8 +262,8 @@ def decode_configuration(
 
 def _enumeration_plan(
     network: Network, evidence: Mapping[int, int]
-) -> tuple[np.ndarray, list, list, int, np.ndarray]:
-    """The enumeration pass's ``(slots, columns)`` matrix, with its fixed leaf rows filled.
+) -> tuple[int, list, list, int, np.ndarray]:
+    """The shape of the enumeration pass's ``(slots, columns)`` matrix, and how to fill it.
 
     A block runs through the whole period of the last free variables: the
     longest run of them, and at least one, whose cardinalities multiply to
@@ -283,8 +283,9 @@ def _enumeration_plan(
     is repeated through the widest read.  Every other group reads each child
     through a map from each of its cells to the child's.
 
-    Returns the matrix; per free variable outside the block, its leaf rows,
-    their ``(rows, cardinality)`` logs and the blocks per category;
+    Returns the matrix's slot count; per variable, its leaf rows ``(first
+    slot, stop, columns, (rows, cardinality) logs, pick)``: each column's
+    category, the fixed one, or outside the block the blocks per category;
     ``_groups_pass``'s groups; the root's slot; and, per column of a block
     in ``decode_configuration``'s order, the root's cell.
     """
@@ -359,18 +360,16 @@ def _enumeration_plan(
     if any(group[5] is None for group in groups):
         cell = _gather_maps(groups, layout[:size], block, root)
 
-    vals, outer = np.empty((size, width)), []
+    leaf_rows = []
     for lo, hi in _spans(owner):  # the rows of one variable
         var, card = int(owner[lo]), network.cardinality(int(owner[lo]))
-        rows, table = vals[lo:hi, : fill[lo:hi].max()], distinct[lo:hi, 1 : 1 + card]
-        if var in evidence:
-            rows[:] = table[:, evidence[var], None]
-        elif var in strides:
-            outer.append((rows, table, strides[var]))
-        else:  # column ``c`` holds category ``c // (period / card) % card``
-            rows[:] = table[:, np.arange(rows.shape[1]) // (period[var] // card) % card]
+        columns, table = int(fill[lo:hi].max()), distinct[lo:hi, 1 : 1 + card]
+        pick = [evidence[var]] if var in evidence else strides.get(var)
+        if pick is None:  # column ``c`` holds category ``c // (period / card) % card``
+            pick = np.arange(columns) // (period[var] // card) % card
+        leaf_rows.append((lo, hi, columns, table, pick))
     order = np.arange(width).reshape(block[::-1]).transpose().ravel()
-    return vals, outer, groups, root, cell[order]
+    return size, leaf_rows, groups, root, cell[order]
 
 
 def _gather_maps(groups: list, layout: np.ndarray, block: np.ndarray, root: int) -> np.ndarray:
@@ -466,7 +465,8 @@ def enumerate_log_values(
     """Yield ``(start_index, log_values)`` over every assignment consistent with the evidence.
 
     Chunks follow ``decode_configuration``'s order, one per block of
-    ``_enumeration_plan``: the whole period of the last free variables, so
+    ``_enumeration_plan``, which the network keeps for the last evidence it
+    enumerated: the whole period of the last free variables, so
     all have one length and each starts at a multiple of it.  A chunk's
     values come from one levelled pass over the plan's matrix, which computes
     each value once per assignment of the block variables in its scope.
@@ -480,11 +480,17 @@ def enumerate_log_values(
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    vals, outer, groups, root, order = _enumeration_plan(network, evidence)
+    if getattr(network, "_enumeration", (None,))[0] != evidence:  # the last evidence's plan
+        network._enumeration = (evidence, _enumeration_plan(network, evidence))
+    size, leaf_rows, groups, root, order = network._enumeration[1]
     width = len(order)  # a suffix of the free variables, so it divides ``total``
+    vals = np.empty((size, width))  # a new matrix per call; only its plan is kept
     for k in range(total // width):
-        for rows, table, stride in outer:
-            rows[:] = table[:, k // stride % table.shape[1], None]
+        for lo, hi, columns, table, pick in leaf_rows:
+            if isinstance(pick, int):  # a variable outside the block: one category per block
+                vals[lo:hi, :columns] = table[:, k // pick % table.shape[1], None]
+            elif not k:
+                vals[lo:hi, :columns] = table[:, pick]
         _groups_pass(groups, vals)
         yield k * width, vals[root].take(order)
 

@@ -270,8 +270,10 @@ class Network:
     the columns as lists (``_lists``); the nodes are numbered by a
     depth-first walk (``_numbering``) only where a small network's pass or a
     structural query needs the order; larger networks pass over a plan built
-    once (``_plan``, ``_waves``).  Cyclic graphs are constructible (so
-    ``validate`` can report them) but refuse traversal-based queries.
+    once (``_plan``, ``_waves``), and enumeration keeps the plan of the last
+    evidence it ran with (``_enumeration``).  Cyclic graphs are
+    constructible (so ``validate`` can report them) but refuse
+    traversal-based queries.
     """
 
     def __init__(

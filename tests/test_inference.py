@@ -395,6 +395,24 @@ class TestEnumeration:
             assert exact_map(net, evidence).configuration == assignments[int(np.argmax(expected))]
         assert LOG_ZERO in values and values.max() > LOG_ZERO
 
+    @pytest.mark.parametrize("block", [4, None])
+    def test_switching_evidence_keeps_the_oracles_bits(self, monkeypatch, block):
+        # A network keeps the plan of the last evidence it enumerated with:
+        # a repeat reuses it, a switch builds the new evidence's plan.
+        if block is not None:
+            monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", block)
+        for net, fixed in split_networks():
+            oracles, previous, kept = {}, None, None
+            for evidence in ({}, fixed, fixed, {}, {0: 1}, {0: 1}, fixed, {}):
+                key = tuple(sorted(evidence.items()))
+                if key not in oracles:
+                    oracles[key] = oracle_values(net, evidence)
+                assignments, expected = oracles[key]
+                assert whole_blocks(net, evidence).tobytes() == expected.tobytes()
+                assert (net._enumeration[1] is kept) == (net._enumeration[0] == previous)
+                assert exact_map(net, evidence).configuration == assignments[int(np.argmax(expected))]
+                previous, kept = evidence, net._enumeration[1]
+
     def test_enumerate_log_values_matches_decode(self, mixture_net):
         for start, values in enumerate_log_values(mixture_net):
             for offset, value in enumerate(values):
@@ -484,16 +502,18 @@ class TestPeriodicBlocks:
         # slices; read through gather maps instead, they give the same bits.
         if block is not None:
             monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", block)
-        cases = [
-            (mis_to_spn(random_graph(12, pct, seed)).network, evidence)
-            for pct, seed, evidence in ((10.0, 1, {}), (40.0, 2, {0: 1}), (30.0, 5, {11: 1}))
-        ]
+        def cases():  # new networks each time: a network keeps the plan it enumerated with
+            return [
+                (mis_to_spn(random_graph(12, pct, seed)).network, evidence)
+                for pct, seed, evidence in ((10.0, 1, {}), (40.0, 2, {0: 1}), (30.0, 5, {11: 1}))
+            ]
+
         sliced = []
-        for net, evidence in cases:
+        for net, evidence in cases():
             assert not any(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
             sliced.append(whole_blocks(net, evidence))
         monkeypatch.setattr("spnmap.inference._sliced", lambda scopes, layouts: False)
-        for (net, evidence), values in zip(cases, sliced):
+        for (net, evidence), values in zip(cases(), sliced):
             assert all(isinstance(g[5], np.ndarray) for g in _enumeration_plan(net, evidence)[2])
             assert whole_blocks(net, evidence).tobytes() == values.tobytes()
             assignments, expected = oracle_values(net, evidence)
