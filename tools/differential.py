@@ -8,8 +8,10 @@ Each checkout runs this script again in its own subprocess, with
 ``PYTHONPATH=<checkout>/src``, and prints one line per output: solver
 configurations with their values' logs in hex (so bit for bit), marginals,
 ``log_partition``, ordered ``validate`` reports, topological orders, scopes,
-``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, and the
-type and message of every exception raised, ``ParseError`` included.  Long
+``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, the
+sha256 of each ``random_spn`` network's tables (so a draw that moves is
+named, not only seen through the solvers), and the type and message of
+every exception raised, ``ParseError`` included.  Long
 outputs are replaced by their sha256.  The script prints each tree's output
 count and digest.  When the trees disagree it lists every differing output
 by label and kind, with the distance in units in the last place (of 1, for
@@ -147,6 +149,17 @@ def _structure(label: str, net) -> None:
     _emit(label, "stats", spnmap.network_stats, net)
     _emit(label, "degree bound", spnmap.approx_factor_bound, net)
     _emit(label, "serialized", spnmap.serialize_spn, net)
+
+
+def _tables(net) -> str:
+    """sha256 of a network's tables: ids, root, variables, and each column's dtype and bytes."""
+    t = net._tables
+    variables = [(v.index, v.cardinality) for v in net.variables]
+    digest = hashlib.sha256(repr((t.ids, net.root, variables)).encode())
+    for column in t[1:]:
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 def _solve(label: str, net, evidence: dict, exact: bool) -> None:
@@ -342,6 +355,7 @@ def _corpus() -> None:
     for s in range(300):
         label = f"random_spn {s}"
         net = spnmap.random_spn(1 + s % 8, 1 + s % 5, seed=s)
+        _emit(label, "tables", _tables, net)
         _structure(label, net)
         for evidence in ({}, {0: s % 2}):
             _solve(f"{label} {evidence}", net, evidence, _small(net))
@@ -350,6 +364,7 @@ def _corpus() -> None:
     for s in range(60):
         label = f"random_spn deep {s}"
         net = spnmap.random_spn(4 + s % 5, 6 + s % 3, seed=1000 + s)
+        _emit(label, "tables", _tables, net)
         _structure(label, net)
         for evidence in ({}, {0: s % 2}):
             _solve(f"{label} {evidence}", net, evidence, _small(net))
@@ -367,6 +382,7 @@ def _corpus() -> None:
     for seed, height in ((0, 5), (0, 6), (1, 4), (1, 5)):
         net = spnmap.random_spn(17, height, seed=seed)
         label = f"random_spn 17 {height}" + (f" seed {seed}" if seed else "")
+        _emit(label, "tables", _tables, net)
         _emit(label, "exact_map", spnmap.exact_map, net, {})
         _emit(label, "log_partition", spnmap.log_partition, net)
         if (seed, height) == (0, 6):
@@ -449,6 +465,7 @@ def _corpus() -> None:
 
     for s in range(3):
         base = spnmap.random_spn(3 + s, 3 + s, seed=2000 + s)
+        _emit(f"random_spn {2000 + s}", "tables", _tables, base)
         q = 1 + 1024 // len(base.nodes)
         copies = amplify(spnmap.ReductionResult(base, Fraction(1), {}), q).network
         for defect, nodes, root, variables in _defects(copies):

@@ -33,8 +33,8 @@ stage once on fresh networks and prints the seconds as one JSON line:
   sizes, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
   ``random_graph(n, 50.0, derive_seed(0, n, 50.0, rep))`` for n = 5, 10 and
   20 (31, 111 and 421 entries); and ``random_spn(20, 6, seed=rep)``, the
-  node-dict construction that ``perfbench``'s ``exact_enum`` builds its
-  networks with
+  generator that ``perfbench``'s ``exact_enum`` draws its random networks
+  with
 - the first build of the pass plan (``Network._plan`` and ``_waves``) on the
   first 421-entry network, fresh and compiled, in a checkout that has one
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
