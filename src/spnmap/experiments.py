@@ -159,7 +159,6 @@ def random_spn(variable_count: int, max_height: int, seed: int = 0) -> Network:
     if variable_count > 1 and max_height < 1:
         raise ValueError(f"{variable_count} variables cannot fit under a height-0 network")
     rng = random.Random(seed)
-    draw, randint = rng.random, rng.randint
     kind, variable, child_index, params = [], [], [], []
     child_offset, param_offset = [0], [0]
 
@@ -173,26 +172,26 @@ def random_spn(variable_count: int, max_height: int, seed: int = 0) -> Network:
         return len(kind) - 1
 
     def leaf(var: int) -> int:
-        p = draw()
+        p = rng.random()
         return add(_LEAF, var, (), (1.0 - p, p))
 
     def mixture(scope: list[int], height: int) -> int:
-        children = [generate(scope, height - 1) for _ in range(randint(2, 3))]
-        raw = [draw() + 0.05 for _ in children]
+        children = [generate(scope, height - 1) for _ in range(rng.randint(2, 3))]
+        raw = [rng.random() + 0.05 for _ in children]
         total = sum(raw)
         return add(_SUM, -1, children, [w / total for w in raw])
 
     def generate(scope: list[int], height: int) -> int:
         if len(scope) == 1:
-            if height < 1 or draw() < 0.5:
+            if height < 1 or rng.random() < 0.5:
                 return leaf(scope[0])
             return mixture(scope, height)
         if height == 1:
             return add(_PRODUCT, -1, [leaf(v) for v in scope], ())
-        if draw() < 0.5:  # a product over two or three random disjoint parts
-            items = list(scope)
+        if rng.random() < 0.5:  # a product over two or three random disjoint parts
+            items = list(scope)  # a copy to shuffle: a sum's children share its scope
             rng.shuffle(items)
-            cuts = sorted(rng.sample(range(1, len(items)), randint(2, min(3, len(items))) - 1))
+            cuts = sorted(rng.sample(range(1, len(items)), rng.randint(2, min(3, len(items))) - 1))
             parts = zip([0, *cuts], [*cuts, len(items)])
             return add(_PRODUCT, -1, [generate(items[a:b], height - 1) for a, b in parts], ())
         return mixture(scope, height)

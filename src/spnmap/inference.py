@@ -480,9 +480,10 @@ def enumerate_log_values(
         raise ValueError(
             f"{total} configurations exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    if getattr(network, "_enumeration", (None,))[0] != evidence:  # the last evidence's plan
-        network._enumeration = (evidence, _enumeration_plan(network, evidence))
-    size, leaf_rows, groups, root, order = network._enumeration[1]
+    kept = getattr(network, "_enumeration", None)  # the last evidence and its plan
+    if kept is None or kept[0] != evidence:
+        kept = network._enumeration = (evidence, _enumeration_plan(network, evidence))
+    size, leaf_rows, groups, root, order = kept[1]
     width = len(order)  # a suffix of the free variables, so it divides ``total``
     vals = np.empty((size, width))  # a new matrix per call; only its plan is kept
     for k in range(total // width):

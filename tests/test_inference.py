@@ -502,6 +502,7 @@ class TestPeriodicBlocks:
         # slices; read through gather maps instead, they give the same bits.
         if block is not None:
             monkeypatch.setattr("spnmap.inference._BLOCK_SIZE", block)
+
         def cases():  # new networks each time: a network keeps the plan it enumerated with
             return [
                 (mis_to_spn(random_graph(12, pct, seed)).network, evidence)
