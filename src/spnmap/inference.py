@@ -1,15 +1,15 @@
 """Exact evaluation and marginal inference.
 
 A bottom-up pass over one assignment is one loop, ``_upward``, over the
-compiled network; networks of ``_LEVELLED_MIN`` entries or more take it a
-level at a time in numpy instead (``_levelled_upward``), over the leaves and
-levels of the network's pass plan (``Network._plan``).
-Leaves whose variable is fixed contribute the probability of the fixed
-category; leaves outside the evidence scope contribute 1, which turns the
-same pass into marginal inference.
+compiled network; networks of ``_LEVELLED_MIN`` entries or more take it in
+numpy instead, as one column of ``_groups_pass`` over the network's pass
+plan (``Network._plan``), whose slots hold the leaves and then one level of
+sums or products per group.  Leaves whose variable is fixed contribute the
+probability of the fixed category; leaves outside the evidence scope
+contribute 1, which turns the same pass into marginal inference.
 
-Enumeration, behind exhaustive MAP and ``log_partition``, evaluates blocks
-of total assignments a level at a time on networks of every size, one
+Enumeration, behind exhaustive MAP and ``log_partition``, runs the same
+groups on networks of every size over blocks of total assignments, one
 column per assignment, and yields each block as one chunk.  A block runs
 through the whole period of the last free variables, and each value is
 computed once per assignment of the block variables in its own scope
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_stacked
-from .network import Network, Variable, _below, _Level, _spans
+from .network import Network, Variable, _below, _spans
 
 #: Most assignments per block of the enumeration pass, unless the last free
 #: variable alone has more categories.  Its ``(slots, columns)`` value matrix
@@ -64,8 +64,16 @@ _LEVELLED_MIN = 1 << 8
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
-    """Raise ``ValueError`` unless every pair names a variable and category."""
+    """Raise ``ValueError`` unless every pair names a variable and category.
+
+    Both must be integers, ``int`` or ``np.integer``, and not ``bool``: a
+    float or a bool would index one pass and not another.
+    """
     n, cards = len(network.variables), network._cardinalities
+    kinds = [*map(type, evidence), *map(type, evidence.values())]
+    if kinds.count(int) < len(kinds) and not all(map(_integral, set(kinds))):
+        var, cat = next(p for p in evidence.items() if not all(_integral(type(x)) for x in p))
+        raise ValueError(f"evidence pair {var!r}: {cat!r} is not a pair of integers")
     for var, cat in evidence.items():
         if not 0 <= var < n:
             raise ValueError(f"evidence names unknown variable {var}")
@@ -73,6 +81,10 @@ def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
             raise ValueError(
                 f"evidence assigns category {cat} to variable {var} of cardinality {cards[var]}"
             )
+
+
+def _integral(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
@@ -117,29 +129,12 @@ def _levelled(network: Network) -> bool:
     return len(network._tables.ids) >= _LEVELLED_MIN
 
 
-def _levelled_upward(
-    levels: list[_Level], vals: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``_upward`` over every sum and product, one group of ``levels`` at a time.
-
-    ``vals`` holds each leaf's log value by entry.  A product adds its
-    children's values in order; a sum passes its ``(entries, fan-out)``
-    matrix of weighted child terms to ``reduce``, which reduces each row.
-    """
-    for level in levels:
-        below = vals[level.kids]
-        if level.weights is None:
-            vals[level.entries] = np.add.accumulate(below, axis=1)[:, -1]
-        else:
-            vals[level.entries] = reduce(level.weights + below)
-    return vals
-
-
 def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
-    """Each plan leaf's log at its evidence, else ``free``: one value, or one per leaf."""
+    """Each plan leaf slot's log at its evidence, else ``free``: one value, or one per leaf."""
     if not evidence:
         return free
-    leaves, t = network._plan.leaves, network._tables
+    plan, t = network._plan, network._tables
+    leaves = plan.entries[: plan.leaves]
     fixed = np.full(len(network.variables), -1)
     fixed[list(evidence)] = list(evidence.values())
     cats = fixed[t.variable[leaves]]
@@ -151,12 +146,10 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
     compiled = network._compiled
     if _levelled(network):
         plan = network._plan
-        vals = np.empty(len(network._tables.ids))
-        vals[plan.leaves] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
-        vals = _levelled_upward(
-            plan.levels, vals, lambda terms: logsumexp_stacked(terms[:, :, None])[:, 0]
-        )
-        return float(vals[compiled.root])
+        vals = np.empty((len(plan.entries), 1))
+        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
+        _groups_pass(plan.groups, vals)
+        return float(vals[plan.root, 0])
     _, _, variable, offset, _, _, log_list = network._lists
     vals = {
         e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
@@ -269,7 +262,7 @@ def _enumeration_plan(
     longest run of them, and at least one, whose cardinalities multiply to
     at most ``_BLOCK_SIZE``.  The first of them changes fastest in its
     columns.  The slots are the distinct leaf rows, then the sums and
-    products of ``network._plan``'s levels.
+    products of ``network._plan``'s groups, in its order.
 
     A slot holds one cell per assignment of the block variables in its
     layout, the first of them changing fastest, from column 0 of its row.
@@ -289,7 +282,7 @@ def _enumeration_plan(
     ``_groups_pass``'s groups; the root's slot; and, per column of a block
     in ``decode_configuration``'s order, the root's cell.
     """
-    t, log_table = network._tables, network._compiled.log_table
+    t, log_table, plan = network._tables, network._compiled.log_table, network._plan
     free = free_variables(network, evidence)
     cut, width = len(free), 1  # the block holds the free variables from ``cut`` on
     while cut and (cut == len(free) or width * free[cut - 1].cardinality <= _BLOCK_SIZE):
@@ -308,7 +301,7 @@ def _enumeration_plan(
     def first(columns):  # the mask of the block variables laid out through ``columns``
         return (1 << through[:-1].searchsorted(columns)) - 1
 
-    leaves = np.flatnonzero(t.variable >= 0)
+    leaves = plan.entries[: plan.leaves]
     cards = np.diff(t.param_offset)[leaves]
     columns = np.arange(int(cards.max()))
     inside = columns < cards[:, None]
@@ -316,32 +309,29 @@ def _enumeration_plan(
     keyed[:, 0] = t.variable[leaves]
     keyed[:, 1:][inside] = log_table[(t.param_offset[leaves][:, None] + columns)[inside]]
     distinct, leaf_slot = np.unique(keyed, axis=0, return_inverse=True)
-    owner = distinct[:, 0].astype(np.intp)
-    slot = np.empty(len(t.ids), dtype=np.intp)
-    slot[leaves] = leaf_slot.ravel()
-    size = len(distinct)
-    span = np.ones(len(t.ids), dtype=np.intp)  # each slot's period; no more slots than entries
-    span[:size] = period[owner]
+    owner, rows = distinct[:, 0].astype(np.intp), len(distinct)
+    shift = rows - plan.leaves  # a plan slot's sum or product lies past the distinct leaf rows
+    slot = np.concatenate((leaf_slot.ravel(), np.arange(plan.leaves, len(plan.entries)) + shift))
+    size = len(slot) + shift
+    span = np.ones(size, dtype=np.intp)  # each slot's period
+    span[:rows] = period[owner]
     scope = np.zeros_like(span)  # each slot's block variables, as bits
-    scope[:size] = bit[owner]
+    scope[:rows] = bit[owner]
     layout = np.zeros_like(span)  # the block variables that each slot's cells run over
-    layout[:size] = first(span[:size])
+    layout[:rows] = first(span[:rows])
     fill = np.zeros_like(span)  # the widest slice read of each slot
     shares, groups = _zero_shares(network, evidence), []
-    for level in network._plan.levels:
-        lo, hi = size, size + len(level.entries)
-        slot[level.entries] = np.arange(lo, hi)
-        kids = slot[level.kids]
+    for lo, hi, kids, weights, *_ in plan.groups:
+        masked = weights is not None and bool(shares[lo:hi].mean() > _SPARSE_SHARE)
+        lo, hi, kids = lo + shift, hi + shift, slot[kids]
         scope[lo:hi] = np.bitwise_or.reduce(scope[kids], axis=1)
-        masked = level.weights is not None and bool(shares[level.entries].mean() > _SPARSE_SHARE)
         if not _sliced(scope[lo:hi], layout[kids]):
             # Each over its own scope; a run of the first ``k``, ``2**k - 1``, spans ``through[k]``.
             layout[lo:hi] = scope[lo:hi]
             span[lo:hi] = through[(1 << np.arange(len(through))).searchsorted(scope[lo:hi] + 1)]
-            groups.append((lo, hi, kids, level.weights, masked, None))
-            size = hi
+            groups.append((lo, hi, kids, weights, masked, None))
             continue
-        if level.weights is None:  # a product's running sum widens along its children
+        if weights is None:  # a product's running sum widens along its children
             reads = np.maximum.accumulate(span[kids].max(axis=0))
         else:
             reads = span[kids].max()
@@ -349,16 +339,15 @@ def _enumeration_plan(
         np.maximum.at(fill, kids, np.broadcast_to(reads, kids.shape))
         span[lo:hi] = reads.max()
         layout[lo:hi] = first(span[lo:hi])
-        groups.append((lo, hi, kids, level.weights, masked, reads.tolist()))
-        size = hi
+        groups.append((lo, hi, kids, weights, masked, reads.tolist()))
     np.maximum(fill, span, out=fill)
     sliced = (layout & (layout + 1)) == 0  # runs of first block variables, repeated to ``fill``
     layout[sliced] = first(fill[sliced])
-    root = int(slot[network._compiled.root])
+    root = int(slot[plan.root])
     cell = np.arange(width) % fill[root]  # the root's cell of each column, if it lies in the first
     groups = [(*group, int(fill[group[0] : group[1]].max())) for group in groups]
     if any(group[5] is None for group in groups):
-        cell = _gather_maps(groups, layout[:size], block, root)
+        cell = _gather_maps(groups, layout, block, root)
 
     leaf_rows = []
     for lo, hi in _spans(owner):  # the rows of one variable
@@ -431,31 +420,31 @@ def _cells(layouts: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _zero_shares(network: Network, evidence: Mapping[int, int]) -> np.ndarray:
-    """Per sum entry, the share of its weighted terms expected to be ``LOG_ZERO``; 0 elsewhere.
+    """Per slot of ``Network._plan``, a sum's share of weighted terms expected to be ``LOG_ZERO``.
 
-    Over the assignments consistent with the evidence, a leaf is ``LOG_ZERO``
-    at its zero categories, a product where a child is, and a sum where all
-    its terms are, with children taken as independent: exactly so for a
-    product's, whose scopes are disjoint.
+    Other slots hold 0.  Over the assignments consistent with the evidence,
+    a leaf is ``LOG_ZERO`` at its zero categories, a product where a child
+    is, and a sum where all its terms are, with children taken as
+    independent: exactly so for a product's, whose scopes are disjoint.
     """
     t, log_table, plan = network._tables, network._compiled.log_table, network._plan
-    leaves, offset = plan.leaves, t.param_offset
+    leaves, offset = plan.entries[: plan.leaves], t.param_offset
     zeros = np.concatenate(([0], (log_table == LOG_ZERO).cumsum()))
-    share = np.empty(len(t.ids))  # each entry's share of LOG_ZERO values
+    share = np.empty(len(plan.entries))  # each slot's share of LOG_ZERO values
     start, stop = offset[leaves], offset[leaves + 1]
-    share[leaves] = (zeros[stop] - zeros[start]) / (stop - start)
+    share[: plan.leaves] = (zeros[stop] - zeros[start]) / (stop - start)
     if evidence:  # a fixed leaf is LOG_ZERO at every assignment or at none
         held = np.isin(t.variable[leaves], list(evidence))
-        share[leaves[held]] = _leaf_logs(network, evidence, 0.0)[held] == LOG_ZERO
-    terms = np.zeros(len(t.ids))
-    for level in plan.levels:
-        below = share[level.kids]
-        if level.weights is None:
-            share[level.entries] = 1.0 - (1.0 - below).prod(axis=1)
+        share[: plan.leaves][held] = _leaf_logs(network, evidence, 0.0)[held] == LOG_ZERO
+    terms = np.zeros(len(plan.entries))
+    for lo, hi, kids, weights, *_ in plan.groups:
+        below = share[kids]
+        if weights is None:
+            share[lo:hi] = 1.0 - (1.0 - below).prod(axis=1)
         else:
-            below[level.weights == LOG_ZERO] = 1.0
-            share[level.entries] = below.prod(axis=1)
-            terms[level.entries] = below.mean(axis=1)
+            below[weights == LOG_ZERO] = 1.0
+            share[lo:hi] = below.prod(axis=1)
+            terms[lo:hi] = below.mean(axis=1)
     return terms
 
 
@@ -496,21 +485,25 @@ def enumerate_log_values(
         yield k * width, vals[root].take(order)
 
 
-def _groups_pass(groups: list, vals: np.ndarray) -> None:
+def _groups_pass(groups: list, vals: np.ndarray, reduce=logsumexp_stacked) -> None:
     """Fill ``vals``, a row per slot and a column per assignment, one group of slots at a time.
 
     A group is ``(first slot, stop, kids' slots, a sum's log-weights or None,
-    sparse, reads, fill)``.  A sum reads its children through ``reads``
-    columns; a product reads child ``j`` through ``reads[j]`` and widens its
-    running sum by broadcasting where that grows.  The group's rows are then
-    repeated through ``fill`` columns.  ``None`` reads every row whole, as
-    argmax-product's waves do.  A group whose ``reads`` is an array gathers
-    instead (``_gather_maps``): ``kids`` holds, per child and per cell of
-    its entries, the child's cell in ``vals`` flattened, a sum's log-weights
-    are per cell too, and ``reads`` holds each cell's own place.  Products
-    add their children in order and sums reduce with ``logsumexp_stacked``.
-    ``sparse``, chosen when the plan is built (``_SPARSE_SHARE``), has it
-    exponentiate only the live terms.
+    sparse, reads, fill)``.  Products add their children in order; a sum
+    passes its ``(slots, fan-out, columns)`` weighted child terms and
+    ``sparse`` to ``reduce``, which reduces along the children:
+    ``logsumexp_stacked`` (``sparse`` exponentiates only the live terms,
+    ``_SPARSE_SHARE``) or a max for max-product.  ``reads`` of ``None`` reads
+    whole rows, a product's in one ``np.add.accumulate``, as the passes over
+    ``Network._plan`` do.  A tuple reads a product's child ``j`` through
+    ``reads[j]`` columns (``None``: whole), child by child, widening the
+    running sum by broadcasting where that grows: faster on short, wide
+    groups, as argmax-product's waves are.  A number reads a sum's children
+    through that many columns; these groups' rows are then repeated through
+    ``fill`` columns.  An array gathers instead (``_gather_maps``): ``kids``
+    holds, per child and per cell of its entries, the child's cell in
+    ``vals`` flattened, a sum's log-weights are per cell too, and ``reads``
+    holds each cell's own place.
     """
     flat = vals.reshape(-1)
     for lo, hi, kids, weights, sparse, reads, fill in groups:
@@ -522,11 +515,17 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
                 acc = acc[0]
             else:
                 acc += weights
-                acc = logsumexp_stacked(acc[None], sparse)[0]
+                acc = reduce(acc[None], sparse)[0]
             flat[reads] = acc
             continue
         out = vals[lo:hi]
-        if weights is None:
+        if weights is not None:
+            read, acc = reads, vals[kids, :reads]
+            acc += weights[:, :, None]
+            acc = reduce(acc, sparse)
+        elif reads is None:
+            read, acc = None, np.add.accumulate(vals[kids], axis=1)[:, -1]
+        else:
             read = reads[0]
             acc = vals[kids[:, 0], :read]
             for j in range(1, kids.shape[1]):
@@ -537,10 +536,6 @@ def _groups_pass(groups: list, vals: np.ndarray) -> None:
                     folds = term.reshape(len(term), -1, read)
                     folds += acc[:, None, :]
                     acc, read = term, reads[j]
-        else:
-            read, acc = reads, vals[kids, :reads]
-            acc += weights[:, :, None]
-            acc = logsumexp_stacked(acc, sparse)
         out[:, :read] = acc
         while fill and read < fill:  # repeat the period, doubling the copy
             step = min(read, fill - read)

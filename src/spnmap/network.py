@@ -179,20 +179,18 @@ class _Arrays(NamedTuple):
     shared: bool  # whether some entry is the child of two arcs
 
 
-class _Level(NamedTuple):
-    """Sums or products that share a height and a fan-out, for a pass a level at a time."""
-
-    entries: np.ndarray
-    kids: np.ndarray  # (entries, fan-out): each entry's child entries, in child order
-    weights: np.ndarray | None  # (entries, fan-out): a sum's log-weights; None for products
-
-
 class _Plan(NamedTuple):
-    """What the passes a level at a time read: the leaves, and the sums and products by level."""
+    """A network's entries in slots: the leaves in entry order, then the levels.
 
-    leaves: np.ndarray  # the leaf entries
-    best: np.ndarray  # each leaf's log at its most probable category
-    levels: list[_Level]
+    A level, the sums or products of one height and fan-out, is one group
+    of ``inference._groups_pass``, reading whole rows.
+    """
+
+    entries: np.ndarray  # per slot: its table entry
+    leaves: int  # the leaf slots' count
+    root: int  # the root's slot
+    best: np.ndarray  # per leaf slot: its log at its most probable category
+    groups: list[tuple]  # per level of one height, kind and fan-out, children first
     fan: np.ndarray  # per entry
     group: np.ndarray  # per entry: its level's key, 0 for leaves, higher for higher levels
 
@@ -269,9 +267,10 @@ class Network:
     tabulated on first use (``_compiled``), and per-entry Python code reads
     the columns as lists (``_lists``); the nodes are numbered by a
     depth-first walk (``_numbering``) only where a small network's pass or a
-    structural query needs the order; larger networks pass over a plan built
-    once (``_plan``, ``_waves``), and enumeration keeps the plan of the last
-    evidence it ran with (``_enumeration``).  Cyclic graphs are
+    structural query needs the order.  Larger networks pass over one slot
+    layout built once (``_plan``), and argmax-product's waves (``_waves``)
+    and enumeration, which keeps the plan of the last evidence it ran with
+    (``_enumeration``), build their groups from its groups.  Cyclic graphs are
     constructible (so ``validate`` can report them) but refuse
     traversal-based queries.
     """
@@ -546,7 +545,7 @@ class Network:
 
     @functools.cached_property
     def _plan(self) -> _Plan:
-        """The leaves, and the sums and products in levels of one height, kind and fan-out.
+        """The entries in slots: the leaves, then levels of one height, kind and fan-out.
 
         Every child of a level is a leaf or in an earlier level.  Built on
         first use, by the passes that work a level at a time, enumeration's
@@ -557,29 +556,33 @@ class Network:
         fan = child_offset[1:] - child_offset[:-1]
         is_sum = (t.variable < 0) & (offset[1:] > offset[:-1])
         group = (height * 2 + is_sum) * (int(fan.max()) + 1) + fan
+        leaves = (t.variable >= 0).nonzero()[0]
         inner = (t.variable < 0).nonzero()[0]
         inner = inner[group[inner].argsort(kind="stable")]
-        levels = []
+        entries = np.concatenate((leaves, inner))
+        slot = np.empty_like(entries)
+        slot[entries] = np.arange(len(entries))
+        child_slot = slot[t.child_index]
+        groups = []
         for lo, hi in _spans(group[inner]):
-            entries = inner[lo:hi]
-            e, columns = entries[0], np.arange(fan[entries[0]])
-            kids = t.child_index[child_offset[entries][:, None] + columns]
+            lo, hi = lo + len(leaves), hi + len(leaves)
+            ents, columns = entries[lo:hi], np.arange(fan[entries[lo]])
             weights = None
-            if is_sum[e]:
-                weights = record.log_table[offset[entries][:, None] + columns]
-            levels.append(_Level(entries, kids, weights))
-        leaves = (t.variable >= 0).nonzero()[0]
+            if is_sum[ents[0]]:
+                weights = record.log_table[offset[ents][:, None] + columns]
+            kids = child_slot[child_offset[ents][:, None] + columns]
+            groups.append((lo, hi, kids, weights, False, None, None))
         best = record.log_table[offset[leaves] + record.best[leaves]]
-        return _Plan(leaves, best, levels, fan, group)
+        return _Plan(entries, len(leaves), int(slot[record.root]), best, groups, fan, group)
 
     @functools.cached_property
     def _waves(self) -> list[_Wave]:
         """Argmax-product's waves: the levels of sums with several children, built on first use."""
-        cards = np.array([v.cardinality for v in self._variables])
+        cards, plan = np.array([v.cardinality for v in self._variables]), self._plan
         return [
-            _wave(self, cards, level.entries)
-            for level in self._plan.levels
-            if level.weights is not None and level.kids.shape[1] >= 2
+            _wave(self, cards, plan.entries[lo:hi])
+            for lo, hi, kids, weights, *_ in plan.groups
+            if weights is not None and kids.shape[1] >= 2
         ]
 
     @classmethod

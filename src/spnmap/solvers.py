@@ -28,7 +28,6 @@ from .inference import (
     _groups_pass,
     _leaf_logs,
     _levelled,
-    _levelled_upward,
     _upward,
     check_evidence,
     decode_configuration,
@@ -76,14 +75,15 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
     choice: dict[int, int] = {}
     if _levelled(network):
         plan = network._plan
-        vals = np.empty(len(network._tables.ids))
-        vals[plan.leaves] = _leaf_logs(network, evidence, plan.best)
-        vals = _levelled_upward(plan.levels, vals, lambda terms: terms.max(axis=1))
-        for level in plan.levels:
-            if level.weights is not None:
-                picks = (level.weights + vals[level.kids]).argmax(axis=1)  # the first best
-                choice.update(zip(level.entries.tolist(), picks.tolist()))
-        return float(vals[compiled.root]), choice
+        vals = np.empty((len(plan.entries), 1))
+        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, plan.best)
+        _groups_pass(plan.groups, vals, lambda terms, sparse: terms.max(axis=1))
+        vals = vals[:, 0]
+        for lo, hi, kids, weights, *_ in plan.groups:
+            if weights is not None:
+                picks = (weights + vals[kids]).argmax(axis=1)  # the first best
+                choice.update(zip(plan.entries[lo:hi].tolist(), picks.tolist()))
+        return float(vals[plan.root]), choice
     _, _, variable, offset, _, best, log_list = network._lists
     vals = {
         e: log_list[offset[e] + evidence.get(var, best[e])]
@@ -131,9 +131,10 @@ def max_product(
     weight.  It is a lower bound on the value of the selected configuration;
     times the product of sum out-degrees it bounds the optimum from above.
     Runs in time linear in the network size.  Networks of ``_LEVELLED_MIN``
-    entries or more take the upward pass, with the values and choices of the
-    per-entry loop that smaller networks run, and the evaluation at the
-    selected configuration a level at a time in numpy.
+    entries or more run the upward pass, a max at each sum, and the
+    evaluation at the selected configuration as one column of
+    ``inference._groups_pass`` over ``Network._plan``; the upward pass has
+    the values and choices of the per-entry loop that smaller networks run.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)

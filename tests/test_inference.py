@@ -19,6 +19,7 @@ from spnmap import (
     ProductNode,
     SumNode,
     Variable,
+    argmax_product,
     batch_log_values,
     count_free_configurations,
     decode_configuration,
@@ -27,6 +28,7 @@ from spnmap import (
     evaluate_marginal,
     exact_map,
     log_partition,
+    max_product,
     mis_to_spn,
     random_graph,
     random_spn,
@@ -197,6 +199,36 @@ class TestArgumentChecks:
     def test_category_out_of_range(self, mixture_net):
         with pytest.raises(ValueError, match="cardinality"):
             evaluate_marginal(mixture_net, {0: 2})
+
+    @pytest.mark.parametrize("n", [5, 20])  # 31 entries, per entry; 421 entries, levelled
+    def test_evidence_is_made_of_integers(self, n):
+        # A float or a bool indexes one pass and not another, so each call
+        # refuses it alike; numpy integers are integers.
+        net = mis_to_spn(random_graph(n, 30.0, n)).network
+        assert inference._levelled(net) == (n == 20)
+
+        def bits(result):
+            pd = result.pd_value and result.pd_value.log.hex()
+            return result.configuration, result.value.log.hex(), pd
+
+        def calls(evidence):
+            total = {v: 0 for v in range(n) if v not in evidence} | evidence
+            return {
+                "evaluate": lambda: evaluate(net, total).log.hex(),
+                "evaluate_marginal": lambda: evaluate_marginal(net, evidence).log.hex(),
+                "max_product": lambda: bits(max_product(net, evidence)),
+                "argmax_product": lambda: bits(argmax_product(net, evidence)),
+                "exact_map": lambda: bits(exact_map(net, evidence)),
+                "decode_configuration": lambda: decode_configuration(net, evidence, 1),
+            }
+
+        for evidence in ({0: 1.5}, {0.0: 1}, {True: 1}, {0: True}):
+            for name, call in calls(evidence).items():
+                with pytest.raises(ValueError, match="not a pair of integers"):
+                    call()
+        plain, wide = calls({0: 1}), calls({np.int64(0): np.int64(1)})
+        for name in plain:
+            assert wide[name]() == plain[name](), name
 
 
 class TestOracleAgreement:
@@ -595,9 +627,10 @@ class TestWideSums:
         net = mis_to_spn(random_graph(8, 30.0, 2)).network
         assignments = list(all_assignments(net, evidence))
         columns = {v.index: np.array([a[v.index] for a in assignments]) for v in net.variables}
-        root = net._entry[net.root]
-        terms = [batch_by_entry(net, int(kid), columns) for kid in net._plan.levels[-1].kids[0]]
-        assert _zero_shares(net, evidence)[root] == pytest.approx(np.mean(np.stack(terms) == LOG_ZERO))
+        plan = net._plan
+        root_kids = plan.entries[plan.groups[-1][2][0]]
+        terms = [batch_by_entry(net, int(kid), columns) for kid in root_kids]
+        assert _zero_shares(net, evidence)[plan.root] == pytest.approx(np.mean(np.stack(terms) == LOG_ZERO))
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("narrow", [1, 256])

@@ -425,21 +425,24 @@ class TestArrays:
     def test_levels_hold_each_inner_entry_once_above_its_children(self):
         for net in column_networks():
             t, height, log_table = net._tables, net._arrays.height, net._compiled.log_table
-            fan, done = np.diff(t.child_offset), t.variable >= 0
-            for level in net._plan.levels:
-                entries = level.entries.tolist()
+            fan, done, plan = np.diff(t.child_offset), t.variable >= 0, net._plan
+            assert np.array_equal(plan.entries[: plan.leaves], np.flatnonzero(done))
+            for lo, hi, slots, weights, *_ in plan.groups:
+                entries, level_kids = plan.entries[lo:hi].tolist(), plan.entries[slots]
+                assert (slots < lo).all()
                 assert not done[entries].any()
                 assert len(set(height[entries].tolist())) == 1
-                assert set(fan[entries].tolist()) == {level.kids.shape[1]}
-                for e, kids in zip(entries, level.kids.tolist()):
+                assert set(fan[entries].tolist()) == {level_kids.shape[1]}
+                for e, kids in zip(entries, level_kids.tolist()):
                     assert kids == list(net._numbering.children[e]) and done[kids].all()
-                if level.weights is None:
+                if weights is None:
                     assert (np.diff(t.param_offset)[entries] == 0).all()
                 else:
-                    at = t.param_offset[entries][:, None] + np.arange(level.kids.shape[1])
-                    assert np.array_equal(level.weights, log_table[at])
+                    at = t.param_offset[entries][:, None] + np.arange(level_kids.shape[1])
+                    assert np.array_equal(weights, log_table[at])
                 done[entries] = True
             assert done.all()
+            assert plan.entries[plan.root] == net._entry[net.root]
 
 
 def built_networks() -> dict[str, Network]:

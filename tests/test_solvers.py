@@ -704,3 +704,50 @@ class TestIndependentSetInstances:
             assert round(ex.value.linear * float(reduction.normalizer)) == (
                 brute_mis_size(graph)
             )
+
+
+def relative_ulps(got: float, want: float) -> float:
+    """``|got - want|`` in units of ``want``'s magnitude times ``2**-52``."""
+    return abs(got - want) / (abs(want) * 2.0**-52)
+
+
+class TestInvariantsPastEnumeration:
+    """Checks against optima that need no enumeration of the assignments."""
+
+    @pytest.mark.parametrize("copies", [2, 3, 7])
+    def test_disjoint_copies_power_the_value_and_repeat_the_configuration(self, copies):
+        # ``amplify`` multiplies disjoint copies: every solver's log value is
+        # ``copies`` times the base's, up to the rounding of the copies'
+        # sums, and each copy repeats the base configuration.  Bases of 5 to
+        # 20 vertices run per entry or levelled, and so do their copies.
+        worst = 0.0
+        for s in range(60):
+            n = 5 + s % 16
+            base = mis_to_spn(random_graph(n, (10.0, 30.0, 50.0)[s % 3], derive_seed(0, "power", s)))
+            net = amplify(base, copies).network
+            for solver in (max_product, argmax_product):
+                one, many = solver(base.network), solver(net)
+                worst = max(worst, relative_ulps(many.value.log, copies * one.value.log))
+                for t in range(copies):
+                    copy = {k: many.configuration[t * n + k] for k in range(n)}
+                    assert copy == one.configuration, (s, solver.__name__, t)
+        assert worst <= 2
+
+    @pytest.mark.parametrize("n", [30, 60, 80])
+    @pytest.mark.parametrize("pct", [10.0, 40.0])
+    def test_independent_set_solvers_lie_below_the_largest_set(self, n, pct):
+        # The MAP value of an independent-set network is alpha(G) / c, with
+        # alpha(G) a maximum clique of the complement graph.  Under the
+        # lowest-index tie rule argmax-product keeps one vertex, 1 / c.
+        nx = pytest.importorskip("networkx")
+        graph = random_graph(n, pct, derive_seed(0, "optimum", n, pct))
+        reduction = mis_to_spn(graph)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(graph.edges)
+        alpha = len(nx.max_weight_clique(nx.complement(g), weight=None)[0])
+        log_c = math.log(reduction.normalizer.numerator)
+        mp, am = max_product(reduction.network), argmax_product(reduction.network)
+        assert log_leq(mp.value.log, am.value.log)
+        assert log_leq(am.value.log, math.log(alpha) - log_c)
+        assert am.value.log + log_c == pytest.approx(0.0, abs=1e-12)
