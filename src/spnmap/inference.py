@@ -70,11 +70,9 @@ def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
     float or a bool would index one pass and not another.
     """
     n, cards = len(network.variables), network._cardinalities
-    kinds = [*map(type, evidence), *map(type, evidence.values())]
-    if kinds.count(int) < len(kinds) and not all(map(_integral, set(kinds))):
-        var, cat = next(p for p in evidence.items() if not all(_integral(type(x)) for x in p))
-        raise ValueError(f"evidence pair {var!r}: {cat!r} is not a pair of integers")
     for var, cat in evidence.items():
+        if not (type(var) is type(cat) is int or _integral(var) and _integral(cat)):
+            raise ValueError(f"evidence pair {var!r}: {cat!r} is not a pair of integers")
         if not 0 <= var < n:
             raise ValueError(f"evidence names unknown variable {var}")
         if not 0 <= cat < cards[var]:
@@ -83,8 +81,8 @@ def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
             )
 
 
-def _integral(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+def _integral(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:

@@ -15,9 +15,10 @@ stage once on fresh networks and prints the seconds as one JSON line:
   ``(-1 2 -3)(-1 3 4)`` amplified 300 times: build (``cnf_to_spn`` and
   ``amplify``), ``serialize_spn``, ``parse_spn``, ``validate``, ``validate``
   again on the same network (its own checks alone), the first build of the
-  heights (``Network._arrays``) and of the compiled record
-  (``Network._compiled``), each about 0 where an earlier stage built it,
-  ``evaluate_marginal``, ``max_product``, ``argmax_product``, ``evaluate`` at
+  heights (``Network._arrays``), of the compiled record
+  (``Network._compiled``) and of the pass plan (``Network._plan``), each
+  about 0 where an earlier stage built it, ``evaluate_marginal`` (its pass
+  alone, on the built plan), ``max_product``, ``argmax_product``, ``evaluate`` at
   argmax-product's configuration and ``decision_map`` with max-product, each
   stage on the last one's output; the pipeline total leaves out the second
   ``validate`` and the ``evaluate``, which the ``amplified_cnf`` workload does
@@ -113,6 +114,7 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         timed(f"{name} validate again", spnmap.validate, net)
         timed(f"{name} first _arrays", lambda: net._arrays)
         timed(f"{name} first _compiled", lambda: net._compiled)
+        timed(f"{name} first _plan", lambda: net._plan)
         timed(f"{name} evaluate_marginal", spnmap.evaluate_marginal, net)
         timed(f"{name} max_product", spnmap.max_product, net)
         am = timed(f"{name} argmax_product", spnmap.argmax_product, net)
