@@ -131,8 +131,7 @@ def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
     """Each plan leaf slot's log at its evidence, else ``free``: one value, or one per leaf."""
     if not evidence:
         return free
-    plan, t = network._plan, network._tables
-    leaves = plan.entries[: plan.leaves]
+    t, leaves = network._tables, network._plan.entries[: network._plan.leaves]
     fixed = np.full(len(network.variables), -1)
     fixed[list(evidence)] = list(evidence.values())
     cats = fixed[t.variable[leaves]]
@@ -503,6 +502,9 @@ def _groups_pass(groups: list, vals: np.ndarray, reduce=logsumexp_stacked) -> No
     ``vals`` flattened, a sum's log-weights are per cell too, and ``reads``
     holds each cell's own place.
     """
+    def rows(at, read):  # numpy's ``take`` copies whole rows faster than indexing does
+        return vals.take(at, axis=0) if read is None else vals[at, :read]
+
     flat = vals.reshape(-1)
     for lo, hi, kids, weights, sparse, reads, fill in groups:
         if isinstance(reads, np.ndarray):
@@ -518,16 +520,16 @@ def _groups_pass(groups: list, vals: np.ndarray, reduce=logsumexp_stacked) -> No
             continue
         out = vals[lo:hi]
         if weights is not None:
-            read, acc = reads, vals[kids, :reads]
+            read, acc = reads, rows(kids, reads)
             acc += weights[:, :, None]
             acc = reduce(acc, sparse)
-        elif reads is None:
-            read, acc = None, np.add.accumulate(vals[kids], axis=1)[:, -1]
+        elif reads is None:  # child by child along the first axis, so each add spans a group
+            read, acc = None, np.add.accumulate(vals.take(kids.T, axis=0), axis=0)[-1]
         else:
             read = reads[0]
-            acc = vals[kids[:, 0], :read]
+            acc = rows(kids[:, 0], read)
             for j in range(1, kids.shape[1]):
-                term = vals[kids[:, j], : reads[j]]
+                term = rows(kids[:, j], reads[j])
                 if reads[j] == read:
                     acc += term
                 else:  # the running sum repeats every ``read`` columns
