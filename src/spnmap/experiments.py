@@ -22,7 +22,7 @@ from typing import Mapping
 from .logspace import LOG_ZERO
 from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _Tables
 from .reductions import Graph, ReductionResult, amplify, mis_to_spn
-from .solvers import _improved, max_product
+from .solvers import argmax_product, max_product
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def ratio(network: Network, evidence: Mapping[int, int] | None = None) -> float:
     Both zero gives 1.  A zero denominator with a nonzero numerator gives
     ``inf``, and so does a ratio beyond the largest float.
     """
-    base = max_product(network, evidence)
-    return _ratio_from_logs(_improved(network, evidence, base).value.log, base.value.log)
+    base = max_product(network, evidence)  # kept by the network for argmax-product
+    return _ratio_from_logs(argmax_product(network, evidence).value.log, base.value.log)
 
 
 def run_mis_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -121,7 +121,7 @@ def run_mis_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                 t0 = time.perf_counter()
                 mp = max_product(network)
                 t1 = time.perf_counter()
-                am = _improved(network, None, mp)  # argmax-product from max-product's result
+                am = argmax_product(network)  # from max-product's result, which the network kept
                 t2 = time.perf_counter()
                 times_mp.append(t1 - t0)
                 times_am.append(t2 - t0)

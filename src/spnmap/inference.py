@@ -85,15 +85,6 @@ def _integral(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_assignment(network: Network, assignment: Mapping[int, int]) -> None:
-    """Raise ``ValueError`` unless the assignment is total and in range."""
-    check_evidence(network, assignment)
-    n = len(network.variables)
-    if len(assignment) < n:  # every key names a variable, so some variable is missing
-        missing = min(set(range(n)).difference(assignment))
-        raise ValueError(f"assignment is missing variable {missing}")
-
-
 def _upward(
     network: Network,
     vals: dict,
@@ -157,8 +148,17 @@ def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
-    """Probability of a total assignment."""
-    check_assignment(network, assignment)
+    """Probability of a total assignment; ``ValueError`` unless it is total and in range."""
+    check_evidence(network, assignment)
+    return _evaluate(network, assignment)
+
+
+def _evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
+    """``evaluate`` of an assignment whose pairs are in range, as a solver's own are."""
+    n = len(network.variables)
+    if len(assignment) < n:  # every key names a variable, so some variable is missing
+        missing = min(set(range(n)).difference(assignment))
+        raise ValueError(f"assignment is missing variable {missing}")
     return Probability(_sum_pass(network, assignment))
 
 

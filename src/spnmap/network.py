@@ -189,7 +189,6 @@ class _Plan(NamedTuple):
     entries: np.ndarray  # per slot: its table entry
     leaves: int  # the leaf slots' count
     root: int  # the root's slot
-    best: np.ndarray  # per leaf slot: its log at its most probable category
     groups: list[tuple]  # per level of one height, kind and fan-out, children first
     fan: np.ndarray  # per entry
     group: np.ndarray  # per entry: its level's key, 0 for leaves, higher for higher levels
@@ -270,9 +269,10 @@ class Network:
     structural query needs the order.  Larger networks pass over one slot
     layout built once (``_plan``), and argmax-product's waves (``_waves``)
     and enumeration, which keeps the plan of the last evidence it ran with
-    (``_enumeration``), build their groups from its groups.  Cyclic graphs are
-    constructible (so ``validate`` can report them) but refuse
-    traversal-based queries.
+    (``_enumeration``), build their groups from its groups.  ``max_product``
+    keeps its last result by checked evidence (``_max_product``) and hands
+    out copies of its configuration.  Cyclic graphs are constructible (so
+    ``validate`` can report them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -572,8 +572,7 @@ class Network:
                 weights = record.log_table[offset[ents][:, None] + columns]
             kids = child_slot[child_offset[ents][:, None] + columns]
             groups.append((lo, hi, kids, weights, False, None, None))
-        best = record.log_table[offset[leaves] + record.best[leaves]]
-        return _Plan(entries, len(leaves), int(slot[record.root]), best, groups, fan, group)
+        return _Plan(entries, len(leaves), int(slot[record.root]), groups, fan, group)
 
     @functools.cached_property
     def _waves(self) -> list[_Wave]:

@@ -1,9 +1,11 @@
 """MAP solvers: max-product, argmax-product, and exhaustive search.
 
 All three return a total configuration together with its exact probability,
-so results are directly comparable.  Argmax-product re-evaluates every sum
-at its children's candidates; on larger networks it does so a wave of sums
-at a time in numpy (``Network._waves``), scoring candidates that agree on a
+so results are directly comparable.  A network keeps its last max-product
+result by checked evidence, for argmax-product, ``decision_map`` and the ratio
+study; each call gets a copy of its configuration.  Argmax-product re-evaluates
+every sum at its children's candidates; on larger networks it does so a wave of
+sums at a time in numpy (``Network._waves``), scoring candidates that agree on a
 sum's scope once, with the same bits as one re-evaluation per sum.
 
 Ties are broken deterministically: sum nodes prefer the lowest child index,
@@ -16,7 +18,7 @@ values, so that is not always the smallest exact maximizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
@@ -28,11 +30,11 @@ from .inference import (
     _groups_pass,
     _leaf_logs,
     _levelled,
+    _evaluate,
     _upward,
     check_evidence,
     decode_configuration,
     enumerate_log_values,
-    evaluate,
 )
 from .logspace import LOG_ZERO, Probability
 from .network import Network, _below, _ragged, _Wave, network_stats
@@ -75,8 +77,10 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
     choice: dict[int, int] = {}
     if _levelled(network):
         plan = network._plan
+        leaves = plan.entries[: plan.leaves]
+        best = compiled.log_table[network._tables.param_offset[leaves] + compiled.best[leaves]]
         vals = np.empty((len(plan.entries), 1))
-        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, plan.best)
+        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, best)
         _groups_pass(plan.groups, vals, lambda terms, sparse: terms.max(axis=1))
         vals = vals[:, 0]
         for lo, hi, kids, weights, *_ in plan.groups:
@@ -122,9 +126,7 @@ def _walk(
     return config
 
 
-def max_product(
-    network: Network, evidence: Mapping[int, int] | None = None
-) -> MapResult:
+def max_product(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
     """Upward max-propagation followed by downward argmax selection.
 
     ``pd_value`` carries the upward value, the best single induced tree's
@@ -135,27 +137,33 @@ def max_product(
     evaluation at the selected configuration as one column of
     ``inference._groups_pass`` over ``Network._plan``; the upward pass has
     the values and choices of the per-entry loop that smaller networks run.
+    The network keeps the last result (``Network._max_product``), keyed by
+    the evidence pairs once checked; equal pairs get it with a fresh copy of
+    its configuration.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
-    compiled = network._compiled
-    upward, choice = _max_pass(network, evidence)
-    bound = Probability(upward)
-    if bound.is_zero:
-        config = decode_configuration(network, evidence, 0)
-        return MapResult(config, bound, Solver.MAX_PRODUCT, bound)
-    config = {**evidence, **_walk(network, evidence, compiled.root, choice)}
-    return MapResult(config, evaluate(network, config), Solver.MAX_PRODUCT, bound)
+    key, kept = tuple(evidence.items()), getattr(network, "_max_product", None)
+    if kept is None or kept[0] != key:
+        upward, choice = _max_pass(network, evidence)
+        bound = value = Probability(upward)
+        if bound.is_zero:
+            config = decode_configuration(network, evidence, 0)
+        else:
+            config = {**evidence, **_walk(network, evidence, network._compiled.root, choice)}
+            value = _evaluate(network, config)
+        kept = network._max_product = (key, MapResult(config, value, Solver.MAX_PRODUCT, bound))
+    # A copy, with the caller's evidence values: numpy integers may equal the kept ones.
+    return replace(kept[1], configuration={**kept[1].configuration, **evidence})
 
 
-def argmax_product(
-    network: Network, evidence: Mapping[int, int] | None = None
-) -> MapResult:
+def argmax_product(network: Network, evidence: Mapping[int, int] | None = None) -> MapResult:
     """Max-product's result, improved by choosing each sum's child by re-evaluation.
 
-    Each sum with several children evaluates its sub-DAG at the configuration
-    that each child's chosen tree induces, and chooses the first best child.
-    Choices are per sum, so a shared node contributes one consistent choice.
+    Starts from ``max_product``'s kept result.  Each sum with several children
+    evaluates its sub-DAG at the configuration that each child's chosen tree
+    induces, and chooses the first best child.  Choices are per sum, so a
+    shared node contributes one consistent choice.
     Networks of ``_LEVELLED_MIN`` entries or more choose in waves: a wave
     holds the sums of one height and one out-degree, so every sum below it
     has chosen.  One numpy pass per wave walks its candidates' chosen trees,
@@ -163,24 +171,20 @@ def argmax_product(
     its sums' sub-DAGs level by level.  Its choices are bit for bit those of
     the per-sum loop that smaller networks run.  The configuration chosen
     from the root replaces max-product's unless it scores strictly lower, so
-    the result is never worse; it is evaluated as ``max_product`` evaluates,
-    a level at a time on large networks.  Worst case quadratic in network
-    size.
+    the result is never worse.  A root sum of a wave, over every variable,
+    takes its chosen candidate and its score, the bits of ``evaluate``, from
+    that wave; otherwise the chosen tree is walked and evaluated as
+    ``max_product`` evaluates.  Worst case quadratic in network size.
     """
-    return _improved(network, evidence, max_product(network, evidence))
-
-
-def _improved(
-    network: Network, evidence: Mapping[int, int] | None, base: MapResult
-) -> MapResult:
-    """Argmax-product's result from ``base``, max-product's result with the same evidence."""
+    base = max_product(network, evidence)
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
-    compiled = network._compiled
-    choice = (_choose_by_wave if _levelled(network) else _choose_by_sum)(network, evidence)
-    config = _walk(network, evidence, compiled.root, choice)
-    value = base.value if config == base.configuration else evaluate(network, config)
+    choice, top = (_choose_by_wave if _levelled(network) else _choose_by_sum)(network, evidence)
+    if top is None:
+        config = _walk(network, evidence, network._compiled.root, choice)
+        top = config, base.value if config == base.configuration else _evaluate(network, config)
+    config, value = top
     # With nested sums the candidate can score below max-product's configuration,
     # whose value feeds cross terms that the candidate pass never sees.
     if base.value.log > value.log:
@@ -193,8 +197,8 @@ def _improved(
 _CHUNK_VALUES = 1 << 17
 
 
-def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
-    """Each sum's choice by child index, one ``_batch_upward`` per sum, children first."""
+def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> tuple[dict, None]:
+    """Each sum's choice by child index, one ``_batch_upward`` per sum, children first; ``None``."""
     offset, numbering = network._lists.param_offset, network._numbering
     choice: dict[int, int] = {}
     for e in numbering.internal:  # children first, so their choices are made
@@ -208,22 +212,32 @@ def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> dict[int, i
         scope = list(numbering.scopes[e])
         rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
         choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
-    return choice
+    return choice, None
 
 
-def _choose_by_wave(network: Network, evidence: Mapping[int, int]) -> dict[int, int]:
-    """``_choose_by_sum``'s choices, made one wave of ``Network._waves`` at a time."""
+def _choose_by_wave(network: Network, evidence: Mapping[int, int]) -> tuple[dict, tuple | None]:
+    """``_choose_by_sum``'s choices, made one wave of ``Network._waves`` at a time.
+
+    Also the root's chosen candidate and its score, if the root is a sum of
+    a wave over every variable and the candidate's tree reaches each of them.
+    """
     # Each entry's chosen tree follows ``count`` children from child index
     # ``skip``: all of them, or the one its sum chose.
     follow = np.zeros_like(network._plan.fan), network._plan.fan.copy()
     choice: dict[int, int] = {}
+    root, top = network._compiled.root, None
     for wave in network._waves:
-        scores = _score_wave(network, follow, evidence, choice, wave)
+        scores, (cat_rows, row, reached) = _score_wave(network, follow, evidence, choice, wave)
         picks = scores.argmax(axis=1)  # the first best child
         follow[0][wave.sums] = picks
         follow[1][wave.sums] = 1
         choice.update(zip(wave.sums.tolist(), picks.tolist()))
-    return choice
+        for i in (wave.sums == root).nonzero()[0].tolist():
+            j, slots = picks[i], slice(wave.slot_first[i], wave.slot_first[i + 1])
+            if slots.stop - slots.start == len(network.variables) and reached[slots, j].all():
+                slot_var, cats = wave.slot_var[slots].tolist(), cat_rows[slots, row[i, j]].tolist()
+                top = dict(zip(slot_var, cats)), Probability(float(scores[i, j]))
+    return choice, top
 
 
 def _score_wave(
@@ -232,11 +246,11 @@ def _score_wave(
     evidence: Mapping[int, int],
     choice: Mapping[int, int],
     wave: _Wave,
-) -> np.ndarray:
-    """Each sum's log value at each child's candidate, one row per sum of the wave."""
-    cat_rows, row = _candidate_rows(network, follow, evidence, choice, wave)
+) -> tuple[np.ndarray, tuple]:
+    """Each sum's log value at each child's candidate, one row per sum, and ``_candidate_rows``."""
+    candidates = cat_rows, row, _ = _candidate_rows(network, follow, evidence, choice, wave)
     top_values = _levelled_pass(network, wave, cat_rows)
-    return top_values[np.arange(len(row))[:, None], row]
+    return top_values[np.arange(len(row))[:, None], row], candidates
 
 
 def _candidate_rows(
@@ -249,7 +263,8 @@ def _candidate_rows(
     """The candidates' categories, one row per sum and distinct candidate.
 
     Returns the categories by slot and row (a variable a candidate misses
-    reads 0), and each candidate's row, by sum and child.
+    reads 0), each candidate's row, by sum and child, and by slot and child
+    the count of leaves that the candidate's tree reaches there.
     """
     variable, shared = network._tables.variable, network._arrays.shared
     entry, kid, kid_start = wave.entry, wave.kid, wave.kid_start
@@ -285,7 +300,8 @@ def _candidate_rows(
     slot_sum, slot_first = wave.slot_sum, wave.slot_first
     table = np.zeros((len(slot_sum), k), dtype=np.intp)
     table.flat[cell] = cat
-    clash = (np.bincount(cell, minlength=table.size) > 1).nonzero()[0]
+    reached = np.bincount(cell, minlength=table.size)
+    clash = (reached > 1).nonzero()[0]
     walked.append(slot_sum[clash // k] * k + clash % k)
     for c in sorted(set(np.concatenate(walked).tolist())):  # its first-visited leaf wins
         i, j = divmod(c, k)
@@ -306,7 +322,7 @@ def _candidate_rows(
     row[sums, by_code] = rank
     rep = by_code[:, :1].repeat(int(rank[:, -1].max()) + 1, axis=1)  # padding repeats row 0
     rep[sums, rank] = by_code
-    return table[np.arange(len(slot_sum))[:, None], rep[slot_sum]], row
+    return table[np.arange(len(slot_sum))[:, None], rep[slot_sum]], row, reached.reshape(-1, k)
 
 
 def _levelled_pass(network: Network, wave: _Wave, cat_rows: np.ndarray) -> np.ndarray:
@@ -339,7 +355,7 @@ def exact_map(network: Network, evidence: Mapping[int, int] | None = None) -> Ma
         if values[j] > best_value:
             best_index, best_value = start + j, float(values[j])
     config = decode_configuration(network, evidence, best_index)
-    return MapResult(config, evaluate(network, config), Solver.EXACT)
+    return MapResult(config, _evaluate(network, config), Solver.EXACT)
 
 
 def solve(

@@ -333,9 +333,9 @@ class TestWaveRescoring:
         score_wave = solvers._score_wave
 
         def recorded(*args):
-            scores = score_wave(*args)
+            scores, candidates = score_wave(*args)
             self.scores.update(zip(args[-1].sums.tolist(), scores))
-            return scores
+            return scores, candidates
 
         monkeypatch.setattr(solvers, "_score_wave", recorded)
 
@@ -572,6 +572,29 @@ class TestInvalidNetworks:
             with pytest.raises(ValueError, match="missing variable"):
                 solver(net)
 
+    @pytest.mark.parametrize("levelled_min", [0, inference._LEVELLED_MIN])
+    def test_a_chosen_root_candidate_that_misses_a_variable_is_refused(
+        self, monkeypatch, levelled_min
+    ):
+        # The root covers x0 and x1, but its leaf child covers x0 only.
+        # Max-product picks the product (0.7 * 0.5 against 0.3 * 0.8), and
+        # re-evaluation the leaf (0.7 * 0.5 + 0.3 * 0.8 against 0.7 * 0.5 + 0.3 * 0.2),
+        # whose tree leaves x1 unset.
+        monkeypatch.setattr(inference, "_LEVELLED_MIN", levelled_min)
+        nodes = {
+            0: SumNode((1, 2), (0.7, 0.3)),
+            1: ProductNode((3, 4)),
+            2: LeafNode(0, (0.2, 0.8)),
+            3: LeafNode(0, (0.5, 0.5)),
+            4: LeafNode(1, (1.0, 0.0)),
+        }
+        net = Network.from_nodes(nodes, 0)
+        assert max_product(net).configuration == {0: 0, 1: 0}
+        reference = functools.partial(argmax_by_sum, logsumexp=logsumexp_column)
+        assert outcome(argmax_product, net, {}) == outcome(reference, net, {})
+        with pytest.raises(ValueError, match="missing variable 1"):
+            argmax_product(net)
+
     def test_argmax_product_improves_a_zero_valued_max_product_result(self):
         # Product 1 is not decomposable: the walk reaches leaf 3 before leaf 4
         # and fixes x0 = 0, where leaf 4 is zero.  The positive bound is not
@@ -627,6 +650,95 @@ class TestInvalidNetworks:
                 with pytest.raises(ValueError, match=message):
                     call()
             assert validate(net)  # reported, not raised
+
+
+def kept_cases():
+    """Networks to solve in sequence, as ``(build, evidence)``; ``build`` makes a fresh copy.
+
+    Independent-set networks of 5 and 10 vertices take the per-entry passes
+    and of 20 the levelled ones; ``random_spn`` networks of 23 to 995 entries
+    take both.
+    """
+    cases = []
+    for n, pct in itertools.product((5, 10, 20), (10.0, 60.0)):
+        graph = random_graph(n, pct, derive_seed(0, n, pct))
+        cases += [(lambda g=graph: mis_to_spn(g).network, ev) for ev in ({}, {0: 1, 3: 0})]
+    for s in range(4):
+        for height in (5, 7):
+            build = functools.partial(random_spn, 4 + s if height == 5 else 12, height, seed=s)
+            cases += [(build, ev) for ev in ({}, {0: s % 2})]
+    assert {inference._levelled(build()) for build, _ in cases} == {False, True}
+    return cases
+
+
+class TestKeptMaxProduct:
+    """The network keeps max-product's last result; what every caller sees stays the same."""
+
+    @pytest.mark.parametrize("max_product_first", [True, False])
+    def test_one_network_gives_the_results_of_fresh_copies(self, max_product_first):
+        for build, evidence in kept_cases():
+            expected = [outcome(solver, build(), evidence) for solver in (max_product, argmax_product)]
+            gamma = math.exp(argmax_product(build(), evidence).value.log)
+            decision = decision_map(build(), evidence, gamma, Solver.MAX_PRODUCT)
+            net = build()
+            if max_product_first:
+                got = [outcome(max_product, net, evidence), outcome(argmax_product, net, evidence)]
+            else:
+                got = [outcome(argmax_product, net, evidence), outcome(max_product, net, evidence)]
+                got.reverse()
+            assert got == expected
+            assert decision_map(net, evidence, gamma, Solver.MAX_PRODUCT) == decision
+
+    def test_max_pass_runs_once_per_network_and_evidence(self, monkeypatch):
+        calls = []
+        max_pass = solvers._max_pass
+
+        def counted(network, evidence):
+            calls.append(dict(evidence))
+            return max_pass(network, evidence)
+
+        monkeypatch.setattr(solvers, "_max_pass", counted)
+        for build, _ in kept_cases():
+            net = build()
+            calls.clear()
+            max_product(net)
+            argmax_product(net, {})
+            decision_map(net, None, 0.5, Solver.MAX_PRODUCT)
+            assert calls == [{}]
+            argmax_product(net, {0: 1})
+            max_product(net, {0: 1})
+            assert calls == [{}, {0: 1}]
+            max_product(net)
+            assert calls == [{}, {0: 1}, {}]
+
+    def test_mutating_a_returned_configuration_changes_no_later_result(self):
+        for build, evidence in kept_cases():
+            expected = [outcome(solver, build(), evidence) for solver in (max_product, argmax_product)]
+            net = build()
+            max_product(net, evidence).configuration[0] ^= 1
+            argmax_product(net, evidence).configuration.clear()
+            max_product(net, evidence).configuration[len(net.variables)] = 0
+            got = [outcome(solver, net, evidence) for solver in (max_product, argmax_product)]
+            assert got == expected
+
+    def test_equal_numpy_evidence_gets_its_own_values(self):
+        for build, _ in kept_cases():
+            net = build()
+            kept = max_product(net, {0: 1})
+            result = max_product(net, {0: np.int64(1)})
+            assert result.configuration == kept.configuration
+            assert type(result.configuration[0]) is np.int64
+
+    def test_a_kept_result_still_refuses_bool_and_float_evidence(self):
+        for build, _ in kept_cases():
+            net = build()
+            max_product(net, {0: 1})
+            for evidence in ({0: True}, {0: 1.0}):
+                for solver in (max_product, argmax_product):
+                    with pytest.raises(ValueError, match="not a pair of integers"):
+                        solver(net, evidence)
+                with pytest.raises(ValueError, match="not a pair of integers"):
+                    decision_map(net, evidence, 0.5, Solver.MAX_PRODUCT)
 
 
 class TestDispatchAndDecision:

@@ -6,7 +6,9 @@ Usage::
 
 Each checkout runs this script again in its own subprocess, with
 ``PYTHONPATH=<checkout>/src``, and prints one line per output: solver
-configurations with their values' logs in hex (so bit for bit), marginals,
+configurations with their values' logs in hex (so bit for bit), each
+network's max-product, argmax-product, ``decision_map`` with max-product and
+max-product again, in that order on one network object, marginals,
 ``log_partition``, ordered ``validate`` reports, topological orders, scopes,
 ``network_stats``, ``approx_factor_bound``, ``serialize_spn`` text, the
 sha256 of each ``random_spn`` network's tables (so a draw that moves is
@@ -163,13 +165,24 @@ def _tables(net) -> str:
 
 
 def _solve(label: str, net, evidence: dict, exact: bool) -> None:
+    """The solvers' outputs on one network object, which may keep max-product's result."""
     import spnmap
 
     _emit(label, "max_product", spnmap.max_product, net, evidence)
     _emit(label, "argmax_product", spnmap.argmax_product, net, evidence)
+    _emit(label, "decision after argmax", _decision, net, evidence)
+    _emit(label, "max_product again", spnmap.max_product, net, evidence)
     _emit(label, "marginal", spnmap.evaluate_marginal, net, evidence)
     if exact:
         _emit(label, "exact_map", spnmap.exact_map, net, evidence)
+
+
+def _decision(net, evidence: dict) -> bool:
+    """``decision_map`` with max-product at argmax-product's value: whether it did not improve."""
+    import spnmap
+
+    gamma = math.exp(spnmap.argmax_product(net, evidence).value.log)
+    return spnmap.decision_map(net, evidence, gamma, spnmap.Solver.MAX_PRODUCT)
 
 
 def _small(net) -> bool:

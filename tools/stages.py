@@ -20,9 +20,10 @@ stage once on fresh networks and prints the seconds as one JSON line:
   about 0 where an earlier stage built it, ``evaluate_marginal`` (its pass
   alone, on the built plan), ``max_product``, ``argmax_product``, ``evaluate`` at
   argmax-product's configuration and ``decision_map`` with max-product, each
-  stage on the last one's output; the pipeline total leaves out the second
-  ``validate`` and the ``evaluate``, which the ``amplified_cnf`` workload does
-  not run
+  stage on the last one's output, and the three solver stages together,
+  which reuse max-product's result where the network keeps it; the pipeline
+  total leaves out the second ``validate``, the ``evaluate`` and that sum,
+  which the ``amplified_cnf`` workload does not run
 - ``spnmap map --algo amap``'s work on the serialized MIS network of
   ``random_graph(80, 10.0, derive_seed(1, "scale"))``: ``parse_spn``,
   ``validate`` and ``argmax_product``
@@ -33,9 +34,10 @@ stage once on fresh networks and prints the seconds as one JSON line:
 - small-network paths, each over 20 networks: the ratio study's three
   sizes, ``mis_to_spn``, ``max_product`` and ``argmax_product`` on
   ``random_graph(n, 50.0, derive_seed(0, n, 50.0, rep))`` for n = 5, 10 and
-  20 (31, 111 and 421 entries); and ``random_spn(20, 6, seed=rep)``, the
-  generator that ``perfbench``'s ``exact_enum`` draws its random networks
-  with
+  20 (31, 111 and 421 entries); ``max_product`` then ``argmax_product`` alone
+  on the n = 20 networks, built untimed; and ``random_spn(20, 6,
+  seed=rep)``, the generator that ``perfbench``'s ``exact_enum`` draws its
+  random networks with
 - the first build of the pass plan (``Network._plan`` and ``_waves``) on the
   first 421-entry network, fresh and compiled, in a checkout that has one
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
@@ -122,7 +124,9 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         threshold = float(amplified.normalizer)
         mp = spnmap.Solver.MAX_PRODUCT
         timed(f"{name} decision_map", spnmap.decision_map, net, None, threshold, mp)
-        extra = (f"{name} validate again", f"{name} evaluate at argmax")
+        solves = f"{name} max_product, argmax_product, decision_map"
+        seconds[solves] = sum(seconds[f"{name} {k}"] for k in solves.split(" ", 1)[1].split(", "))
+        extra = (f"{name} validate again", f"{name} evaluate at argmax", solves)
         seconds[f"{name} pipeline"] = sum(
             v for k, v in seconds.items() if k.startswith(f"{name} ") and k not in extra
         )
@@ -160,6 +164,11 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         ]
         solved = timed(f"ratio n={n} build and solve", ratio_cell, graphs)
         results[f"ratio n={n}"] = " ".join(solved)
+    nets = [spnmap.mis_to_spn(graph).network for graph in graphs]
+    timed(
+        "ratio n=20 max_product then argmax_product",
+        lambda: [(spnmap.max_product(net), spnmap.argmax_product(net)) for net in nets],
+    )
     net = spnmap.mis_to_spn(graphs[0]).network
     net._compiled
     if hasattr(type(net), "_plan"):
