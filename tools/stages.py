@@ -124,8 +124,9 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         threshold = float(amplified.normalizer)
         mp = spnmap.Solver.MAX_PRODUCT
         timed(f"{name} decision_map", spnmap.decision_map, net, None, threshold, mp)
-        solves = f"{name} max_product, argmax_product, decision_map"
-        seconds[solves] = sum(seconds[f"{name} {k}"] for k in solves.split(" ", 1)[1].split(", "))
+        stages = ("max_product", "argmax_product", "decision_map")
+        solves = f"{name} {', '.join(stages)}"
+        seconds[solves] = sum(seconds[f"{name} {stage}"] for stage in stages)
         extra = (f"{name} validate again", f"{name} evaluate at argmax", solves)
         seconds[f"{name} pipeline"] = sum(
             v for k, v in seconds.items() if k.startswith(f"{name} ") and k not in extra
