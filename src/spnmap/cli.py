@@ -7,12 +7,10 @@ parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
-from .experiments import ExperimentConfig, run_mis_experiment
 from .formats import (
     ParseError,
     parse_dimacs_cnf,
@@ -24,8 +22,10 @@ from .formats import (
 from .inference import evaluate, evaluate_marginal
 from .logspace import Probability
 from .network import Network, network_stats, validate
-from .reductions import amplification_q, amplify, cnf_to_spn, mis_to_spn
 from .solvers import Solver, solve
+
+# ``reductions``, ``experiments`` and ``csv`` are imported by the commands that
+# use them, so a cold ``spnmap map`` process never loads them.
 
 #: ``reduce cnf --epsilon`` refuses to build an amplified network larger than this.
 MAX_AMPLIFIED_NODES = 1 << 21
@@ -116,6 +116,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_mis(args: argparse.Namespace) -> int:
+    from .reductions import mis_to_spn
+
     graph = parse_graph(_read(args.file))
     result = mis_to_spn(graph)
     text = (
@@ -127,6 +129,8 @@ def _cmd_reduce_mis(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_cnf(args: argparse.Namespace) -> int:
+    from .reductions import amplification_q, amplify, cnf_to_spn
+
     formula = parse_dimacs_cnf(_read(args.file))
     result = base = cnf_to_spn(formula)
     if args.epsilon is not None:
@@ -151,6 +155,10 @@ def _cmd_reduce_cnf(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment_mis(args: argparse.Namespace) -> int:
+    import csv
+
+    from .experiments import ExperimentConfig, run_mis_experiment
+
     config = ExperimentConfig(
         vertex_counts=args.vertices,
         edge_percentages=args.edge_pct,

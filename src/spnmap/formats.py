@@ -42,12 +42,14 @@ import math
 import re
 import warnings
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .network import _LEAF, _PRODUCT, _SUM, Network, Variable, _ragged, _Tables
-from .reductions import CnfFormula, Graph
+
+if TYPE_CHECKING:  # imported by their parsers alone: parsing a network needs no reductions
+    from .reductions import CnfFormula, Graph
 
 
 class ParseError(ValueError):
@@ -593,6 +595,8 @@ def parse_graph(text: str) -> Graph:
 
     Duplicate edges collapse with a warning; self loops are errors.
     """
+    from .reductions import Graph
+
     n: int | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, tokens in _content_lines(text):
@@ -638,6 +642,8 @@ def serialize_graph(graph: Graph) -> str:
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """Parse DIMACS CNF; clauses must hold exactly three distinct variables."""
+    from .reductions import CnfFormula
+
     n = m = None
     clauses: list[tuple[int, int, int]] = []
     current: list[int] = []

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -38,6 +37,9 @@ from .inference import (
 )
 from .logspace import LOG_ZERO, Probability
 from .network import Network, _below, _ragged, _Wave, network_stats
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Exponent of the size-based bound on the product of sum out-degrees.
 DEGREE_BOUND_EXPONENT = 0.5284
@@ -386,6 +388,8 @@ def decision_map(
     relative slack of ``1e-9`` so thresholds that are met exactly are not
     rejected for rounding reasons.
     """
+    from fractions import Fraction  # here, so that a process that never decides skips it
+
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     gamma = Fraction(gamma)

@@ -310,13 +310,32 @@ class TestUsage:
         check_console_script([shutil.which("spnmap")], mixture_file, tmp_path)
 
 
-def test_map_work_leaves_numpy_ma_unimported(tmp_path):
-    """A cold process that parses, validates and solves ``cli_map``'s document
-    never imports ``numpy.ma``, which a plain ``np.unique`` would: it costs each
-    ``spnmap map`` process about 20 ms."""
+@pytest.fixture
+def mis80_file(tmp_path):
+    """``cli_map``'s document: the MIS network of an 80-vertex graph, 6481 nodes."""
     graph = spnmap.random_graph(80, 10.0, spnmap.derive_seed(1, "scale"))
     doc = tmp_path / "mis80.spn"
     doc.write_text(spnmap.serialize_spn(spnmap.mis_to_spn(graph).network), encoding="utf-8")
+    return doc
+
+
+def run_cold(script: str, *args: str) -> list[str]:
+    """The lines that ``python -c SCRIPT ARGS...`` prints in a fresh process."""
+    env = dict(os.environ)
+    package_parent = str(Path(spnmap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_map_work_leaves_numpy_ma_unimported(mis80_file):
+    """A cold process that parses, validates and solves ``cli_map``'s document
+    never imports ``numpy.ma``, which a plain ``np.unique`` would: it costs each
+    ``spnmap map`` process about 20 ms."""
     script = (
         "import sys, spnmap\n"
         "net = spnmap.parse_spn(open(sys.argv[1], encoding='utf-8').read())\n"
@@ -324,15 +343,25 @@ def test_map_work_leaves_numpy_ma_unimported(tmp_path):
         "spnmap.argmax_product(net)\n"
         "print(len(net.nodes), 'numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    package_parent = str(Path(spnmap.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(doc)],
-        env=env, capture_output=True, text=True, timeout=120,
+    assert run_cold(script, str(mis80_file)) == ["6481 False"]
+
+
+def test_cold_map_loads_only_what_it_runs(mis80_file):
+    """A cold ``spnmap map --algo amap`` process prints argmax-product's
+    configuration without loading ``experiments``, ``reductions``,
+    ``fractions`` or ``csv``, which a map never runs."""
+    script = (
+        "import sys, spnmap.cli\n"
+        "assert spnmap.cli.main(['map', '--algo', 'amap', sys.argv[1]]) == 0\n"
+        "skipped = ('spnmap.experiments', 'spnmap.reductions', 'fractions', 'csv')\n"
+        "print(sorted(set(skipped) & set(sys.modules)))\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["6481", "False"]
+    value, config, loaded = run_cold(script, str(mis80_file))
+    expected = spnmap.argmax_product(parse_spn(mis80_file.read_text(encoding="utf-8")))
+    pairs = " ".join(f"{var}={cat}" for var, cat in sorted(expected.configuration.items()))
+    assert config == f"config {pairs}"
+    assert value.split()[3] == format(expected.value.log, ".17g")
+    assert loaded == "[]"
 
 
 def check_console_script(command, mixture_file, cwd, env=None):

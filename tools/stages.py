@@ -49,12 +49,24 @@ stage once on fresh networks and prints the seconds as one JSON line:
   seed=derive_seed(0, "structure", 20, 24))`` (343 nodes); and ``exact_map``
   over 3**11 assignments on ``differential.mixed_spn([3] * 11, 0)``
 
+Each round also times two cold rows per checkout, in fresh processes over
+a temporary copy of the checkout's ``src/spnmap/*.py`` with no
+``__pycache__``, run under ``PYTHONDONTWRITEBYTECODE=1``, so every module a
+process imports is compiled from source, as in ``perfbench``'s cold
+processes: ``import spnmap, spnmap.cli``, timed inside the process as
+``perfbench``'s set-up probe times it, and a whole ``python -m spnmap.cli map
+--algo amap`` process on the MIS n = 80 document above.  Each time is scaled
+to a nominal machine by ``0.1 s`` over the seconds of a ``python -c "import
+numpy"`` process run just before it, as ``perfbench`` scales ``cli_map``, and
+a row takes the median of 5 such times per round.  (``PYTHONPYCACHEPREFIX``
+would keep the copy out, but it makes numpy compile from source as well.)
+
 The script prints a Markdown table: per stage, each tree's median and
 quartiles in milliseconds, the change of the medians, and the rounds in
 which the new tree was faster.  The runs also check that both trees give the
 same argmax-product, ``exact_map`` and ``log_partition`` results, compared in
-hex, and the same 17-digit network, compared by the sha256 of its
-serialization; the script exits 1 when they do not.
+hex, the same output of the cold map, and the same 17-digit network, compared
+by the sha256 of its serialization; the script exits 1 when they do not.
 """
 
 from __future__ import annotations
@@ -64,9 +76,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -77,10 +91,30 @@ from differential import mixed_spn
 #: the small document's parses, in the timed pass and in the warm-up.
 _SIZES = {"timed": (400, 300, 80, 20, 18, 50, 300), "warm": (8, 6, 12, 2, 8, 2, 10)}
 
+#: Seconds of a ``python -c "import numpy"`` process on the nominal machine.
+_NOMINAL_PROCESS_S = 0.1
+
+#: Each cold row is the median of this many scaled processes per round.
+_COLD_REPEATS = 5
+
+#: ``perfbench``'s set-up probe: prints the seconds that the import takes.
+_IMPORT_PROBE = (
+    "import time; t = time.perf_counter(); import spnmap, spnmap.cli; "
+    "print(time.perf_counter() - t)"
+)
+
 #: The small document that ``parse_spn`` reads again and again.
 _SMALL = (
     "spn 3\nnode 0 sum\nnode 1 leaf 0 0.5 0.5\nnode 2 leaf 0 0.1 0.9\nedge 0 1 0.5\nedge 0 2 0.5\n"
 )
+
+
+def _mis_document(n: int) -> str:
+    """The serialized MIS network that ``perfbench``'s ``cli_map`` maps, for n vertices."""
+    import spnmap
+
+    graph = spnmap.random_graph(n, 10.0, spnmap.derive_seed(1, "scale"))
+    return spnmap.serialize_spn(spnmap.mis_to_spn(graph).network)
 
 
 def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
@@ -133,9 +167,7 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         )
         results[name] = f"{sorted(am.configuration.items())} {am.value.log.hex()}"
 
-    graph = spnmap.random_graph(mis_n, 10.0, spnmap.derive_seed(1, "scale"))
-    text = spnmap.serialize_spn(spnmap.mis_to_spn(graph).network)
-    net = timed("mis parse_spn", spnmap.parse_spn, text)
+    net = timed("mis parse_spn", spnmap.parse_spn, _mis_document(mis_n))
     timed("mis validate", spnmap.validate, net)
     am = timed("mis argmax_product", spnmap.argmax_product, net)
     seconds["mis solve"] = sum(v for k, v in seconds.items() if k.startswith("mis "))
@@ -195,12 +227,44 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
     return seconds, results
 
 
-def _run(tree: str) -> dict:
+def _run(tree: str, doc: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
     done = subprocess.run(
         [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True
     )
-    return json.loads(done.stdout)
+    run = json.loads(done.stdout)
+    cold_seconds, run["results"]["cold map"] = _cold(tree, doc)
+    run["seconds"].update(cold_seconds)
+    return run
+
+
+def _cold(tree: str, doc: str) -> tuple[dict[str, float], str]:
+    """Scaled seconds of the two cold rows in ``tree``, and the map's output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        package = Path(tmp, "spnmap")
+        package.mkdir()
+        for source in Path(tree, "src", "spnmap").glob("*.py"):
+            shutil.copy(source, package)
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+
+        def process(*args: str) -> tuple[float, str]:
+            start = time.perf_counter()
+            out = subprocess.check_output([sys.executable, *args], cwd=tmp, env=env, text=True)
+            return time.perf_counter() - start, out
+
+        def scaled(*args: str) -> tuple[float, float, str]:
+            """A reference process's scale, then ``python ARGS``'s seconds and output."""
+            scale = _NOMINAL_PROCESS_S / process("-c", "import numpy")[0]
+            return (scale, *process(*args))
+
+        imports = [scaled("-c", _IMPORT_PROBE) for _ in range(_COLD_REPEATS)]
+        map_argv = ("-m", "spnmap.cli", "map", "--algo", "amap", doc)
+        maps = [scaled(*map_argv) for _ in range(_COLD_REPEATS)]
+    seconds = {
+        "cold import spnmap, spnmap.cli": statistics.median(k * float(o) for k, _, o in imports),
+        "cold spnmap map --algo amap": statistics.median(k * wall for k, wall, _ in maps),
+    }
+    return seconds, maps[0][2]
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -214,15 +278,22 @@ def main(argv: list[str]) -> int:
         seconds, results = _pass(_SIZES["timed"])
         print(json.dumps({"seconds": seconds, "results": results}))
         return 0
+    if argv[:1] == ["--document"]:
+        Path(argv[1]).write_text(_mis_document(_SIZES["timed"][2]), encoding="utf-8")
+        return 0
     if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     trees = argv[:2]
     rounds = int(argv[2]) if len(argv) == 3 else 10
     runs: dict[str, list[dict]] = {tree: [] for tree in trees}
-    for r in range(rounds):
-        for tree in trees if r % 2 == 0 else trees[::-1]:
-            runs[tree].append(_run(tree))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = str(Path(tmp, "mis.spn"))
+        env = dict(os.environ, PYTHONPATH=str(Path(trees[1], "src").resolve()))
+        subprocess.run([sys.executable, __file__, "--document", doc], env=env, check=True)
+        for r in range(rounds):
+            for tree in trees if r % 2 == 0 else trees[::-1]:
+                runs[tree].append(_run(tree, doc))
     old, new = (runs[tree] for tree in trees)
     print(f"old: {trees[0]}\nnew: {trees[1]}\n{rounds} rounds, alternating\n")
     print("| stage | old ms, median [quartiles] | new ms, median [quartiles] | change | new wins |")
