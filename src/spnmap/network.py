@@ -14,7 +14,7 @@ import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -164,11 +164,11 @@ class _Numbering(NamedTuple):
     walk's path; its scopes are partial.
     """
 
-    order: list[int]  # every entry, children first
-    rank: list[int]  # index of each entry in ``order``
-    internal: list[int]  # entries of sums and products, children first
-    children: list[tuple[int, ...]]  # child entries; empty for leaves
-    scopes: list[frozenset[int]]  # variables below each entry
+    order: tuple[int, ...]  # every entry, children first
+    rank: tuple[int, ...]  # index of each entry in ``order``
+    internal: tuple[int, ...]  # entries of sums and products, children first
+    children: tuple[tuple[int, ...], ...]  # child entries; empty for leaves
+    scopes: tuple[frozenset[int], ...]  # variables below each entry
     cycle: int | None  # id of the first node found on a cycle
 
 
@@ -189,7 +189,7 @@ class _Plan(NamedTuple):
     entries: np.ndarray  # per slot: its table entry
     leaves: int  # the leaf slots' count
     root: int  # the root's slot
-    groups: list[tuple]  # per level of one height, kind and fan-out, children first
+    groups: Sequence[tuple]  # per level of one height, kind and fan-out, children first
     fan: np.ndarray  # per entry
     group: np.ndarray  # per entry: its level's key, 0 for leaves, higher for higher levels
 
@@ -216,7 +216,45 @@ class _Wave(NamedTuple):
     slot_first: np.ndarray  # per sum and one more: its first slot
     digit: np.ndarray  # per slot
     coded: np.ndarray  # per sum
-    groups: list[tuple]
+    groups: Sequence[tuple]
+
+
+#: The most entries, in all, of the shapes whose records ``_SHAPES`` holds.  With no
+#: budget, ``amplified_cnf``'s x400 network (90001 entries) kept its records between
+#: operations, and its peak RSS rose 11-13%; at 2**14, under 1% (numpy 2.4.6, 2-core Xeon).
+_SHAPE_BUDGET = 1 << 14
+
+#: The records of each shape held (``Network._shape``), the least recently used first.  A
+#: shape is every table column but ``params``, the root and the cardinalities; ids by value.
+_SHAPES: dict[tuple, dict[str, tuple]] = {}
+
+
+def _per_shape(build: Callable[[Network], tuple]) -> functools.cached_property:
+    """A cached property whose record ``build`` makes once per shape (``_SHAPES``), read-only."""
+    def get(network: Network) -> tuple:
+        if (record := network._shape.get(build.__name__)) is None:
+            record = network._shape[build.__name__] = _read_only(build(network))
+        return record
+    return functools.cached_property(functools.update_wrapper(get, build))
+
+
+def _read_only(record: tuple) -> tuple:
+    """``record``, or each of a tuple of records, with lists as tuples and arrays read-only."""
+    if not hasattr(record, "_fields"):
+        return tuple(map(_read_only, record))
+    fields = [tuple(value) if isinstance(value, list) else value for value in record]
+    for array in itertools.chain(fields, *getattr(record, "groups", ())):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return type(record)(*fields)
+
+
+def _weighed(record: _Plan | _Wave, log_table: np.ndarray) -> _Plan | _Wave:
+    """A shape's plan or wave with its sums' weight positions replaced by their logs."""
+    return record._replace(groups=[
+        (lo, hi, kids, at if at is None else log_table[at], *rest)
+        for lo, hi, kids, at, *rest in record.groups
+    ])
 
 
 class _NodeView(Mapping):
@@ -262,17 +300,16 @@ class Network:
 
     The nodes are stored as flat tables (``_Tables``) of numpy columns, in
     the mapping's order.  Construction renormalizes sum weights that are
-    within ``1e-6`` of a proper convex combination.  The parameters are
-    tabulated on first use (``_compiled``), and per-entry Python code reads
-    the columns as lists (``_lists``); the nodes are numbered by a
-    depth-first walk (``_numbering``) only where a small network's pass or a
-    structural query needs the order.  Larger networks pass over one slot
-    layout built once (``_plan``), and argmax-product's waves (``_waves``)
-    and enumeration, which keeps the plan of the last evidence it ran with
-    (``_enumeration``), build their groups from its groups.  ``max_product``
-    keeps its last result by checked evidence (``_max_product``) and hands
-    out copies of its configuration.  Cyclic graphs are constructible (so
-    ``validate`` can report them) but refuse traversal-based queries.
+    within ``1e-6`` of a proper convex combination.  Records are built on
+    first use.  Per network: the parameters' logs (``_compiled``), the
+    columns as lists (``_lists``), the slot layout (``_plan``) and
+    argmax-product's waves (``_waves``) with its log-weights, enumeration's
+    plan (``_enumeration``) and max-product's last result (``_max_product``).
+    Per shape (``_shape``), read-only and shared while ``_SHAPES`` holds it
+    (``_SHAPE_BUDGET``): the heights (``_arrays``), the numbering
+    (``_numbering``), and the layout and waves with weight positions
+    (``_shape_plan``, ``_shape_waves``).  Cyclic graphs are constructible
+    (so ``validate`` can report them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -408,6 +445,21 @@ class Network:
         return dict(zip(self._tables.ids, range(len(self._tables.ids))))
 
     @functools.cached_property
+    def _shape(self) -> dict[str, tuple]:
+        """The records of this network's shape by name, kept in ``_SHAPES`` within its budget."""
+        t, cards = self._tables, tuple(self._cardinalities.values())
+        if len(t.ids) > _SHAPE_BUDGET:
+            return {}  # kept nowhere
+        key = (tuple(t.ids), self._root, cards, *(column.tobytes() for column in t[1:6]))
+        if (records := _SHAPES.pop(key, None)) is None:
+            records, held = {}, len(t.ids) + sum(len(shape[0]) for shape in _SHAPES)
+            while held > _SHAPE_BUDGET:  # drop the least recently used first
+                held -= len((oldest := next(iter(_SHAPES)))[0])
+                del _SHAPES[oldest]
+        _SHAPES[key] = records  # last, as the most recently used
+        return records
+
+    @_per_shape
     def _numbering(self) -> _Numbering:
         """Order the entries in one depth-first walk, children first.
 
@@ -513,7 +565,7 @@ class Network:
         columns = (t.child_offset, t.child_index, t.variable, t.param_offset, t.params)
         return _Lists(*(c.tolist() for c in (*columns, record.best, record.log_table)))
 
-    @functools.cached_property
+    @_per_shape
     def _arrays(self) -> _Arrays:
         """Each entry's height, and whether an entry is shared.
 
@@ -545,13 +597,18 @@ class Network:
 
     @functools.cached_property
     def _plan(self) -> _Plan:
+        """``_shape_plan`` with this network's log-weights, built on first use."""
+        return _weighed(self._shape_plan, self._compiled.log_table)
+
+    @_per_shape
+    def _shape_plan(self) -> _Plan:
         """The entries in slots: the leaves, then levels of one height, kind and fan-out.
 
         Every child of a level is a leaf or in an earlier level.  Built on
         first use, by the passes that work a level at a time, enumeration's
         on networks of every size included.
         """
-        t, height, record = self._tables, self._arrays.height, self._compiled
+        t, height, root = self._tables, self._arrays.height, self._compiled.root
         child_offset, offset = t.child_offset, t.param_offset
         fan = child_offset[1:] - child_offset[:-1]
         is_sum = (t.variable < 0) & (offset[1:] > offset[:-1])
@@ -567,22 +624,25 @@ class Network:
         for lo, hi in _spans(group[inner]):
             lo, hi = lo + len(leaves), hi + len(leaves)
             ents, columns = entries[lo:hi], np.arange(fan[entries[lo]])
-            weights = None
-            if is_sum[ents[0]]:
-                weights = record.log_table[offset[ents][:, None] + columns]
+            at = offset[ents][:, None] + columns if is_sum[ents[0]] else None
             kids = child_slot[child_offset[ents][:, None] + columns]
-            groups.append((lo, hi, kids, weights, False, None, None))
-        return _Plan(entries, len(leaves), int(slot[record.root]), groups, fan, group)
+            groups.append((lo, hi, kids, at, False, None, None))
+        return _Plan(entries, len(leaves), int(slot[root]), groups, fan, group)
 
     @functools.cached_property
     def _waves(self) -> list[_Wave]:
-        """Argmax-product's waves: the levels of sums with several children, built on first use."""
-        cards, plan = np.array([v.cardinality for v in self._variables]), self._plan
-        return [
+        """``_shape_waves`` with this network's log-weights, built on first use."""
+        return [_weighed(wave, self._compiled.log_table) for wave in self._shape_waves]
+
+    @_per_shape
+    def _shape_waves(self) -> tuple[_Wave, ...]:
+        """Argmax-product's waves: the levels of sums with several children."""
+        cards, plan = np.array([v.cardinality for v in self._variables]), self._shape_plan
+        return tuple(
             _wave(self, cards, plan.entries[lo:hi])
-            for lo, hi, kids, weights, *_ in plan.groups
-            if weights is not None and kids.shape[1] >= 2
-        ]
+            for lo, hi, kids, at, *_ in plan.groups
+            if at is not None and kids.shape[1] >= 2
+        )
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[int, Node], root: int) -> "Network":
@@ -608,9 +668,9 @@ def _spans(key: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
-    """The ``_Wave`` of ``sums``, given each variable's cardinality."""
-    tables, shared, plan = network._tables, network._arrays.shared, network._plan
-    offset, log_table, fan = tables.param_offset, network._compiled.log_table, plan.fan
+    """The shape's ``_Wave`` of ``sums``, given each variable's cardinality."""
+    tables, shared, plan = network._tables, network._arrays.shared, network._shape_plan
+    offset, fan = tables.param_offset, plan.fan
     n, w = len(fan), len(sums)
     owner, entries = np.arange(w), sums
     owners, levels, kids = [], [], []
@@ -660,11 +720,11 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
         ents = entry[lo:hi]
         columns = np.arange(fan[ents[0]])
         below = kid[kid_start[lo:hi][:, None] + columns]
-        weights, reads = None, (None,) * len(columns)  # every row read whole
+        at, reads = None, (None,) * len(columns)  # every row read whole
         if offset[ents[0] + 1] > offset[ents[0]]:  # a sum
-            weights, reads = log_table[offset[ents][:, None] + columns], None
+            at, reads = offset[ents][:, None] + columns, None
         # Unmasked: a wave's rows are its distinct candidates, too few for masking to pay.
-        groups.append((lo, hi, below, weights, False, reads, None))
+        groups.append((lo, hi, below, at, False, reads, None))
     slots = slot, slot_sum, slot_var, slot_first, digit, coded
     return _Wave(sums, entry, kid, kid_start, *slots, groups)
 

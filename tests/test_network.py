@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 import pickle
@@ -34,6 +35,7 @@ from spnmap import (
     validate,
 )
 from spnmap import inference
+from spnmap import network as network_module
 from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
 from oracles import below, validate_by_walk
@@ -672,3 +674,143 @@ def test_the_ratio_studys_largest_networks_are_solved_by_levels():
     spnmap.argmax_product(net)
     assert "_numbering" not in vars(net) and "_lists" not in vars(net)
     assert "_waves" in vars(net) and "_entry" not in vars(net)
+
+
+@pytest.fixture
+def shapes(monkeypatch) -> dict:
+    """An empty shape table for the test, in place of the process's."""
+    table: dict = {}
+    monkeypatch.setattr(network_module, "_SHAPES", table)
+    return table
+
+
+def ratio_network(n: int, rep: int) -> Network:
+    return mis_to_spn(random_graph(n, 50.0, spnmap.derive_seed(0, n, 50.0, rep))).network
+
+
+def bits(net: Network) -> list[str]:
+    """Max-product, argmax-product and the marginal of ``{0: 1}`` on ``net``, in hex."""
+    mp, am = max_product(net), spnmap.argmax_product(net)
+    marginal = spnmap.evaluate_marginal(net, {0: 1})
+    return [f"{sorted(r.configuration.items())} {r.value.log.hex()}" for r in (mp, am)] + [
+        marginal.log.hex()
+    ]
+
+
+class TestShapeRecords:
+    """Records fixed by a network's shape, built once and shared by the networks of that shape."""
+
+    def test_networks_of_one_shape_share_their_records(self, shapes):
+        small, other = ratio_network(5, 0), ratio_network(5, 1)
+        assert small._tables.child_index.tobytes() == other._tables.child_index.tobytes()
+        max_product(small), max_product(other)
+        assert small._numbering is other._numbering
+        large, other = ratio_network(20, 0), ratio_network(20, 1)
+        spnmap.argmax_product(large), spnmap.argmax_product(other)
+        assert large._arrays is other._arrays
+        assert large._plan.entries is other._plan.entries
+        assert large._shape_waves is other._shape_waves
+        assert len(shapes) == 2
+
+    def test_each_network_weighs_its_plan_and_waves_with_its_own_parameters(self, shapes):
+        nets = [ratio_network(20, rep) for rep in range(3)]
+        for net in nets:
+            spnmap.argmax_product(net)
+        assert len(shapes) == 1
+        roots = set()
+        for net in nets:
+            offset, log_table = net._tables.param_offset, net._compiled.log_table
+            for plan in (net._plan, *net._waves):
+                entries = plan.entries if isinstance(plan, network_module._Plan) else plan.entry
+                for lo, hi, kids, weights, *_ in plan.groups:
+                    if weights is not None:
+                        at = offset[entries[lo:hi]][:, None] + np.arange(kids.shape[1])
+                        assert np.array_equal(weights, log_table[at])
+            roots.add(net._plan.groups[-1][3].tobytes())
+        assert len(roots) == 3  # the root's weights differ from graph to graph
+
+    def test_shared_records_give_the_bits_of_a_fresh_build(self, shapes):
+        shared = []
+        for n, rep in itertools.product((5, 10, 20), range(4)):
+            net = ratio_network(n, rep)
+            exact = spnmap.exact_map(net) if n == 5 else None
+            shared.append((bits(net), exact))
+        assert len(shapes) == 3
+        for (n, rep), (expected, exact) in zip(itertools.product((5, 10, 20), range(4)), shared):
+            shapes.clear()
+            net = ratio_network(n, rep)
+            assert bits(net) == expected
+            if exact is not None:
+                assert spnmap.exact_map(net) == exact
+            assert len(shapes) == 1
+
+    def test_shapes_that_differ_in_ids_root_or_a_cardinality_are_apart(self, shapes):
+        nodes, two = mixture_nodes(), [Variable(0, 2), Variable(1, 2)]
+        moved = {  # the same tables, every id 10 higher
+            nid + 10: dataclasses.replace(n, children=tuple(c + 10 for c in n.children))
+            if n.children
+            else n
+            for nid, n in nodes.items()
+        }
+        wider = {**nodes, 6: LeafNode(1, (0.3, 0.3, 0.4)), 7: LeafNode(1, (0.8, 0.1, 0.1))}
+        nets = [
+            Network(nodes, 0, two),
+            Network(moved, 10, two),
+            Network(nodes, 1, two),
+            Network(wider, 0, [Variable(0, 2), Variable(1, 3)]),
+            Network(nodes, 0, [*two, Variable(2, 2)]),  # a variable with no leaf: the same tables
+            Network(nodes, 0, [*two, Variable(2, 3)]),
+        ]
+        for net in nets:
+            net._plan
+        assert len(shapes) == len(nets) == len({id(net._arrays) for net in nets})
+        assert [net._plan.entries[net._plan.root] for net in nets] == [0, 0, 1, 0, 0, 0]
+        assert [sorted(net.scope(net.root)) for net in nets[-2:]] == [[0, 1], [0, 1]]
+
+    def test_cyclic_networks_of_one_table_name_their_own_nodes(self, shapes):
+        # One root and one table; the walk starts from the other node, the lowest id.
+        for other in (-1, -5, -(10**20)):
+            nodes = {0: ProductNode((other,)), other: ProductNode((0,)), 1: LeafNode(0, (0.5, 0.5))}
+            net = Network(nodes, 0, [Variable(0, 2)])
+            assert validate(net)[-1] == Violation(other, "cycle", "node lies on a directed cycle")
+            with pytest.raises(ValueError, match=f"^network contains a cycle through node {other}$"):
+                net._compiled
+        assert len(shapes) == 3
+
+    def test_a_network_above_the_budget_stores_nothing(self, shapes, monkeypatch):
+        monkeypatch.setattr(network_module, "_SHAPE_BUDGET", 420)
+        expected = bits(ratio_network(20, 0))  # 421 entries
+        assert not shapes
+        monkeypatch.setattr(network_module, "_SHAPE_BUDGET", 421)
+        assert bits(ratio_network(20, 0)) == expected and len(shapes) == 1
+
+    def test_the_table_holds_the_shapes_used_last_within_its_budget(self, shapes, monkeypatch):
+        monkeypatch.setattr(network_module, "_SHAPE_BUDGET", 600)
+        random_spn(3, 3, seed=0)._arrays
+        (kept,) = shapes
+        for seed in range(1, 60):
+            random_spn(1 + seed % 7, 1 + seed % 5, seed=seed)._arrays
+            random_spn(3, 3, seed=0)._arrays  # its shape again, so the most recently used
+            assert sum(len(key[0]) for key in shapes) <= 600
+            assert list(shapes)[-1] == kept
+        assert 1 < len(shapes) < 59
+
+    def test_shared_records_are_read_only(self, shapes):
+        net = ratio_network(20, 0)
+        spnmap.argmax_product(net)
+        small = ratio_network(5, 0)
+        max_product(small)
+        writes = [
+            lambda: net._arrays.height.__setitem__(0, 7),
+            lambda: net._plan.entries.__setitem__(0, 0),
+            lambda: net._plan.fan.__setitem__(0, 0),
+            lambda: net._plan.groups[0][2].__setitem__((0, 0), 0),
+            lambda: net._waves[0].sums.__setitem__(0, 0),
+            lambda: net._waves[0].groups[-1][2].__setitem__((0, 0), 0),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert type(small._numbering.order) is tuple and type(net._shape_plan.groups) is tuple
+        with pytest.raises(TypeError):
+            small._numbering.rank[0] = 1

@@ -6,9 +6,10 @@ Usage::
 
 Each round runs this script again once per checkout, in its own subprocess
 with ``PYTHONPATH=<checkout>/src``; the checkout that goes first alternates
-from round to round (default 10 rounds).  A run first passes once through
-small instances, so imports and numpy's dispatch are warm, then times each
-stage once on fresh networks and prints the seconds as one JSON line:
+from round to round (default 10 rounds; at least 2, for the quartiles).  A
+run first passes once through small instances, so imports and numpy's
+dispatch are warm, then times each stage once on fresh networks and prints
+the seconds as one JSON line:
 
 - the ``amplified_cnf`` pipeline on the unsatisfiable 3-variable formula
   with all eight sign patterns amplified 400 times and on the satisfiable
@@ -39,7 +40,12 @@ stage once on fresh networks and prints the seconds as one JSON line:
   seed=rep)``, the generator that ``perfbench``'s ``exact_enum`` draws its
   random networks with
 - the first build of the pass plan (``Network._plan`` and ``_waves``) on the
-  first 421-entry network, fresh and compiled, in a checkout that has one
+  first 421-entry network, fresh and compiled, in a checkout that has one;
+  where the checkout keeps a table of network shapes (``network._SHAPES``),
+  it is emptied before that network is built, so the row times the plan's
+  and the waves' records of its shape as well; then the same on the second
+  421-entry network, of the shape just built, which in such a checkout
+  takes its shape's records from the table
 - enumeration over 2**18 assignments: ``exact_map`` on the independent-set
   networks of ``random_graph(18, pct, derive_seed(1, "exact", pct))`` for
   pct 10 and 40, ``perfbench``'s two ``exact_enum`` headline operations,
@@ -202,10 +208,15 @@ def _pass(sizes: tuple[int, ...]) -> tuple[dict[str, float], dict[str, str]]:
         "ratio n=20 max_product then argmax_product",
         lambda: [(spnmap.max_product(net), spnmap.argmax_product(net)) for net in nets],
     )
-    net = spnmap.mis_to_spn(graphs[0]).network
-    net._compiled
-    if hasattr(type(net), "_plan"):
-        timed("ratio n=20 first pass plan", lambda: (net._plan, net._waves))
+    if hasattr(spnmap.Network, "_plan"):
+        from spnmap import network
+
+        if hasattr(network, "_SHAPES"):
+            network._SHAPES.clear()
+        for label, graph in zip(("first pass plan", "pass plan of a seen shape"), graphs):
+            net = spnmap.mis_to_spn(graph).network
+            net._compiled
+            timed(f"ratio n=20 {label}", lambda: (net._plan, net._waves))
     timed("random_spn(20, 6)", lambda: [spnmap.random_spn(20, 6, seed=r) for r in range(small)])
 
     graph = spnmap.random_graph(enumerated, 10.0, spnmap.derive_seed(1, "exact", 10.0))
@@ -281,8 +292,8 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--document"]:
         Path(argv[1]).write_text(_mis_document(_SIZES["timed"][2]), encoding="utf-8")
         return 0
-    if len(argv) not in (2, 3):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+    if len(argv) not in (2, 3) or len(argv) == 3 and int(argv[2]) < 2:  # quartiles need 2
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     trees = argv[:2]
     rounds = int(argv[2]) if len(argv) == 3 else 10
