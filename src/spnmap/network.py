@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -219,9 +219,9 @@ class _Wave(NamedTuple):
     groups: Sequence[tuple]
 
 
-#: The most entries, in all, of the shapes whose records ``_SHAPES`` holds.  With no
-#: budget, ``amplified_cnf``'s x400 network (90001 entries) kept its records between
-#: operations, and its peak RSS rose 11-13%; at 2**14, under 1% (numpy 2.4.6, 2-core Xeon).
+#: The most entries, in all, of the shapes whose records ``_SHAPES`` holds.  With no budget,
+#: ``amplified_cnf`` kept its x400 network's records (90001 entries) between operations and
+#: its peak RSS rose 14-16%; at 2**14 it read +0.4% (numpy 2.4.6, 2-core Xeon host).
 _SHAPE_BUDGET = 1 << 14
 
 #: The records of each shape held (``Network._shape``), the least recently used first.  A
@@ -604,9 +604,9 @@ class Network:
     def _shape_plan(self) -> _Plan:
         """The entries in slots: the leaves, then levels of one height, kind and fan-out.
 
-        Every child of a level is a leaf or in an earlier level.  Built on
-        first use, by the passes that work a level at a time, enumeration's
-        on networks of every size included.
+        Every child of a level is a leaf or in an earlier level, and a sum
+        level holds its weights' positions in the log table.  Kept per shape,
+        read-only, for the levelled passes and enumeration on every size.
         """
         t, height, root = self._tables, self._arrays.height, self._compiled.root
         child_offset, offset = t.child_offset, t.param_offset
@@ -636,7 +636,7 @@ class Network:
 
     @_per_shape
     def _shape_waves(self) -> tuple[_Wave, ...]:
-        """Argmax-product's waves: the levels of sums with several children."""
+        """Argmax-product's waves, kept per shape: the levels of sums with several children."""
         cards, plan = np.array([v.cardinality for v in self._variables]), self._shape_plan
         return tuple(
             _wave(self, cards, plan.entries[lo:hi])
