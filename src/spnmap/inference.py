@@ -1,37 +1,32 @@
 """Exact evaluation and marginal inference.
 
-A bottom-up pass over one assignment is one loop, ``_upward``, over the
-compiled network; networks of ``_LEVELLED_MIN`` entries or more take it in
-numpy instead, as one column of ``_groups_pass`` over the network's pass
-plan (``Network._plan``), whose slots hold the leaves and then one level of
-sums or products per group.  Leaves whose variable is fixed contribute the
-probability of the fixed category; leaves outside the evidence scope
-contribute 1, which turns the same pass into marginal inference.
+A bottom-up pass over one assignment is one column of ``_groups_pass`` over
+the network's pass plan (``Network._plan``), whose slots hold the leaves and
+then one level of sums or products per group.  Leaves whose variable is
+fixed contribute the probability of the fixed category; leaves outside the
+evidence scope contribute 1, which turns the same pass into marginal
+inference.  ``batch_log_values`` runs the pass with one column per
+assignment.
 
 Enumeration, behind exhaustive MAP and ``log_partition``, runs the same
-groups on networks of every size over blocks of total assignments, one
-column per assignment, and yields each block as one chunk.  A block runs
-through the whole period of the last free variables, and each value is
-computed once per assignment of the block variables in its own scope
-(``_enumeration_plan``).  The per-entry batch form,
-``_batch_upward``, is left to argmax-product's per-sum loop on small
-networks and to ``batch_log_values``.
+groups over blocks of total assignments, one column per assignment, and
+yields each block as one chunk.  A block runs through the whole period of
+the last free variables, and each value is computed once per assignment of
+the block variables in its own scope (``_enumeration_plan``).
 
-The loop's sums reduce with the scalar ``logsumexp``, which adds their
-exponentials in order.  Every numpy pass reduces with ``logsumexp_stacked``,
-so a value has the same bits whichever numpy pass computes it; the loop's
-can differ from them in the last bits.
+Every pass reduces its sums with ``logsumexp_stacked``, so a value has the
+same bits whichever pass computes it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .logspace import LOG_ZERO, Probability, logsumexp, logsumexp_stacked
-from .network import Network, Variable, _below, _spans
+from .logspace import LOG_ZERO, Probability, logsumexp_stacked
+from .network import Network, Variable, _spans
 
 #: Most assignments per block of the enumeration pass, unless the last free
 #: variable alone has more categories.  Its ``(slots, columns)`` value matrix
@@ -52,15 +47,6 @@ _SPARSE_SHARE = 0.5
 
 #: Enumeration refuses configuration spaces larger than this.
 DEFAULT_ENUMERATION_CAP = 1 << 24
-
-#: Networks of this many entries or more take each single-assignment pass a
-#: level at a time, and argmax-product's re-evaluation a wave of sums at a
-#: time, over the network's pass plan.  The plan's few hundred numpy calls
-#: cost more than the per-entry Python they save below about 150 entries
-#: (independent-set networks) to 190 (``random_spn``'s deeper ones).
-#: Without shared nodes, one wave's sub-DAGs hold each entry at most once, so
-#: the entry count bounds the work of every wave.
-_LEVELLED_MIN = 1 << 8
 
 
 def check_evidence(network: Network, evidence: Mapping[int, int]) -> None:
@@ -85,39 +71,6 @@ def _integral(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _upward(
-    network: Network,
-    vals: dict,
-    reduce: Callable[[list], object],
-    internal: Iterable[int] | None = None,
-) -> dict:
-    """Complete ``vals``, given leaf log values by table entry.
-
-    Visits the entries ``internal``, children first (default: every sum and
-    product).  A product adds its children's values; a sum passes its
-    weighted child terms to ``reduce``: log-sum-exp to evaluate, ``max`` for
-    max-product.  Values are floats for one assignment, rows for a batch.
-    """
-    offset, log_list = network._lists.param_offset, network._lists.log_table
-    children, every = network._numbering.children, network._numbering.internal
-    for e in every if internal is None else internal:
-        kids = children[e]
-        start, stop = offset[e], offset[e + 1]
-        if start == stop:  # a product has no weights
-            acc = vals[kids[0]]
-            for kid in kids[1:]:
-                acc = acc + vals[kid]
-            vals[e] = acc
-        else:
-            vals[e] = reduce([w + vals[kid] for w, kid in zip(log_list[start:stop], kids)])
-    return vals
-
-
-def _levelled(network: Network) -> bool:
-    """Whether the network's passes, and its cycle check, work a level at a time."""
-    return len(network._tables.ids) >= _LEVELLED_MIN
-
-
 def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
     """Each plan leaf slot's log at its evidence, else ``free``: one value, or one per leaf."""
     if not evidence:
@@ -131,20 +84,11 @@ def _leaf_logs(network: Network, evidence: Mapping[int, int], free):
 
 def _sum_pass(network: Network, evidence: Mapping[int, int]) -> float:
     """Log value of the root with unobserved leaves marginalized to 1."""
-    compiled = network._compiled
-    if _levelled(network):
-        plan = network._plan
-        vals = np.empty((len(plan.entries), 1))
-        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
-        _groups_pass(plan.groups, vals)
-        return float(vals[plan.root, 0])
-    _, _, variable, offset, _, _, log_list = network._lists
-    vals = {
-        e: 0.0 if (cat := evidence.get(var)) is None else log_list[offset[e] + cat]
-        for e, var in enumerate(variable)
-        if var >= 0
-    }
-    return _upward(network, vals, logsumexp)[compiled.root]
+    plan = network._plan
+    vals = np.empty((len(plan.entries), 1))
+    vals[: plan.leaves, 0] = _leaf_logs(network, evidence, 0.0)  # a free leaf is 1
+    _groups_pass(plan.groups, vals)
+    return float(vals[plan.root, 0])
 
 
 def evaluate(network: Network, assignment: Mapping[int, int]) -> Probability:
@@ -171,33 +115,15 @@ def evaluate_marginal(
     return Probability(_sum_pass(network, evidence))
 
 
-def _batch_upward(network: Network, entry: int, columns) -> np.ndarray:
-    """Log value of table entry ``entry`` for each row of a batch.
-
-    ``columns[var]`` holds one category per row for each variable in the
-    entry's scope.  Only the entry's sub-DAG is evaluated.
-    """
-    log_table, rank = network._compiled.log_table, network._numbering.rank
-    child_offset, child_index, variable, offset, *_ = network._lists
-    sub_dag = _below(child_offset, child_index, entry, {})
-    vals = {
-        e: log_table[offset[e] : offset[e + 1]][columns[variable[e]]]
-        for e in sub_dag
-        if variable[e] >= 0
-    }
-    internal = sorted((e for e in sub_dag if variable[e] < 0), key=rank.__getitem__)
-    return _upward(
-        network, vals, lambda terms: logsumexp_stacked(np.stack(terms)[None])[0], internal
-    )[entry]
-
-
 def batch_log_values(
     network: Network, node_id: int, categories: np.ndarray
 ) -> np.ndarray:
     """Log value of ``node_id`` for each row of a ``(k, n_vars)`` integer category matrix.
 
     Only columns for variables in the node's scope are read, and must hold
-    categories of their variable; only the node's sub-DAG is evaluated.
+    categories of their variable.  One pass over ``Network._plan`` takes a
+    column per row; the leaves of other variables read clipped indices, and
+    the node's slot is read off it.
     """
     categories = np.asarray(categories)
     if categories.ndim != 2 or categories.shape[1] != len(network.variables):
@@ -210,7 +136,14 @@ def batch_log_values(
         for var in sorted(scope):
             for cat in (columns[var].min(), columns[var].max()):
                 check_evidence(network, {var: int(cat)})
-    return _batch_upward(network, network._entry[node_id], columns)
+    plan, t = network._plan, network._tables
+    leaves = plan.entries[: plan.leaves]
+    at = columns.astype(np.intp)[t.variable[leaves]]
+    at += t.param_offset[leaves][:, None]
+    vals = np.empty((len(plan.entries), len(categories)))
+    np.take(network._compiled.log_table, at, out=vals[: plan.leaves], mode="clip")
+    _groups_pass(plan.groups, vals)
+    return vals[plan.entries.tolist().index(network._entry[node_id])]
 
 
 def free_variables(

@@ -145,20 +145,8 @@ class _Compiled(NamedTuple):
     invalid: list[int]  # entries with a negative or non-finite parameter, once per parameter
 
 
-class _Lists(NamedTuple):
-    """The columns that per-entry Python code reads, as Python lists indexed by table entry."""
-
-    child_offset: list[int]
-    child_index: list[int]
-    variable: list[int]
-    param_offset: list[int]
-    params: list[float]
-    best: list[int]
-    log_table: list[float]
-
-
 class _Numbering(NamedTuple):
-    """The entries in one depth-first walk, children first, with their child tuples and scopes.
+    """The entries in one depth-first walk, children first, with their scopes.
 
     A cyclic network is numbered too, skipping edges back to a node on the
     walk's path; its scopes are partial.
@@ -166,8 +154,6 @@ class _Numbering(NamedTuple):
 
     order: tuple[int, ...]  # every entry, children first
     rank: tuple[int, ...]  # index of each entry in ``order``
-    internal: tuple[int, ...]  # entries of sums and products, children first
-    children: tuple[tuple[int, ...], ...]  # child entries; empty for leaves
     scopes: tuple[frozenset[int], ...]  # variables below each entry
     cycle: int | None  # id of the first node found on a cycle
 
@@ -203,7 +189,9 @@ class _Wave(NamedTuple):
     sorted by sum, then variable); then ``groups`` of one height, kind and
     fan-out, as ``inference._groups_pass`` takes them; the last group is the
     sums, in order.  A candidate's code is its categories on its sum's slots
-    times ``digit``, on the ``coded`` sums.
+    times ``digit``, on the ``coded`` sums.  A static wave, one with no sum
+    of several children below its sums, keeps its candidates' walk
+    (``_tree_leaves``), which no choice can change; others hold ``None``.
     """
 
     sums: np.ndarray
@@ -217,6 +205,7 @@ class _Wave(NamedTuple):
     digit: np.ndarray  # per slot
     coded: np.ndarray  # per sum
     groups: Sequence[tuple]
+    walk: tuple | None
 
 
 #: The most entries, in all, of the shapes whose records ``_SHAPES`` holds.  With no budget,
@@ -243,7 +232,8 @@ def _read_only(record: tuple) -> tuple:
     if not hasattr(record, "_fields"):
         return tuple(map(_read_only, record))
     fields = [tuple(value) if isinstance(value, list) else value for value in record]
-    for array in itertools.chain(fields, *getattr(record, "groups", ())):
+    nested = (*getattr(record, "groups", ()), getattr(record, "walk", None) or ())
+    for array in itertools.chain(fields, *nested):
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
     return type(record)(*fields)
@@ -267,12 +257,13 @@ class _NodeView(Mapping):
 
     def __getitem__(self, node_id: int) -> Node:
         network = self._network
-        e, lists = network._entry[node_id], network._lists
-        params = lists.params[lists.param_offset[e] : lists.param_offset[e + 1]]
-        if lists.variable[e] >= 0:  # a leaf has a variable, a sum parameters, a product neither
-            return LeafNode(lists.variable[e], params)
-        kids = lists.child_index[lists.child_offset[e] : lists.child_offset[e + 1]]
-        kids = tuple(map(network._tables.ids.__getitem__, kids))
+        e, t = network._entry[node_id], network._tables
+        params = t.params[t.param_offset[e] : t.param_offset[e + 1]].tolist()
+        # A leaf has a variable, a sum parameters, a product neither.
+        if (variable := int(t.variable[e])) >= 0:
+            return LeafNode(variable, params)
+        kids = t.child_index[t.child_offset[e] : t.child_offset[e + 1]].tolist()
+        kids = tuple(map(t.ids.__getitem__, kids))
         return SumNode(kids, params) if params else ProductNode(kids)
 
     def __iter__(self) -> Iterator[int]:
@@ -301,15 +292,15 @@ class Network:
     The nodes are stored as flat tables (``_Tables``) of numpy columns, in
     the mapping's order.  Construction renormalizes sum weights that are
     within ``1e-6`` of a proper convex combination.  Records are built on
-    first use.  Per network: the parameters' logs (``_compiled``), the
-    columns as lists (``_lists``), the slot layout (``_plan``) and
-    argmax-product's waves (``_waves``) with its log-weights, enumeration's
-    plan (``_enumeration``) and max-product's last result (``_max_product``).
-    Per shape (``_shape``), read-only and shared while ``_SHAPES`` holds it
-    (``_SHAPE_BUDGET``): the heights (``_arrays``), the numbering
-    (``_numbering``), and the layout and waves with weight positions
-    (``_shape_plan``, ``_shape_waves``).  Cyclic graphs are constructible
-    (so ``validate`` can report them) but refuse traversal-based queries.
+    first use.  Per network: the parameters' logs (``_compiled``), the slot
+    layout (``_plan``) and argmax-product's waves (``_waves``) with its
+    log-weights, enumeration's plan (``_enumeration``) and max-product's
+    last result (``_max_product``).  Per shape (``_shape``), read-only and
+    shared while ``_SHAPES`` holds it (``_SHAPE_BUDGET``): the heights
+    (``_arrays``), the numbering (``_numbering``), and the layout and waves
+    with weight positions (``_shape_plan``, ``_shape_waves``), a static
+    wave with its candidates' walk.  Cyclic graphs are constructible (so
+    ``validate`` can report them) but refuse traversal-based queries.
     """
 
     def __init__(
@@ -419,9 +410,7 @@ class Network:
 
     @property
     def is_acyclic(self) -> bool:
-        if inference._levelled(self):  # a large network checks its heights, with no walk
-            return bool(self._arrays.height.min() >= 0)
-        return self._numbering.cycle is None
+        return bool(self._arrays.height.min() >= 0)
 
     @property
     def arc_count(self) -> int:
@@ -465,12 +454,12 @@ class Network:
 
         The walk starts from each id not yet numbered, in increasing order.
         It skips each edge back to a node on its path and records the first
-        such node as ``cycle``.  Built on first use, by the per-entry passes
-        and the cycle check of small networks, ``topological_order`` and
-        ``scope``, and to name a node on a cycle or with an invalid
-        parameter; large networks validate and solve without it.
+        such node as ``cycle``.  Built on first use, by ``topological_order``
+        and ``scope``, and to name a node on a cycle or with an invalid
+        parameter; networks validate and solve without it.
         """
-        ids, (child_offset, child_index, variable, *_) = self._tables.ids, self._lists
+        ids = self._tables.ids
+        child_offset, child_index, variable = (c.tolist() for c in self._tables[2:5])
         n = len(ids)
         empty: frozenset[int] = frozenset()
         singletons = [frozenset((v.index,)) for v in self._variables]
@@ -481,7 +470,6 @@ class Network:
         # index in ``order``.  Entry ``n`` is a bottom frame whose children are all entries.
         rank = [-1] * (n + 1)
         order: list[int] = []  # entries in numbering order
-        internal: list[int] = []  # the sums and products among them
         cycle = None
         stack = [(n, iter(self._by_id.tolist()))]
         while stack:
@@ -508,10 +496,9 @@ class Network:
                     # A child still on the walk's path (a cycle) adds no variables yet.
                     scope = empty.union(*map(scopes.__getitem__, children[e]))
                     scopes[e] = shared.setdefault(scope, scope)
-                    internal.append(e)
         order.pop()  # the bottom frame finishes last
         rank.pop()
-        return _Numbering(order, rank, internal, children, scopes, cycle)
+        return _Numbering(order, rank, scopes, cycle)
 
     @functools.cached_property
     def _unchecked(self) -> _Compiled:
@@ -554,27 +541,15 @@ class Network:
             )
         return record
 
-    @functools.cached_property
-    def _lists(self) -> _Lists:
-        """The columns of ``_Lists``, converted once with ``tolist``.
-
-        Built on first use, by the per-entry passes of small networks, the
-        walk and node lookups; large networks validate and solve without it.
-        """
-        t, record = self._tables, self._unchecked
-        columns = (t.child_offset, t.child_index, t.variable, t.param_offset, t.params)
-        return _Lists(*(c.tolist() for c in (*columns, record.best, record.log_table)))
-
     @_per_shape
     def _arrays(self) -> _Arrays:
         """Each entry's height, and whether an entry is shared.
 
-        Built on first use, by ``validate``, by the cycle check of large
-        networks and by the passes that work a level at a time.  The heights
-        come from one sweep up from the leaves, a level per step, each step
-        counting the arcs into every entry: an entry's height is the step at
-        which its last child got one.  An entry on a cycle, or above one,
-        never gets a height.
+        Built on first use, by ``validate``, the cycle check and the pass
+        plan.  The heights come from one sweep up from the leaves, a level
+        per step, each step counting the arcs into every entry: an entry's
+        height is the step at which its last child got one.  An entry on a
+        cycle, or above one, never gets a height.
         """
         child_offset, child_index = self._tables.child_offset, self._tables.child_index
         n = len(self._tables.ids)
@@ -726,7 +701,47 @@ def _wave(network: Network, cards: np.ndarray, sums: np.ndarray) -> _Wave:
         # Unmasked: a wave's rows are its distinct candidates, too few for masking to pay.
         groups.append((lo, hi, below, at, False, reads, None))
     slots = slot, slot_sum, slot_var, slot_first, digit, coded
-    return _Wave(sums, entry, kid, kid_start, *slots, groups)
+    wave = _Wave(sums, entry, kid, kid_start, *slots, groups, None)
+    below = entry[: len(entry) - w]  # the pairs under the sums, which come last
+    if not ((fan[below] >= 2) & (offset[below + 1] > offset[below])).any():
+        wave = wave._replace(walk=_tree_leaves(wave, shared, (np.zeros_like(fan), fan)))
+    return wave
+
+
+def _tree_leaves(wave: _Wave, shared: bool, follow: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """The leaves that the tree of each of ``wave``'s candidates reaches.
+
+    Candidate ``i * k + j`` is child ``j`` of sum ``i``.  Its tree follows
+    ``count`` children of each entry from child index ``skip``, where
+    ``follow`` is ``(skip, count)``.  Returns each reached leaf pair's entry
+    and cell (its slot times ``k``, plus ``j``); per slot and child, the
+    count of leaves reached; and, in order, the candidates whose tree
+    reaches an entry twice or two leaves of one slot, to be walked in Python.
+    """
+    entry, kid, kid_start = wave.entry, wave.kid, wave.kid_start
+    (w, k), leaves = wave.groups[-1][2].shape, len(wave.slot)
+    skip, count = follow
+    at, by = wave.groups[-1][2].ravel(), np.arange(w * k)
+    hit_pair, hit_by, walked = [], [], []
+    while at.size:
+        if shared:  # a tree that reaches an entry twice is walked in Python
+            keys, counts = np.unique(by * len(entry) + at, return_counts=True)
+            walked.append(keys[counts > 1] // len(entry))
+            by, at = np.divmod(keys, len(entry))
+        leaf = at < leaves
+        hit_pair.append(at[leaf])
+        hit_by.append(by[leaf])
+        inner = ~leaf
+        at = at[inner]
+        e = entry[at]
+        by, at = by[inner].repeat(count[e]), kid[_ragged(kid_start[at] + skip[e], count[e])]
+    hit_pair, hit_by = np.concatenate(hit_pair), np.concatenate(hit_by)
+    cell = wave.slot[hit_pair] * k + hit_by % k
+    reached = np.bincount(cell, minlength=len(wave.slot_sum) * k)
+    clash = (reached > 1).nonzero()[0]
+    walked.append(wave.slot_sum[clash // k] * k + clash % k)
+    walked = np.bincount(np.concatenate(walked), minlength=w * k).nonzero()[0]
+    return entry[hit_pair], cell, reached.reshape(-1, k), walked
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -926,7 +941,3 @@ def network_stats(network: Network) -> NetworkStats:
         height=int(network._arrays.height[compiled.root]),
         sum_out_degrees=tuple(degrees),
     )
-
-
-# Imported last: ``inference`` imports this module, and ``is_acyclic`` reads its threshold.
-from . import inference  # noqa: E402

@@ -3,10 +3,11 @@
 All three return a total configuration together with its exact probability,
 so results are directly comparable.  A network keeps its last max-product
 result by checked evidence, for argmax-product, ``decision_map`` and the ratio
-study; each call gets a copy of its configuration.  Argmax-product re-evaluates
-every sum at its children's candidates; on larger networks it does so a wave of
-sums at a time in numpy (``Network._waves``), scoring candidates that agree on a
-sum's scope once, with the same bits as one re-evaluation per sum.
+study; each call gets a copy of its configuration.  Every pass is one column
+of ``inference._groups_pass`` over ``Network._plan``.  Argmax-product
+re-evaluates every sum at its children's candidates a wave of sums at a time
+(``Network._waves``), scoring candidates that agree on a sum's scope once, with
+the same bits as one re-evaluation per sum.
 
 Ties are broken deterministically: sum nodes prefer the lowest child index,
 leaves the lowest category index, and the exhaustive solver the first
@@ -25,18 +26,15 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .inference import (
-    _batch_upward,
+    _evaluate,
     _groups_pass,
     _leaf_logs,
-    _levelled,
-    _evaluate,
-    _upward,
     check_evidence,
     decode_configuration,
     enumerate_log_values,
 )
 from .logspace import LOG_ZERO, Probability
-from .network import Network, _below, _ragged, _Wave, network_stats
+from .network import Network, _below, _tree_leaves, _Wave, network_stats
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -75,36 +73,19 @@ def _max_pass(network: Network, evidence: Mapping[int, int]) -> tuple[float, dic
     ``LOG_ZERO`` exactly when the evidence has zero mass, and each sum's
     choice, by table entry: the index of its first child reaching the max.
     """
-    compiled = network._compiled
+    compiled, plan = network._compiled, network._plan
+    leaves = plan.entries[: plan.leaves]
+    best = compiled.log_table[network._tables.param_offset[leaves] + compiled.best[leaves]]
+    vals = np.empty((len(plan.entries), 1))
+    vals[: plan.leaves, 0] = _leaf_logs(network, evidence, best)
+    _groups_pass(plan.groups, vals, lambda terms, sparse: terms.max(axis=1))
+    vals = vals[:, 0]
     choice: dict[int, int] = {}
-    if _levelled(network):
-        plan = network._plan
-        leaves = plan.entries[: plan.leaves]
-        best = compiled.log_table[network._tables.param_offset[leaves] + compiled.best[leaves]]
-        vals = np.empty((len(plan.entries), 1))
-        vals[: plan.leaves, 0] = _leaf_logs(network, evidence, best)
-        _groups_pass(plan.groups, vals, lambda terms, sparse: terms.max(axis=1))
-        vals = vals[:, 0]
-        for lo, hi, kids, weights, *_ in plan.groups:
-            if weights is not None:
-                picks = (weights + vals[kids]).argmax(axis=1)  # the first best
-                choice.update(zip(plan.entries[lo:hi].tolist(), picks.tolist()))
-        return float(vals[plan.root]), choice
-    _, _, variable, offset, _, best, log_list = network._lists
-    vals = {
-        e: log_list[offset[e] + evidence.get(var, best[e])]
-        for e, var in enumerate(variable)
-        if var >= 0
-    }
-    vals = _upward(network, vals, max)
-    numbering = network._numbering
-    children = numbering.children
-    for e in numbering.internal:
-        start, stop = offset[e], offset[e + 1]
-        if start < stop:  # sums have weights, products none
-            terms = [w + vals[kid] for w, kid in zip(log_list[start:stop], children[e])]
-            choice[e] = terms.index(vals[e])
-    return vals[compiled.root], choice
+    for lo, hi, kids, weights, *_ in plan.groups:
+        if weights is not None:
+            picks = (weights + vals[kids]).argmax(axis=1)  # the first best
+            choice.update(zip(plan.entries[lo:hi].tolist(), picks.tolist()))
+    return float(vals[plan.root]), choice
 
 
 def _walk(
@@ -113,14 +94,11 @@ def _walk(
     """Configuration of the tree that ``choice`` induces below table entry ``start``.
 
     Each leaf on the tree fixes its variable to the evidence or to its most
-    probable category, unless a leaf visited earlier fixed it.  Large
-    networks walk the tables' arrays, and small ones the list record.
+    probable category, unless a leaf visited earlier fixed it.
     """
-    if _levelled(network):  # memoryviews read the arrays' items as Python ints
-        child_offset, child_index, variable = map(memoryview, network._tables[2:5])
-        best = memoryview(network._compiled.best)
-    else:
-        child_offset, child_index, variable, _, _, best, _ = network._lists
+    # Memoryviews read the arrays' items as Python ints.
+    child_offset, child_index, variable = map(memoryview, network._tables[2:5])
+    best = memoryview(network._compiled.best)
     config: dict[int, int] = {}
     for e in _below(child_offset, child_index, start, choice):
         if (var := variable[e]) >= 0:
@@ -134,14 +112,12 @@ def max_product(network: Network, evidence: Mapping[int, int] | None = None) -> 
     ``pd_value`` carries the upward value, the best single induced tree's
     weight.  It is a lower bound on the value of the selected configuration;
     times the product of sum out-degrees it bounds the optimum from above.
-    Runs in time linear in the network size.  Networks of ``_LEVELLED_MIN``
-    entries or more run the upward pass, a max at each sum, and the
-    evaluation at the selected configuration as one column of
-    ``inference._groups_pass`` over ``Network._plan``; the upward pass has
-    the values and choices of the per-entry loop that smaller networks run.
-    The network keeps the last result (``Network._max_product``), keyed by
-    the evidence pairs once checked; equal pairs get it with a fresh copy of
-    its configuration.
+    Runs in time linear in the network size.  The upward pass, a max at each
+    sum, and the evaluation at the selected configuration are each one
+    column of ``inference._groups_pass`` over ``Network._plan``.  The
+    network keeps the last result (``Network._max_product``), keyed by the
+    evidence pairs once checked; equal pairs get it with a fresh copy of its
+    configuration.
     """
     evidence = dict(evidence or {})
     check_evidence(network, evidence)
@@ -166,12 +142,12 @@ def argmax_product(network: Network, evidence: Mapping[int, int] | None = None) 
     evaluates its sub-DAG at the configuration that each child's chosen tree
     induces, and chooses the first best child.  Choices are per sum, so a
     shared node contributes one consistent choice.
-    Networks of ``_LEVELLED_MIN`` entries or more choose in waves: a wave
-    holds the sums of one height and one out-degree, so every sum below it
-    has chosen.  One numpy pass per wave walks its candidates' chosen trees,
-    scores the candidates that agree on a sum's scope once, and evaluates all
-    its sums' sub-DAGs level by level.  Its choices are bit for bit those of
-    the per-sum loop that smaller networks run.  The configuration chosen
+    Sums choose in waves: a wave holds the sums of one height and one
+    out-degree, so every sum below it has chosen.  One numpy pass per wave
+    walks its candidates' chosen trees, or takes the walk that a static wave
+    keeps per shape, scores the candidates that agree on a sum's scope once,
+    and evaluates all its sums' sub-DAGs level by level.  Its choices are
+    bit for bit those of a re-evaluation per sum.  The configuration chosen
     from the root replaces max-product's unless it scores strictly lower, so
     the result is never worse.  A root sum of a wave, over every variable,
     takes its chosen candidate and its score, the bits of ``evaluate``, from
@@ -182,7 +158,7 @@ def argmax_product(network: Network, evidence: Mapping[int, int] | None = None) 
     if base.pd_value.is_zero:
         return MapResult(base.configuration, base.value, Solver.ARGMAX_PRODUCT)
     evidence = dict(evidence or {})
-    choice, top = (_choose_by_wave if _levelled(network) else _choose_by_sum)(network, evidence)
+    choice, top = _choose_by_wave(network, evidence)
     if top is None:
         config = _walk(network, evidence, network._compiled.root, choice)
         top = config, base.value if config == base.configuration else _evaluate(network, config)
@@ -199,26 +175,8 @@ def argmax_product(network: Network, evidence: Mapping[int, int] | None = None) 
 _CHUNK_VALUES = 1 << 17
 
 
-def _choose_by_sum(network: Network, evidence: Mapping[int, int]) -> tuple[dict, None]:
-    """Each sum's choice by child index, one ``_batch_upward`` per sum, children first; ``None``."""
-    offset, numbering = network._lists.param_offset, network._numbering
-    choice: dict[int, int] = {}
-    for e in numbering.internal:  # children first, so their choices are made
-        # A sum has one weight per child and a product none, so this skips
-        # every node with no choice to make.
-        if offset[e + 1] - offset[e] < 2:
-            continue
-        candidates = [_walk(network, evidence, kid, choice) for kid in numbering.children[e]]
-        # Candidates of an incomplete sum (an invalid network) can miss scope
-        # variables; those read category 0.
-        scope = list(numbering.scopes[e])
-        rows = np.array([[c.get(var, 0) for c in candidates] for var in scope], dtype=np.intp)
-        choice[e] = int(np.argmax(_batch_upward(network, e, dict(zip(scope, rows)))))
-    return choice, None
-
-
 def _choose_by_wave(network: Network, evidence: Mapping[int, int]) -> tuple[dict, tuple | None]:
-    """``_choose_by_sum``'s choices, made one wave of ``Network._waves`` at a time.
+    """Each sum's choice by child index, made one wave of ``Network._waves`` at a time.
 
     Also the root's chosen candidate and its score, if the root is a sum of
     a wave over every variable and the candidate's tree reaches each of them.
@@ -268,44 +226,22 @@ def _candidate_rows(
     reads 0), each candidate's row, by sum and child, and by slot and child
     the count of leaves that the candidate's tree reaches there.
     """
-    variable, shared = network._tables.variable, network._arrays.shared
-    entry, kid, kid_start = wave.entry, wave.kid, wave.kid_start
-    (w, k), leaves = wave.groups[-1][2].shape, len(wave.slot)
-    roots = wave.groups[-1][2].ravel()  # candidate ``i * k + j`` is child ``j`` of sum ``i``
-
-    # The leaf pairs of each candidate's chosen tree.
-    skip, count = follow
-    at, by = roots, np.arange(w * k)
-    hit_pair, hit_by, walked = [], [], []
-    while at.size:
-        if shared:  # a tree that reaches an entry twice is walked in Python
-            keys, counts = np.unique(by * len(entry) + at, return_counts=True)
-            walked.append(keys[counts > 1] // len(entry))
-            by, at = np.divmod(keys, len(entry))
-        leaf = at < leaves
-        hit_pair.append(at[leaf])
-        hit_by.append(by[leaf])
-        inner = ~leaf
-        at = at[inner]
-        e = entry[at]
-        by, at = by[inner].repeat(count[e]), kid[_ragged(kid_start[at] + skip[e], count[e])]
-    hit_pair, hit_by = np.concatenate(hit_pair), np.concatenate(hit_by)
+    entry, (w, k) = wave.entry, wave.groups[-1][2].shape
+    leaf_entry, cell, reached, walked = wave.walk or _tree_leaves(
+        wave, network._arrays.shared, follow
+    )
 
     # Each candidate's category on each slot: the evidence, else its leaf's best.
-    hit_ent = entry[hit_pair]
-    cat = network._compiled.best[hit_ent]
+    cat = network._compiled.best[leaf_entry]
     if evidence:
         fixed = np.full(len(network.variables), -1)
         fixed[list(evidence)] = list(evidence.values())
-        cat = np.where((given := fixed[variable[hit_ent]]) >= 0, given, cat)
-    cell = wave.slot[hit_pair] * k + hit_by % k
+        cat = np.where((given := fixed[network._tables.variable[leaf_entry]]) >= 0, given, cat)
     slot_sum, slot_first = wave.slot_sum, wave.slot_first
     table = np.zeros((len(slot_sum), k), dtype=np.intp)
     table.flat[cell] = cat
-    reached = np.bincount(cell, minlength=table.size)
-    clash = (reached > 1).nonzero()[0]
-    walked.append(slot_sum[clash // k] * k + clash % k)
-    for c in sorted(set(np.concatenate(walked).tolist())):  # its first-visited leaf wins
+    roots = wave.groups[-1][2].ravel()  # candidate ``i * k + j`` is child ``j`` of sum ``i``
+    for c in walked.tolist():  # its first-visited leaf wins
         i, j = divmod(c, k)
         config = _walk(network, evidence, int(entry[roots[c]]), choice)
         slots = slice(slot_first[i], slot_first[i + 1])
@@ -324,7 +260,7 @@ def _candidate_rows(
     row[sums, by_code] = rank
     rep = by_code[:, :1].repeat(int(rank[:, -1].max()) + 1, axis=1)  # padding repeats row 0
     rep[sums, rank] = by_code
-    return table[np.arange(len(slot_sum))[:, None], rep[slot_sum]], row, reached.reshape(-1, k)
+    return table[np.arange(len(slot_sum))[:, None], rep[slot_sum]], row, reached
 
 
 def _levelled_pass(network: Network, wave: _Wave, cat_rows: np.ndarray) -> np.ndarray:
@@ -388,12 +324,10 @@ def decision_map(
     relative slack of ``1e-9`` so thresholds that are met exactly are not
     rejected for rounding reasons.
     """
-    from fractions import Fraction  # here, so that a process that never decides skips it
-
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    gamma = Fraction(gamma)
-    log_gamma = math.log(gamma.numerator) - math.log(gamma.denominator) if gamma else LOG_ZERO
+    numerator, denominator = gamma.as_integer_ratio()
+    log_gamma = math.log(numerator) - math.log(denominator) if numerator else LOG_ZERO
     result = solve(network, evidence, solver)
     return result.value.log >= log_gamma + math.log1p(-1e-9)
 

@@ -11,12 +11,11 @@ and argmax-product's per-sum loop, built from this module's tree walk
 Their log-sum-exps (``logsumexp_in_order``, ``logsumexp_rows``), tree
 walk, decode and assignment check are this module's own: from the package
 it imports only data types and table constants.
-The library's passes must match them bit for bit, each under the contract
-of its reduction.  The per-entry loops of small networks add a sum's
-exponentials in order, as ``logsumexp_in_order`` does.  Every numpy pass
-(the levelled passes of large networks, their wave pass, the batch pass and
-enumeration) adds them as ``logsumexp_rows`` adds a column; for the
-single-assignment oracles that is ``logsumexp_column``.  ``validate_by_walk``
+The library's passes must match them bit for bit.  Every pass (the
+levelled passes, the wave pass, the batch pass and enumeration) adds a
+sum's exponentials as ``logsumexp_rows`` adds a column; for the
+single-assignment oracles that is ``logsumexp_column``, which can differ in
+the last bits from ``logsumexp_in_order``, their default.  ``validate_by_walk``
 checks each node over its own depth-first walk's child lists and scope
 sets; the array ``validate`` must report what it reports.
 """

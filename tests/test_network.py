@@ -34,11 +34,10 @@ from spnmap import (
     serialize_spn,
     validate,
 )
-from spnmap import inference
 from spnmap import network as network_module
 from spnmap.reductions import CnfFormula, amplify, cnf_to_spn
 from conftest import mixture_nodes, shared_leaf_dag, shared_sum_dag, single_child_sum
-from oracles import below, validate_by_walk
+from oracles import _children_first, below, validate_by_walk
 
 
 def leaf_only(distribution=(0.5, 0.5)) -> Network:
@@ -404,12 +403,12 @@ class TestArrays:
 
     @staticmethod
     def rebuilt(net: Network) -> tuple:
-        """Heights by a loop over the walk's record, whether an entry is shared,
+        """Heights by a loop over the oracles' walk, whether an entry is shared,
         and each leaf's first most probable category, from the nodes."""
-        numbering, t = net._numbering, net._tables
+        t, (children, order, _) = net._tables, _children_first(net)
         height = [0] * len(t.ids)
-        for e in numbering.internal:  # children first
-            height[e] = 1 + max(height[kid] for kid in numbering.children[e])
+        for e in order:  # children first
+            height[e] = 1 + max(height[kid] for kid in children[e])
         shared = len(set(t.child_index.tolist())) < len(t.child_index)
         best = [-1] * len(t.ids)
         for nid, node in net.nodes.items():
@@ -428,6 +427,7 @@ class TestArrays:
         for net in column_networks():
             t, height, log_table = net._tables, net._arrays.height, net._compiled.log_table
             fan, done, plan = np.diff(t.child_offset), t.variable >= 0, net._plan
+            children = _children_first(net)[0]
             assert np.array_equal(plan.entries[: plan.leaves], np.flatnonzero(done))
             for lo, hi, slots, weights, *_ in plan.groups:
                 entries, level_kids = plan.entries[lo:hi].tolist(), plan.entries[slots]
@@ -436,7 +436,7 @@ class TestArrays:
                 assert len(set(height[entries].tolist())) == 1
                 assert set(fan[entries].tolist()) == {level_kids.shape[1]}
                 for e, kids in zip(entries, level_kids.tolist()):
-                    assert kids == list(net._numbering.children[e]) and done[kids].all()
+                    assert kids == children[e] and done[kids].all()
                 if weights is None:
                     assert (np.diff(t.param_offset)[entries] == 0).all()
                 else:
@@ -579,31 +579,25 @@ def refusal(net: Network):
 
 
 class TestLevelledValidate:
-    """``validate`` and the cycle check of the levelled path against the walk."""
-
-    @pytest.fixture(autouse=True)
-    def every_network_levelled(self, monkeypatch):
-        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
+    """``validate`` and the cycle check of the heights against the walk."""
 
     @staticmethod
     def report(violations) -> list[tuple[int, str, str]]:
         return [(v.node_id, v.kind, v.message) for v in violations]
 
-    def test_reports_match_the_walk_on_random_dags(self, monkeypatch):
+    def test_reports_match_the_walk_on_random_dags(self):
         rng = random.Random(0)
         kinds, refusals = set(), set()
         for _ in range(600):
             net = defective_dag(rng)
-            # The same nodes above the threshold take the walk's cycle check.
+            # The same nodes, read back through the node view.
             walked = Network(dict(net.nodes), net.root, net.variables)
             report = self.report(validate(net))
             assert report == self.report(validate_by_walk(walked))
             assert net.is_acyclic is (walked._numbering.cycle is None)
             outcome = refusal(net)
-            monkeypatch.setattr(inference, "_LEVELLED_MIN", 1 << 30)
             assert walked.is_acyclic is net.is_acyclic
             assert refusal(walked) == outcome
-            monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
             kinds.update(kind for _, kind, _ in report)
             if isinstance(outcome, str):
                 refusals.add(outcome.split(" ")[-1] if "cycle" in outcome else "parameter")
@@ -652,27 +646,27 @@ def test_a_large_valid_network_is_solved_without_the_walk():
     clauses = [(a * 1, b * 2, c * 3) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
     formula = CnfFormula(3, tuple(clauses))
     net = parse_spn(serialize_spn(amplify(cnf_to_spn(formula), 8).network))
-    assert inference._levelled(net)
     assert validate(net) == []
     spnmap.evaluate_marginal(net)
     max_product(net)
     spnmap.argmax_product(net)
     spnmap.decision_map(net, None, 0.0, spnmap.Solver.MAX_PRODUCT)
     assert len(net.nodes) == 1801
-    assert "_numbering" not in vars(net) and "_lists" not in vars(net)
+    assert "_numbering" not in vars(net)
     assert net.is_acyclic and "_numbering" not in vars(net)
     net.topological_order()  # a structural query numbers the entries
     assert "_numbering" in vars(net)
 
 
-def test_the_ratio_studys_largest_networks_are_solved_by_levels():
-    # The ratio study's networks of 20 vertices, 421 entries, take the
-    # levelled passes and the waves, and look up no node by id.
-    net = mis_to_spn(random_graph(20, 50.0, spnmap.derive_seed(0, 20, 50.0, 0))).network
-    assert len(net.nodes) == 421
+@pytest.mark.parametrize("n", [5, 20])
+def test_the_ratio_studys_networks_are_solved_by_levels(n):
+    # The ratio study's networks of 5 and 20 vertices, 31 and 421 entries,
+    # take the levelled passes and the waves, and look up no node by id.
+    net = mis_to_spn(random_graph(n, 50.0, spnmap.derive_seed(0, n, 50.0, 0))).network
+    assert len(net.nodes) == n * n + n + 1
     max_product(net)
     spnmap.argmax_product(net)
-    assert "_numbering" not in vars(net) and "_lists" not in vars(net)
+    assert "_numbering" not in vars(net)
     assert "_waves" in vars(net) and "_entry" not in vars(net)
 
 
@@ -689,6 +683,19 @@ def ratio_network(n: int, rep: int) -> Network:
     return mis_to_spn(random_graph(n, 50.0, spnmap.derive_seed(0, n, 50.0, rep))).network
 
 
+def redrawn(net: Network, seed: int) -> Network:
+    """A network of ``net``'s shape whose leaf and sum parameters are drawn from ``seed``."""
+    rng, nodes = random.Random(seed), {}
+    for nid, node in net.nodes.items():
+        if isinstance(node, ProductNode):
+            nodes[nid] = node
+            continue
+        field = "distribution" if isinstance(node, LeafNode) else "weights"
+        raw = [rng.random() + 0.05 for _ in getattr(node, field)]
+        nodes[nid] = dataclasses.replace(node, **{field: tuple(p / sum(raw) for p in raw)})
+    return Network(nodes, net.root, net.variables)
+
+
 def bits(net: Network) -> list[str]:
     """Max-product, argmax-product and the marginal of ``{0: 1}`` on ``net``, in hex."""
     mp, am = max_product(net), spnmap.argmax_product(net)
@@ -700,11 +707,11 @@ class TestShapeRecords:
     """Records fixed by a network's shape, built once and shared by the networks of that shape."""
 
     def test_networks_of_one_shape_share_their_records(self, shapes):
-        small, other = ratio_network(5, 0), ratio_network(5, 1)  # 31 entries: the per-entry path
+        small, other = ratio_network(5, 0), ratio_network(5, 1)  # 31 entries
         for net in (small, other):
             max_product(net)
         assert small._numbering is other._numbering
-        large, other = ratio_network(20, 0), ratio_network(20, 1)  # 421 entries: levels and waves
+        large, other = ratio_network(20, 0), ratio_network(20, 1)  # 421 entries
         for net in (large, other):
             spnmap.argmax_product(net)
         assert large._arrays is other._arrays
@@ -743,6 +750,41 @@ class TestShapeRecords:
             if exact is not None:
                 assert spnmap.exact_map(net) == exact
             assert len(shapes) == 1
+
+        # Argmax-product on a second network of a seen shape, with new
+        # parameters and evidence, as on a fresh build.  Each first wave is
+        # static and keeps its candidates' walk per shape; the random
+        # network has non-static waves above, and the last DAG's product 1
+        # reaches leaf 3 twice, a candidate walked in Python.
+        twice = {
+            0: SumNode((1, 2), (0.6, 0.4)),
+            1: ProductNode((3, 5)),
+            5: ProductNode((3, 4)),
+            2: ProductNode((6, 7)),
+            3: LeafNode(0, (0.3, 0.7)),
+            4: LeafNode(1, (0.4, 0.6)),
+            6: LeafNode(0, (0.8, 0.2)),
+            7: LeafNode(1, (0.1, 0.9)),
+        }
+        cases = [
+            (functools.partial(ratio_network, 5), {0: 1, 2: 0}),
+            (functools.partial(redrawn, random_spn(4, 4, seed=0)), {0: 1}),
+            (functools.partial(redrawn, shared_leaf_dag(random_spn(4, 4, seed=1))), {1: 0}),
+            (functools.partial(redrawn, Network.from_nodes(twice, 0)), {1: 0}),
+        ]
+        static = [[wave.walk is not None for wave in build(0)._waves] for build, _ in cases]
+        assert all(kept[0] for kept in static) and not all(static[1])
+        assert len(cases[-1][0](0)._waves[0].walk[3]) == 1
+
+        def amap(net, evidence):
+            result = spnmap.argmax_product(net, evidence)
+            return sorted(result.configuration.items()), result.value.log.hex()
+
+        for build, evidence in cases:
+            amap(build(0), evidence)  # the shape's records are built
+            second = amap(build(1), evidence)
+            shapes.clear()
+            assert amap(build(1), evidence) == second
 
     def test_shapes_that_differ_in_ids_root_or_a_cardinality_are_apart(self, shapes):
         nodes, two = mixture_nodes(), [Variable(0, 2), Variable(1, 2)]
@@ -807,6 +849,7 @@ class TestShapeRecords:
             lambda: net._plan.groups[0][2].__setitem__((0, 0), 0),
             lambda: net._waves[0].sums.__setitem__(0, 0),
             lambda: net._waves[0].groups[-1][2].__setitem__((0, 0), 0),
+            lambda: net._waves[0].walk[1].__setitem__(0, 0),
         ]
         for write in writes:
             with pytest.raises(ValueError, match="read-only"):

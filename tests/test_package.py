@@ -94,13 +94,12 @@ def test_import_loads_a_submodule_only_when_a_name_is_read():
     )
     before, after = run_fresh(script).splitlines()
     assert before == "[]"
-    assert after == str(["spnmap.formats", "spnmap.inference", "spnmap.logspace", "spnmap.network"])
+    assert after == str(["spnmap.formats", "spnmap.logspace", "spnmap.network"])
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_each_submodule_imports_first(module):
-    """A submodule imported before any other works; ``network`` and
-    ``inference`` import each other."""
+    """A submodule imported before any other works."""
     script = (
         f"import spnmap.{module} as m\n"
         "import spnmap\n"

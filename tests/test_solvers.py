@@ -36,7 +36,7 @@ from spnmap import (
     solve,
     validate,
 )
-from spnmap import inference, solvers
+from spnmap import solvers
 from spnmap.experiments import derive_seed, gap_fragment
 from spnmap.reductions import amplify, cnf_to_spn
 from conftest import shared_leaf_dag, shared_sum_dag, single_child_sum
@@ -272,23 +272,20 @@ def outcome(solver, net: Network, evidence: dict) -> tuple:
     return sorted(result.configuration.items()), result.value.log.hex(), pd
 
 
-def passes_agree(cases, levelled: bool) -> int:
+def passes_agree(cases) -> int:
     """Checks each case's passes and solvers against the per-entry oracles; returns the case count.
 
-    Every network must take the levelled passes, or every one the per-entry
-    loops.  The oracles' sums reduce as the path under test does: as
-    ``logsumexp_column`` on the levels, in order one entry at a time.
+    The oracles' sums reduce as the levelled passes do, as ``logsumexp_column``.
     """
-    logsumexp = logsumexp_column if levelled else logsumexp_in_order
     rng = random.Random(0)
     count = 0
     for net, evidence in cases:
-        assert inference._levelled(net) == levelled
         marginal = evaluate_marginal(net, evidence).log
-        assert marginal.hex() == sum_pass_by_entry(net, evidence, logsumexp).hex()
+        assert marginal.hex() == sum_pass_by_entry(net, evidence, logsumexp_column).hex()
         # A total assignment that extends the evidence.
         total = {v.index: rng.randrange(v.cardinality) for v in net.variables} | evidence
-        assert evaluate(net, total).log.hex() == sum_pass_by_entry(net, total, logsumexp).hex()
+        expected = sum_pass_by_entry(net, total, logsumexp_column)
+        assert evaluate(net, total).log.hex() == expected.hex()
         value, choice = solvers._max_pass(net, evidence)
         expected_value, expected_choice = max_pass_by_entry(net, evidence)
         assert (value.hex(), choice) == (expected_value.hex(), expected_choice)
@@ -296,7 +293,7 @@ def passes_agree(cases, levelled: bool) -> int:
             (max_product, max_product_by_entry),
             (argmax_product, argmax_by_sum),
         ):
-            reference = functools.partial(oracle, logsumexp=logsumexp)
+            reference = functools.partial(oracle, logsumexp=logsumexp_column)
             assert outcome(solver, net, evidence) == outcome(reference, net, evidence)
         count += 1
     return count
@@ -326,9 +323,8 @@ class TestWaveRescoring:
     """The wave pass against the per-sum loop, bit for bit, on networks of every size."""
 
     @pytest.fixture(autouse=True)
-    def every_network_by_wave(self, monkeypatch):
-        """Sends every network through the wave pass and records its scores by sum entry."""
-        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
+    def recorded_scores(self, monkeypatch):
+        """Records the wave pass's scores by sum entry."""
         self.scores: dict = {}
         score_wave = solvers._score_wave
 
@@ -410,11 +406,7 @@ class TestWaveRescoring:
         assert terms.sum() != functools.reduce(operator.add, terms.tolist())
         assert set(self.scores[net._entry[1]]) == {logs.max() + np.log(terms.sum())}
 
-    @pytest.mark.parametrize("levelled_min", [0, inference._LEVELLED_MIN])
-    def test_a_tree_whose_leaves_disagree_keeps_its_first_visited_leaf(
-        self, monkeypatch, levelled_min
-    ):
-        monkeypatch.setattr(inference, "_LEVELLED_MIN", levelled_min)
+    def test_a_tree_whose_leaves_disagree_keeps_its_first_visited_leaf(self):
         # Product 1 is not decomposable: leaf 3 prefers x0 = 1 and leaf 4,
         # under product 8, x0 = 0.  The walk down child 1 visits leaf 3
         # first, so that candidate is {x0: 1, x1: 0} and scores
@@ -439,50 +431,27 @@ class TestWaveRescoring:
         assert result.value.linear == pytest.approx(0.308, rel=1e-12)
 
 
-class TestPerEntryPasses:
-    """Networks under ``_LEVELLED_MIN`` entries: the per-entry loops, bit for bit."""
+class TestLevelledPasses:
+    """The levelled sum and max passes against the per-entry oracles, bit for bit."""
+
+    def agree(self, cases) -> int:
+        return passes_agree(cases)
 
     def test_random_networks_with_and_without_evidence(self):
-        nets = [random_spn(2 + s % 6, 3 + s % 3, seed=s) for s in range(60)]
+        nets = [random_spn(3 + s % 6, 4 + s % 4, seed=s) for s in range(40)]
+        nets += [random_spn(2 + s % 6, 3 + s % 3, seed=s) for s in range(60)]
         cases = ((net, ev) for s, net in enumerate(nets) for ev in ({}, {0: s % 2}))
-        assert passes_agree(cases, levelled=False) == 120
+        assert self.agree(cases) == 200
 
-    def test_gap_and_independent_set_networks(self):
-        passes_agree(((gap_network(copies), {}) for copies in range(1, 11)), levelled=False)
-        graphs = [
+    def test_gap_independent_set_and_amplified_networks(self):
+        self.agree((gap_network(copies), {}) for copies in range(1, 11))
+        small = [
             random_graph(n, pct, derive_seed(0, n, pct))
             for n in (3, 5, 8, 10)
             for pct in (10.0, 60.0)
         ]
-        cases = ((mis_to_spn(g).network, ev) for g in graphs for ev in ({}, {0: 1, 2: 0}))
-        assert passes_agree(cases, levelled=False) == 16
-
-    def test_wide_sums_add_in_order(self):
-        passes_agree(((nine_leaf_sum(), ev) for ev in ({}, {0: 1})), levelled=False)
-
-    def test_shared_and_non_decomposable_dags(self):
-        assert passes_agree(((net, {}) for net in random_dags(300)), levelled=False) == 300
-        passes_agree(((net, {1: 0}) for net in random_dags(100, seed=2)), levelled=False)
-        passes_agree(solver_cases(30), levelled=False)
-
-
-class TestLevelledPasses:
-    """The levelled sum and max passes against the per-entry oracles, bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def every_network_levelled(self, monkeypatch):
-        monkeypatch.setattr(inference, "_LEVELLED_MIN", 0)
-
-    def agree(self, cases) -> int:
-        return passes_agree(cases, levelled=True)
-
-    def test_random_networks_with_and_without_evidence(self):
-        nets = [random_spn(3 + s % 6, 4 + s % 4, seed=s) for s in range(40)]
-        cases = ((net, ev) for s, net in enumerate(nets) for ev in ({}, {0: s % 2}))
-        assert self.agree(cases) == 80
-
-    def test_gap_independent_set_and_amplified_networks(self):
-        self.agree((gap_network(copies), {}) for copies in range(1, 7))
+        cases = ((mis_to_spn(g).network, ev) for g in small for ev in ({}, {0: 1, 2: 0}))
+        assert self.agree(cases) == 16
         graphs = [
             random_graph(n, pct, derive_seed(0, n, pct))
             for n in (5, 10, 20)
@@ -572,15 +541,11 @@ class TestInvalidNetworks:
             with pytest.raises(ValueError, match="missing variable"):
                 solver(net)
 
-    @pytest.mark.parametrize("levelled_min", [0, inference._LEVELLED_MIN])
-    def test_a_chosen_root_candidate_that_misses_a_variable_is_refused(
-        self, monkeypatch, levelled_min
-    ):
+    def test_a_chosen_root_candidate_that_misses_a_variable_is_refused(self):
         # The root covers x0 and x1, but its leaf child covers x0 only.
         # Max-product picks the product (0.7 * 0.5 against 0.3 * 0.8), and
         # re-evaluation the leaf (0.7 * 0.5 + 0.3 * 0.8 against 0.7 * 0.5 + 0.3 * 0.2),
         # whose tree leaves x1 unset.
-        monkeypatch.setattr(inference, "_LEVELLED_MIN", levelled_min)
         nodes = {
             0: SumNode((1, 2), (0.7, 0.3)),
             1: ProductNode((3, 4)),
@@ -655,9 +620,8 @@ class TestInvalidNetworks:
 def kept_cases():
     """Networks to solve in sequence, as ``(build, evidence)``; ``build`` makes a fresh copy.
 
-    Independent-set networks of 5 and 10 vertices take the per-entry passes
-    and of 20 the levelled ones; ``random_spn`` networks of 23 to 995 entries
-    take both.
+    Independent-set networks of 5, 10 and 20 vertices (31, 111 and 421
+    entries) and ``random_spn`` networks of 23 to 995 entries.
     """
     cases = []
     for n, pct in itertools.product((5, 10, 20), (10.0, 60.0)):
@@ -667,7 +631,8 @@ def kept_cases():
         for height in (5, 7):
             build = functools.partial(random_spn, 4 + s if height == 5 else 12, height, seed=s)
             cases += [(build, ev) for ev in ({}, {0: s % 2})]
-    assert {inference._levelled(build()) for build, _ in cases} == {False, True}
+    sizes = {len(build().nodes) for build, _ in cases}
+    assert {31, 111, 421} <= sizes and (min(sizes), max(sizes)) == (23, 995)
     return cases
 
 
@@ -830,8 +795,7 @@ class TestInvariantsPastEnumeration:
     def test_disjoint_copies_power_the_value_and_repeat_the_configuration(self, copies):
         # ``amplify`` multiplies disjoint copies: every solver's log value is
         # ``copies`` times the base's, up to the rounding of the copies'
-        # sums, and each copy repeats the base configuration.  Bases of 5 to
-        # 20 vertices run per entry or levelled, and so do their copies.
+        # sums, and each copy repeats the base configuration.
         worst = 0.0
         for s in range(60):
             n = 5 + s % 16
