@@ -326,6 +326,8 @@ def decision_map(
     """
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if isinstance(gamma, np.integer):  # which has no ``as_integer_ratio``
+        gamma = int(gamma)
     numerator, denominator = gamma.as_integer_ratio()
     log_gamma = math.log(numerator) - math.log(denominator) if numerator else LOG_ZERO
     result = solve(network, evidence, solver)

@@ -722,6 +722,10 @@ class TestDispatchAndDecision:
         assert decision_map(mixture_net, None, 0.0)
         assert decision_map(mixture_net, None, 0.4)
         assert not decision_map(mixture_net, None, 0.41)
+        # numpy numbers decide as Python's do.
+        assert decision_map(mixture_net, None, np.int64(0))
+        assert not decision_map(mixture_net, None, np.int32(1))
+        assert decision_map(mixture_net, None, np.float64(0.4))
 
     def test_decision_depends_on_the_solver(self):
         net = gap_fragment().network

@@ -13,7 +13,8 @@ of the machine.  The rows:
   ``perfbench``'s ``ratio_study`` runs it (``random_graph``, ``mis_to_spn``,
   ``max_product`` and ``argmax_product``) on ``_RATIO_GRAPHS`` graphs of n
   vertices at 10, 20, 40 and 60% edges, whose shapes the check pass below
-  has already built; ``ratio sum`` adds the three per round
+  has already built; ``ratio sum`` adds the three rows' times of each
+  round
 - ``criterion 02 body``: ``tests/test_acceptance.py``'s timed body,
   ``ratio(amplify(gap_fragment(), m).network)`` for m = 1..10
 - ``criterion 03 body``: ``tests/test_acceptance.py``'s body on 1000 fresh
@@ -27,15 +28,21 @@ A check pass first runs each row once per side and solves every network it
 built with both solvers.  The script refuses to time, and exits 1, if any
 configuration differs between the sides; it counts, per row, the values
 (max-product's value and bound, argmax-product's value) whose bits differ.
-Each round then times every row once per side, with ``gc.collect()`` before
-each timing, and alternates which side goes first from round to round
-(default 20 rounds; at least 2, for the quartiles).  The script prints per
-row each side's median milliseconds with its quartiles, the ratio of the
-medians, new over old, and the rounds in which the new side was faster.
+Each row then runs its rounds, one after another: a round times the row
+once per side, with ``gc.collect()`` before each timing, and alternates
+which side goes first from round to round (default 20 rounds; at least 2,
+for the quartiles).  A row's rounds run together because the criterion 03
+row, which builds 1000 networks per side, slowed the short rows after it:
+with every row in each round, the n = 5 row read +45% and +31% in two runs
+where it read +21% and +19% alone, and +20% with rounds by row.  The
+script prints per row each side's median milliseconds with its quartiles,
+the ratio of the medians, new over old, and the rounds in which the new
+side was faster.
 
-Band: a checkout against a copy of itself, 20 rounds on a 2-core Xeon host
-(numpy 2.4.6), read every row's ratio within 0.97-1.03 and no row's win
-count outside 6-14 of 20.  Read a move inside that band as no move.
+Band: a checkout against a copy of itself, in two runs of 20 rounds on a
+2-core Xeon host (Python 3.11, numpy 2.4.6), read every row's ratio within
+0.96-1.06, and every row's wins within 8-15 of 20.  Read a move inside that
+band as no move.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ import time
 from pathlib import Path
 
 #: Graphs per ratio row and size, over the four edge percentages in turn.
-_RATIO_GRAPHS = 40
+_RATIO_GRAPHS = 100
 
 _PERCENTAGES = (10.0, 20.0, 40.0, 60.0)
 
@@ -153,7 +160,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     rounds = int(argv[2]) if len(argv) == 3 else 20
     if rounds < 2:
@@ -167,9 +174,9 @@ def main(argv: list[str]) -> int:
             print("configurations differ: refusing to time", file=sys.stderr)
             return 1
         times = {name: ([], []) for name in ROWS}
-        for r in range(rounds):
-            sides = [(0, old), (1, new)] if r % 2 == 0 else [(1, new), (0, old)]
-            for name, row in ROWS.items():
+        for name, row in ROWS.items():  # a row's rounds together, so no other row runs between
+            for r in range(rounds):
+                sides = [(0, old), (1, new)] if r % 2 == 0 else [(1, new), (0, old)]
                 for side, spn in sides:
                     gc.collect()
                     t0 = time.perf_counter()
