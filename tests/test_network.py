@@ -696,6 +696,33 @@ def redrawn(net: Network, seed: int) -> Network:
     return Network(nodes, net.root, net.variables)
 
 
+def leaf_reached_twice() -> Network:
+    """A DAG whose product 1 reaches leaf 3 twice, through product 5."""
+    nodes = {
+        0: SumNode((1, 2), (0.6, 0.4)),
+        1: ProductNode((3, 5)),
+        5: ProductNode((3, 4)),
+        2: ProductNode((6, 7)),
+        3: LeafNode(0, (0.3, 0.7)),
+        4: LeafNode(1, (0.4, 0.6)),
+        6: LeafNode(0, (0.8, 0.2)),
+        7: LeafNode(1, (0.1, 0.9)),
+    }
+    return Network.from_nodes(nodes, 0)
+
+
+#: Networks of one shape, as ``build(seed)``, with the evidence to solve them under.
+SEEN_SHAPE_CASES = {
+    "mis5": lambda: (functools.partial(ratio_network, 5), {0: 1, 2: 0}),
+    "random_spn": lambda: (functools.partial(redrawn, random_spn(4, 4, seed=0)), {0: 1}),
+    "shared_leaf_dag": lambda: (
+        functools.partial(redrawn, shared_leaf_dag(random_spn(4, 4, seed=1))),
+        {1: 0},
+    ),
+    "leaf_reached_twice": lambda: (functools.partial(redrawn, leaf_reached_twice()), {1: 0}),
+}
+
+
 def bits(net: Network) -> list[str]:
     """Max-product, argmax-product and the marginal of ``{0: 1}`` on ``net``, in hex."""
     mp, am = max_product(net), spnmap.argmax_product(net)
@@ -751,40 +778,27 @@ class TestShapeRecords:
                 assert spnmap.exact_map(net) == exact
             assert len(shapes) == 1
 
+    @pytest.mark.parametrize("case", SEEN_SHAPE_CASES)
+    def test_argmax_on_a_seen_shape_gives_the_bits_of_a_fresh_build(self, shapes, case):
         # Argmax-product on a second network of a seen shape, with new
         # parameters and evidence, as on a fresh build.  Each first wave is
-        # static and keeps its candidates' walk per shape; the random
-        # network has non-static waves above, and the last DAG's product 1
-        # reaches leaf 3 twice, a candidate walked in Python.
-        twice = {
-            0: SumNode((1, 2), (0.6, 0.4)),
-            1: ProductNode((3, 5)),
-            5: ProductNode((3, 4)),
-            2: ProductNode((6, 7)),
-            3: LeafNode(0, (0.3, 0.7)),
-            4: LeafNode(1, (0.4, 0.6)),
-            6: LeafNode(0, (0.8, 0.2)),
-            7: LeafNode(1, (0.1, 0.9)),
-        }
-        cases = [
-            (functools.partial(ratio_network, 5), {0: 1, 2: 0}),
-            (functools.partial(redrawn, random_spn(4, 4, seed=0)), {0: 1}),
-            (functools.partial(redrawn, shared_leaf_dag(random_spn(4, 4, seed=1))), {1: 0}),
-            (functools.partial(redrawn, Network.from_nodes(twice, 0)), {1: 0}),
-        ]
-        static = [[wave.walk is not None for wave in build(0)._waves] for build, _ in cases]
-        assert all(kept[0] for kept in static) and not all(static[1])
-        assert len(cases[-1][0](0)._waves[0].walk[3]) == 1
+        # static and keeps its candidates' walk per shape.
+        build, evidence = SEEN_SHAPE_CASES[case]()
+        static = [wave.walk is not None for wave in build(0)._waves]
+        assert static[0]
+        if case == "random_spn":  # non-static waves above the first
+            assert not all(static)
+        if case == "leaf_reached_twice":  # a candidate walked in Python
+            assert len(build(0)._waves[0].walk[3]) == 1
 
-        def amap(net, evidence):
+        def amap(net):
             result = spnmap.argmax_product(net, evidence)
             return sorted(result.configuration.items()), result.value.log.hex()
 
-        for build, evidence in cases:
-            amap(build(0), evidence)  # the shape's records are built
-            second = amap(build(1), evidence)
-            shapes.clear()
-            assert amap(build(1), evidence) == second
+        amap(build(0))  # the shape's records are built
+        second = amap(build(1))
+        shapes.clear()
+        assert amap(build(1)) == second
 
     def test_shapes_that_differ_in_ids_root_or_a_cardinality_are_apart(self, shapes):
         nodes, two = mixture_nodes(), [Variable(0, 2), Variable(1, 2)]
