@@ -326,7 +326,7 @@ def decision_map(
     """
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if isinstance(gamma, np.integer):  # which has no ``as_integer_ratio``
+    if isinstance(gamma, (np.integer, np.bool_)):  # which have no ``as_integer_ratio``
         gamma = int(gamma)
     numerator, denominator = gamma.as_integer_ratio()
     log_gamma = math.log(numerator) - math.log(denominator) if numerator else LOG_ZERO

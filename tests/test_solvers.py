@@ -734,6 +734,8 @@ class TestDispatchAndDecision:
         assert decision_map(mixture_net, None, np.int64(0))
         assert not decision_map(mixture_net, None, np.int32(1))
         assert decision_map(mixture_net, None, np.float64(0.4))
+        assert decision_map(mixture_net, None, np.False_)
+        assert not decision_map(mixture_net, None, np.True_)
 
     def test_decision_depends_on_the_solver(self):
         net = gap_fragment().network

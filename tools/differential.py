@@ -191,15 +191,15 @@ def _small(net) -> bool:
     return spnmap.count_free_configurations(net) <= _ENUMERATED
 
 
-def mixed_spn(cards: list[int], seed: int):
+def mixed_spn(spn, cards: list[int], seed: int):
     """A valid network over variables of cardinalities ``cards``, random in ``seed``.
 
     Sums mix two or three children over one scope and products split theirs
     in two or three, alternating from the root down; a product at the
     bottom splits its scope into leaves.  A leaf category is 0 at random.
+    The package ``spn`` builds it, so each side of an A/B builds its own.
     """
-    from spnmap import LeafNode, Network, ProductNode, SumNode, Variable
-
+    LeafNode, ProductNode, SumNode = spn.LeafNode, spn.ProductNode, spn.SumNode
     rng = random.Random(seed)
     nodes: dict = {}
 
@@ -224,7 +224,7 @@ def mixed_spn(cards: list[int], seed: int):
         return nid
 
     build(list(range(len(cards))), 5)
-    return Network(nodes, 0, [Variable(i, c) for i, c in enumerate(cards)])
+    return spn.Network(nodes, 0, [spn.Variable(i, c) for i, c in enumerate(cards)])
 
 
 def wide_sum(variables: int):
@@ -401,7 +401,7 @@ def _corpus() -> None:
         if (seed, height) == (0, 6):
             _emit(f"{label} {{1: 0, 14: 1}}", "exact_map", spnmap.exact_map, net, {1: 0, 14: 1})
     for seed in range(3):
-        net = mixed_spn([3, 2, 3, 3, 4, 3, 2, 3, 3], seed)
+        net = mixed_spn(spnmap, [3, 2, 3, 3, 4, 3, 2, 3, 3], seed)
         label = f"mixed_spn {seed}"
         _structure(label, net)
         _emit(label, "log_partition", spnmap.log_partition, net)
